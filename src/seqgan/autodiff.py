@@ -1,7 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 A ``Tape`` records every operation in execution order; ``backward`` walks the
-record once in reverse, accumulating vector-Jacobian products per node.  Only
+record once in reverse, accumulating vector-Jacobian products per node.  A
+``Tape(grad=False)`` computes the same values without recording them.  Only
 the operations required by the attention captioner, the co-attention
 discriminator and their training losses are provided -- no convolutions, no
 GPU, no mixed precision.  Accumulation order is fixed by tape order, so runs
@@ -30,29 +31,27 @@ class TapeError(RuntimeError):
 
 
 class Node:
-    __slots__ = ("value", "parents", "vjp")
+    __slots__ = ("parents", "vjp")
 
-    def __init__(self, value, parents=(), vjp=None):
-        self.value = value
+    def __init__(self, parents=(), vjp=None):
         self.parents = parents
         self.vjp = vjp  # callable(out_grad) -> tuple of parent grads
 
 
 class Tensor:
-    """Handle to one node on a tape."""
+    """A value plus its node index on a tape (``None`` on a no-grad tape)."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "data")
 
-    def __init__(self, tape, index):
+    def __init__(self, tape, index, data):
         self.tape = tape
         self.index = index
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tape.nodes[self.index].value
+        self.data = data
 
     @property
     def grad(self):
+        if not self.tape.grad:
+            raise TapeError("a no-grad tape keeps no gradients")
         g = self.tape.gradients[self.index]
         if g is None and self.tape._consumed:
             # node never reached from the root: derivative is zero
@@ -95,26 +94,35 @@ class Tensor:
 class Tape:
     """Ordered operation record plus per-node gradient accumulators.
 
+    ``Tape(grad=False)`` is the inference mode: it records no nodes, no
+    gradient slots and no VJP closures, and ``tensor`` binds arrays without
+    copying them, so it is valid only while nothing mutates the bound arrays.
+
     Single-threaded per tape; independent tapes may be used concurrently.
     """
 
-    def __init__(self):
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self.nodes: list[Node] = []
         self.gradients: list = []
         self._consumed = False
 
     def tensor(self, value) -> Tensor:
-        """Record a leaf holding ``value`` (copied, cast to float64)."""
-        arr = np.array(value, dtype=np.float64)
-        return self._record(arr, (), None)
+        """A leaf holding ``value`` cast to float64: copied on a grad tape,
+        bound as is (when already float64) on a no-grad tape."""
+        if not self.grad:
+            return Tensor(self, None, np.asarray(value, dtype=np.float64))
+        return self._record(np.array(value, dtype=np.float64), (), None)
 
     def _record(self, value, parents, vjp) -> Tensor:
-        self.nodes.append(Node(value, parents, vjp))
+        self.nodes.append(Node(parents, vjp))
         self.gradients.append(None)
-        return Tensor(self, len(self.nodes) - 1)
+        return Tensor(self, len(self.nodes) - 1, value)
 
     def reset_grads(self):
         """Clear accumulators so backward may run again."""
+        if not self.grad:
+            raise TapeError("a no-grad tape keeps no gradients")
         self.gradients = [None] * len(self.nodes)
         self._consumed = False
 
@@ -159,6 +167,8 @@ def matmul(a, b) -> Tensor:
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
     out = av @ bv
+    if not tape.grad:
+        return Tensor(tape, None, out)
 
     def vjp(g):
         return g @ bv.T, av.T @ g
@@ -171,6 +181,8 @@ def add(a, b) -> Tensor:
     a, b = _wrap(tape, a), _wrap(tape, b)
     av, bv = a.data, b.data
     out = av + bv
+    if not tape.grad:
+        return Tensor(tape, None, out)
 
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
@@ -183,6 +195,8 @@ def sub(a, b) -> Tensor:
     a, b = _wrap(tape, a), _wrap(tape, b)
     av, bv = a.data, b.data
     out = av - bv
+    if not tape.grad:
+        return Tensor(tape, None, out)
 
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
@@ -195,6 +209,8 @@ def mul(a, b) -> Tensor:
     a, b = _wrap(tape, a), _wrap(tape, b)
     av, bv = a.data, b.data
     out = av * bv
+    if not tape.grad:
+        return Tensor(tape, None, out)
 
     def vjp(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
@@ -206,6 +222,8 @@ def scale(x: Tensor, s: float) -> Tensor:
     """Multiply by a plain python scalar (not differentiated in ``s``)."""
     s = float(s)
     out = x.data * s
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g * s,)
@@ -215,6 +233,8 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g * (1.0 - out * out),)
@@ -225,8 +245,10 @@ def tanh(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # split by sign to avoid overflow in exp
     v = x.data
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                   np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -239,6 +261,8 @@ def log(x: Tensor) -> Tensor:
     if not np.all(v > 0):
         raise DomainError("log requires strictly positive input")
     out = np.log(v)
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g / v,)
@@ -248,6 +272,8 @@ def log(x: Tensor) -> Tensor:
 
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g * out,)
@@ -264,6 +290,8 @@ def softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     z = v - v.max(axis=-1, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=-1, keepdims=True)
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -276,6 +304,8 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     v = x.data
     _check_axis(v, axis)
     out = np.asarray(v.sum(axis=axis))
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         if axis is None:
@@ -290,6 +320,8 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
     _check_axis(v, axis)
     n = v.size if axis is None else v.shape[axis]
     out = np.asarray(v.mean(axis=axis))
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         if axis is None:
@@ -305,6 +337,8 @@ def reduce_max(x: Tensor, axis=None) -> Tensor:
     v = x.data
     _check_axis(v, axis)
     out = np.asarray(v.max(axis=axis))
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
     if axis is None:
         flat_idx = int(np.argmax(v))
 
@@ -337,6 +371,8 @@ def _check_axis(v, axis):
 def reshape(x: Tensor, shape) -> Tensor:
     v = x.data
     out = v.reshape(shape)
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g.reshape(v.shape),)
@@ -346,6 +382,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     out = x.data.T.copy()
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g.T.copy(),)
@@ -358,6 +396,8 @@ def concat(tensors, axis=0) -> Tensor:
     tensors = [_wrap(tape, t) for t in tensors]
     vals = [t.data for t in tensors]
     out = np.concatenate(vals, axis=axis)
+    if not tape.grad:
+        return Tensor(tape, None, out)
     sizes = [v.shape[axis] for v in vals]
     offsets = np.cumsum([0] + sizes)
 
@@ -374,6 +414,8 @@ def get_row(x: Tensor, i: int) -> Tensor:
     if v.ndim != 2 or not (0 <= i < v.shape[0]):
         raise ShapeError(f"row {i} invalid for shape {v.shape}")
     out = v[i : i + 1].copy()
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         gx = np.zeros_like(v)
@@ -390,6 +432,8 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * v.ndim
     idx[axis] = slice(start, start + length)
     out = v[tuple(idx)].copy()
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         gx = np.zeros_like(v)
@@ -403,6 +447,8 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes where unclipped, zero where clipped."""
     v = x.data
     out = np.clip(v, lo, hi)
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
     mask = ((v > lo) & (v < hi)).astype(np.float64)
 
     def vjp(g):
@@ -418,6 +464,8 @@ def st_onehot(x: Tensor) -> Tensor:
     arg = np.argmax(v, axis=-1)
     out = np.zeros_like(v)
     np.put_along_axis(out, np.expand_dims(arg, -1), 1.0, axis=-1)
+    if not x.tape.grad:
+        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g.copy(),)
@@ -436,6 +484,8 @@ def backward(tape: Tape, root: Tensor):
     Root must be scalar (size 1).  A second backward on the same tape without
     ``reset_grads`` is an error: accumulators would double-count.
     """
+    if not tape.grad:
+        raise TapeError("backward needs a grad tape; this one records no nodes")
     if root.tape is not tape:
         raise TapeError("root does not belong to this tape")
     if root.data.size != 1:

@@ -254,7 +254,7 @@ def decode_step(params: CaptionerParams, state: DecoderState, prev_token: int,
     Returns (logits (K,), new DecoderState, attention weights (C+1,) on the
     simplex including the sentinel slot, sentinel gate in [0, 1]).
     """
-    tape = ad.Tape()
+    tape = ad.Tape(grad=False)
     bound = BoundCaptioner(tape, params)
     feats_proj = bound.project_feats(image_feats)
     h, c, ctx = (tape.tensor(state.h), tape.tensor(state.c), tape.tensor(state.context))
@@ -264,64 +264,16 @@ def decode_step(params: CaptionerParams, state: DecoderState, prev_token: int,
     return logits.data.reshape(-1).copy(), new_state, attn.data.reshape(-1).copy(), gate.item()
 
 
-def _run_decode(bound: BoundCaptioner, image_feats, pick):
-    """Shared decode loop; ``pick(probs_row) -> token id`` chooses each word."""
-    config = bound.config
-    feats_proj = bound.project_feats(image_feats)
-    h, c, ctx = bound.zero_state()
-    prev = config.bos_id
-    tokens: list[int] = []
-    terminated = False
-    while len(tokens) < config.max_len:
-        logits, h, c, ctx, _, _ = bound.step(h, c, ctx, bound.embed_token(prev), feats_proj)
-        probs = bound.word_dist(logits).data.reshape(-1)
-        tok = pick(probs)
-        tokens.append(tok)
-        prev = tok
-        if tok == config.eos_id:
-            terminated = True
-            break
-    return TokenSequence(tokens, terminated or len(tokens) == config.max_len)
+def _argmax(probs) -> int:
+    return int(np.argmax(probs))
 
 
-def greedy_decode(params: CaptionerParams, image_feats) -> TokenSequence:
-    """Argmax decode (ties toward the lowest id); stops at EOS or max_len."""
-    bound = BoundCaptioner(ad.Tape(), params)
-    return _run_decode(bound, image_feats, lambda p: int(np.argmax(p)))
-
-
-def sample_sentence(params: CaptionerParams, image_feats, rng: np.random.Generator):
-    """Multinomial sample; returns the sequence and its total log-probability."""
-    bound = BoundCaptioner(ad.Tape(), params)
-    log_p = 0.0
-
-    def pick(probs):
-        nonlocal log_p
-        tok = int(min(np.searchsorted(np.cumsum(probs), rng.random(), side="right"),
-                      probs.size - 1))
-        log_p += float(np.log(probs[tok]))
-        return tok
-
-    seq = _run_decode(bound, image_feats, pick)
-    return seq, log_p
-
-
-def log_prob(params: CaptionerParams, image_feats, seq: TokenSequence) -> float:
-    """Total log p(seq | image) under teacher forcing."""
-    tape = ad.Tape()
-    return BoundCaptioner(tape, params).sequence_log_prob(image_feats, seq).item()
-
-
-def ensemble_decode(params_list: list[CaptionerParams], image_feats) -> TokenSequence:
-    """Average the per-step word distributions of several models, then argmax."""
-    if not params_list:
-        raise InputError("ensemble needs at least one model")
+def _decode(params_list: list[CaptionerParams], image_feats, pick) -> TokenSequence:
+    """The one decode loop: at each step every model advances on the previous
+    word, their word distributions are averaged (a single model's is used as
+    is), and ``pick(probs_row) -> token id`` chooses the next word."""
     config = params_list[0].config
-    for p in params_list[1:]:
-        if p.config != config:
-            raise InputError("ensemble members must share one config")
-
-    bounds = [BoundCaptioner(ad.Tape(), p) for p in params_list]
+    bounds = [BoundCaptioner(ad.Tape(grad=False), p) for p in params_list]
     projs = [b.project_feats(image_feats) for b in bounds]
     states = [b.zero_state() for b in bounds]
     prev = config.bos_id
@@ -334,11 +286,47 @@ def ensemble_decode(params_list: list[CaptionerParams], image_feats) -> TokenSeq
             logits, h, c, ctx, _, _ = b.step(h, c, ctx, b.embed_token(prev), projs[k])
             states[k] = (h, c, ctx)
             dists.append(b.word_dist(logits).data.reshape(-1))
-        mean_dist = np.mean(dists, axis=0)
-        tok = int(np.argmax(mean_dist))
+        tok = pick(dists[0] if len(dists) == 1 else np.mean(dists, axis=0))
         tokens.append(tok)
         prev = tok
         if tok == config.eos_id:
             terminated = True
             break
     return TokenSequence(tokens, terminated or len(tokens) == config.max_len)
+
+
+def greedy_decode(params: CaptionerParams, image_feats) -> TokenSequence:
+    """Argmax decode (ties toward the lowest id); stops at EOS or max_len."""
+    return _decode([params], image_feats, _argmax)
+
+
+def sample_sentence(params: CaptionerParams, image_feats, rng: np.random.Generator):
+    """Multinomial sample; returns the sequence and its total log-probability."""
+    log_p = 0.0
+
+    def pick(probs):
+        nonlocal log_p
+        tok = int(min(np.searchsorted(np.cumsum(probs), rng.random(), side="right"),
+                      probs.size - 1))
+        log_p += float(np.log(probs[tok]))
+        return tok
+
+    seq = _decode([params], image_feats, pick)
+    return seq, log_p
+
+
+def log_prob(params: CaptionerParams, image_feats, seq: TokenSequence) -> float:
+    """Total log p(seq | image) under teacher forcing."""
+    tape = ad.Tape(grad=False)
+    return BoundCaptioner(tape, params).sequence_log_prob(image_feats, seq).item()
+
+
+def ensemble_decode(params_list: list[CaptionerParams], image_feats) -> TokenSequence:
+    """Average the per-step word distributions of several models, then argmax."""
+    if not params_list:
+        raise InputError("ensemble needs at least one model")
+    config = params_list[0].config
+    for p in params_list[1:]:
+        if p.config != config:
+            raise InputError("ensemble members must share one config")
+    return _decode(params_list, image_feats, _argmax)

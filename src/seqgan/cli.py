@@ -40,6 +40,10 @@ class ConfigError(ValueError):
     """Bad experiment config; message includes the offending field path."""
 
 
+class ProbeError(RuntimeError):
+    """The probed estimators saw different minibatch streams."""
+
+
 # ---------------------------------------------------------------------------
 # experiment config
 # ---------------------------------------------------------------------------
@@ -372,7 +376,8 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
         hash_streams[est] = hashes
         logger.info("probe %s: batch hashes %s...", est, hashes[:2])
     streams = list(hash_streams.values())
-    assert all(s == streams[0] for s in streams), "estimators saw different batches"
+    if any(s != streams[0] for s in streams):
+        raise ProbeError("estimators saw different batches")
 
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -385,8 +390,8 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
                 fh.write(f"{i},{est},{norm!r}\n")
         for est in estimators:
             arr = np.array(results[est])
-            fh.write(f"# summary estimator={est} mean={arr.mean()!r} "
-                     f"variance={arr.var()!r}\n")
+            fh.write(f"# summary estimator={est} mean={float(arr.mean())!r} "
+                     f"variance={float(arr.var())!r}\n")
     for est in estimators:
         arr = np.array(results[est])
         print(f"grad-probe {est}: mean={arr.mean():.6g} variance={arr.var():.6g}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .captioner import InputError, TokenSequence
+from .captioner import InputError, TokenSequence, _check_feats
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,6 @@ def init_discriminator(config: DiscriminatorConfig, seed: int, variant: str):
     if variant == "jointemb":
         return init_jointemb(config, seed)
     raise InputError(f"unknown discriminator variant {variant!r}")
-
-
-def _check_feats(image_feats, config) -> np.ndarray:
-    feats = np.asarray(image_feats, dtype=np.float64)
-    if feats.shape != (config.num_crops, config.feature_dim):
-        raise InputError(
-            f"image features must be {config.num_crops} x {config.feature_dim}, "
-            f"got {feats.shape}")
-    return feats
 
 
 class BoundDiscriminator:
@@ -236,7 +227,7 @@ class BoundDiscriminator:
 
 def embed_caption(params, seq: TokenSequence) -> np.ndarray:
     """LSTM hidden state after each token, stacked as a T x m array."""
-    tape = ad.Tape()
+    tape = ad.Tape(grad=False)
     bound = BoundDiscriminator(tape, params)
     return bound.hidden_states(bound._hard_word_vectors(seq)).data.copy()
 
@@ -246,7 +237,7 @@ def coatt_score(params: CoAttParams, image_feats, seq: TokenSequence):
     caption embedding)."""
     if params.variant != "coatt":
         raise InputError("coatt_score needs co-attention parameters")
-    out = BoundDiscriminator(ad.Tape(), params).score_sequence(image_feats, seq)
+    out = BoundDiscriminator(ad.Tape(grad=False), params).score_sequence(image_feats, seq)
     return (out["score"].item(), out["alpha"].data.reshape(-1).copy(),
             out["beta"].data.reshape(-1).copy(), out["e_img"].data.reshape(-1).copy(),
             out["e_cap"].data.reshape(-1).copy())
@@ -255,18 +246,19 @@ def coatt_score(params: CoAttParams, image_feats, seq: TokenSequence):
 def jointemb_score(params: JointEmbParams, image_feats, seq: TokenSequence) -> float:
     if params.variant != "jointemb":
         raise InputError("jointemb_score needs joint-embedding parameters")
-    out = BoundDiscriminator(ad.Tape(), params).score_sequence(image_feats, seq)
+    out = BoundDiscriminator(ad.Tape(grad=False), params).score_sequence(image_feats, seq)
     return out["score"].item()
 
 
 def score(params, image_feats, seq: TokenSequence) -> float:
     """Variant-agnostic scalar score."""
-    return BoundDiscriminator(ad.Tape(), params).score_sequence(image_feats, seq)["score"].item()
+    bound = BoundDiscriminator(ad.Tape(grad=False), params)
+    return bound.score_sequence(image_feats, seq)["score"].item()
 
 
 def score_soft(params, image_feats, soft_tokens) -> float:
     """Score a caption given as rows of token weights (simplex or one-hot)."""
-    tape = ad.Tape()
+    tape = ad.Tape(grad=False)
     bound = BoundDiscriminator(tape, params)
     vectors = bound._soft_word_vectors(soft_tokens)
     return bound.forward(image_feats, vectors)["score"].item()

@@ -131,12 +131,12 @@ def _accumulate(total, part, scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _clamped_log_score(bound: BoundDiscriminator, feats, seq: TokenSequence) -> ad.Tensor:
-    score = bound.score_sequence(feats, seq)["score"]
+def _clamp_score(score: ad.Tensor) -> ad.Tensor:
+    """``score`` clipped to [eps, 1 - eps]; logs a warning when the clip bites."""
     raw = score.item()
     if raw <= SCORE_EPS or raw >= 1.0 - SCORE_EPS:
         logger.warning("discriminator score %.3g clamped before log", raw)
-    return ad.log(ad.clip(score, SCORE_EPS, 1.0 - SCORE_EPS))
+    return ad.clip(score, SCORE_EPS, 1.0 - SCORE_EPS)
 
 
 def _one_minus(t: ad.Tensor) -> ad.Tensor:
@@ -150,28 +150,24 @@ def discriminator_objective(bound: BoundDiscriminator, image_feats,
 
     The trainer ascends this; scores are clamped away from {0, 1}.
     """
-    def log_one_minus(seq):
-        score = bound.score_sequence(image_feats, seq)["score"]
-        raw = score.item()
-        if raw <= SCORE_EPS or raw >= 1.0 - SCORE_EPS:
-            logger.warning("discriminator score %.3g clamped before log", raw)
-        return ad.log(_one_minus(ad.clip(score, SCORE_EPS, 1.0 - SCORE_EPS)))
+    def clamped(seq):
+        return _clamp_score(bound.score_sequence(image_feats, seq)["score"])
 
-    return _clamped_log_score(bound, image_feats, real) \
-        + ad.scale(log_one_minus(fake), 0.5) \
-        + ad.scale(log_one_minus(mismatched), 0.5)
+    return ad.log(clamped(real)) \
+        + ad.scale(ad.log(_one_minus(clamped(fake))), 0.5) \
+        + ad.scale(ad.log(_one_minus(clamped(mismatched))), 0.5)
 
 
 def discriminator_loss(d_params, image_feats, real: TokenSequence,
                        fake: TokenSequence, mismatched: TokenSequence) -> float:
     """Plain value of the discriminator objective (no gradients)."""
-    bound = BoundDiscriminator(ad.Tape(), d_params)
+    bound = BoundDiscriminator(ad.Tape(grad=False), d_params)
     return discriminator_objective(bound, image_feats, real, fake, mismatched).item()
 
 
 def _clamped_score_value(d_params, feats, seq) -> float:
-    s = BoundDiscriminator(ad.Tape(), d_params).score_sequence(feats, seq)["score"].item()
-    return float(np.clip(s, SCORE_EPS, 1.0 - SCORE_EPS))
+    bound = BoundDiscriminator(ad.Tape(grad=False), d_params)
+    return _clamp_score(bound.score_sequence(feats, seq)["score"]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +306,7 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
     rows, step_logits, tokens = gumbel_unroll(tape, bound_g, image_feats, rng, cfg)
 
     out = bound_d.score_soft_rows(image_feats, rows)
-    raw = out["score"].item()
-    if raw <= SCORE_EPS or raw >= 1.0 - SCORE_EPS:
-        logger.warning("discriminator score %.3g clamped before log", raw)
-    loss = ad.log(ad.clip(out["score"], SCORE_EPS, 1.0 - SCORE_EPS))
+    loss = ad.log(_clamp_score(out["score"]))
     if fm_on:
         ref = bound_d.score_sequence(image_feats, gt_seq)
         loss = loss - ad.scale(_sum_sq(ref["e_img"] - out["e_img"]), cfg.fm_image_weight)
@@ -325,7 +318,7 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
         "grads": grads,
         "loss": loss.item(),
         "tokens": tokens,
-        "score": raw,
+        "score": out["score"].item(),
     }
     if want_logit_grads:
         result["logit_grads"] = [t.grad.reshape(-1).copy() for t in step_logits]

@@ -5,6 +5,7 @@ throughout: it never touches the tape machinery it is checking.
 """
 
 import numpy as np
+import pytest
 
 
 def central_difference(f, x, h=1e-6):
@@ -38,3 +39,32 @@ def rel_err(analytic, reference):
     denom = max(float(np.max(np.abs(reference))),
                 float(np.max(np.abs(analytic))), 1e-4)
     return float(np.max(np.abs(analytic - reference))) / denom
+
+
+@pytest.fixture
+def on_grad_tapes():
+    """``run(fn, *args)`` calls ``fn`` with every tape it asks for recording
+    gradients, including the no-grad tapes of the inference paths.
+
+    The oracle for the no-grad mode: the same forward pass, recorded node by
+    node, must give bit-identical values.  ``run`` checks that the call did
+    record nodes, so the comparison cannot pass vacuously.
+    """
+    from seqgan import autodiff as ad
+
+    tapes = []
+
+    class GradTape(ad.Tape):
+        def __init__(self, grad=True):
+            super().__init__(grad=True)
+            tapes.append(self)
+
+    def run(fn, *args, **kwargs):
+        tapes.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "Tape", GradTape)
+            result = fn(*args, **kwargs)
+        assert tapes and all(t.nodes for t in tapes)
+        return result
+
+    return run

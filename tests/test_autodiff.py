@@ -350,3 +350,85 @@ class TestCompositeGradientSweep:
 
             assert rel_err(tx.grad, central_difference(f_x, x0.copy())) < 1e-4
             assert rel_err(tw.grad, central_difference(f_w, w0.copy())) < 1e-4
+
+
+def _old_sigmoid(v):
+    """The sigmoid formula before exp(-|v|) was shared between branches."""
+    return np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                    np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+
+
+# every op, as build(tape, a 3x4 input, a 4x3 input) -> tensor
+_OPS = {
+    "matmul": lambda t, a, b: ad.matmul(a, b),
+    "add": lambda t, a, b: ad.add(a, t.tensor(np.ones((1, 4)))),
+    "sub": lambda t, a, b: ad.sub(a, ad.transpose(b)),
+    "mul": lambda t, a, b: ad.mul(a, ad.transpose(b)),
+    "scale": lambda t, a, b: ad.scale(a, -2.5),
+    "tanh": lambda t, a, b: ad.tanh(a),
+    "sigmoid": lambda t, a, b: ad.sigmoid(a),
+    "log": lambda t, a, b: ad.log(ad.exp(a)),
+    "softmax": lambda t, a, b: ad.softmax(a, temperature=0.7),
+    "reduce_sum": lambda t, a, b: ad.reduce_sum(a, axis=1),
+    "reduce_mean": lambda t, a, b: ad.reduce_mean(a),
+    "reduce_max": lambda t, a, b: ad.reduce_max(a, axis=0),
+    "reshape": lambda t, a, b: ad.reshape(a, (2, 6)),
+    "concat": lambda t, a, b: ad.concat([a, ad.transpose(b)], axis=0),
+    "get_row": lambda t, a, b: ad.get_row(a, 1),
+    "narrow": lambda t, a, b: ad.narrow(a, 1, 1, 2),
+    "clip": lambda t, a, b: ad.clip(a, -0.5, 0.5),
+    "st_onehot": lambda t, a, b: ad.st_onehot(a),
+}
+
+
+class TestNoGradTape:
+    def test_records_no_nodes_and_rejects_backward(self):
+        tape = ad.Tape(grad=False)
+        x = tape.tensor([[1.0, -2.0]])
+        root = ad.reduce_sum(ad.sigmoid(ad.matmul(x, ad.transpose(x))))
+        assert root.item() == pytest.approx(1.0 / (1.0 + np.exp(-5.0)))
+        assert tape.nodes == [] and tape.gradients == []
+        assert x.index is None and root.index is None
+        with pytest.raises(ad.TapeError):
+            ad.backward(tape, root)
+        with pytest.raises(ad.TapeError):
+            x.grad
+        with pytest.raises(ad.TapeError):
+            tape.reset_grads()
+
+    def test_bind_aliases_and_never_mutates(self):
+        rng = np.random.default_rng(21)
+        a_arr, b_arr = rng.normal(size=(3, 4)), rng.normal(size=(4, 3))
+        a_keep, b_keep = a_arr.copy(), b_arr.copy()
+        tape = ad.Tape(grad=False)
+        a, b = tape.tensor(a_arr), tape.tensor(b_arr)
+        assert a.data is a_arr and b.data is b_arr  # bound, not copied
+        for build in _OPS.values():
+            build(tape, a, b)
+        np.testing.assert_array_equal(a_arr, a_keep)
+        np.testing.assert_array_equal(b_arr, b_keep)
+
+    def test_grad_tape_still_copies(self):
+        arr = np.ones((2, 2))
+        t = ad.Tape().tensor(arr)
+        arr[0, 0] = 5.0
+        assert t.data[0, 0] == 1.0
+
+    @pytest.mark.parametrize("name", sorted(_OPS))
+    def test_values_bit_identical_to_grad_tape(self, name):
+        rng = np.random.default_rng(22)
+        a_arr, b_arr = rng.normal(size=(3, 4)), rng.normal(size=(4, 3))
+        outs = []
+        for grad in (True, False):
+            tape = ad.Tape(grad=grad)
+            outs.append(_OPS[name](tape, tape.tensor(a_arr), tape.tensor(b_arr)).data)
+        assert outs[0].shape == outs[1].shape
+        assert np.array_equal(outs[0], outs[1])
+
+    def test_sigmoid_bit_identical_to_three_exp_formula(self):
+        v = np.concatenate([np.linspace(-800.0, 800.0, 4001),
+                            np.random.default_rng(23).normal(scale=5.0, size=4000),
+                            [0.0, -0.0, 1e-300, -1e-300]])
+        for grad in (True, False):
+            out = ad.sigmoid(ad.Tape(grad=grad).tensor(v)).data
+            assert np.array_equal(out, _old_sigmoid(v))

@@ -279,3 +279,80 @@ class TestEnsembleDecode:
             avg = 0.5 * (masked_dist(config, la) + masked_dist(config, lb))
             assert tok == int(np.argmax(avg))
             prev = tok
+
+
+class TestNoGradEquivalence:
+    """Inference runs on no-grad tapes; the same pass recorded on grad tapes
+    is the oracle, and values must match bit for bit."""
+
+    CASES = [(seed, attention) for seed in range(4)
+             for attention in ("context_aware", "att2all")]
+
+    def _setup(self, seed, attention, n_models=1):
+        config = tiny_config(vocab_size=7, max_len=6, attention=attention)
+        models = [cap.init_params(config, 40 + seed + 10 * k) for k in range(n_models)]
+        feats = rand_feats(config, np.random.default_rng(seed))
+        return config, models, feats
+
+    @pytest.mark.parametrize("seed,attention", CASES)
+    def test_greedy_decode(self, on_grad_tapes, seed, attention):
+        _, (params,), feats = self._setup(seed, attention)
+        assert cap.greedy_decode(params, feats) == \
+            on_grad_tapes(cap.greedy_decode, params, feats)
+
+    @pytest.mark.parametrize("seed,attention", CASES)
+    def test_sample_sentence(self, on_grad_tapes, seed, attention):
+        _, (params,), feats = self._setup(seed, attention)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            seq_a, logp_a = cap.sample_sentence(params, feats, rng_a)
+            seq_b, logp_b = on_grad_tapes(cap.sample_sentence, params, feats, rng_b)
+            assert seq_a == seq_b and logp_a == logp_b
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    @pytest.mark.parametrize("seed,attention", CASES)
+    def test_ensemble_decode(self, on_grad_tapes, seed, attention, n_models):
+        _, models, feats = self._setup(seed, attention, n_models)
+        assert cap.ensemble_decode(models, feats) == \
+            on_grad_tapes(cap.ensemble_decode, models, feats)
+
+    @pytest.mark.parametrize("seed,attention", CASES)
+    def test_log_prob(self, on_grad_tapes, seed, attention):
+        _, (params,), feats = self._setup(seed, attention)
+        seq, _ = cap.sample_sentence(params, feats, np.random.default_rng(seed))
+        assert cap.log_prob(params, feats, seq) == \
+            on_grad_tapes(cap.log_prob, params, feats, seq)
+
+    @pytest.mark.parametrize("seed,attention", CASES)
+    def test_decode_step(self, on_grad_tapes, seed, attention):
+        config, (params,), feats = self._setup(seed, attention)
+        state = cap.initial_state(config)
+        prev = config.bos_id
+        for tok in (2, 3, 4):
+            a = cap.decode_step(params, state, prev, feats)
+            b = on_grad_tapes(cap.decode_step, params, state, prev, feats)
+            for x, y in [(a[0], b[0]), (a[1].h, b[1].h), (a[1].c, b[1].c),
+                         (a[1].context, b[1].context), (a[2], b[2])]:
+                assert np.array_equal(x, y)
+            assert a[3] == b[3]
+            state, prev = a[1], tok
+
+    @pytest.mark.parametrize("seed,attention", CASES)
+    def test_ensemble_of_one_is_greedy(self, seed, attention):
+        _, (params,), feats = self._setup(seed, attention)
+        assert cap.ensemble_decode([params], feats) == cap.greedy_decode(params, feats)
+
+    def test_inference_leaves_params_untouched(self):
+        config, models, feats = self._setup(0, "context_aware", 3)
+        keep = [m.copy() for m in models]
+        bound = cap.BoundCaptioner(ad.Tape(grad=False), models[0])
+        assert all(bound.p[n].data is models[0].arrays[n] for n in models[0].arrays)
+        seq = cap.greedy_decode(models[0], feats)
+        cap.sample_sentence(models[0], feats, np.random.default_rng(0))
+        cap.ensemble_decode(models, feats)
+        cap.log_prob(models[0], feats, seq)
+        cap.decode_step(models[0], cap.initial_state(config), config.bos_id, feats)
+        for m, k in zip(models, keep):
+            for name in m.arrays:
+                assert np.array_equal(m.arrays[name], k.arrays[name])

@@ -165,6 +165,37 @@ class TestGradProbe:
         assert any("estimator=scst" in s and "mean=" in s and "variance=" in s
                    for s in summaries)
 
+    def test_summary_parses_back_to_printed_stats(self, trained_run, capsys):
+        out = trained_run["tmp"] / "probe-summary"
+        assert cli.main(["grad-probe", "--checkpoint", str(trained_run["ckpts"][-1]),
+                         "--estimators", "scst,gumbel_soft", "--n-batches", "3",
+                         "--out-dir", str(out)]) == 0
+        printed = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("grad-probe ") and "mean=" in l]
+        lines = (out / "grad_probe.csv").read_text().splitlines()
+        summaries = [l for l in lines if l.startswith("# summary")]
+        assert len(summaries) == len(printed) == 2
+        for summary, shown in zip(summaries, printed):
+            fields = dict(f.split("=", 1) for f in summary.split()[2:])
+            est = fields["estimator"]
+            mean, var = float(fields["mean"]), float(fields["variance"])
+            assert shown == f"grad-probe {est}: mean={mean:.6g} variance={var:.6g}"
+            norms = np.array([float(l.split(",")[2]) for l in lines
+                              if l.split(",")[1:2] == [est]])
+            assert (mean, var) == (norms.mean(), norms.var())
+
+    def test_diverging_batch_streams_exit_1(self, trained_run, monkeypatch, capsys):
+        def probe(g, d, dataset, estimator, n_batches, rng, cfg, idf=None):
+            return [1.0] * n_batches, [estimator] * n_batches
+
+        monkeypatch.setattr(cli.tr, "grad_norm_probe", probe)
+        out = trained_run["tmp"] / "probe-diverge"
+        assert cli.main(["grad-probe", "--checkpoint", str(trained_run["ckpts"][-1]),
+                         "--estimators", "scst,gumbel_st", "--n-batches", "2",
+                         "--out-dir", str(out)]) == 1
+        assert "ProbeError: estimators saw different batches" in capsys.readouterr().err
+        assert not (out / "grad_probe.csv").exists()
+
     def test_unknown_estimator_exits_2(self, trained_run):
         assert cli.main(["grad-probe", "--checkpoint", str(trained_run["ckpts"][-1]),
                          "--estimators", "sctt", "--n-batches", "2"]) == 2

@@ -211,3 +211,30 @@ class TestScoresStrictlyInUnitInterval:
                                                      size=rng.integers(1, 6))]
                 s = disc.score(params, feats, TokenSequence(toks, True))
                 assert 0.0 < s < 1.0
+
+
+class TestNoGradEquivalence:
+    """The plain-array front ends run on no-grad tapes; the same pass
+    recorded on grad tapes must give bit-identical values."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("variant", ["coatt", "jointemb"])
+    def test_front_ends(self, on_grad_tapes, seed, variant):
+        config = tiny_config()
+        params = disc.init_discriminator(config, seed, variant)
+        rng = np.random.default_rng(seed)
+        feats = rand_feats(config, rng)
+        seq = TokenSequence([2, 4, 3, 1], True)
+        soft = rng.dirichlet(np.ones(config.vocab_size), size=3)
+        for fn, args in [(disc.score, (params, feats, seq)),
+                         (disc.score_soft, (params, feats, soft))]:
+            assert fn(*args) == on_grad_tapes(fn, *args)
+        assert np.array_equal(disc.embed_caption(params, seq),
+                              on_grad_tapes(disc.embed_caption, params, seq))
+        if variant == "jointemb":
+            assert disc.jointemb_score(params, feats, seq) == \
+                on_grad_tapes(disc.jointemb_score, params, feats, seq)
+            return
+        for a, b in zip(disc.coatt_score(params, feats, seq),
+                        on_grad_tapes(disc.coatt_score, params, feats, seq)):
+            assert np.array_equal(a, b)

@@ -416,3 +416,34 @@ class TestGradNormProbe:
             assert all(n >= 0 for n in norms)
             res[est] = hashes
         assert res["scst"] == res["gumbel_st"]
+
+
+class TestNoGradEquivalence:
+    """Plain-value D objective and clamped score run on no-grad tapes; the
+    same pass recorded on grad tapes must give bit-identical values."""
+
+    DCFG = disc.DiscriminatorConfig(vocab_size=5, hidden_dim=4, num_crops=3, feature_dim=5)
+
+    @pytest.mark.parametrize("variant", ["coatt", "jointemb"])
+    def test_plain_values(self, on_grad_tapes, variant):
+        d = disc.init_discriminator(self.DCFG, 3, variant)
+        feats = np.random.default_rng(4).uniform(-1, 1, (3, 5))
+        real, fake, mis = (TokenSequence(t, True) for t in ([3, 4, 1], [2, 1], [4, 4, 3, 1]))
+        args = (d, feats, real, fake, mis)
+        assert tr.discriminator_loss(*args) == on_grad_tapes(tr.discriminator_loss, *args)
+        for seq in (real, fake, mis):
+            assert tr._clamped_score_value(d, feats, seq) == \
+                on_grad_tapes(tr._clamped_score_value, d, feats, seq)
+
+    def test_clamped_score_value_matches_np_clip(self, caplog):
+        d = disc.init_coatt(self.DCFG, 5)
+        d.arrays["out_UI"] *= 1e4  # saturate the sigmoid
+        feats = np.random.default_rng(6).uniform(-1, 1, (3, 5))
+        seq = TokenSequence([2, 3, 1], True)
+        raw = disc.score(d, feats, seq)
+        assert raw <= tr.SCORE_EPS or raw >= 1.0 - tr.SCORE_EPS
+        with caplog.at_level("WARNING", logger="seqgan.training"):
+            value = tr._clamped_score_value(d, feats, seq)
+        assert value == float(np.clip(raw, tr.SCORE_EPS, 1.0 - tr.SCORE_EPS))
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"discriminator score {raw:.3g} clamped before log"]
