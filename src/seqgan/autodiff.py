@@ -23,7 +23,8 @@ class DomainError(ValueError):
 
 
 class ParameterError(ValueError):
-    """Invalid operation parameter (e.g. non-positive temperature)."""
+    """Invalid parameter: of an operation (e.g. a non-positive temperature) or
+    of a dataset request (e.g. an infeasible holdout, see ``seqgan.data``)."""
 
 
 class TapeError(RuntimeError):

@@ -118,29 +118,78 @@ def init_params(config: CaptionerConfig, seed: int) -> CaptionerParams:
     return CaptionerParams(config, arrays)
 
 
+def _lstm_cell(inputs, c, W, b):
+    """One fused LSTM cell step, shared by the captioner and the discriminator.
+
+    ``W`` maps the concatenated ``inputs`` to column blocks ``i, f, o,
+    extra..., g`` of width m each (m = width of ``c``): every block but the
+    last is a sigmoid gate, ``g`` is the tanh candidate.  One matmul, one
+    bias add, one sigmoid and two tanh per step.
+
+    Returns (h', c', tanh(c'), [extra sigmoid gates]).
+    """
+    m = c.shape[1]
+    pre = ad.matmul(ad.concat(inputs, axis=1), W) + b
+    n_sig = pre.shape[1] - m
+    sig = ad.sigmoid(ad.narrow(pre, 1, 0, n_sig))
+    i, f, o, *extra = [ad.narrow(sig, 1, k, m) for k in range(0, n_sig, m)]
+    g = ad.tanh(ad.narrow(pre, 1, n_sig, m))
+    c_new = f * c + i * g
+    tanh_c = ad.tanh(c_new)
+    return o * tanh_c, c_new, tanh_c, extra
+
+
+def _fuse_gates(p, blocks):
+    """Fused weight and bias of an LSTM cell from per-gate tensors.
+
+    ``blocks`` lists (input weight, hidden weight, bias) names in column
+    order; the weight stacks the input rows over the hidden rows.  Gradients
+    reach the per-gate tensors through the concat VJP.
+    """
+    W = ad.concat([ad.concat([p[wx] for wx, _, _ in blocks], axis=1),
+                   ad.concat([p[wh] for _, wh, _ in blocks], axis=1)], axis=0)
+    return W, ad.concat([p[bias] for _, _, bias in blocks], axis=1)
+
+
+def _gate_names(gate):
+    return f"lstm_Wx_{gate}", f"lstm_Wh_{gate}", f"lstm_b_{gate}"
+
+
+# column blocks of the fused captioner cell: i, f, o, sentinel gate, g
+_CAPTIONER_BLOCKS = (_gate_names("i"), _gate_names("f"), _gate_names("o"),
+                     ("sent_Wx", "sent_Wh", "sent_b"), _gate_names("g"))
+
+
 class BoundCaptioner:
     """Captioner parameters bound to a tape, exposing differentiable steps.
 
     Used directly by the training losses; the module-level functions below
-    wrap it for plain (non-gradient) decoding.
+    wrap it for plain (non-gradient) decoding.  Binding also builds the
+    fused LSTM weight (3m x 5m) and bias (1 x 5m) from the stored per-gate
+    arrays.
     """
 
     def __init__(self, tape: ad.Tape, params: CaptionerParams):
         self.tape = tape
         self.config = params.config
         self.p = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
+        self._W, self._b = _fuse_gates(self.p, _CAPTIONER_BLOCKS)
         mask = np.zeros(params.config.vocab_size)
         mask[params.config.bos_id] = _MASK
         self._bos_mask = tape.tensor(mask.reshape(1, -1))
+        self._zero = tape.tensor(np.zeros((1, params.config.hidden_dim)))
+        self._context_aware = params.config.attention == "context_aware"
+        if not self._context_aware:  # the sentinel slot gets exactly zero attention
+            scores = np.zeros((1, params.config.num_crops + 1))
+            scores[0, -1] = _MASK
+            self._sentinel_mask = tape.tensor(scores)
 
     def project_feats(self, image_feats) -> ad.Tensor:
         feats = _check_feats(image_feats, self.config)
         return ad.matmul(self.tape.tensor(feats), self.p["attn_Wv"])
 
     def zero_state(self):
-        m = self.config.hidden_dim
-        z = lambda: self.tape.tensor(np.zeros((1, m)))
-        return z(), z(), z()
+        return self._zero, self._zero, self._zero
 
     def embed_token(self, token: int) -> ad.Tensor:
         if not (0 <= token < self.config.vocab_size):
@@ -154,49 +203,28 @@ class BoundCaptioner:
     def step(self, h, c, ctx, x_embed, feats_proj):
         """One decoder step.
 
-        Returns (logits 1xK, h', c', ctx', attn 1x(C+1), sentinel_gate 1x1).
-        In att2all mode the context feedback is zeroed and the sentinel slot
-        of the attention vector is exactly zero.
+        Returns (logits 1xK, h', c', ctx', attn 1x(C+1)).  The last slot of
+        ``attn`` is the sentinel gate.  The sentinel is one more attendable
+        row under the projected crops, so the crop and sentinel scores come
+        from one (C+1)-way score pass.  In att2all mode the context feedback
+        is zeroed and the sentinel slot of the attention vector is exactly
+        zero.
         """
         p = self.p
-        context_aware = self.config.attention == "context_aware"
-        if not context_aware:
-            ctx = self.tape.tensor(np.zeros_like(ctx.data))
-        x = ad.concat([x_embed, ctx], axis=1)  # 1 x 2m
-
-        gates = {}
-        for gate in _GATES:
-            pre = ad.matmul(x, p[f"lstm_Wx_{gate}"]) + ad.matmul(h, p[f"lstm_Wh_{gate}"]) \
-                + p[f"lstm_b_{gate}"]
-            gates[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
-        c_new = gates["f"] * c + gates["i"] * gates["g"]
-        h_new = gates["o"] * ad.tanh(c_new)
-
-        # crop scores conditioned on the fresh hidden state
-        hidden_part = ad.matmul(h_new, p["attn_Wh"])
-        act_img = ad.tanh(ad.add(ad.matmul(feats_proj, p["attn_Wa"]), hidden_part) + p["attn_b"])
-        e_img = ad.transpose(ad.matmul(act_img, p["attn_w"]))  # 1 x C
-
-        if context_aware:
-            sent_gate_vec = ad.sigmoid(ad.matmul(x, p["sent_Wx"]) + ad.matmul(h, p["sent_Wh"])
-                                       + p["sent_b"])
-            sentinel = sent_gate_vec * ad.tanh(c_new)  # 1 x m
-            act_s = ad.tanh(ad.matmul(sentinel, p["attn_Wa"]) + hidden_part + p["attn_b"])
-            e_s = ad.matmul(act_s, p["attn_w"])  # 1 x 1
-            attn = ad.softmax(ad.concat([e_img, e_s], axis=1))  # 1 x (C+1)
-            attn_img = ad.narrow(attn, 1, 0, e_img.shape[1])
-            attn_sent = ad.narrow(attn, 1, e_img.shape[1], 1)
-            ctx_new = ad.matmul(attn_img, feats_proj) + attn_sent * sentinel
-            gate = attn_sent
-        else:
-            attn_img = ad.softmax(e_img)
-            zero = self.tape.tensor(np.zeros((1, 1)))
-            attn = ad.concat([attn_img, zero], axis=1)
-            ctx_new = ad.matmul(attn_img, feats_proj)
-            gate = zero
-
+        if not self._context_aware:
+            ctx = self._zero
+        h_new, c_new, tanh_c, (sent_gate,) = _lstm_cell([x_embed, ctx, h], c,
+                                                        self._W, self._b)
+        values = ad.concat([feats_proj, sent_gate * tanh_c], axis=0)  # (C+1) x m
+        act = ad.tanh(ad.matmul(values, p["attn_Wa"]) + ad.matmul(h_new, p["attn_Wh"])
+                      + p["attn_b"])
+        scores = ad.transpose(ad.matmul(act, p["attn_w"]))  # 1 x (C+1)
+        if not self._context_aware:
+            scores = scores + self._sentinel_mask
+        attn = ad.softmax(scores)
+        ctx_new = ad.matmul(attn, values)
         logits = ad.matmul(h_new + ctx_new, p["out_W"]) + p["out_b"]
-        return logits, h_new, c_new, ctx_new, attn, gate
+        return logits, h_new, c_new, ctx_new, attn
 
     def masked_logits(self, logits: ad.Tensor) -> ad.Tensor:
         """Word scores with BOS pushed to -inf so it is never emitted."""
@@ -212,20 +240,25 @@ class BoundCaptioner:
 
     def sequence_log_prob_and_logits(self, image_feats, seq: TokenSequence):
         """As ``sequence_log_prob`` but also returns the per-step logit tensors
-        (pre-mask), so callers can harvest their gradients after backward."""
+        (pre-mask), so callers can harvest their gradients after backward.
+
+        The T logit rows are stacked, so the log-likelihood takes one masked
+        softmax, one one-hot pick, one log and one sum per caption.
+        """
         _check_seq(seq, self.config)
         feats_proj = self.project_feats(image_feats)
         h, c, ctx = self.zero_state()
         prev = self.config.bos_id
-        total = self.tape.tensor(0.0)
         step_logits = []
         for tok in seq.tokens:
-            logits, h, c, ctx, _, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
+            logits, h, c, ctx, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
             step_logits.append(logits)
-            probs = self.word_dist(logits)
-            total = total + ad.log(ad.reshape(ad.narrow(probs, 1, tok, 1), ()))
             prev = tok
-        return total, step_logits
+        probs = self.word_dist(ad.concat(step_logits, axis=0))  # T x K
+        onehot = np.zeros(probs.shape)
+        onehot[np.arange(len(seq.tokens)), seq.tokens] = 1.0
+        picked = ad.reduce_sum(ad.mul(probs, onehot), axis=1)
+        return ad.reduce_sum(ad.log(picked)), step_logits
 
 
 def _check_feats(image_feats, config: CaptionerConfig) -> np.ndarray:
@@ -258,10 +291,11 @@ def decode_step(params: CaptionerParams, state: DecoderState, prev_token: int,
     bound = BoundCaptioner(tape, params)
     feats_proj = bound.project_feats(image_feats)
     h, c, ctx = (tape.tensor(state.h), tape.tensor(state.c), tape.tensor(state.context))
-    logits, h2, c2, ctx2, attn, gate = bound.step(h, c, ctx,
-                                                  bound.embed_token(prev_token), feats_proj)
+    logits, h2, c2, ctx2, attn = bound.step(h, c, ctx, bound.embed_token(prev_token),
+                                            feats_proj)
     new_state = DecoderState(h2.data.copy(), c2.data.copy(), ctx2.data.copy())
-    return logits.data.reshape(-1).copy(), new_state, attn.data.reshape(-1).copy(), gate.item()
+    attn = attn.data.reshape(-1).copy()
+    return logits.data.reshape(-1).copy(), new_state, attn, float(attn[-1])
 
 
 def _argmax(probs) -> int:
@@ -283,7 +317,7 @@ def _decode(params_list: list[CaptionerParams], image_feats, pick) -> TokenSeque
         dists = []
         for k, b in enumerate(bounds):
             h, c, ctx = states[k]
-            logits, h, c, ctx, _, _ = b.step(h, c, ctx, b.embed_token(prev), projs[k])
+            logits, h, c, ctx, _ = b.step(h, c, ctx, b.embed_token(prev), projs[k])
             states[k] = (h, c, ctx)
             dists.append(b.word_dist(logits).data.reshape(-1))
         tok = pick(dists[0] if len(dists) == 1 else np.mean(dists, axis=0))

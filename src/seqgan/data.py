@@ -25,12 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import ParameterError  # also raised for infeasible dataset requests
 from .captioner import CaptionerConfig, CaptionerParams, InputError, TokenSequence
-from .discriminator import (CoAttParams, DiscriminatorConfig, JointEmbParams)
-
-
-class ParameterError(ValueError):
-    """Dataset request that cannot be satisfied (e.g. infeasible holdout)."""
+from .discriminator import VARIANTS, DiscriminatorConfig, DiscriminatorParams
 
 
 class FormatError(ValueError):
@@ -294,7 +291,7 @@ _CKPT_VERSION = 1
 @dataclass
 class Checkpoint:
     captioner: CaptionerParams | None
-    discriminator: CoAttParams | JointEmbParams | None
+    discriminator: DiscriminatorParams | None
     gen_opt: object | None        # training.AdamState
     disc_opt: object | None
     config: dict
@@ -433,27 +430,37 @@ def load_checkpoint(path) -> Checkpoint:
 
     payloads: dict[str, bytes] = {}
     for name, plen in table:
+        if name in payloads:
+            raise FormatError(f"duplicate section {name!r}", offset=off)
         if off + plen > len(blob):
             raise FormatError(f"truncated payload for section {name!r}", offset=off)
         payloads[name] = blob[off : off + plen]
         off += plen
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} trailing bytes after the last payload",
+                          offset=off)
     if "meta" not in payloads:
         raise FormatError("checkpoint missing meta section", offset=12)
     meta = json.loads(payloads["meta"].decode())
+
+    def payload(name):
+        if name not in payloads:
+            raise FormatError(f"meta names a model but section {name!r} is missing",
+                              offset=12)
+        return payloads[name]
 
     captioner = None
     if meta.get("captioner_config") is not None:
         cfg = dict(meta["captioner_config"])
         cfg.pop("__dataclass", None)
-        captioner = CaptionerParams(CaptionerConfig(**cfg), _unpack_table(payloads["gen"], 0))
+        captioner = CaptionerParams(CaptionerConfig(**cfg), _unpack_table(payload("gen"), 0))
     discriminator = None
     if meta.get("discriminator") is not None:
+        variant = meta["discriminator"]["variant"]
+        if variant not in VARIANTS:
+            raise FormatError(f"unknown discriminator variant {variant!r}", offset=12)
         dcfg = DiscriminatorConfig(**meta["discriminator"]["config"])
-        arrays = _unpack_table(payloads["disc"], 0)
-        if meta["discriminator"]["variant"] == "coatt":
-            discriminator = CoAttParams(dcfg, arrays)
-        else:
-            discriminator = JointEmbParams(dcfg, arrays)
+        discriminator = DiscriminatorParams(dcfg, _unpack_table(payload("disc"), 0), variant)
     gen_opt = _opt_from_table(_unpack_table(payloads["gen_opt"], 0)) \
         if "gen_opt" in payloads else None
     disc_opt = _opt_from_table(_unpack_table(payloads["disc_opt"], 0)) \

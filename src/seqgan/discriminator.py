@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .captioner import InputError, TokenSequence, _check_feats
+from .captioner import (_GATES, InputError, TokenSequence, _check_feats, _fuse_gates,
+                        _gate_names, _lstm_cell)
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,6 @@ class DiscriminatorConfig:
         for name in ("vocab_size", "hidden_dim", "num_crops", "feature_dim"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
-
-
-_GATES = ("i", "f", "o", "g")
 
 
 def _lstm_shapes(m: int) -> dict[str, tuple[int, int]]:
@@ -79,24 +77,22 @@ def _jointemb_shapes(config: DiscriminatorConfig) -> dict[str, tuple[int, int]]:
     return shapes
 
 
-@dataclass
-class CoAttParams:
-    config: DiscriminatorConfig
-    arrays: dict[str, np.ndarray]
-    variant = "coatt"
-
-    def copy(self):
-        return CoAttParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
+_SHAPES = {"coatt": _coatt_shapes, "jointemb": _jointemb_shapes}
+VARIANTS = tuple(_SHAPES)
 
 
 @dataclass
-class JointEmbParams:
+class DiscriminatorParams:
+    """Parameters of either variant; ``variant`` is one of ``VARIANTS``."""
+
     config: DiscriminatorConfig
     arrays: dict[str, np.ndarray]
-    variant = "jointemb"
+    variant: str
 
-    def copy(self):
-        return JointEmbParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
+    def copy(self) -> "DiscriminatorParams":
+        return DiscriminatorParams(self.config,
+                                   {k: v.copy() for k, v in self.arrays.items()},
+                                   self.variant)
 
 
 def _init_arrays(shapes, m, seed):
@@ -105,41 +101,36 @@ def _init_arrays(shapes, m, seed):
     return {name: rng.uniform(-a, a, shape) for name, shape in shapes.items()}
 
 
-def init_coatt(config: DiscriminatorConfig, seed: int) -> CoAttParams:
-    return CoAttParams(config, _init_arrays(_coatt_shapes(config), config.hidden_dim, seed))
+def init_coatt(config: DiscriminatorConfig, seed: int) -> DiscriminatorParams:
+    return init_discriminator(config, seed, "coatt")
 
 
-def init_jointemb(config: DiscriminatorConfig, seed: int) -> JointEmbParams:
-    return JointEmbParams(config,
-                          _init_arrays(_jointemb_shapes(config), config.hidden_dim, seed))
+def init_jointemb(config: DiscriminatorConfig, seed: int) -> DiscriminatorParams:
+    return init_discriminator(config, seed, "jointemb")
 
 
-def init_discriminator(config: DiscriminatorConfig, seed: int, variant: str):
-    if variant == "coatt":
-        return init_coatt(config, seed)
-    if variant == "jointemb":
-        return init_jointemb(config, seed)
-    raise InputError(f"unknown discriminator variant {variant!r}")
+def init_discriminator(config: DiscriminatorConfig, seed: int,
+                       variant: str) -> DiscriminatorParams:
+    if variant not in _SHAPES:
+        raise InputError(f"unknown discriminator variant {variant!r}")
+    shapes = _SHAPES[variant](config)
+    return DiscriminatorParams(config, _init_arrays(shapes, config.hidden_dim, seed),
+                               variant)
 
 
 class BoundDiscriminator:
     """Either discriminator variant bound to a tape."""
 
-    def __init__(self, tape: ad.Tape, params):
+    def __init__(self, tape: ad.Tape, params: DiscriminatorParams):
         self.tape = tape
         self.config = params.config
         self.variant = params.variant
         self.p = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
+        # fused word-LSTM weight (2m x 4m, column blocks i, f, o, g) and bias
+        self._W, self._b = _fuse_gates(self.p, [_gate_names(g) for g in _GATES])
 
     def _lstm_step(self, h, c, x):
-        p = self.p
-        gates = {}
-        for gate in _GATES:
-            pre = ad.matmul(x, p[f"lstm_Wx_{gate}"]) + ad.matmul(h, p[f"lstm_Wh_{gate}"]) \
-                + p[f"lstm_b_{gate}"]
-            gates[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
-        c_new = gates["f"] * c + gates["i"] * gates["g"]
-        h_new = gates["o"] * ad.tanh(c_new)
+        h_new, c_new, _, _ = _lstm_cell([x, h], c, self._W, self._b)
         return h_new, c_new
 
     def hidden_states(self, word_vectors) -> ad.Tensor:
@@ -232,7 +223,7 @@ def embed_caption(params, seq: TokenSequence) -> np.ndarray:
     return bound.hidden_states(bound._hard_word_vectors(seq)).data.copy()
 
 
-def coatt_score(params: CoAttParams, image_feats, seq: TokenSequence):
+def coatt_score(params: DiscriminatorParams, image_feats, seq: TokenSequence):
     """Returns (score, alpha over crops, beta over words, image embedding,
     caption embedding)."""
     if params.variant != "coatt":
@@ -243,7 +234,7 @@ def coatt_score(params: CoAttParams, image_feats, seq: TokenSequence):
             out["e_cap"].data.reshape(-1).copy())
 
 
-def jointemb_score(params: JointEmbParams, image_feats, seq: TokenSequence) -> float:
+def jointemb_score(params: DiscriminatorParams, image_feats, seq: TokenSequence) -> float:
     if params.variant != "jointemb":
         raise InputError("jointemb_score needs joint-embedding parameters")
     out = BoundDiscriminator(ad.Tape(grad=False), params).score_sequence(image_feats, seq)

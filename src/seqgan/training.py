@@ -27,6 +27,7 @@ from . import metrics as met
 from .captioner import (BoundCaptioner, CaptionerParams, InputError,
                         TokenSequence, greedy_decode, sample_sentence)
 from .discriminator import BoundDiscriminator
+from .metrics import NumericError
 
 logger = logging.getLogger(__name__)
 
@@ -99,13 +100,22 @@ def init_adam(arrays: dict[str, np.ndarray]) -> AdamState:
 
 def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float):
-    """One Adam minimization step, in place; pass negated gradients to ascend."""
-    state.step += 1
-    b1t = 1.0 - ADAM_BETA1**state.step
-    b2t = 1.0 - ADAM_BETA2**state.step
+    """One Adam minimization step, in place; pass negated gradients to ascend.
+
+    Every gradient is checked before anything changes: a wrong shape raises
+    ``InputError`` and a NaN or Inf raises ``NumericError`` naming the
+    parameter and the step, leaving ``arrays`` and ``state`` untouched.
+    """
+    step = state.step + 1
     for name, g in grads.items():
         if g.shape != arrays[name].shape:
             raise InputError(f"gradient shape mismatch for {name!r}")
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient for {name!r} at Adam step {step}")
+    state.step = step
+    b1t = 1.0 - ADAM_BETA1**step
+    b2t = 1.0 - ADAM_BETA2**step
+    for name, g in grads.items():
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
@@ -266,7 +276,7 @@ def gumbel_unroll(tape: ad.Tape, bound_g: BoundCaptioner, image_feats,
     x = bound_g.embed_token(config.bos_id)
     rows, step_logits, tokens = [], [], []
     for _ in range(config.max_len):
-        logits, h, c, ctx, _, _ = bound_g.step(h, c, ctx, x, feats_proj)
+        logits, h, c, ctx, _ = bound_g.step(h, c, ctx, x, feats_proj)
         step_logits.append(logits)
         noise = tape.tensor(gumbel_noise(rng, (1, config.vocab_size)))
         y = ad.softmax(ad.add(bound_g.masked_logits(logits), noise),

@@ -1,13 +1,89 @@
-"""Enumeration oracles for the policy-gradient estimator tests.
+"""Oracles for the captioner and its estimator tests.
 
-These walk the complete sampling tree of a tiny captioner, so expectations
-and variances over the sequence distribution are exact.
+The enumeration helpers walk the complete sampling tree of a tiny
+captioner, so expectations and variances over the sequence distribution are
+exact.  ``PerGateCaptioner`` and ``PerGateDiscriminator`` keep the per-gate
+LSTM cells, the separate sentinel branch and the per-token log-likelihood
+that the fused models replaced, as the oracle for the fused path.
 """
 
 import numpy as np
 
 from seqgan import autodiff as ad
-from seqgan.captioner import BoundCaptioner, TokenSequence, log_prob
+from seqgan.captioner import BoundCaptioner, TokenSequence, _check_seq, log_prob
+from seqgan.discriminator import BoundDiscriminator
+
+GATES = ("i", "f", "o", "g")
+
+
+def per_gate_lstm(p, inputs, h, c):
+    """LSTM cell with one matmul pair and one bias add per gate."""
+    gates = {}
+    for gate in GATES:
+        pre = ad.matmul(inputs, p[f"lstm_Wx_{gate}"]) + ad.matmul(h, p[f"lstm_Wh_{gate}"]) \
+            + p[f"lstm_b_{gate}"]
+        gates[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
+    c_new = gates["f"] * c + gates["i"] * gates["g"]
+    return gates["o"] * ad.tanh(c_new), c_new
+
+
+class PerGateCaptioner(BoundCaptioner):
+    """The captioner step as separate per-gate and sentinel branches."""
+
+    def step(self, h, c, ctx, x_embed, feats_proj):
+        p = self.p
+        context_aware = self.config.attention == "context_aware"
+        if not context_aware:
+            ctx = self.tape.tensor(np.zeros_like(ctx.data))
+        x = ad.concat([x_embed, ctx], axis=1)  # 1 x 2m
+        h_new, c_new = per_gate_lstm(p, x, h, c)
+
+        hidden_part = ad.matmul(h_new, p["attn_Wh"])
+        act_img = ad.tanh(ad.add(ad.matmul(feats_proj, p["attn_Wa"]), hidden_part)
+                          + p["attn_b"])
+        e_img = ad.transpose(ad.matmul(act_img, p["attn_w"]))  # 1 x C
+
+        if context_aware:
+            sent_gate_vec = ad.sigmoid(ad.matmul(x, p["sent_Wx"]) + ad.matmul(h, p["sent_Wh"])
+                                       + p["sent_b"])
+            sentinel = sent_gate_vec * ad.tanh(c_new)  # 1 x m
+            act_s = ad.tanh(ad.matmul(sentinel, p["attn_Wa"]) + hidden_part + p["attn_b"])
+            e_s = ad.matmul(act_s, p["attn_w"])  # 1 x 1
+            attn = ad.softmax(ad.concat([e_img, e_s], axis=1))  # 1 x (C+1)
+            attn_img = ad.narrow(attn, 1, 0, e_img.shape[1])
+            attn_sent = ad.narrow(attn, 1, e_img.shape[1], 1)
+            ctx_new = ad.matmul(attn_img, feats_proj) + attn_sent * sentinel
+        else:
+            attn_img = ad.softmax(e_img)
+            attn = ad.concat([attn_img, self.tape.tensor(np.zeros((1, 1)))], axis=1)
+            ctx_new = ad.matmul(attn_img, feats_proj)
+
+        logits = ad.matmul(h_new + ctx_new, p["out_W"]) + p["out_b"]
+        return logits, h_new, c_new, ctx_new, attn
+
+    def sequence_log_prob_and_logits(self, image_feats, seq):
+        """Per-token log-likelihood: one softmax, pick and log per step."""
+        _check_seq(seq, self.config)
+        feats_proj = self.project_feats(image_feats)
+        m = self.config.hidden_dim
+        h, c, ctx = (self.tape.tensor(np.zeros((1, m))) for _ in range(3))
+        prev = self.config.bos_id
+        total = self.tape.tensor(0.0)
+        step_logits = []
+        for tok in seq.tokens:
+            logits, h, c, ctx, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
+            step_logits.append(logits)
+            probs = self.word_dist(logits)
+            total = total + ad.log(ad.reshape(ad.narrow(probs, 1, tok, 1), ()))
+            prev = tok
+        return total, step_logits
+
+
+class PerGateDiscriminator(BoundDiscriminator):
+    """The discriminator with its word LSTM as per-gate branches."""
+
+    def _lstm_step(self, h, c, x):
+        return per_gate_lstm(self.p, x, h, c)
 
 
 def enumerate_sequences(config):

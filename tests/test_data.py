@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from seqgan import autodiff as ad
 from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import training as tr
@@ -120,6 +123,35 @@ class TestFeatureFile:
             dat.load_features(path, expected_crops=4)
 
 
+def split_container(blob):
+    """(name, payload) pairs of a checkpoint container, in table order."""
+    (n_sections,) = struct.unpack_from("<I", blob, 8)
+    off, table = 12, []
+    for _ in range(n_sections):
+        (nlen,) = struct.unpack_from("<H", blob, off)
+        name = blob[off + 2 : off + 2 + nlen].decode()
+        (plen,) = struct.unpack_from("<Q", blob, off + 2 + nlen)
+        off += 2 + nlen + 8
+        table.append((name, plen))
+    sections = []
+    for name, plen in table:
+        sections.append((name, blob[off : off + plen]))
+        off += plen
+    return sections
+
+
+def join_container(sections):
+    chunks = [b"SGCK", struct.pack("<II", 1, len(sections))]
+    for name, payload in sections:
+        nb = name.encode()
+        chunks += [struct.pack("<H", len(nb)), nb, struct.pack("<Q", len(payload))]
+    return b"".join(chunks + [payload for _, payload in sections])
+
+
+def test_one_parameter_error_class():
+    assert dat.ParameterError is ad.ParameterError
+
+
 class TestCheckpoint:
     def _make(self, with_rng=True):
         gcfg = CaptionerConfig(vocab_size=7, hidden_dim=4, num_crops=2,
@@ -196,4 +228,30 @@ class TestCheckpoint:
         bad = tmp_path / "g_cut.ckpt"
         bad.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(dat.FormatError):
+            dat.load_checkpoint(bad)
+
+    def _rebuilt(self, tmp_path, edit):
+        path = tmp_path / "h.ckpt"
+        dat.save_checkpoint(path, self._make())
+        sections = split_container(path.read_bytes())
+        assert join_container(sections) == path.read_bytes()
+        bad = tmp_path / "h_bad.ckpt"
+        bad.write_bytes(edit(sections))
+        return bad
+
+    @pytest.mark.parametrize("section", ["gen", "disc"])
+    def test_meta_naming_a_missing_model_section_is_format_error(self, tmp_path, section):
+        bad = self._rebuilt(tmp_path, lambda secs: join_container(
+            [(n, p) for n, p in secs if n != section]))
+        with pytest.raises(dat.FormatError, match=section):
+            dat.load_checkpoint(bad)
+
+    def test_trailing_bytes_are_format_error(self, tmp_path):
+        bad = self._rebuilt(tmp_path, lambda secs: join_container(secs) + b"\0")
+        with pytest.raises(dat.FormatError, match="trailing"):
+            dat.load_checkpoint(bad)
+
+    def test_duplicate_section_is_format_error(self, tmp_path):
+        bad = self._rebuilt(tmp_path, lambda secs: join_container(secs + [secs[-1]]))
+        with pytest.raises(dat.FormatError, match="duplicate"):
             dat.load_checkpoint(bad)

@@ -1,0 +1,156 @@
+"""The fused LSTM cells against the per-gate oracle in ``helpers``.
+
+The captioner fuses its four gates and the sentinel gate into one matmul and
+attends over the sentinel as one more value row; the discriminator fuses its
+word LSTM the same way.  Values and every parameter gradient must match the
+per-gate formulation to 1e-12.
+"""
+
+import numpy as np
+import pytest
+
+from seqgan import autodiff as ad
+from seqgan import captioner as cap
+from seqgan import data as dat
+from seqgan import discriminator as disc
+from seqgan import training as tr
+from helpers import PerGateCaptioner, PerGateDiscriminator
+
+TOL = 1e-12
+ATTENTION = ("context_aware", "att2all")
+
+
+def max_diff(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def make_models(seed, attention, variant="coatt"):
+    gcfg = cap.CaptionerConfig(vocab_size=9, hidden_dim=6, num_crops=3, feature_dim=5,
+                               max_len=6, attention=attention)
+    dcfg = disc.DiscriminatorConfig(vocab_size=9, hidden_dim=5, num_crops=3, feature_dim=5)
+    g = cap.init_params(gcfg, 10 + seed)
+    d = disc.init_discriminator(dcfg, 20 + seed, variant)
+    feats = np.random.default_rng(seed).uniform(-1, 1, (3, 5))
+    return g, d, feats
+
+
+def teacher_forced(cls, params, feats, seq):
+    tape = ad.Tape()
+    bound = cls(tape, params)
+    logp, step_logits = bound.sequence_log_prob_and_logits(feats, seq)
+    ad.backward(tape, logp)
+    return (logp.item(), {n: bound.p[n].grad for n in params.arrays},
+            [t.grad for t in step_logits])
+
+
+@pytest.mark.parametrize("attention", ATTENTION)
+@pytest.mark.parametrize("seed", range(3))
+def test_teacher_forcing_matches_per_gate(seed, attention):
+    g, _, feats = make_models(seed, attention)
+    for tokens in ([2, 1], [3, 4, 5, 6, 7, 1], [8, 8, 2, 3, 4, 5]):
+        seq = cap.TokenSequence(tokens, tokens[-1] == 1)
+        value, grads, logit_grads = teacher_forced(cap.BoundCaptioner, g, feats, seq)
+        ref_value, ref_grads, ref_logit_grads = teacher_forced(PerGateCaptioner, g, feats, seq)
+        assert abs(value - ref_value) <= TOL
+        for name in g.arrays:
+            assert max_diff(grads[name], ref_grads[name]) <= TOL, name
+        for a, b in zip(logit_grads, ref_logit_grads):
+            assert max_diff(a, b) <= TOL
+
+
+@pytest.mark.parametrize("attention", ATTENTION)
+def test_decode_step_matches_per_gate(monkeypatch, attention):
+    g, _, feats = make_models(0, attention)
+    state = ref_state = cap.initial_state(g.config)
+    prev = g.config.bos_id
+    for tok in (2, 5, 7, 3):
+        logits, state, attn, gate = cap.decode_step(g, state, prev, feats)
+        with monkeypatch.context() as mp:
+            mp.setattr(cap, "BoundCaptioner", PerGateCaptioner)
+            ref_logits, ref_state, ref_attn, ref_gate = cap.decode_step(g, ref_state, prev,
+                                                                        feats)
+        assert max_diff(logits, ref_logits) <= TOL
+        assert max_diff(attn, ref_attn) <= TOL
+        assert abs(gate - ref_gate) <= TOL and gate == attn[-1]
+        for a, b in ((state.h, ref_state.h), (state.c, ref_state.c),
+                     (state.context, ref_state.context)):
+            assert max_diff(a, b) <= TOL
+        if attention == "att2all":
+            assert attn[-1] == 0.0 and gate == 0.0
+        prev = tok
+
+
+@pytest.mark.parametrize("attention", ATTENTION)
+def test_decoders_match_per_gate(monkeypatch, attention):
+    g, _, feats = make_models(1, attention)
+    greedy = cap.greedy_decode(g, feats)
+    sample, logp = cap.sample_sentence(g, feats, np.random.default_rng(3))
+    monkeypatch.setattr(cap, "BoundCaptioner", PerGateCaptioner)
+    assert cap.greedy_decode(g, feats) == greedy
+    ref_sample, ref_logp = cap.sample_sentence(g, feats, np.random.default_rng(3))
+    assert ref_sample == sample and abs(ref_logp - logp) <= TOL
+
+
+@pytest.mark.parametrize("variant", disc.VARIANTS)
+@pytest.mark.parametrize("estimator", ("gumbel_soft", "gumbel_st"))
+@pytest.mark.parametrize("attention", ATTENTION)
+def test_gumbel_unroll_through_discriminator_matches_per_gate(monkeypatch, attention,
+                                                              estimator, variant):
+    g, d, feats = make_models(2, attention, variant)
+    cfg = tr.GanConfig(estimator=estimator, temperature=0.7, fm_image_weight=0.3,
+                       fm_caption_weight=0.2)
+    gt = cap.TokenSequence([2, 3, 4, 1], True)
+
+    def run():
+        return tr.gumbel_grad(g, d, feats, np.random.default_rng(5), cfg, gt_seq=gt,
+                              want_logit_grads=True)
+
+    out = run()
+    monkeypatch.setattr(tr, "BoundCaptioner", PerGateCaptioner)
+    monkeypatch.setattr(tr, "BoundDiscriminator", PerGateDiscriminator)
+    ref = run()
+    assert out["tokens"] == ref["tokens"]
+    assert abs(out["loss"] - ref["loss"]) <= TOL
+    assert abs(out["score"] - ref["score"]) <= TOL
+    for name in g.arrays:
+        assert max_diff(out["grads"][name], ref["grads"][name]) <= TOL, name
+    for a, b in zip(out["logit_grads"], ref["logit_grads"]):
+        assert max_diff(a, b) <= TOL
+
+
+@pytest.mark.parametrize("variant", disc.VARIANTS)
+def test_discriminator_objective_matches_per_gate(variant):
+    _, d, feats = make_models(3, "context_aware", variant)
+    real = cap.TokenSequence([2, 3, 4, 1], True)
+    fake = cap.TokenSequence([5, 5, 6, 7, 8, 1], True)
+    mismatched = cap.TokenSequence([8, 1], True)
+
+    def objective(cls):
+        tape = ad.Tape()
+        bound = cls(tape, d)
+        value = tr.discriminator_objective(bound, feats, real, fake, mismatched)
+        ad.backward(tape, value)
+        hidden = bound.hidden_states(bound._hard_word_vectors(fake)).data
+        return value.item(), {n: bound.p[n].grad for n in d.arrays}, hidden
+
+    value, grads, hidden = objective(disc.BoundDiscriminator)
+    ref_value, ref_grads, ref_hidden = objective(PerGateDiscriminator)
+    assert abs(value - ref_value) <= TOL
+    assert max_diff(hidden, ref_hidden) <= TOL
+    for name in d.arrays:
+        assert max_diff(grads[name], ref_grads[name]) <= TOL, name
+
+
+def test_teacher_forced_nodes_per_token():
+    """Tape size is deterministic: at most 40 nodes per teacher-forced token
+    (the per-gate formulation records about 66)."""
+    ds = dat.generate_dataset(seed=0, n_objects=4, n_contexts=3, n_images=12,
+                              num_crops=3, feature_dim=10)
+    config = cap.CaptionerConfig(vocab_size=ds.vocab.size, hidden_dim=8, num_crops=3,
+                                 feature_dim=10, max_len=12)
+    params = cap.init_params(config, 0)
+    for scene, refs in ds.train[:3]:
+        for ref in refs:
+            tape = ad.Tape()
+            cap.BoundCaptioner(tape, params).sequence_log_prob(scene.features, ref)
+            assert len(tape.nodes) <= 40 * len(ref.tokens)

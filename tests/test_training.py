@@ -78,6 +78,24 @@ class TestAdam:
         with pytest.raises(InputError):
             tr.adam_step(arrays, {"w": np.zeros(3)}, state, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_changes_nothing(self, bad):
+        arrays = {"a": np.array([1.0, -2.0]), "w": np.array([0.5])}
+        state = tr.init_adam(arrays)
+        tr.adam_step(arrays, {"a": np.array([0.1, 0.2]), "w": np.array([0.3])}, state, 0.1)
+        keep_arrays = {k: v.copy() for k, v in arrays.items()}
+        keep_state = state.copy()
+        # the finite gradient comes first, so a check made per parameter
+        # while updating would already have moved "a"
+        with pytest.raises(tr.NumericError, match="'w'.*step 2"):
+            tr.adam_step(arrays, {"a": np.array([0.1, 0.2]), "w": np.array([bad])},
+                         state, 0.1)
+        for k in arrays:
+            np.testing.assert_array_equal(arrays[k], keep_arrays[k])
+            np.testing.assert_array_equal(state.m[k], keep_state.m[k])
+            np.testing.assert_array_equal(state.v[k], keep_state.v[k])
+        assert state.step == keep_state.step == 1
+
 
 class TestDiscriminatorLoss:
     def test_constant_half_discriminator(self):
