@@ -177,6 +177,31 @@ def matmul(a, b) -> Tensor:
     return tape._record(out, (a.index, b.index), vjp)
 
 
+def affine(x, W, b) -> Tensor:
+    """``x @ W + b`` as one node: a rank-2 product plus a broadcast bias."""
+    tape = _tape_of(x, W, b)
+    x, W, b = _wrap(tape, x), _wrap(tape, W), _wrap(tape, b)
+    xv, Wv, bv = x.data, W.data, b.data
+    if xv.ndim != 2 or Wv.ndim != 2:
+        raise ShapeError(f"affine needs rank-2 operands, got {xv.shape} @ {Wv.shape}")
+    if xv.shape[1] != Wv.shape[0]:
+        raise ShapeError(f"affine inner dims disagree: {xv.shape} @ {Wv.shape}")
+    try:
+        out = xv @ Wv + bv
+    except ValueError:
+        out = None
+    if out is None or out.shape != (xv.shape[0], Wv.shape[1]):
+        raise ShapeError(f"affine bias {bv.shape} does not broadcast to "
+                         f"{(xv.shape[0], Wv.shape[1])}")
+    if not tape.grad:
+        return Tensor(tape, None, out)
+
+    def vjp(g):
+        return g @ Wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
+
+    return tape._record(out, (x.index, W.index, b.index), vjp)
+
+
 def add(a, b) -> Tensor:
     tape = _tape_of(a, b)
     a, b = _wrap(tape, a), _wrap(tape, b)
@@ -243,11 +268,14 @@ def tanh(x: Tensor) -> Tensor:
     return x.tape._record(out, (x.index,), vjp)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid(v):
     # split by sign to avoid overflow in exp
-    v = x.data
     e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _sigmoid(x.data)
     if not x.tape.grad:
         return Tensor(x.tape, None, out)
 
@@ -255,6 +283,50 @@ def sigmoid(x: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return x.tape._record(out, (x.index,), vjp)
+
+
+def lstm_cell(pre: Tensor, c: Tensor) -> Tensor:
+    """The element-wise part of an LSTM step as one node.
+
+    ``pre`` (n x (k+3)m) holds the pre-activations in column blocks ``i, f,
+    o_1..o_k, g`` of width m, ``c`` (n x m) the previous cell.  Returns
+    ``[c' | o_1*tanh(c') | ... | o_k*tanh(c')]`` (n x (k+1)m) with
+    ``c' = f*c + i*g``; every gate but ``g`` is a sigmoid, ``g`` a tanh.  The
+    values equal those of the same cell composed from ``sigmoid``, ``tanh``,
+    ``mul`` and ``add`` bit for bit.
+    """
+    tape = _tape_of(pre, c)
+    pre, c = _wrap(tape, pre), _wrap(tape, c)
+    pv, cv = pre.data, c.data
+    if pv.ndim != 2 or cv.ndim != 2:
+        raise ShapeError(f"lstm_cell needs rank-2 operands, got {pv.shape}, {cv.shape}")
+    n, m = cv.shape
+    if pv.shape[0] != n or pv.shape[1] % m or pv.shape[1] // m < 4:
+        raise ShapeError(f"lstm_cell pre-activations {pv.shape} do not fit cell {cv.shape}")
+    k = pv.shape[1] // m - 3
+    sig = _sigmoid(pv[:, : (k + 2) * m])
+    i, f, o = sig[:, :m], sig[:, m : 2 * m], sig[:, 2 * m :]
+    g = np.tanh(pv[:, (k + 2) * m :])
+    c_new = f * cv + i * g
+    tanh_c = np.tanh(c_new)
+    out = np.empty((n, (k + 1) * m))
+    out[:, :m] = c_new
+    out[:, m:] = (o.reshape(n, k, m) * tanh_c[:, None, :]).reshape(n, k * m)
+    if not tape.grad:
+        return Tensor(tape, None, out)
+
+    def vjp(gout):
+        gh = gout[:, m:].reshape(n, k, m)
+        gc = gout[:, :m] + (gh * o.reshape(n, k, m)).sum(axis=1) * (1.0 - tanh_c * tanh_c)
+        gpre = np.empty_like(pv)
+        gpre[:, :m] = gc * g * i * (1.0 - i)
+        gpre[:, m : 2 * m] = gc * cv * f * (1.0 - f)
+        gpre[:, 2 * m : (k + 2) * m] = (gh * tanh_c[:, None, :]).reshape(n, k * m) \
+            * o * (1.0 - o)
+        gpre[:, (k + 2) * m :] = gc * i * (1.0 - g * g)
+        return gpre, gc * f
+
+    return tape._record(out, (pre.index, c.index), vjp)
 
 
 def log(x: Tensor) -> Tensor:
@@ -309,9 +381,9 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
         return Tensor(x.tape, None, out)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, v.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), v.shape).copy(),)
+        gx = np.empty_like(v)
+        gx[...] = g if axis is None else np.expand_dims(g, axis)
+        return (gx,)
 
     return x.tape._record(out, (x.index,), vjp)
 
@@ -325,9 +397,9 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
         return Tensor(x.tape, None, out)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, v.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, v.shape).copy(),)
+        gx = np.empty_like(v)
+        gx[...] = (g if axis is None else np.expand_dims(g, axis)) / n
+        return (gx,)
 
     return x.tape._record(out, (x.index,), vjp)
 
@@ -393,18 +465,23 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def concat(tensors, axis=0) -> Tensor:
+    """Join along ``axis``; the VJP hands each part a basic-slice view of the
+    output gradient (see ``backward`` for why views are safe)."""
     tape = _tape_of(*tensors)
     tensors = [_wrap(tape, t) for t in tensors]
     vals = [t.data for t in tensors]
     out = np.concatenate(vals, axis=axis)
     if not tape.grad:
         return Tensor(tape, None, out)
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
+    index = [slice(None)] * out.ndim
+    parts, start = [], 0
+    for v in vals:
+        index[axis] = slice(start, start + v.shape[axis])
+        parts.append(tuple(index))
+        start += v.shape[axis]
 
     def vjp(g):
-        return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(vals)))
+        return tuple(g[part] for part in parts)
 
     return tape._record(out, tuple(t.index for t in tensors), vjp)
 
@@ -484,6 +561,12 @@ def backward(tape: Tape, root: Tensor):
 
     Root must be scalar (size 1).  A second backward on the same tape without
     ``reset_grads`` is an error: accumulators would double-count.
+
+    A VJP may return views of its output gradient (``concat`` returns basic
+    slices of it), so one array can back several nodes' gradients.  That is
+    safe because nothing here writes into a gradient in place: accumulation
+    always builds a fresh array.  Callers must not mutate ``Tensor.grad``
+    arrays in place either.
     """
     if not tape.grad:
         raise TapeError("backward needs a grad tape; this one records no nodes")

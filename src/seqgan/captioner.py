@@ -121,22 +121,16 @@ def init_params(config: CaptionerConfig, seed: int) -> CaptionerParams:
 def _lstm_cell(inputs, c, W, b):
     """One fused LSTM cell step, shared by the captioner and the discriminator.
 
-    ``W`` maps the concatenated ``inputs`` to column blocks ``i, f, o,
-    extra..., g`` of width m each (m = width of ``c``): every block but the
-    last is a sigmoid gate, ``g`` is the tanh candidate.  One matmul, one
-    bias add, one sigmoid and two tanh per step.
+    ``W`` maps the concatenated ``inputs`` to column blocks ``i, f, o_1..o_k,
+    g`` of width m each (m = width of ``c``): one affine node, then one
+    ``ad.lstm_cell`` node for all the element-wise work.
 
-    Returns (h', c', tanh(c'), [extra sigmoid gates]).
+    Returns [c', o_1*tanh(c'), ..., o_k*tanh(c')]; the first output gate
+    gives h'.
     """
     m = c.shape[1]
-    pre = ad.matmul(ad.concat(inputs, axis=1), W) + b
-    n_sig = pre.shape[1] - m
-    sig = ad.sigmoid(ad.narrow(pre, 1, 0, n_sig))
-    i, f, o, *extra = [ad.narrow(sig, 1, k, m) for k in range(0, n_sig, m)]
-    g = ad.tanh(ad.narrow(pre, 1, n_sig, m))
-    c_new = f * c + i * g
-    tanh_c = ad.tanh(c_new)
-    return o * tanh_c, c_new, tanh_c, extra
+    out = ad.lstm_cell(ad.affine(ad.concat(inputs, axis=1), W, b), c)
+    return [ad.narrow(out, 1, j, m) for j in range(0, out.shape[1], m)]
 
 
 def _fuse_gates(p, blocks):
@@ -167,6 +161,9 @@ class BoundCaptioner:
     wrap it for plain (non-gradient) decoding.  Binding also builds the
     fused LSTM weight (3m x 5m) and bias (1 x 5m) from the stored per-gate
     arrays.
+
+    ``step`` returns the output row ``h' + ctx'``; ``logits`` projects one
+    or several stacked output rows to word scores in one affine node.
     """
 
     def __init__(self, tape: ad.Tape, params: CaptionerParams):
@@ -203,28 +200,31 @@ class BoundCaptioner:
     def step(self, h, c, ctx, x_embed, feats_proj):
         """One decoder step.
 
-        Returns (logits 1xK, h', c', ctx', attn 1x(C+1)).  The last slot of
-        ``attn`` is the sentinel gate.  The sentinel is one more attendable
-        row under the projected crops, so the crop and sentinel scores come
-        from one (C+1)-way score pass.  In att2all mode the context feedback
-        is zeroed and the sentinel slot of the attention vector is exactly
-        zero.
+        Returns (output row h' + ctx' 1xm, h', c', ctx', attn 1x(C+1)); pass
+        the output row to ``logits`` for word scores.  The last slot of
+        ``attn`` is the sentinel gate.  The sentinel is the cell's second
+        output gate applied to tanh(c'), stacked as one more attendable row
+        under the projected crops, so the crop and sentinel scores come from
+        one (C+1)-way score pass.  In att2all mode the context feedback is
+        zeroed and the sentinel slot of the attention vector is exactly zero.
         """
         p = self.p
         if not self._context_aware:
             ctx = self._zero
-        h_new, c_new, tanh_c, (sent_gate,) = _lstm_cell([x_embed, ctx, h], c,
-                                                        self._W, self._b)
-        values = ad.concat([feats_proj, sent_gate * tanh_c], axis=0)  # (C+1) x m
-        act = ad.tanh(ad.matmul(values, p["attn_Wa"]) + ad.matmul(h_new, p["attn_Wh"])
-                      + p["attn_b"])
+        c_new, h_new, sentinel = _lstm_cell([x_embed, ctx, h], c, self._W, self._b)
+        values = ad.concat([feats_proj, sentinel], axis=0)  # (C+1) x m
+        act = ad.tanh(ad.matmul(values, p["attn_Wa"])
+                      + ad.affine(h_new, p["attn_Wh"], p["attn_b"]))
         scores = ad.transpose(ad.matmul(act, p["attn_w"]))  # 1 x (C+1)
         if not self._context_aware:
             scores = scores + self._sentinel_mask
         attn = ad.softmax(scores)
         ctx_new = ad.matmul(attn, values)
-        logits = ad.matmul(h_new + ctx_new, p["out_W"]) + p["out_b"]
-        return logits, h_new, c_new, ctx_new, attn
+        return h_new + ctx_new, h_new, c_new, ctx_new, attn
+
+    def logits(self, rows: ad.Tensor) -> ad.Tensor:
+        """Word scores (pre-mask) of n stacked output rows, n x K."""
+        return ad.affine(rows, self.p["out_W"], self.p["out_b"])
 
     def masked_logits(self, logits: ad.Tensor) -> ad.Tensor:
         """Word scores with BOS pushed to -inf so it is never emitted."""
@@ -239,26 +239,28 @@ class BoundCaptioner:
         return self.sequence_log_prob_and_logits(image_feats, seq)[0]
 
     def sequence_log_prob_and_logits(self, image_feats, seq: TokenSequence):
-        """As ``sequence_log_prob`` but also returns the per-step logit tensors
-        (pre-mask), so callers can harvest their gradients after backward.
+        """As ``sequence_log_prob`` but also returns the T x K logit tensor
+        (pre-mask, row t for step t), so callers can harvest its gradient
+        after backward.
 
-        The T logit rows are stacked, so the log-likelihood takes one masked
-        softmax, one one-hot pick, one log and one sum per caption.
+        The T output rows are stacked, so the caption takes one output
+        affine, one masked softmax, one one-hot pick, one log and one sum.
         """
         _check_seq(seq, self.config)
         feats_proj = self.project_feats(image_feats)
         h, c, ctx = self.zero_state()
         prev = self.config.bos_id
-        step_logits = []
+        rows = []
         for tok in seq.tokens:
-            logits, h, c, ctx, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
-            step_logits.append(logits)
+            row, h, c, ctx, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
+            rows.append(row)
             prev = tok
-        probs = self.word_dist(ad.concat(step_logits, axis=0))  # T x K
+        logits = self.logits(ad.concat(rows, axis=0))  # T x K
+        probs = self.word_dist(logits)
         onehot = np.zeros(probs.shape)
         onehot[np.arange(len(seq.tokens)), seq.tokens] = 1.0
         picked = ad.reduce_sum(ad.mul(probs, onehot), axis=1)
-        return ad.reduce_sum(ad.log(picked)), step_logits
+        return ad.reduce_sum(ad.log(picked)), logits
 
 
 def _check_feats(image_feats, config: CaptionerConfig) -> np.ndarray:
@@ -291,11 +293,11 @@ def decode_step(params: CaptionerParams, state: DecoderState, prev_token: int,
     bound = BoundCaptioner(tape, params)
     feats_proj = bound.project_feats(image_feats)
     h, c, ctx = (tape.tensor(state.h), tape.tensor(state.c), tape.tensor(state.context))
-    logits, h2, c2, ctx2, attn = bound.step(h, c, ctx, bound.embed_token(prev_token),
-                                            feats_proj)
+    row, h2, c2, ctx2, attn = bound.step(h, c, ctx, bound.embed_token(prev_token),
+                                         feats_proj)
     new_state = DecoderState(h2.data.copy(), c2.data.copy(), ctx2.data.copy())
     attn = attn.data.reshape(-1).copy()
-    return logits.data.reshape(-1).copy(), new_state, attn, float(attn[-1])
+    return bound.logits(row).data.reshape(-1).copy(), new_state, attn, float(attn[-1])
 
 
 def _argmax(probs) -> int:
@@ -317,9 +319,9 @@ def _decode(params_list: list[CaptionerParams], image_feats, pick) -> TokenSeque
         dists = []
         for k, b in enumerate(bounds):
             h, c, ctx = states[k]
-            logits, h, c, ctx, _ = b.step(h, c, ctx, b.embed_token(prev), projs[k])
+            row, h, c, ctx, _ = b.step(h, c, ctx, b.embed_token(prev), projs[k])
             states[k] = (h, c, ctx)
-            dists.append(b.word_dist(logits).data.reshape(-1))
+            dists.append(b.word_dist(b.logits(row)).data.reshape(-1))
         tok = pick(dists[0] if len(dists) == 1 else np.mean(dists, axis=0))
         tokens.append(tok)
         prev = tok

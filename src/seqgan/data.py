@@ -19,7 +19,9 @@ File formats (also documented in the README):
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -343,6 +345,9 @@ def _unpack_table(blob: bytes, base: int) -> dict[str, np.ndarray]:
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).copy()
         off += 8 * size
         arrays[name] = arr.reshape(dims if ndim else ())
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} bytes left over in a tensor table",
+                          offset=base + off)
     return arrays
 
 
@@ -364,7 +369,11 @@ def _opt_from_table(table: dict[str, np.ndarray]):
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    """Write the versioned section container; bit-exact round trips."""
+    """Write the versioned section container; bit-exact round trips.
+
+    The write is atomic: ``path`` holds either its old content or the whole
+    new checkpoint, never a partial one.
+    """
     meta = {
         "epoch": ckpt.epoch,
         "config": ckpt.config,
@@ -390,16 +399,25 @@ def save_checkpoint(path, ckpt: Checkpoint):
     sections.insert(0, ("meta", json.dumps(meta, sort_keys=True,
                                            separators=(",", ":")).encode()))
 
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(sections)))
-        for name, payload in sections:
-            nb = name.encode()
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<Q", len(payload)))
-        for _, payload in sections:
-            fh.write(payload)
+    # write a temp file beside the target, then rename it over the target, so
+    # a failed or killed write never leaves a partial checkpoint at ``path``
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<II", _CKPT_VERSION, len(sections)))
+            for name, payload in sections:
+                nb = name.encode()
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<Q", len(payload)))
+            for _, payload in sections:
+                fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -441,7 +459,15 @@ def load_checkpoint(path) -> Checkpoint:
                           offset=off)
     if "meta" not in payloads:
         raise FormatError("checkpoint missing meta section", offset=12)
-    meta = json.loads(payloads["meta"].decode())
+    try:
+        meta = json.loads(payloads["meta"].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise FormatError(f"meta section is not UTF-8 JSON: {err}", offset=12) from None
+    if not isinstance(meta, dict):
+        raise FormatError("meta section is not a JSON object", offset=12)
+    missing = [key for key in ("epoch", "config", "rng_state") if key not in meta]
+    if missing:
+        raise FormatError(f"meta section lacks {', '.join(missing)}", offset=12)
 
     def payload(name):
         if name not in payloads:

@@ -130,7 +130,7 @@ class BoundDiscriminator:
         self._W, self._b = _fuse_gates(self.p, [_gate_names(g) for g in _GATES])
 
     def _lstm_step(self, h, c, x):
-        h_new, c_new, _, _ = _lstm_cell([x, h], c, self._W, self._b)
+        c_new, h_new = _lstm_cell([x, h], c, self._W, self._b)
         return h_new, c_new
 
     def hidden_states(self, word_vectors) -> ad.Tensor:

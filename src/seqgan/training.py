@@ -220,12 +220,12 @@ def scst_grad(g_params: CaptionerParams, d_params, image_feats,
 
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g_params)
-    logp, step_logits = bound.sequence_log_prob_and_logits(image_feats, sample)
+    logp, logits = bound.sequence_log_prob_and_logits(image_feats, sample)
     ad.backward(tape, logp)
     grads = {name: adv * bound.p[name].grad for name in g_params.arrays}
     if not want_logit_grads:
         return grads, record
-    logit_grads = [adv * t.grad.reshape(-1) for t in step_logits]
+    logit_grads = [adv * row for row in logits.grad]
     return grads, record, logit_grads
 
 
@@ -276,7 +276,8 @@ def gumbel_unroll(tape: ad.Tape, bound_g: BoundCaptioner, image_feats,
     x = bound_g.embed_token(config.bos_id)
     rows, step_logits, tokens = [], [], []
     for _ in range(config.max_len):
-        logits, h, c, ctx, _ = bound_g.step(h, c, ctx, x, feats_proj)
+        row, h, c, ctx, _ = bound_g.step(h, c, ctx, x, feats_proj)
+        logits = bound_g.logits(row)
         step_logits.append(logits)
         noise = tape.tensor(gumbel_noise(rng, (1, config.vocab_size)))
         y = ad.softmax(ad.add(bound_g.masked_logits(logits), noise),

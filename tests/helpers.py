@@ -4,7 +4,8 @@ The enumeration helpers walk the complete sampling tree of a tiny
 captioner, so expectations and variances over the sequence distribution are
 exact.  ``PerGateCaptioner`` and ``PerGateDiscriminator`` keep the per-gate
 LSTM cells, the separate sentinel branch and the per-token log-likelihood
-that the fused models replaced, as the oracle for the fused path.
+that the fused models replaced, as the oracle for the fused path;
+``composed_lstm_cell`` is the oracle for ``ad.lstm_cell``.
 """
 
 import numpy as np
@@ -25,6 +26,18 @@ def per_gate_lstm(p, inputs, h, c):
         gates[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
     c_new = gates["f"] * c + gates["i"] * gates["g"]
     return gates["o"] * ad.tanh(c_new), c_new
+
+
+def composed_lstm_cell(pre, c, k):
+    """``ad.lstm_cell`` from separate sigmoid/tanh/mul/add nodes: the fused
+    cell as the models composed it before the op existed."""
+    m = c.shape[1]
+    sig = ad.sigmoid(ad.narrow(pre, 1, 0, (k + 2) * m))
+    i, f, *outs = [ad.narrow(sig, 1, j * m, m) for j in range(k + 2)]
+    g = ad.tanh(ad.narrow(pre, 1, (k + 2) * m, m))
+    c_new = f * c + i * g
+    tanh_c = ad.tanh(c_new)
+    return ad.concat([c_new] + [o * tanh_c for o in outs], axis=1)
 
 
 class PerGateCaptioner(BoundCaptioner):
@@ -58,11 +71,11 @@ class PerGateCaptioner(BoundCaptioner):
             attn = ad.concat([attn_img, self.tape.tensor(np.zeros((1, 1)))], axis=1)
             ctx_new = ad.matmul(attn_img, feats_proj)
 
-        logits = ad.matmul(h_new + ctx_new, p["out_W"]) + p["out_b"]
-        return logits, h_new, c_new, ctx_new, attn
+        return h_new + ctx_new, h_new, c_new, ctx_new, attn
 
     def sequence_log_prob_and_logits(self, image_feats, seq):
-        """Per-token log-likelihood: one softmax, pick and log per step."""
+        """Per-token log-likelihood: one output affine, softmax, pick and log
+        per step.  Returns the per-step 1 x K logit tensors as a list."""
         _check_seq(seq, self.config)
         feats_proj = self.project_feats(image_feats)
         m = self.config.hidden_dim
@@ -71,7 +84,8 @@ class PerGateCaptioner(BoundCaptioner):
         total = self.tape.tensor(0.0)
         step_logits = []
         for tok in seq.tokens:
-            logits, h, c, ctx, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
+            row, h, c, ctx, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
+            logits = self.logits(row)
             step_logits.append(logits)
             probs = self.word_dist(logits)
             total = total + ad.log(ad.reshape(ad.narrow(probs, 1, tok, 1), ()))

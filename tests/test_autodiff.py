@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from seqgan import autodiff as ad
 from conftest import central_difference, rel_err
+from helpers import composed_lstm_cell
 
 
 def grad_of(build, x0):
@@ -239,6 +242,116 @@ class TestPlumbingOps:
         np.testing.assert_array_equal(g, [1.0, 0.0, 0.0])
 
 
+class TestFusedOps:
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_affine_gradient_vs_fd(self, rows):
+        rng = np.random.default_rng(31)
+        x0, W0, b0 = (rng.uniform(-2, 2, (rows, 4)), rng.uniform(-1, 1, (4, 3)),
+                      rng.uniform(-1, 1, (1, 3)))
+        w = rng.uniform(-1, 1, (rows, 3))
+
+        def run(x, W, b):
+            tape = ad.Tape()
+            tx, tW, tb = tape.tensor(x), tape.tensor(W), tape.tensor(b)
+            out = ad.reduce_sum(ad.mul(ad.tanh(ad.affine(tx, tW, tb)), w))
+            return tape, (tx, tW, tb), out
+
+        tape, leaves, out = run(x0, W0, b0)
+        ad.backward(tape, out)
+        args = [x0, W0, b0]
+        for k, leaf in enumerate(leaves):
+            def f(a, k=k):
+                return run(*[a if j == k else v for j, v in enumerate(args)])[2].item()
+
+            assert rel_err(leaf.grad, central_difference(f, args[k].copy())) < 1e-6
+
+    def test_affine_values_equal_matmul_plus_add(self):
+        rng = np.random.default_rng(32)
+        tape = ad.Tape()
+        x, W, b = (tape.tensor(rng.normal(size=s)) for s in ((5, 4), (4, 6), (1, 6)))
+        assert np.array_equal(ad.affine(x, W, b).data, (ad.matmul(x, W) + b).data)
+
+    def test_affine_rejects_bad_shapes(self):
+        tape = ad.Tape()
+        x, W = tape.tensor(np.zeros((2, 3))), tape.tensor(np.zeros((3, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.affine(x, tape.tensor(np.zeros((4, 3))), tape.tensor(np.zeros((1, 3))))
+        with pytest.raises(ad.ShapeError):
+            ad.affine(x, W, tape.tensor(np.zeros((3, 4))))
+
+    @pytest.mark.parametrize("k,rows", [(1, 1), (2, 1), (1, 3), (2, 3)])
+    def test_lstm_cell_gradient_vs_fd(self, k, rows):
+        rng = np.random.default_rng(33 + k + rows)
+        m = 3
+        pre0, c0 = rng.uniform(-2, 2, (rows, (k + 3) * m)), rng.uniform(-2, 2, (rows, m))
+        w = rng.uniform(-1, 1, (rows, (k + 1) * m))
+
+        def run(pre, c):
+            tape = ad.Tape()
+            tp, tc = tape.tensor(pre), tape.tensor(c)
+            return tape, tp, tc, ad.reduce_sum(ad.mul(ad.lstm_cell(tp, tc), w))
+
+        tape, tp, tc, out = run(pre0, c0)
+        ad.backward(tape, out)
+        assert rel_err(tp.grad, central_difference(
+            lambda a: run(a, c0)[3].item(), pre0.copy())) < 1e-6
+        assert rel_err(tc.grad, central_difference(
+            lambda a: run(pre0, a)[3].item(), c0.copy())) < 1e-6
+
+    @pytest.mark.parametrize("k,rows", [(1, 1), (2, 1), (1, 4), (2, 4)])
+    def test_lstm_cell_values_equalcomposed_lstm_cell(self, k, rows):
+        rng = np.random.default_rng(40 + k + rows)
+        m = 5
+        pre = rng.normal(scale=4.0, size=(rows, (k + 3) * m))
+        pre[0, :4] = [-800.0, 800.0, 0.0, -0.0]  # both sigmoid branches, saturation
+        c = rng.normal(size=(rows, m))
+        for grad in (True, False):
+            tape = ad.Tape(grad=grad)
+            tp, tc = tape.tensor(pre), tape.tensor(c)
+            fused = ad.lstm_cell(tp, tc).data
+            assert fused.shape == (rows, (k + 1) * m)
+            assert np.array_equal(fused, composed_lstm_cell(tp, tc, k).data)
+
+    def test_lstm_cell_gradient_matchescomposed_lstm_cell(self):
+        rng = np.random.default_rng(41)
+        pre0, c0 = rng.normal(size=(2, 15)), rng.normal(size=(2, 3))
+        w = rng.normal(size=(2, 9))
+        grads = []
+        for cell in (lambda p, c: ad.lstm_cell(p, c), lambda p, c: composed_lstm_cell(p, c, 2)):
+            tape = ad.Tape()
+            tp, tc = tape.tensor(pre0), tape.tensor(c0)
+            ad.backward(tape, ad.reduce_sum(ad.mul(cell(tp, tc), w)))
+            grads.append((tp.grad, tc.grad))
+        for a, b in zip(*grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+    def test_lstm_cell_rejects_bad_shapes(self):
+        tape = ad.Tape()
+        c = tape.tensor(np.zeros((2, 3)))
+        for shape in ((2, 9), (2, 13), (1, 12), (12,)):
+            with pytest.raises(ad.ShapeError):
+                ad.lstm_cell(tape.tensor(np.zeros(shape)), c)
+
+    def test_concat_gradients_are_views_of_one_array(self):
+        tape = ad.Tape()
+        a, b = tape.tensor(np.ones((1, 2))), tape.tensor(np.ones((1, 3)))
+        w = tape.tensor(np.arange(5.0).reshape(1, 5))
+        ad.backward(tape, ad.reduce_sum(ad.mul(ad.concat([a, b], axis=1), w)))
+        np.testing.assert_array_equal(a.grad, [[0.0, 1.0]])
+        np.testing.assert_array_equal(b.grad, [[2.0, 3.0, 4.0]])
+        assert a.grad.base is not None and a.grad.base is b.grad.base
+
+    @pytest.mark.parametrize("op", [ad.reduce_sum, ad.reduce_mean])
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    def test_reduce_gradients_fill_a_fresh_array(self, op, axis):
+        x0 = np.random.default_rng(42).uniform(-2, 2, (3, 4))
+        w = np.random.default_rng(43).uniform(-1, 1, op(ad.Tape().tensor(x0), axis).shape)
+        build = lambda x: ad.reduce_sum(ad.mul(op(x, axis), w))
+        g = grad_of(build, x0)
+        assert g.shape == x0.shape and g.flags.writeable and g.flags.owndata
+        assert rel_err(g, fd_of(build, x0)) < 1e-6
+
+
 class TestBackwardContract:
     def test_root_is_leaf(self):
         tape = ad.Tape()
@@ -361,24 +474,37 @@ def _old_sigmoid(v):
 # every op, as build(tape, a 3x4 input, a 4x3 input) -> tensor
 _OPS = {
     "matmul": lambda t, a, b: ad.matmul(a, b),
+    "affine": lambda t, a, b: ad.affine(a, b, t.tensor(np.ones((1, 3)))),
+    "lstm_cell": lambda t, a, b: ad.lstm_cell(a, ad.narrow(ad.transpose(b), 1, 0, 1)),
     "add": lambda t, a, b: ad.add(a, t.tensor(np.ones((1, 4)))),
     "sub": lambda t, a, b: ad.sub(a, ad.transpose(b)),
     "mul": lambda t, a, b: ad.mul(a, ad.transpose(b)),
     "scale": lambda t, a, b: ad.scale(a, -2.5),
     "tanh": lambda t, a, b: ad.tanh(a),
     "sigmoid": lambda t, a, b: ad.sigmoid(a),
+    "exp": lambda t, a, b: ad.exp(a),
     "log": lambda t, a, b: ad.log(ad.exp(a)),
     "softmax": lambda t, a, b: ad.softmax(a, temperature=0.7),
     "reduce_sum": lambda t, a, b: ad.reduce_sum(a, axis=1),
     "reduce_mean": lambda t, a, b: ad.reduce_mean(a),
     "reduce_max": lambda t, a, b: ad.reduce_max(a, axis=0),
     "reshape": lambda t, a, b: ad.reshape(a, (2, 6)),
+    "transpose": lambda t, a, b: ad.transpose(a),
     "concat": lambda t, a, b: ad.concat([a, ad.transpose(b)], axis=0),
     "get_row": lambda t, a, b: ad.get_row(a, 1),
     "narrow": lambda t, a, b: ad.narrow(a, 1, 1, 2),
     "clip": lambda t, a, b: ad.clip(a, -0.5, 0.5),
     "st_onehot": lambda t, a, b: ad.st_onehot(a),
 }
+
+
+def test_every_public_op_is_in_the_no_grad_sweep():
+    """A new op must join ``_OPS`` so its no-grad values are checked too."""
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_") and name != "backward"}
+    assert {"matmul", "affine", "lstm_cell", "concat"} <= ops
+    assert sorted(ops - set(_OPS)) == []
 
 
 class TestNoGradTape:

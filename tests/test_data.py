@@ -1,7 +1,12 @@
+import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgan import autodiff as ad
 from seqgan import data as dat
@@ -255,3 +260,90 @@ class TestCheckpoint:
         bad = self._rebuilt(tmp_path, lambda secs: join_container(secs + [secs[-1]]))
         with pytest.raises(dat.FormatError, match="duplicate"):
             dat.load_checkpoint(bad)
+
+    @pytest.mark.parametrize("section", ["gen", "disc", "gen_opt", "disc_opt", "aux"])
+    def test_leftover_bytes_in_a_tensor_table_are_format_error(self, tmp_path, section):
+        bad = self._rebuilt(tmp_path, lambda secs: join_container(
+            [(n, p + b"junk" if n == section else p) for n, p in secs]))
+        with pytest.raises(dat.FormatError, match="left over"):
+            dat.load_checkpoint(bad)
+
+    @pytest.mark.parametrize("key", ["epoch", "config", "rng_state"])
+    def test_meta_missing_a_key_is_format_error(self, tmp_path, key):
+        def drop(secs):
+            meta = json.loads(secs[0][1])
+            del meta[key]
+            return join_container([("meta", json.dumps(meta).encode())] + secs[1:])
+
+        with pytest.raises(dat.FormatError, match=key):
+            dat.load_checkpoint(self._rebuilt(tmp_path, drop))
+
+    @pytest.mark.parametrize("meta", [b"\xff\xfe{}", b'{"epoch": 3', b"[1, 2]"])
+    def test_unreadable_meta_is_format_error(self, tmp_path, meta):
+        bad = self._rebuilt(tmp_path, lambda secs: join_container(
+            [("meta", meta)] + secs[1:]))
+        with pytest.raises(dat.FormatError, match="meta"):
+            dat.load_checkpoint(bad)
+
+    def test_save_over_an_existing_file_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "k.ckpt"
+        dat.save_checkpoint(path, self._make())
+        first = path.read_bytes()
+        dat.save_checkpoint(path, self._make())
+        assert path.read_bytes() == first
+        assert os.listdir(tmp_path) == ["k.ckpt"]
+
+    def test_write_failing_mid_payload_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        dat.save_checkpoint(path, self._make())
+        old = path.read_bytes()
+
+        class FailingFile:
+            """Accepts 100 bytes, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.left = fh, 100
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                if len(chunk) > self.left:
+                    self.fh.write(chunk[: self.left])
+                    raise OSError(28, "No space left on device")
+                self.left -= len(chunk)
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(dat, "open", lambda *a, **k: FailingFile(open(*a, **k)),
+                            raising=False)
+        newer = self._make()
+        newer.epoch = 4
+        with pytest.raises(OSError, match="No space"):
+            dat.save_checkpoint(path, newer)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+def _real_checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "real.ckpt")
+        dat.save_checkpoint(path, TestCheckpoint()._make())
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_REAL_CKPT = _real_checkpoint_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(min_value=0, max_value=len(_REAL_CKPT) - 1))
+def test_truncation_at_any_offset_raises_only_format_errors(cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cut.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(_REAL_CKPT[:cut])
+        with pytest.raises(dat.FormatError):  # VersionError is a FormatError
+            dat.load_checkpoint(path)
