@@ -145,6 +145,8 @@ def _tape_of(*args):
 
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, size in enumerate(shape):
@@ -158,46 +160,66 @@ def _unbroadcast(grad, shape):
 # ---------------------------------------------------------------------------
 
 
+def _mT(v):
+    """Swap the last two axes (``v.T`` for a matrix)."""
+    return v.T if v.ndim == 2 else v.swapaxes(-1, -2)
+
+
+def _check_matmul(name, av, bv):
+    if av.ndim < 2 or bv.ndim < 2:
+        raise ShapeError(f"{name} needs operands of rank >= 2, got {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"{name} inner dims disagree: {av.shape} @ {bv.shape}")
+
+
 def matmul(a, b) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
+    """Matrix product over the last two axes; leading axes broadcast."""
     tape = _tape_of(a, b)
     a, b = _wrap(tape, a), _wrap(tape, b)
     av, bv = a.data, b.data
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {av.shape} @ {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-    out = av @ bv
+    _check_matmul("matmul", av, bv)
+    try:
+        out = av @ bv
+    except ValueError:
+        raise ShapeError(f"matmul batch axes do not broadcast: {av.shape} @ {bv.shape}") \
+            from None
     if not tape.grad:
         return Tensor(tape, None, out)
 
-    def vjp(g):
-        return g @ bv.T, av.T @ g
+    if out.ndim == 2:
+        def vjp(g):
+            return g @ bv.T, av.T @ g
+    else:
+        def vjp(g):
+            return _unbroadcast(g @ _mT(bv), av.shape), _unbroadcast(_mT(av) @ g, bv.shape)
 
     return tape._record(out, (a.index, b.index), vjp)
 
 
 def affine(x, W, b) -> Tensor:
-    """``x @ W + b`` as one node: a rank-2 product plus a broadcast bias."""
+    """``x @ W + b`` as one node: a matrix product over the last two axes
+    plus a broadcast bias; leading axes broadcast."""
     tape = _tape_of(x, W, b)
     x, W, b = _wrap(tape, x), _wrap(tape, W), _wrap(tape, b)
     xv, Wv, bv = x.data, W.data, b.data
-    if xv.ndim != 2 or Wv.ndim != 2:
-        raise ShapeError(f"affine needs rank-2 operands, got {xv.shape} @ {Wv.shape}")
-    if xv.shape[1] != Wv.shape[0]:
-        raise ShapeError(f"affine inner dims disagree: {xv.shape} @ {Wv.shape}")
+    _check_matmul("affine", xv, Wv)
     try:
         out = xv @ Wv + bv
     except ValueError:
         out = None
-    if out is None or out.shape != (xv.shape[0], Wv.shape[1]):
-        raise ShapeError(f"affine bias {bv.shape} does not broadcast to "
-                         f"{(xv.shape[0], Wv.shape[1])}")
+    if out is None or out.shape[-2:] != (xv.shape[-2], Wv.shape[-1]):
+        raise ShapeError(f"affine operands {xv.shape} @ {Wv.shape} + {bv.shape} "
+                         "do not broadcast")
     if not tape.grad:
         return Tensor(tape, None, out)
 
-    def vjp(g):
-        return g @ Wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
+    if out.ndim == 2:
+        def vjp(g):
+            return g @ Wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
+    else:
+        def vjp(g):
+            return (_unbroadcast(g @ _mT(Wv), xv.shape),
+                    _unbroadcast(_mT(xv) @ g, Wv.shape), _unbroadcast(g, bv.shape))
 
     return tape._record(out, (x.index, W.index, b.index), vjp)
 
@@ -288,43 +310,52 @@ def sigmoid(x: Tensor) -> Tensor:
 def lstm_cell(pre: Tensor, c: Tensor) -> Tensor:
     """The element-wise part of an LSTM step as one node.
 
-    ``pre`` (n x (k+3)m) holds the pre-activations in column blocks ``i, f,
-    o_1..o_k, g`` of width m, ``c`` (n x m) the previous cell.  Returns
-    ``[c' | o_1*tanh(c') | ... | o_k*tanh(c')]`` (n x (k+1)m) with
-    ``c' = f*c + i*g``; every gate but ``g`` is a sigmoid, ``g`` a tanh.  The
-    values equal those of the same cell composed from ``sigmoid``, ``tanh``,
-    ``mul`` and ``add`` bit for bit.
+    ``pre`` (... x n x (k+3)m) holds the pre-activations in column blocks
+    ``i, f, o_1..o_k, g`` of width m, ``c`` (... x n x m) the previous cell;
+    leading axes broadcast.  Returns ``[c' | o_1*tanh(c') | ... |
+    o_k*tanh(c')]`` (... x n x (k+1)m) with ``c' = f*c + i*g``; every gate
+    but ``g`` is a sigmoid, ``g`` a tanh.  The values equal those of the same
+    cell composed from ``sigmoid``, ``tanh``, ``mul`` and ``add`` bit for bit.
     """
     tape = _tape_of(pre, c)
     pre, c = _wrap(tape, pre), _wrap(tape, c)
     pv, cv = pre.data, c.data
-    if pv.ndim != 2 or cv.ndim != 2:
-        raise ShapeError(f"lstm_cell needs rank-2 operands, got {pv.shape}, {cv.shape}")
-    n, m = cv.shape
-    if pv.shape[0] != n or pv.shape[1] % m or pv.shape[1] // m < 4:
+    if pv.ndim < 2 or cv.ndim < 2:
+        raise ShapeError(f"lstm_cell needs operands of rank >= 2, got {pv.shape}, "
+                         f"{cv.shape}")
+    n, m = cv.shape[-2:]
+    if pv.shape[-2] != n or pv.shape[-1] % m or pv.shape[-1] // m < 4:
         raise ShapeError(f"lstm_cell pre-activations {pv.shape} do not fit cell {cv.shape}")
-    k = pv.shape[1] // m - 3
-    sig = _sigmoid(pv[:, : (k + 2) * m])
-    i, f, o = sig[:, :m], sig[:, m : 2 * m], sig[:, 2 * m :]
-    g = np.tanh(pv[:, (k + 2) * m :])
+    lead = pv.shape[:-2]
+    if cv.shape[:-2] != lead:
+        try:
+            lead = np.broadcast_shapes(lead, cv.shape[:-2])
+        except ValueError:
+            raise ShapeError(f"lstm_cell batch axes do not broadcast: {pv.shape}, "
+                             f"{cv.shape}") from None
+    k = pv.shape[-1] // m - 3
+    sig = _sigmoid(pv[..., : (k + 2) * m])
+    i, f, o = sig[..., :m], sig[..., m : 2 * m], sig[..., 2 * m :]
+    g = np.tanh(pv[..., (k + 2) * m :])
     c_new = f * cv + i * g
     tanh_c = np.tanh(c_new)
-    out = np.empty((n, (k + 1) * m))
-    out[:, :m] = c_new
-    out[:, m:] = (o.reshape(n, k, m) * tanh_c[:, None, :]).reshape(n, k * m)
+    o_k = o.reshape(o.shape[:-1] + (k, m))
+    out = np.empty(lead + (n, (k + 1) * m))
+    out[..., :m] = c_new
+    out[..., m:] = (o_k * tanh_c[..., None, :]).reshape(lead + (n, k * m))
     if not tape.grad:
         return Tensor(tape, None, out)
 
     def vjp(gout):
-        gh = gout[:, m:].reshape(n, k, m)
-        gc = gout[:, :m] + (gh * o.reshape(n, k, m)).sum(axis=1) * (1.0 - tanh_c * tanh_c)
-        gpre = np.empty_like(pv)
-        gpre[:, :m] = gc * g * i * (1.0 - i)
-        gpre[:, m : 2 * m] = gc * cv * f * (1.0 - f)
-        gpre[:, 2 * m : (k + 2) * m] = (gh * tanh_c[:, None, :]).reshape(n, k * m) \
-            * o * (1.0 - o)
-        gpre[:, (k + 2) * m :] = gc * i * (1.0 - g * g)
-        return gpre, gc * f
+        gh = gout[..., m:].reshape(lead + (n, k, m))
+        gc = gout[..., :m] + (gh * o_k).sum(axis=-2) * (1.0 - tanh_c * tanh_c)
+        gpre = np.empty(lead + pv.shape[-2:])
+        gpre[..., :m] = gc * g * i * (1.0 - i)
+        gpre[..., m : 2 * m] = gc * cv * f * (1.0 - f)
+        gpre[..., 2 * m : (k + 2) * m] = (gh * tanh_c[..., None, :]).reshape(
+            lead + (n, k * m)) * o * (1.0 - o)
+        gpre[..., (k + 2) * m :] = gc * i * (1.0 - g * g)
+        return _unbroadcast(gpre, pv.shape), _unbroadcast(gc * f, cv.shape)
 
     return tape._record(out, (pre.index, c.index), vjp)
 
@@ -454,12 +485,13 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    out = x.data.T.copy()
+    """Swap the last two axes."""
+    out = _mT(x.data).copy()
     if not x.tape.grad:
         return Tensor(x.tape, None, out)
 
     def vjp(g):
-        return (g.T.copy(),)
+        return (_mT(g).copy(),)
 
     return x.tape._record(out, (x.index,), vjp)
 
@@ -487,17 +519,17 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def get_row(x: Tensor, i: int) -> Tensor:
-    """Row i of a rank-2 tensor as a 1 x n tensor (embedding lookup)."""
+    """Row i of the last two axes as a ... x 1 x n tensor (embedding lookup)."""
     v = x.data
-    if v.ndim != 2 or not (0 <= i < v.shape[0]):
+    if v.ndim < 2 or not (0 <= i < v.shape[-2]):
         raise ShapeError(f"row {i} invalid for shape {v.shape}")
-    out = v[i : i + 1].copy()
+    out = v[..., i : i + 1, :].copy()
     if not x.tape.grad:
         return Tensor(x.tape, None, out)
 
     def vjp(g):
         gx = np.zeros_like(v)
-        gx[i] = g[0]
+        gx[..., i, :] = g[..., 0, :]
         return (gx,)
 
     return x.tape._record(out, (x.index,), vjp)

@@ -126,11 +126,12 @@ def _lstm_cell(inputs, c, W, b):
     ``ad.lstm_cell`` node for all the element-wise work.
 
     Returns [c', o_1*tanh(c'), ..., o_k*tanh(c')]; the first output gate
-    gives h'.
+    gives h'.  Blocks are joined and split on the last axis, so stacked
+    members (a leading axis on every operand) run through the same nodes.
     """
-    m = c.shape[1]
-    out = ad.lstm_cell(ad.affine(ad.concat(inputs, axis=1), W, b), c)
-    return [ad.narrow(out, 1, j, m) for j in range(0, out.shape[1], m)]
+    m = c.shape[-1]
+    out = ad.lstm_cell(ad.affine(ad.concat(inputs, axis=-1), W, b), c)
+    return [ad.narrow(out, -1, j, m) for j in range(0, out.shape[-1], m)]
 
 
 def _fuse_gates(p, blocks):
@@ -140,9 +141,9 @@ def _fuse_gates(p, blocks):
     order; the weight stacks the input rows over the hidden rows.  Gradients
     reach the per-gate tensors through the concat VJP.
     """
-    W = ad.concat([ad.concat([p[wx] for wx, _, _ in blocks], axis=1),
-                   ad.concat([p[wh] for _, wh, _ in blocks], axis=1)], axis=0)
-    return W, ad.concat([p[bias] for _, _, bias in blocks], axis=1)
+    W = ad.concat([ad.concat([p[wx] for wx, _, _ in blocks], axis=-1),
+                   ad.concat([p[wh] for _, wh, _ in blocks], axis=-1)], axis=-2)
+    return W, ad.concat([p[bias] for _, _, bias in blocks], axis=-1)
 
 
 def _gate_names(gate):
@@ -164,6 +165,11 @@ class BoundCaptioner:
 
     ``step`` returns the output row ``h' + ctx'``; ``logits`` projects one
     or several stacked output rows to word scores in one affine node.
+
+    The arrays of ``params`` may carry a leading member axis (M x ...,
+    built by ``_stack_members``): the bound model then runs M same-config
+    models as one, every tensor of a step carries the member axis (the zero
+    state is M x 1 x m), and each step is one set of nodes for all members.
     """
 
     def __init__(self, tape: ad.Tape, params: CaptionerParams):
@@ -174,7 +180,8 @@ class BoundCaptioner:
         mask = np.zeros(params.config.vocab_size)
         mask[params.config.bos_id] = _MASK
         self._bos_mask = tape.tensor(mask.reshape(1, -1))
-        self._zero = tape.tensor(np.zeros((1, params.config.hidden_dim)))
+        members = params.arrays["embed"].shape[:-2]  # (M,) when stacked, else ()
+        self._zero = tape.tensor(np.zeros(members + (1, params.config.hidden_dim)))
         self._context_aware = params.config.attention == "context_aware"
         if not self._context_aware:  # the sentinel slot gets exactly zero attention
             scores = np.zeros((1, params.config.num_crops + 1))
@@ -212,7 +219,7 @@ class BoundCaptioner:
         if not self._context_aware:
             ctx = self._zero
         c_new, h_new, sentinel = _lstm_cell([x_embed, ctx, h], c, self._W, self._b)
-        values = ad.concat([feats_proj, sentinel], axis=0)  # (C+1) x m
+        values = ad.concat([feats_proj, sentinel], axis=-2)  # (C+1) x m
         act = ad.tanh(ad.matmul(values, p["attn_Wa"])
                       + ad.affine(h_new, p["attn_Wh"], p["attn_b"]))
         scores = ad.transpose(ad.matmul(act, p["attn_w"]))  # 1 x (C+1)
@@ -304,25 +311,40 @@ def _argmax(probs) -> int:
     return int(np.argmax(probs))
 
 
+def _stack_members(params_list: list[CaptionerParams]) -> CaptionerParams:
+    """The models of ``params_list`` as one, every array stacked on a leading
+    member axis; a single model is returned as is."""
+    first = params_list[0]
+    if len(params_list) == 1:
+        return first
+    shapes = {name: arr.shape for name, arr in first.arrays.items()}
+    for p in params_list[1:]:
+        if p.config != first.config:
+            raise InputError("ensemble members must share one config")
+        if {name: arr.shape for name, arr in p.arrays.items()} != shapes:
+            raise InputError("ensemble members must have the same array names and shapes")
+    # shapes are equal, so np.array stacks (and does so faster than np.stack)
+    return CaptionerParams(first.config,
+                           {name: np.array([p.arrays[name] for p in params_list])
+                            for name in shapes})
+
+
 def _decode(params_list: list[CaptionerParams], image_feats, pick) -> TokenSequence:
-    """The one decode loop: at each step every model advances on the previous
-    word, their word distributions are averaged (a single model's is used as
-    is), and ``pick(probs_row) -> token id`` chooses the next word."""
+    """The one decode loop: all models are bound as one stacked model and
+    advance together on the previous word, their word distributions are
+    averaged over the member axis (a single model's is used as is), and
+    ``pick(probs_row) -> token id`` chooses the next word."""
     config = params_list[0].config
-    bounds = [BoundCaptioner(ad.Tape(grad=False), p) for p in params_list]
-    projs = [b.project_feats(image_feats) for b in bounds]
-    states = [b.zero_state() for b in bounds]
+    bound = BoundCaptioner(ad.Tape(grad=False), _stack_members(params_list))
+    feats_proj = bound.project_feats(image_feats)
+    h, c, ctx = bound.zero_state()
     prev = config.bos_id
     tokens: list[int] = []
     terminated = False
     while len(tokens) < config.max_len:
-        dists = []
-        for k, b in enumerate(bounds):
-            h, c, ctx = states[k]
-            row, h, c, ctx, _ = b.step(h, c, ctx, b.embed_token(prev), projs[k])
-            states[k] = (h, c, ctx)
-            dists.append(b.word_dist(b.logits(row)).data.reshape(-1))
-        tok = pick(dists[0] if len(dists) == 1 else np.mean(dists, axis=0))
+        row, h, c, ctx, _ = bound.step(h, c, ctx, bound.embed_token(prev), feats_proj)
+        probs = bound.word_dist(bound.logits(row)).data
+        tok = pick((probs.mean(axis=0) if probs.ndim == 3 else probs).reshape(-1))
         tokens.append(tok)
         prev = tok
         if tok == config.eos_id:
@@ -361,8 +383,4 @@ def ensemble_decode(params_list: list[CaptionerParams], image_feats) -> TokenSeq
     """Average the per-step word distributions of several models, then argmax."""
     if not params_list:
         raise InputError("ensemble needs at least one model")
-    config = params_list[0].config
-    for p in params_list[1:]:
-        if p.config != config:
-            raise InputError("ensemble members must share one config")
     return _decode(params_list, image_feats, _argmax)

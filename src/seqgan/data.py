@@ -23,13 +23,14 @@ import contextlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .autodiff import ParameterError  # also raised for infeasible dataset requests
-from .captioner import CaptionerConfig, CaptionerParams, InputError, TokenSequence
-from .discriminator import VARIANTS, DiscriminatorConfig, DiscriminatorParams
+from .captioner import (CaptionerConfig, CaptionerParams, InputError, TokenSequence,
+                        _param_shapes)
+from .discriminator import _SHAPES, VARIANTS, DiscriminatorConfig, DiscriminatorParams
 
 
 class FormatError(ValueError):
@@ -331,7 +332,7 @@ def _unpack_table(blob: bytes, base: int) -> dict[str, np.ndarray]:
         (nlen,) = struct.unpack_from("<H", blob, off)
         off += 2
         need(nlen, off)
-        name = blob[off : off + nlen].decode()
+        name = _decode_name(blob[off : off + nlen], base + off)
         off += nlen
         need(1, off)
         ndim = blob[off]
@@ -349,6 +350,44 @@ def _unpack_table(blob: bytes, base: int) -> dict[str, np.ndarray]:
         raise FormatError(f"{len(blob) - off} bytes left over in a tensor table",
                           offset=base + off)
     return arrays
+
+
+def _decode_name(raw: bytes, offset: int) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise FormatError(f"name {raw!r} is not UTF-8", offset=offset) from None
+
+
+def _config_from_meta(cls, raw, what: str):
+    """``cls(**raw)`` for a config stored in meta, or ``FormatError``."""
+    if not isinstance(raw, dict):
+        raise FormatError(f"{what} is not a JSON object", offset=12)
+    try:
+        config = cls(**raw)
+    except (TypeError, InputError) as err:
+        raise FormatError(f"{what} is not a valid {cls.__name__}: {err}",
+                          offset=12) from None
+    # field annotations are strings (``from __future__ import annotations``)
+    wrong = [f.name for f in fields(config)
+             if type(getattr(config, f.name)).__name__ != f.type]
+    if wrong:
+        raise FormatError(f"{what} has values of the wrong type: {', '.join(wrong)}",
+                          offset=12)
+    return config
+
+
+def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict, section: str, offset: int):
+    """Every array the config implies, with its shape, and no other."""
+    missing, extra = sorted(set(shapes) - set(arrays)), sorted(set(arrays) - set(shapes))
+    if missing or extra:
+        raise FormatError(f"section {section!r} does not match its config: missing "
+                          f"{missing}, unexpected {extra}", offset=offset)
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"section {section!r} array {name!r} has shape "
+                              f"{arrays[name].shape}, its config implies {shape}",
+                              offset=offset)
 
 
 def _opt_to_table(state) -> dict[str, np.ndarray]:
@@ -440,19 +479,20 @@ def load_checkpoint(path) -> Checkpoint:
         off += 2
         if off + nlen + 8 > len(blob):
             raise FormatError("truncated section table", offset=off)
-        name = blob[off : off + nlen].decode()
+        name = _decode_name(blob[off : off + nlen], off)
         off += nlen
         (plen,) = struct.unpack_from("<Q", blob, off)
         off += 8
         table.append((name, plen))
 
     payloads: dict[str, bytes] = {}
+    starts: dict[str, int] = {}
     for name, plen in table:
         if name in payloads:
             raise FormatError(f"duplicate section {name!r}", offset=off)
         if off + plen > len(blob):
             raise FormatError(f"truncated payload for section {name!r}", offset=off)
-        payloads[name] = blob[off : off + plen]
+        payloads[name], starts[name] = blob[off : off + plen], off
         off += plen
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes after the last payload",
@@ -469,29 +509,39 @@ def load_checkpoint(path) -> Checkpoint:
     if missing:
         raise FormatError(f"meta section lacks {', '.join(missing)}", offset=12)
 
-    def payload(name):
+    def model_arrays(name, shapes):
         if name not in payloads:
             raise FormatError(f"meta names a model but section {name!r} is missing",
                               offset=12)
-        return payloads[name]
+        arrays = _unpack_table(payloads[name], starts[name])
+        _check_shapes(arrays, shapes, name, starts[name])
+        return arrays
 
     captioner = None
     if meta.get("captioner_config") is not None:
-        cfg = dict(meta["captioner_config"])
-        cfg.pop("__dataclass", None)
-        captioner = CaptionerParams(CaptionerConfig(**cfg), _unpack_table(payload("gen"), 0))
+        cfg = meta["captioner_config"]
+        if isinstance(cfg, dict):
+            cfg = {k: v for k, v in cfg.items() if k != "__dataclass"}
+        config = _config_from_meta(CaptionerConfig, cfg, "meta captioner_config")
+        captioner = CaptionerParams(config, model_arrays("gen", _param_shapes(config)))
     discriminator = None
     if meta.get("discriminator") is not None:
-        variant = meta["discriminator"]["variant"]
+        dmeta = meta["discriminator"]
+        if not isinstance(dmeta, dict) or set(dmeta) != {"variant", "config"}:
+            raise FormatError("meta discriminator must hold exactly variant and config",
+                              offset=12)
+        variant = dmeta["variant"]
         if variant not in VARIANTS:
             raise FormatError(f"unknown discriminator variant {variant!r}", offset=12)
-        dcfg = DiscriminatorConfig(**meta["discriminator"]["config"])
-        discriminator = DiscriminatorParams(dcfg, _unpack_table(payload("disc"), 0), variant)
-    gen_opt = _opt_from_table(_unpack_table(payloads["gen_opt"], 0)) \
+        dcfg = _config_from_meta(DiscriminatorConfig, dmeta["config"],
+                                 "meta discriminator config")
+        discriminator = DiscriminatorParams(
+            dcfg, model_arrays("disc", _SHAPES[variant](dcfg)), variant)
+    gen_opt = _opt_from_table(_unpack_table(payloads["gen_opt"], starts["gen_opt"])) \
         if "gen_opt" in payloads else None
-    disc_opt = _opt_from_table(_unpack_table(payloads["disc_opt"], 0)) \
+    disc_opt = _opt_from_table(_unpack_table(payloads["disc_opt"], starts["disc_opt"])) \
         if "disc_opt" in payloads else None
-    aux = _unpack_table(payloads["aux"], 0) if "aux" in payloads else {}
+    aux = _unpack_table(payloads["aux"], starts["aux"]) if "aux" in payloads else {}
 
     return Checkpoint(captioner=captioner, discriminator=discriminator,
                       gen_opt=gen_opt, disc_opt=disc_opt, config=meta["config"],

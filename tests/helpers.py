@@ -5,7 +5,9 @@ captioner, so expectations and variances over the sequence distribution are
 exact.  ``PerGateCaptioner`` and ``PerGateDiscriminator`` keep the per-gate
 LSTM cells, the separate sentinel branch and the per-token log-likelihood
 that the fused models replaced, as the oracle for the fused path;
-``composed_lstm_cell`` is the oracle for ``ad.lstm_cell``.
+``composed_lstm_cell`` is the oracle for ``ad.lstm_cell``, and
+``per_member_decode`` keeps the per-member ensemble loop as the oracle for
+the stacked ensemble bind.
 """
 
 import numpy as np
@@ -91,6 +93,32 @@ class PerGateCaptioner(BoundCaptioner):
             total = total + ad.log(ad.reshape(ad.narrow(probs, 1, tok, 1), ()))
             prev = tok
         return total, step_logits
+
+
+def per_member_decode(params_list, image_feats):
+    """Ensemble argmax decode with one bound model per member, stepped one
+    after another, their word distributions averaged with ``np.mean``.
+
+    Returns the token sequence and the averaged distribution of every step.
+    """
+    config = params_list[0].config
+    bounds = [BoundCaptioner(ad.Tape(grad=False), p) for p in params_list]
+    projs = [b.project_feats(image_feats) for b in bounds]
+    states = [b.zero_state() for b in bounds]
+    prev, tokens, steps = config.bos_id, [], []
+    while len(tokens) < config.max_len:
+        dists = []
+        for k, b in enumerate(bounds):
+            h, c, ctx = states[k]
+            row, h, c, ctx, _ = b.step(h, c, ctx, b.embed_token(prev), projs[k])
+            states[k] = (h, c, ctx)
+            dists.append(b.word_dist(b.logits(row)).data.reshape(-1))
+        steps.append(np.mean(dists, axis=0))
+        prev = int(np.argmax(steps[-1]))
+        tokens.append(prev)
+        if prev == config.eos_id:
+            break
+    return TokenSequence(tokens, True), steps
 
 
 class PerGateDiscriminator(BoundDiscriminator):

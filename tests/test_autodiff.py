@@ -558,3 +558,139 @@ class TestNoGradTape:
         for grad in (True, False):
             out = ad.sigmoid(ad.Tape(grad=grad).tensor(v)).data
             assert np.array_equal(out, _old_sigmoid(v))
+
+
+# every op on stacked inputs, as build(tape, a 2x3x4, b 2x4x3) -> tensor; the
+# ops that contract or index the last two axes use the leading axis as a batch
+_BATCHED_OPS = {
+    "matmul": lambda t, a, b: ad.matmul(a, b),
+    "affine": lambda t, a, b: ad.affine(a, b, t.tensor(np.ones((1, 3)))),
+    "lstm_cell": lambda t, a, b: ad.lstm_cell(a, ad.narrow(ad.transpose(b), -1, 0, 1)),
+    "add": lambda t, a, b: ad.add(a, ad.transpose(b)),
+    "sub": lambda t, a, b: ad.sub(a, ad.transpose(b)),
+    "mul": lambda t, a, b: ad.mul(a, ad.transpose(b)),
+    "scale": lambda t, a, b: ad.scale(a, -2.5),
+    "tanh": lambda t, a, b: ad.tanh(a),
+    "sigmoid": lambda t, a, b: ad.sigmoid(a),
+    "exp": lambda t, a, b: ad.exp(a),
+    "log": lambda t, a, b: ad.log(ad.exp(a)),
+    "softmax": lambda t, a, b: ad.softmax(a, temperature=0.7),
+    "reduce_sum": lambda t, a, b: ad.reduce_sum(a, axis=0),
+    "reduce_mean": lambda t, a, b: ad.reduce_mean(a, axis=-1),
+    "reduce_max": lambda t, a, b: ad.reduce_max(a, axis=1),
+    "reshape": lambda t, a, b: ad.reshape(a, (2, 2, 6)),
+    "transpose": lambda t, a, b: ad.transpose(a),
+    "concat": lambda t, a, b: ad.concat([a, ad.transpose(b)], axis=-2),
+    "get_row": lambda t, a, b: ad.get_row(a, 1),
+    "narrow": lambda t, a, b: ad.narrow(a, -1, 1, 2),
+    "clip": lambda t, a, b: ad.clip(a, -0.5, 0.5),
+    "st_onehot": lambda t, a, b: ad.st_onehot(a),
+}
+
+# the ops that treat the last two axes as a matrix: stacked, each member's
+# slice equals the rank-2 op on that member's operands
+_MATRIX_OPS = ("matmul", "affine", "lstm_cell", "get_row", "transpose")
+
+
+def _stacked_inputs(seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3))
+
+
+def _check_fd(build, inputs, tol=1e-6):
+    """Tape gradients of sum(build(...) * R) against central differences,
+    for every input; R is a fixed random weight of the output's shape."""
+    tape = ad.Tape()
+    leaves = [tape.tensor(x) for x in inputs]
+    out = build(tape, *leaves)
+    weight = np.random.default_rng(99).uniform(-1, 1, out.shape)
+    ad.backward(tape, ad.reduce_sum(ad.mul(out, weight)))
+    for k, leaf in enumerate(leaves):
+        def f(arr, k=k):
+            t = ad.Tape()
+            args = [t.tensor(arr if j == k else x) for j, x in enumerate(inputs)]
+            return ad.reduce_sum(ad.mul(build(t, *args), weight)).item()
+
+        assert leaf.grad.shape == inputs[k].shape
+        assert rel_err(leaf.grad, central_difference(f, inputs[k].copy())) < tol, k
+
+
+def test_every_public_op_is_in_the_leading_axis_sweep():
+    """A new op must join ``_BATCHED_OPS`` so its stacked inputs are checked."""
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_") and name != "backward"}
+    assert set(_MATRIX_OPS) <= ops
+    assert sorted(ops - set(_BATCHED_OPS)) == []
+
+
+class TestLeadingAxes:
+    @pytest.mark.parametrize("name", sorted(_BATCHED_OPS))
+    def test_no_grad_values_equal_grad_tape(self, name):
+        a_arr, b_arr = _stacked_inputs(51)
+        outs = []
+        for grad in (True, False):
+            tape = ad.Tape(grad=grad)
+            a, b = tape.tensor(a_arr), tape.tensor(b_arr)
+            outs.append(_BATCHED_OPS[name](tape, a, b).data)
+        assert outs[0].shape == outs[1].shape
+        assert np.array_equal(outs[0], outs[1])
+
+    # st_onehot's VJP is the identity by design, not its (zero) derivative
+    @pytest.mark.parametrize("name", sorted(set(_BATCHED_OPS) - {"st_onehot"}))
+    def test_gradients_vs_fd(self, name):
+        a_arr, b_arr = _stacked_inputs(52)
+        if name in ("clip", "reduce_max"):
+            # spread the values apart: no ties for the max, no value at a clip edge
+            a_arr = a_arr + np.arange(a_arr.size).reshape(a_arr.shape) * 0.05
+        _check_fd(_BATCHED_OPS[name], [a_arr, b_arr])
+
+    @pytest.mark.parametrize("name", _MATRIX_OPS)
+    def test_members_equal_rank_2_op(self, name):
+        a_arr, b_arr = _stacked_inputs(53)
+        tape = ad.Tape(grad=False)
+        stacked = _BATCHED_OPS[name](tape, tape.tensor(a_arr), tape.tensor(b_arr)).data
+        for k in range(2):
+            member = _OPS[name](tape, tape.tensor(a_arr[k]), tape.tensor(b_arr[k])).data
+            np.testing.assert_allclose(stacked[k], member, rtol=0, atol=1e-12)
+
+    # shared operands broadcast across the member axis; their gradients sum
+    # over it
+    SHARED = {
+        "matmul, shared weight": (lambda t, x, W: ad.matmul(x, W), [(2, 3, 4), (4, 3)]),
+        "matmul, shared input": (lambda t, x, W: ad.matmul(x, W), [(3, 4), (2, 4, 3)]),
+        "matmul, size-1 batch": (lambda t, x, W: ad.matmul(x, W), [(2, 3, 4), (1, 4, 3)]),
+        "affine, shared weight": (lambda t, x, W, b: ad.affine(x, W, b),
+                                  [(2, 3, 4), (4, 3), (2, 1, 3)]),
+        "affine, shared input and bias": (lambda t, x, W, b: ad.affine(x, W, b),
+                                          [(1, 4), (2, 4, 3), (1, 3)]),
+        "affine, batched bias only": (lambda t, x, W, b: ad.affine(x, W, b),
+                                      [(3, 4), (4, 3), (2, 1, 3)]),
+        "lstm_cell, shared cell": (lambda t, p, c: ad.lstm_cell(p, c), [(2, 3, 8), (3, 2)]),
+        "lstm_cell, shared pre": (lambda t, p, c: ad.lstm_cell(p, c), [(3, 10), (2, 3, 2)]),
+        "transpose, two leading axes": (lambda t, x: ad.transpose(x), [(2, 2, 3, 4)]),
+        "get_row, two leading axes": (lambda t, x: ad.get_row(x, 2), [(2, 2, 3, 4)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHARED))
+    def test_shared_operand_gradients_vs_fd(self, case):
+        build, shapes = self.SHARED[case]
+        rng = np.random.default_rng(54)
+        _check_fd(build, [rng.normal(size=s) for s in shapes])
+
+    def test_transpose_swaps_last_two_axes(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        out = ad.transpose(ad.Tape(grad=False).tensor(x)).data
+        assert np.array_equal(out, x.swapaxes(1, 2))
+
+    def test_batch_axes_must_broadcast(self):
+        tape = ad.Tape()
+        x, W = tape.tensor(np.zeros((2, 3, 4))), tape.tensor(np.zeros((3, 4, 5)))
+        with pytest.raises(ad.ShapeError):
+            ad.matmul(x, W)
+        with pytest.raises(ad.ShapeError):
+            ad.affine(x, W, tape.tensor(np.zeros((1, 5))))
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_cell(tape.tensor(np.zeros((2, 3, 8))), tape.tensor(np.zeros((3, 3, 2))))
+        with pytest.raises(ad.ShapeError):
+            ad.get_row(tape.tensor(np.zeros((2, 3, 4))), 3)

@@ -4,6 +4,7 @@ import pytest
 from seqgan import autodiff as ad
 from seqgan import captioner as cap
 from conftest import central_difference, rel_err
+from helpers import per_member_decode
 
 
 def tiny_config(**kw):
@@ -263,6 +264,42 @@ class TestEnsembleDecode:
         p2 = cap.init_params(tiny_config(hidden_dim=6), 0)
         with pytest.raises(cap.InputError):
             cap.ensemble_decode([p1, p2], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n_models", [1, 2, 3])
+    @pytest.mark.parametrize("attention", cap.ATTENTION_MODES)
+    def test_stacked_bind_matches_per_member_loop(self, attention, n_models):
+        config = tiny_config(vocab_size=7, hidden_dim=5, num_crops=3, max_len=6,
+                             attention=attention)
+        for seed in range(4):
+            models = [cap.init_params(config, 60 + 7 * seed + k) for k in range(n_models)]
+            feats = rand_feats(config, np.random.default_rng(seed))
+            steps = []
+
+            def pick(probs):
+                steps.append(probs.copy())
+                return int(np.argmax(probs))
+
+            seq = cap._decode(models, feats, pick)
+            oracle_seq, oracle_steps = per_member_decode(models, feats)
+            assert cap.ensemble_decode(models, feats) == seq == oracle_seq
+            assert len(steps) == len(oracle_steps)
+            for got, want in zip(steps, oracle_steps):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_stacked_bind_rejects_mismatched_arrays(self):
+        config = tiny_config()
+        p1, p2 = cap.init_params(config, 0), cap.init_params(config, 1)
+        feats = rand_feats(config, np.random.default_rng(0))
+        wide = p2.copy()
+        wide.arrays["out_b"] = np.zeros((1, config.vocab_size + 1))
+        short = p2.copy()
+        del short.arrays["attn_b"]
+        renamed = p2.copy()
+        renamed.arrays["extra"] = renamed.arrays.pop("attn_b")
+        for bad in (wide, short, renamed):
+            with pytest.raises(cap.InputError, match="names and shapes"):
+                cap.ensemble_decode([p1, bad], feats)
 
     def test_two_model_average_matches_hand_average(self):
         config = tiny_config(vocab_size=5, max_len=4)

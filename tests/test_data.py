@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqgan import autodiff as ad
 from seqgan import data as dat
@@ -148,7 +149,7 @@ def split_container(blob):
 def join_container(sections):
     chunks = [b"SGCK", struct.pack("<II", 1, len(sections))]
     for name, payload in sections:
-        nb = name.encode()
+        nb = name if isinstance(name, bytes) else name.encode()
         chunks += [struct.pack("<H", len(nb)), nb, struct.pack("<Q", len(payload))]
     return b"".join(chunks + [payload for _, payload in sections])
 
@@ -285,6 +286,79 @@ class TestCheckpoint:
         with pytest.raises(dat.FormatError, match="meta"):
             dat.load_checkpoint(bad)
 
+    def test_non_utf8_section_name_is_format_error(self, tmp_path):
+        bad = self._rebuilt(tmp_path, lambda secs: join_container(secs + [(b"\xffx", b"")]))
+        with pytest.raises(dat.FormatError, match="UTF-8"):
+            dat.load_checkpoint(bad)
+
+    @pytest.mark.parametrize("section,name", [
+        ("gen", b"embed"), ("disc", b"head_M"), ("gen_opt", b"__step"), ("aux", b"cca_sigma")])
+    def test_non_utf8_tensor_name_is_format_error(self, tmp_path, section, name):
+        broken = b"\xff" + name[1:]
+        bad = self._rebuilt(tmp_path, lambda secs: join_container(
+            [(n, p.replace(name, broken, 1) if n == section else p) for n, p in secs]))
+        with pytest.raises(dat.FormatError, match="UTF-8"):
+            dat.load_checkpoint(bad)
+
+    @staticmethod
+    def _edit_meta(edit):
+        def rebuild(secs):
+            meta = json.loads(secs[0][1])
+            edit(meta)
+            return join_container([("meta", json.dumps(meta).encode())] + secs[1:])
+        return rebuild
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["captioner_config"].update(bogus=1),
+        lambda m: m["captioner_config"].pop("vocab_size"),
+        lambda m: m["captioner_config"].update(hidden_dim=0),
+        lambda m: m["captioner_config"].update(hidden_dim=4.0),
+        lambda m: m.update(captioner_config=[7, 4]),
+        lambda m: m["discriminator"]["config"].update(bogus=1),
+        lambda m: m["discriminator"]["config"].pop("vocab_size"),
+        lambda m: m["discriminator"]["config"].update(num_crops="two"),
+        lambda m: m["discriminator"]["config"].update(num_crops=True),
+        lambda m: m["discriminator"].pop("config"),
+        lambda m: m.update(discriminator="jointemb"),
+    ], ids=["gen-unknown-key", "gen-missing-key", "gen-bad-value", "gen-float",
+            "gen-not-object", "disc-unknown-key", "disc-missing-key", "disc-str",
+            "disc-bool", "disc-no-config", "disc-not-object"])
+    def test_malformed_model_config_is_format_error(self, tmp_path, edit):
+        with pytest.raises(dat.FormatError, match="meta"):
+            dat.load_checkpoint(self._rebuilt(tmp_path, self._edit_meta(edit)))
+
+    @pytest.mark.parametrize("edit,section", [
+        (lambda m: m["captioner_config"].update(hidden_dim=5), "gen"),
+        (lambda m: m["captioner_config"].update(vocab_size=8), "gen"),
+        (lambda m: m["discriminator"]["config"].update(hidden_dim=5), "disc"),
+        (lambda m: m["discriminator"].update(variant="coatt"), "disc"),
+    ], ids=["gen-hidden", "gen-vocab", "disc-hidden", "disc-variant"])
+    def test_arrays_not_matching_the_config_are_format_error(self, tmp_path, edit, section):
+        with pytest.raises(dat.FormatError, match=f"section '{section}'"):
+            dat.load_checkpoint(self._rebuilt(tmp_path, self._edit_meta(edit)))
+
+    @pytest.mark.parametrize("change", ["drop", "add", "reshape"])
+    @pytest.mark.parametrize("section", ["gen", "disc"])
+    def test_model_table_not_matching_the_config_is_format_error(self, tmp_path, section,
+                                                                  change):
+        def edit(secs):
+            out = []
+            for n, p in secs:
+                if n == section:
+                    arrays = dat._unpack_table(p, 0)
+                    if change == "drop":
+                        del arrays["embed"]
+                    elif change == "add":
+                        arrays["extra"] = np.zeros((1, 1))
+                    else:
+                        arrays["embed"] = arrays["embed"].reshape(1, -1)
+                    p = dat._pack_table(arrays)
+                out.append((n, p))
+            return join_container(out)
+
+        with pytest.raises(dat.FormatError, match=f"section '{section}'"):
+            dat.load_checkpoint(self._rebuilt(tmp_path, edit))
+
     def test_save_over_an_existing_file_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "k.ckpt"
         dat.save_checkpoint(path, self._make())
@@ -347,3 +421,32 @@ def test_truncation_at_any_offset_raises_only_format_errors(cut):
             fh.write(_REAL_CKPT[:cut])
         with pytest.raises(dat.FormatError):  # VersionError is a FormatError
             dat.load_checkpoint(path)
+
+
+_TABLES = st.dictionaries(
+    st.text(max_size=10),
+    st.lists(st.integers(0, 3), max_size=3).flatmap(
+        lambda shape: hnp.arrays(np.float64, tuple(shape),
+                                 elements=st.floats(allow_nan=True, allow_infinity=True))),
+    max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(aux=_TABLES, m=_TABLES, v=_TABLES, step=st.integers(0, 2**40),
+       hidden=st.integers(1, 3), variant=st.sampled_from(disc.VARIANTS))
+def test_save_load_save_is_byte_identical_for_random_tables(aux, m, v, step, hidden,
+                                                            variant):
+    gcfg = CaptionerConfig(vocab_size=5, hidden_dim=hidden, num_crops=2, feature_dim=3)
+    dcfg = disc.DiscriminatorConfig(vocab_size=5, hidden_dim=hidden + 1, num_crops=2,
+                                    feature_dim=3)
+    ckpt = dat.Checkpoint(
+        captioner=init_params(gcfg, step % 7),
+        discriminator=disc.init_discriminator(dcfg, step % 5, variant),
+        gen_opt=tr.AdamState(m=m, v=v, step=step), disc_opt=None,
+        config={"seed": step}, rng_state=None, epoch=step % 9, aux=aux)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+        dat.save_checkpoint(first, ckpt)
+        dat.save_checkpoint(second, dat.load_checkpoint(first))
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
