@@ -162,7 +162,7 @@ def _unbroadcast(grad, shape):
 
 def _mT(v):
     """Swap the last two axes (``v.T`` for a matrix)."""
-    return v.T if v.ndim == 2 else v.swapaxes(-1, -2)
+    return v.swapaxes(-1, -2)
 
 
 def _check_matmul(name, av, bv):
@@ -186,12 +186,8 @@ def matmul(a, b) -> Tensor:
     if not tape.grad:
         return Tensor(tape, None, out)
 
-    if out.ndim == 2:
-        def vjp(g):
-            return g @ bv.T, av.T @ g
-    else:
-        def vjp(g):
-            return _unbroadcast(g @ _mT(bv), av.shape), _unbroadcast(_mT(av) @ g, bv.shape)
+    def vjp(g):
+        return _unbroadcast(g @ _mT(bv), av.shape), _unbroadcast(_mT(av) @ g, bv.shape)
 
     return tape._record(out, (a.index, b.index), vjp)
 
@@ -213,13 +209,9 @@ def affine(x, W, b) -> Tensor:
     if not tape.grad:
         return Tensor(tape, None, out)
 
-    if out.ndim == 2:
-        def vjp(g):
-            return g @ Wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
-    else:
-        def vjp(g):
-            return (_unbroadcast(g @ _mT(Wv), xv.shape),
-                    _unbroadcast(_mT(xv) @ g, Wv.shape), _unbroadcast(g, bv.shape))
+    def vjp(g):
+        return (_unbroadcast(g @ _mT(Wv), xv.shape),
+                _unbroadcast(_mT(xv) @ g, Wv.shape), _unbroadcast(g, bv.shape))
 
     return tape._record(out, (x.index, W.index, b.index), vjp)
 

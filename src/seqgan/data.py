@@ -23,6 +23,8 @@ import contextlib
 import json
 import os
 import struct
+import types
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -368,13 +370,26 @@ def _config_from_meta(cls, raw, what: str):
     except (TypeError, InputError) as err:
         raise FormatError(f"{what} is not a valid {cls.__name__}: {err}",
                           offset=12) from None
-    # field annotations are strings (``from __future__ import annotations``)
+    hints = typing.get_type_hints(cls)
     wrong = [f.name for f in fields(config)
-             if type(getattr(config, f.name)).__name__ != f.type]
+             if not _has_type(getattr(config, f.name), hints[f.name])]
     if wrong:
         raise FormatError(f"{what} has values of the wrong type: {', '.join(wrong)}",
                           offset=12)
     return config
+
+
+def _has_type(value, hint) -> bool:
+    """``isinstance`` for a JSON value and a field's type hint: a bool is not an
+    int, an int is a float, and a union matches any of its members."""
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, origin or hint)
 
 
 def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict, section: str, offset: int):

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import make_dataclass
 
 import numpy as np
 import pytest
@@ -326,6 +327,17 @@ class TestCheckpoint:
     def test_malformed_model_config_is_format_error(self, tmp_path, edit):
         with pytest.raises(dat.FormatError, match="meta"):
             dat.load_checkpoint(self._rebuilt(tmp_path, self._edit_meta(edit)))
+
+    def test_config_type_check_follows_the_annotations(self):
+        # class annotations here are real types, not strings
+        cfg = make_dataclass("Cfg", [("n", int), ("rate", float), ("cap", int | None),
+                                     ("flag", bool)])
+        ok = {"n": 2, "rate": 1, "cap": None, "flag": False}
+        assert dat._config_from_meta(cfg, ok, "cfg") == cfg(2, 1, None, False)
+        assert dat._config_from_meta(cfg, dict(ok, cap=3, rate=0.5), "cfg").cap == 3
+        for bad in ({"n": True}, {"n": 2.0}, {"rate": "1"}, {"cap": True}, {"flag": 1}):
+            with pytest.raises(dat.FormatError, match="wrong type"):
+                dat._config_from_meta(cfg, dict(ok, **bad), "cfg")
 
     @pytest.mark.parametrize("edit,section", [
         (lambda m: m["captioner_config"].update(hidden_dim=5), "gen"),
