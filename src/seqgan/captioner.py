@@ -167,7 +167,7 @@ class BoundCaptioner:
     or several stacked output rows to word scores in one affine node.
 
     The arrays of ``params`` may carry a leading member axis (M x ...,
-    built by ``_stack_members``): the bound model then runs M same-config
+    built by ``stack_members``): the bound model then runs M same-config
     models as one, every tensor of a step carries the member axis (the zero
     state is M x 1 x m), and each step is one set of nodes for all members.
     """
@@ -311,9 +311,15 @@ def _argmax(probs) -> int:
     return int(np.argmax(probs))
 
 
-def _stack_members(params_list: list[CaptionerParams]) -> CaptionerParams:
+def stack_members(params_list: list[CaptionerParams]) -> CaptionerParams:
     """The models of ``params_list`` as one, every array stacked on a leading
-    member axis; a single model is returned as is."""
+    member axis; a single model is returned as is.
+
+    Stacked parameters decode as the ensemble of their members: pass them to
+    ``greedy_decode``.
+    """
+    if not params_list:
+        raise InputError("ensemble needs at least one model")
     first = params_list[0]
     if len(params_list) == 1:
         return first
@@ -329,13 +335,13 @@ def _stack_members(params_list: list[CaptionerParams]) -> CaptionerParams:
                             for name in shapes})
 
 
-def _decode(params_list: list[CaptionerParams], image_feats, pick) -> TokenSequence:
-    """The one decode loop: all models are bound as one stacked model and
-    advance together on the previous word, their word distributions are
-    averaged over the member axis (a single model's is used as is), and
-    ``pick(probs_row) -> token id`` chooses the next word."""
-    config = params_list[0].config
-    bound = BoundCaptioner(ad.Tape(grad=False), _stack_members(params_list))
+def _decode(params: CaptionerParams, image_feats, pick) -> TokenSequence:
+    """The one decode loop.  ``params`` may be stacked (``stack_members``):
+    the members then advance together on the previous word and their word
+    distributions are averaged over the member axis (a single model's is
+    used as is); ``pick(probs_row) -> token id`` chooses the next word."""
+    config = params.config
+    bound = BoundCaptioner(ad.Tape(grad=False), params)
     feats_proj = bound.project_feats(image_feats)
     h, c, ctx = bound.zero_state()
     prev = config.bos_id
@@ -354,8 +360,11 @@ def _decode(params_list: list[CaptionerParams], image_feats, pick) -> TokenSeque
 
 
 def greedy_decode(params: CaptionerParams, image_feats) -> TokenSequence:
-    """Argmax decode (ties toward the lowest id); stops at EOS or max_len."""
-    return _decode([params], image_feats, _argmax)
+    """Argmax decode (ties toward the lowest id); stops at EOS or max_len.
+
+    Parameters stacked by ``stack_members`` decode as an ensemble.
+    """
+    return _decode(params, image_feats, _argmax)
 
 
 def sample_sentence(params: CaptionerParams, image_feats, rng: np.random.Generator):
@@ -369,7 +378,7 @@ def sample_sentence(params: CaptionerParams, image_feats, rng: np.random.Generat
         log_p += float(np.log(probs[tok]))
         return tok
 
-    seq = _decode([params], image_feats, pick)
+    seq = _decode(params, image_feats, pick)
     return seq, log_p
 
 
@@ -380,7 +389,7 @@ def log_prob(params: CaptionerParams, image_feats, seq: TokenSequence) -> float:
 
 
 def ensemble_decode(params_list: list[CaptionerParams], image_feats) -> TokenSequence:
-    """Average the per-step word distributions of several models, then argmax."""
-    if not params_list:
-        raise InputError("ensemble needs at least one model")
-    return _decode(params_list, image_feats, _argmax)
+    """Average the per-step word distributions of several models, then argmax:
+    ``greedy_decode(stack_members(params_list), image_feats)``.  To decode
+    many images, stack the members once and call ``greedy_decode``."""
+    return _decode(stack_members(params_list), image_feats, _argmax)

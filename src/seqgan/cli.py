@@ -19,12 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as dat
 from . import discriminator as disc
 from . import metrics as met
 from . import training as tr
-from .captioner import (CaptionerConfig, CaptionerParams, TokenSequence,
-                        ensemble_decode, greedy_decode, init_params)
+# ensemble_decode is not called here; bench/test_bench.py checks that the
+# tracer rebinds it as cli.ensemble_decode too
+from .captioner import (CaptionerConfig, CaptionerParams, TokenSequence,  # noqa: F401
+                        ensemble_decode, greedy_decode, init_params, stack_members)
 
 logger = logging.getLogger(__name__)
 
@@ -204,6 +207,13 @@ class SemanticScorer:
         return SemanticScorer(embed=aux["sem_embed"], model=model)
 
 
+def checkpoint_idf(ckpt: dat.Checkpoint, dataset) -> met.NGramIdf:
+    """The CIDEr idf stored in the checkpoint's aux; checkpoints written
+    before it was stored get it refitted over the train split."""
+    idf = met.NGramIdf.from_aux(ckpt.aux)
+    return idf if idf is not None else met.fit_idf([refs for _, refs in dataset.train])
+
+
 def fit_semantic_scorer(g_params: CaptionerParams, dataset, rank: int) -> SemanticScorer:
     embed = g_params.arrays["embed"].copy()
     scorer = SemanticScorer(embed=embed, model=None)
@@ -221,9 +231,10 @@ def fit_semantic_scorer(g_params: CaptionerParams, dataset, rank: int) -> Semant
 
 
 def decode_split(models: list[CaptionerParams], examples) -> list[TokenSequence]:
-    if len(models) == 1:
-        return [greedy_decode(models[0], scene.features) for scene, _ in examples]
-    return [ensemble_decode(models, scene.features) for scene, _ in examples]
+    """Greedy captions of a split; several models decode as their ensemble,
+    stacked once for the whole split."""
+    stacked = stack_members(models)
+    return [greedy_decode(stacked, scene.features) for scene, _ in examples]
 
 
 def split_metrics(cfg: ExperimentConfig, models, examples, idf, scorer,
@@ -283,7 +294,7 @@ def cmd_train(config_path, seed_override=None, out_dir=None) -> int:
 
     checkpoints, records = tr.train_gan(g_params, d_params, dataset.train, gcfg,
                                         idf=idf, epoch_hook=epoch_hook,
-                                        aux=scorer.to_aux())
+                                        aux=scorer.to_aux() | idf.to_aux())
     # the output path is environment, not experiment identity; keeping it out
     # of the checkpoint makes checkpoint bytes location-independent
     persisted = {k: v for k, v in cfg.raw.items() if k != "out_dir"}
@@ -316,9 +327,10 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
         raise ConfigError(f"unknown split {split!r} (expected val, test or ooc)")
     examples = dataset.split(split)
     scorer = SemanticScorer.from_aux(first.aux)
-    idf = met.fit_idf([refs for _, refs in dataset.train])
+    idf = checkpoint_idf(first, dataset)
 
     decoded = decode_split(models, examples)
+    bound_d = disc.BoundDiscriminator(ad.Tape(grad=False), first.discriminator)
     rows = []
     for seq, (scene, refs) in zip(decoded, examples):
         rows.append({
@@ -326,7 +338,7 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
             "caption": dataset.vocab.decode(seq.tokens),
             "cider": met.cider_d(seq, refs, idf),
             "semantic_score": scorer.score(seq, scene.features) if scorer else 0.0,
-            "d_score": disc.score(first.discriminator, scene.features, seq),
+            "d_score": bound_d.score_sequence(scene.features, seq)["score"].item(),
         })
     report = met.ScoreReport(
         cider=float(np.mean([r["cider"] for r in rows])),
@@ -364,7 +376,7 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
     if seed_override is not None:
         cfg.raw["seed"] = int(seed_override)
     dataset = build_dataset(cfg)
-    idf = met.fit_idf([refs for _, refs in dataset.train])
+    idf = checkpoint_idf(ckpt, dataset)
     gcfg = gan_config(cfg)
 
     results, hash_streams = {}, {}

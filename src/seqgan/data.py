@@ -33,6 +33,7 @@ from .autodiff import ParameterError  # also raised for infeasible dataset reque
 from .captioner import (CaptionerConfig, CaptionerParams, InputError, TokenSequence,
                         _param_shapes)
 from .discriminator import _SHAPES, VARIANTS, DiscriminatorConfig, DiscriminatorParams
+from .metrics import NGramIdf
 
 
 class FormatError(ValueError):
@@ -414,12 +415,25 @@ def _opt_to_table(state) -> dict[str, np.ndarray]:
     return table
 
 
-def _opt_from_table(table: dict[str, np.ndarray]):
+def _opt_from_table(table: dict[str, np.ndarray], model, section: str, offset: int):
+    """Adam state from its table: a step count and one first and one second
+    moment per array of ``model``, with that array's shape."""
     from .training import AdamState
 
-    m = {k[3:]: v for k, v in table.items() if k.startswith("m__")}
-    v = {k[3:]: v for k, v in table.items() if k.startswith("v__")}
-    return AdamState(m=m, v=v, step=int(table["__step"].item()))
+    if model is None:
+        raise FormatError(f"section {section!r} has no model in the checkpoint",
+                          offset=offset)
+    step = table.get("__step", np.zeros(0))
+    step = step.item() if step.size == 1 else np.nan  # stored as a one-element array
+    if not (np.isfinite(step) and step == np.floor(step) and step >= 0):
+        raise FormatError(f"section {section!r} lacks an integer __step >= 0",
+                          offset=offset)
+    moments = {k: v for k, v in table.items() if k != "__step"}
+    _check_shapes(moments, {prefix + name: arr.shape for prefix in ("m__", "v__")
+                            for name, arr in model.arrays.items()}, section, offset)
+    m = {k[3:]: v for k, v in moments.items() if k.startswith("m__")}
+    v = {k[3:]: v for k, v in moments.items() if k.startswith("v__")}
+    return AdamState(m=m, v=v, step=int(step))
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -552,14 +566,23 @@ def load_checkpoint(path) -> Checkpoint:
                                  "meta discriminator config")
         discriminator = DiscriminatorParams(
             dcfg, model_arrays("disc", _SHAPES[variant](dcfg)), variant)
-    gen_opt = _opt_from_table(_unpack_table(payloads["gen_opt"], starts["gen_opt"])) \
-        if "gen_opt" in payloads else None
-    disc_opt = _opt_from_table(_unpack_table(payloads["disc_opt"], starts["disc_opt"])) \
-        if "disc_opt" in payloads else None
-    aux = _unpack_table(payloads["aux"], starts["aux"]) if "aux" in payloads else {}
+    opts = {}
+    for name, model in (("gen_opt", captioner), ("disc_opt", discriminator)):
+        if name in payloads:
+            opts[name] = _opt_from_table(_unpack_table(payloads[name], starts[name]),
+                                         model, name, starts[name])
+    aux = {}
+    if "aux" in payloads:
+        aux = _unpack_table(payloads["aux"], starts["aux"])
+        try:
+            NGramIdf.from_aux(aux)
+        except InputError as err:
+            raise FormatError(f"aux idf table is malformed: {err}",
+                              offset=starts["aux"]) from None
 
     return Checkpoint(captioner=captioner, discriminator=discriminator,
-                      gen_opt=gen_opt, disc_opt=disc_opt, config=meta["config"],
+                      gen_opt=opts.get("gen_opt"), disc_opt=opts.get("disc_opt"),
+                      config=meta["config"],
                       rng_state=meta["rng_state"], epoch=meta["epoch"], aux=aux)
 
 

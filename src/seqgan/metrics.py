@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,15 +51,81 @@ def _ngram_counts(tokens: tuple, n: int) -> Counter:
 # ---------------------------------------------------------------------------
 
 
+# checkpoint aux arrays of a fitted idf: the grams as rows padded with -1,
+# their document frequencies and the corpus size
+IDF_AUX = ("idf_grams", "idf_df", "idf_docs")
+
+
 @dataclass
 class NGramIdf:
-    """Document frequencies per n-gram; one document = one image's reference set."""
+    """Document frequencies per n-gram; one document = one image's reference set.
+
+    ``idf`` computes a gram's weight once and then looks it up.
+    """
 
     doc_freq: dict[tuple, int]
     corpus_size: int
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def idf(self, gram: tuple) -> float:
-        return float(np.log(self.corpus_size / max(1, self.doc_freq.get(gram, 0))))
+        w = self._weights.get(gram)
+        if w is None:
+            w = float(np.log(self.corpus_size / max(1, self.doc_freq.get(gram, 0))))
+            self._weights[gram] = w
+        return w
+
+    def to_aux(self) -> dict:
+        """Float64 arrays for checkpoint aux (names in ``IDF_AUX``).
+
+        ``idf_grams`` holds one gram per row in ascending order, its tokens
+        followed by -1 up to ``CIDER_N`` columns; ``idf_df`` the document
+        frequency of each row; ``idf_docs`` the corpus size, as one element.
+        """
+        grams = sorted(self.doc_freq)
+        table = np.full((len(grams), CIDER_N), -1.0)
+        for i, gram in enumerate(grams):
+            table[i, : len(gram)] = gram
+        return {"idf_grams": table,
+                "idf_df": np.array([self.doc_freq[g] for g in grams], dtype=np.float64),
+                "idf_docs": np.array([float(self.corpus_size)])}
+
+    @staticmethod
+    def from_aux(aux: dict) -> "NGramIdf | None":
+        """The idf stored by ``to_aux``; None when ``aux`` holds none of its
+        arrays.  A malformed table raises ``InputError``."""
+        present = [name for name in IDF_AUX if name in aux]
+        if not present:
+            return None
+        if len(present) != len(IDF_AUX):
+            raise InputError(f"idf table needs all of {', '.join(IDF_AUX)}")
+        grams, df, docs = (np.asarray(aux[name]) for name in IDF_AUX)
+        if docs.shape != (1,) or not _whole(docs) or docs[0] < 1:
+            raise InputError("idf_docs must be one integer >= 1")
+        if grams.ndim != 2 or grams.shape[1] != CIDER_N:
+            raise InputError(f"idf_grams must have {CIDER_N} columns, "
+                             f"got shape {grams.shape}")
+        if df.shape != (grams.shape[0],):
+            raise InputError(f"idf_df has shape {df.shape}, expected one count per "
+                             f"gram ({grams.shape[0]},)")
+        if not _whole(df) or np.any(df < 1) or np.any(df > docs):
+            raise InputError("idf_df must hold integers from 1 to idf_docs")
+        is_token = grams >= 0
+        lengths = is_token.sum(axis=1)
+        if not _whole(grams) or np.any(~is_token & (grams != -1)) or np.any(lengths < 1) \
+                or np.any(is_token != (np.arange(CIDER_N) < lengths[:, None])):
+            raise InputError("idf_grams rows must be non-negative integer tokens "
+                             "followed by -1 padding")
+        rows = grams.astype(np.int64).tolist()
+        doc_freq = {tuple(row[:n]): int(f)
+                    for row, n, f in zip(rows, lengths.tolist(), df.tolist())}
+        if len(doc_freq) != len(rows):
+            raise InputError("idf_grams holds a gram twice")
+        return NGramIdf(doc_freq, int(docs[0]))
+
+
+def _whole(arr: np.ndarray) -> bool:
+    """Every value finite and integral."""
+    return bool(np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr)))
 
 
 def fit_idf(corpus) -> NGramIdf:
@@ -79,24 +145,29 @@ def fit_idf(corpus) -> NGramIdf:
 
 
 def cider_d(candidate, refs, idf: NGramIdf) -> float:
-    """Consensus tf-idf similarity with length penalty, scaled by 10."""
+    """Consensus tf-idf similarity with length penalty, scaled by 10.
+
+    The candidate's n-gram counts, weights and norm are built once per n and
+    shared by every reference.
+    """
     if not refs:
         raise InputError("reference set is empty")
     cand = _tokens(candidate)
     if not cand:
         return 0.0
     unique_refs = list(dict.fromkeys(_tokens(r) for r in refs))
+    penalties = [float(np.exp(-((len(cand) - len(rtok)) ** 2) / (2 * CIDER_SIGMA**2)))
+                 for rtok in unique_refs]
 
     per_n = np.zeros(CIDER_N)
-    for rtok in unique_refs:
-        penalty = float(np.exp(-((len(cand) - len(rtok)) ** 2) / (2 * CIDER_SIGMA**2)))
-        for n in range(1, CIDER_N + 1):
-            c_cnt = _ngram_counts(cand, n)
+    for n in range(1, CIDER_N + 1):
+        c_grams = [(g, cnt, idf.idf(g)) for g, cnt in _ngram_counts(cand, n).items()]
+        norm_c = np.sqrt(sum((cnt * w) ** 2 for _, cnt, w in c_grams))
+        for rtok, penalty in zip(unique_refs, penalties):
             r_cnt = _ngram_counts(rtok, n)
-            norm_c = np.sqrt(sum((cnt * idf.idf(g)) ** 2 for g, cnt in c_cnt.items()))
             norm_r = np.sqrt(sum((cnt * idf.idf(g)) ** 2 for g, cnt in r_cnt.items()))
-            num = sum(min(cnt, r_cnt.get(g, 0)) * idf.idf(g) * r_cnt.get(g, 0) * idf.idf(g)
-                      for g, cnt in c_cnt.items())
+            num = sum(min(cnt, r_cnt.get(g, 0)) * w * r_cnt.get(g, 0) * w
+                      for g, cnt, w in c_grams)
             if norm_c > 0 and norm_r > 0:
                 per_n[n - 1] += penalty * num / (norm_c * norm_r)
     return float(10.0 * per_n.mean() / len(unique_refs))

@@ -7,8 +7,11 @@ LSTM cells, the separate sentinel branch and the per-token log-likelihood
 that the fused models replaced, as the oracle for the fused path;
 ``composed_lstm_cell`` is the oracle for ``ad.lstm_cell``, and
 ``per_member_decode`` keeps the per-member ensemble loop as the oracle for
-the stacked ensemble bind.
+the stacked ensemble bind, and ``per_reference_cider_d`` the CIDEr-D loop
+that rebuilt the candidate side for every reference.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -119,6 +122,37 @@ def per_member_decode(params_list, image_feats):
         if prev == config.eos_id:
             break
     return TokenSequence(tokens, True), steps
+
+
+def per_reference_cider_d(candidate, refs, idf):
+    """CIDEr-D with the candidate's n-gram counts, idf weights and norm
+    rebuilt for every reference and every n, and each weight taken from
+    ``np.log`` at every lookup."""
+    def counts(tokens, n):
+        return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+    def weight(gram):
+        return float(np.log(idf.corpus_size / max(1, idf.doc_freq.get(gram, 0))))
+
+    def tokens(seq):
+        return tuple(seq.tokens if isinstance(seq, TokenSequence) else seq)
+
+    cand = tokens(candidate)
+    if not cand:
+        return 0.0
+    unique_refs = list(dict.fromkeys(tokens(r) for r in refs))
+    per_n = np.zeros(4)
+    for rtok in unique_refs:
+        penalty = float(np.exp(-((len(cand) - len(rtok)) ** 2) / (2 * 6.0**2)))
+        for n in range(1, 5):
+            c_cnt, r_cnt = counts(cand, n), counts(rtok, n)
+            norm_c = np.sqrt(sum((cnt * weight(g)) ** 2 for g, cnt in c_cnt.items()))
+            norm_r = np.sqrt(sum((cnt * weight(g)) ** 2 for g, cnt in r_cnt.items()))
+            num = sum(min(cnt, r_cnt.get(g, 0)) * weight(g) * r_cnt.get(g, 0) * weight(g)
+                      for g, cnt in c_cnt.items())
+            if norm_c > 0 and norm_r > 0:
+                per_n[n - 1] += penalty * num / (norm_c * norm_r)
+    return float(10.0 * per_n.mean() / len(unique_refs))
 
 
 class PerGateDiscriminator(BoundDiscriminator):

@@ -279,7 +279,7 @@ class TestEnsembleDecode:
                 steps.append(probs.copy())
                 return int(np.argmax(probs))
 
-            seq = cap._decode(models, feats, pick)
+            seq = cap._decode(cap.stack_members(models), feats, pick)
             oracle_seq, oracle_steps = per_member_decode(models, feats)
             assert cap.ensemble_decode(models, feats) == seq == oracle_seq
             assert len(steps) == len(oracle_steps)

@@ -1,10 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import per_member_decode
 
 from seqgan import cli
 from seqgan import data as dat
+from seqgan import metrics as met
+from seqgan.captioner import CaptionerConfig, ensemble_decode, init_params
 
 
 TINY = {
@@ -36,6 +40,25 @@ def trained_run(tmp_path_factory):
     ckpts = sorted(out.glob("ckpt-*.sgck"))
     assert ckpts
     return {"tmp": tmp, "config": config, "out": out, "ckpts": ckpts}
+
+
+def rewrite_checkpoint(src, dst, keep_idf=True, **config):
+    """Copy a checkpoint, optionally without its stored idf or with
+    top-level config sections updated."""
+    ckpt = dat.load_checkpoint(src)
+    if not keep_idf:
+        ckpt.aux = {k: v for k, v in ckpt.aux.items() if k not in met.IDF_AUX}
+    for section, values in config.items():
+        ckpt.config[section] = {**ckpt.config[section], **values}
+    dat.save_checkpoint(dst, ckpt)
+    return str(dst)
+
+
+def forbid_idf_refit(monkeypatch):
+    def refit(corpus):
+        raise AssertionError("idf refitted although the checkpoint stores it")
+
+    monkeypatch.setattr(cli.met, "fit_idf", refit)
 
 
 class TestConfigParsing:
@@ -99,11 +122,46 @@ class TestTrain:
             other = tmp_path / "run" / ckpt.name
             assert ckpt.read_bytes() == other.read_bytes()
 
+    def test_checkpoints_store_the_train_idf(self, trained_run):
+        dataset = cli.build_dataset(cli.load_config(trained_run["config"]))
+        want = met.fit_idf([refs for _, refs in dataset.train])
+        for path in trained_run["ckpts"]:
+            assert met.NGramIdf.from_aux(dat.load_checkpoint(path).aux) == want
+
     def test_checkpoint_resumes_from_disk(self, trained_run):
         ckpt = dat.load_checkpoint(trained_run["ckpts"][-1])
         assert ckpt.epoch == TINY["gan"]["epochs"]
         assert ckpt.captioner is not None and ckpt.discriminator is not None
         assert ckpt.rng_state is not None
+
+
+class TestDecodeSplit:
+    @staticmethod
+    def _models(n):
+        config = CaptionerConfig(vocab_size=9, hidden_dim=5, num_crops=3, feature_dim=4,
+                                 max_len=6)
+        return [init_params(config, 40 + k) for k in range(n)]
+
+    @pytest.mark.parametrize("n_models", [1, 2, 3])
+    def test_tokens_equal_per_image_ensemble_and_per_member_loop(self, n_models):
+        models = self._models(n_models)
+        rng = np.random.default_rng(n_models)
+        examples = [(SimpleNamespace(features=rng.normal(size=(3, 4))), None)
+                    for _ in range(8)]
+        decoded = cli.decode_split(models, examples)
+        assert len(decoded) == len(examples)
+        for seq, (scene, _) in zip(decoded, examples):
+            assert seq == ensemble_decode(models, scene.features)
+            assert seq == per_member_decode(models, scene.features)[0]
+
+    def test_members_stacked_once_per_split(self, monkeypatch):
+        calls = []
+        stack = cli.stack_members
+        monkeypatch.setattr(cli, "stack_members",
+                            lambda ms: calls.append(len(ms)) or stack(ms))
+        examples = [(SimpleNamespace(features=np.ones((3, 4)) * k), None) for k in range(5)]
+        cli.decode_split(self._models(3), examples)
+        assert calls == [3]
 
 
 class TestEval:
@@ -132,6 +190,25 @@ class TestEval:
                          "--out-dir", str(triple)]) == 0
         assert (single / "eval-val.csv").read_bytes() == \
             (triple / "eval-val.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_members", [1, 2])
+    def test_csv_same_with_and_without_stored_idf(self, trained_run, capsys, monkeypatch,
+                                                  n_members):
+        stored = [str(p) for p in trained_run["ckpts"][-n_members:]]
+        refit = [rewrite_checkpoint(p, trained_run["tmp"] / f"no-idf-{k}.sgck",
+                                    keep_idf=False) for k, p in enumerate(stored)]
+        outputs = []
+        for name, paths in (("refit", refit), ("stored", stored)):
+            if name == "stored":
+                forbid_idf_refit(monkeypatch)
+            out = trained_run["tmp"] / f"idf-{name}-{n_members}"
+            argv = ["eval", "--split", "val", "--out-dir", str(out)]
+            for path in paths:
+                argv += ["--checkpoint", path]
+            assert cli.main(argv) == 0
+            report = capsys.readouterr().out.splitlines()[0]
+            outputs.append(((out / "eval-val.csv").read_bytes(), report))
+        assert outputs[0] == outputs[1]
 
     def test_ooc_split_supported(self, trained_run):
         out = trained_run["tmp"] / "ooc"
@@ -183,6 +260,24 @@ class TestGradProbe:
             norms = np.array([float(l.split(",")[2]) for l in lines
                               if l.split(",")[1:2] == [est]])
             assert (mean, var) == (norms.mean(), norms.var())
+
+    def test_csv_same_with_and_without_stored_idf(self, trained_run, monkeypatch):
+        # a CIDEr reward makes the probe read the idf
+        cider = {"reward": "logD_plus_cider"}
+        tmp = trained_run["tmp"]
+        stored = rewrite_checkpoint(trained_run["ckpts"][-1], tmp / "probe-idf.sgck",
+                                    gan=cider)
+        refit = rewrite_checkpoint(trained_run["ckpts"][-1], tmp / "probe-no-idf.sgck",
+                                   keep_idf=False, gan=cider)
+        csvs = []
+        for name, path in (("refit", refit), ("stored", stored)):
+            if name == "stored":
+                forbid_idf_refit(monkeypatch)
+            out = tmp / f"probe-idf-{name}"
+            assert cli.main(["grad-probe", "--checkpoint", path, "--estimators", "scst",
+                             "--n-batches", "2", "--out-dir", str(out)]) == 0
+            csvs.append((out / "grad_probe.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_diverging_batch_streams_exit_1(self, trained_run, monkeypatch, capsys):
         def probe(g, d, dataset, estimator, n_batches, rng, cfg, idf=None):

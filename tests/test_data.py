@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from seqgan import autodiff as ad
 from seqgan import data as dat
 from seqgan import discriminator as disc
+from seqgan import metrics as met
 from seqgan import training as tr
 from seqgan.captioner import CaptionerConfig, init_params
 
@@ -339,6 +340,20 @@ class TestCheckpoint:
             with pytest.raises(dat.FormatError, match="wrong type"):
                 dat._config_from_meta(cfg, dict(ok, **bad), "cfg")
 
+    @staticmethod
+    def _edit_table(section, edit):
+        """Rebuild the container with ``edit(arrays)`` applied to one table."""
+        def rebuild(secs):
+            out = []
+            for n, p in secs:
+                if n == section:
+                    arrays = dat._unpack_table(p, 0)
+                    edit(arrays)
+                    p = dat._pack_table(arrays)
+                out.append((n, p))
+            return join_container(out)
+        return rebuild
+
     @pytest.mark.parametrize("edit,section", [
         (lambda m: m["captioner_config"].update(hidden_dim=5), "gen"),
         (lambda m: m["captioner_config"].update(vocab_size=8), "gen"),
@@ -353,23 +368,102 @@ class TestCheckpoint:
     @pytest.mark.parametrize("section", ["gen", "disc"])
     def test_model_table_not_matching_the_config_is_format_error(self, tmp_path, section,
                                                                   change):
-        def edit(secs):
-            out = []
-            for n, p in secs:
-                if n == section:
-                    arrays = dat._unpack_table(p, 0)
-                    if change == "drop":
-                        del arrays["embed"]
-                    elif change == "add":
-                        arrays["extra"] = np.zeros((1, 1))
-                    else:
-                        arrays["embed"] = arrays["embed"].reshape(1, -1)
-                    p = dat._pack_table(arrays)
-                out.append((n, p))
-            return join_container(out)
+        def edit(arrays):
+            if change == "drop":
+                del arrays["embed"]
+            elif change == "add":
+                arrays["extra"] = np.zeros((1, 1))
+            else:
+                arrays["embed"] = arrays["embed"].reshape(1, -1)
 
         with pytest.raises(dat.FormatError, match=f"section '{section}'"):
-            dat.load_checkpoint(self._rebuilt(tmp_path, edit))
+            dat.load_checkpoint(self._rebuilt(tmp_path, self._edit_table(section, edit)))
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.pop("__step"),
+        lambda t: t.update(__step=np.array([1.5])),
+        lambda t: t.update(__step=np.array([-1.0])),
+        lambda t: t.update(__step=np.array([np.nan])),
+        lambda t: t.update(__step=np.zeros(2)),
+        lambda t: t.update(m__embed=np.zeros((2, 2))),
+        lambda t: t.update(v__embed=t["v__embed"].reshape(1, -1)),
+        lambda t: t.pop("v__embed"),
+        lambda t: t.update(m__bogus=t.pop("m__embed")),
+        lambda t: t.update(extra=np.zeros(1)),
+    ], ids=["no-step", "fractional-step", "negative-step", "nan-step", "two-steps",
+            "m-shape", "v-shape", "v-missing", "m-renamed", "stray-entry"])
+    @pytest.mark.parametrize("section", ["gen_opt", "disc_opt"])
+    def test_adam_table_not_matching_the_model_is_format_error(self, tmp_path, section,
+                                                               edit):
+        with pytest.raises(dat.FormatError, match=f"section '{section}'"):
+            dat.load_checkpoint(self._rebuilt(tmp_path, self._edit_table(section, edit)))
+
+    def test_adam_table_without_its_model_is_format_error(self, tmp_path):
+        def drop_gen(secs):
+            meta = json.loads(secs[0][1])
+            meta["captioner_config"] = None
+            return join_container([("meta", json.dumps(meta).encode())]
+                                  + [(n, p) for n, p in secs[1:] if n != "gen"])
+
+        with pytest.raises(dat.FormatError, match="section 'gen_opt'"):
+            dat.load_checkpoint(self._rebuilt(tmp_path, drop_gen))
+
+    def test_adam_moments_round_trip(self, tmp_path):
+        ckpt = self._make()
+        ckpt.gen_opt.step = 12
+        ckpt.gen_opt.m["embed"] += 0.25
+        path = tmp_path / "adam.ckpt"
+        dat.save_checkpoint(path, ckpt)
+        loaded = dat.load_checkpoint(path).gen_opt
+        assert loaded.step == 12
+        assert sorted(loaded.m) == sorted(loaded.v) == sorted(ckpt.captioner.arrays)
+        np.testing.assert_array_equal(loaded.m["embed"], ckpt.gen_opt.m["embed"])
+
+    def _with_idf(self):
+        ckpt = self._make()
+        idf = met.fit_idf([[[2, 3, 4, 1], [2, 5, 1]], [[3, 4, 1]], [[6, 2, 3, 1]]])
+        ckpt.aux.update(idf.to_aux())
+        return ckpt, idf
+
+    def test_idf_aux_round_trip(self, tmp_path):
+        ckpt, idf = self._with_idf()
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        dat.save_checkpoint(p1, ckpt)
+        loaded = dat.load_checkpoint(p1)
+        assert met.NGramIdf.from_aux(loaded.aux) == idf
+        np.testing.assert_array_equal(loaded.aux["cca_sigma"], [0.5, 0.25])
+        dat.save_checkpoint(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a["idf_grams"].__setitem__((0, 0), 2.5),
+        lambda a: a["idf_grams"].__setitem__((0, 0), np.nan),
+        lambda a: a["idf_grams"].__setitem__((0, 0), -2.0),
+        lambda a: a["idf_grams"].__setitem__((0, 0), -1.0),
+        lambda a: a["idf_grams"].__setitem__((-1, 1), -1.0),
+        lambda a: a.update(idf_grams=a["idf_grams"][:, :3]),
+        lambda a: a["idf_df"].__setitem__(0, 0.0),
+        lambda a: a["idf_df"].__setitem__(0, a["idf_docs"][0] + 1),
+        lambda a: a["idf_df"].__setitem__(0, 1.5),
+        lambda a: a.update(idf_df=a["idf_df"][:-1]),
+        lambda a: a["idf_grams"].__setitem__(1, a["idf_grams"][0]),
+        lambda a: a.update(idf_docs=np.array([0.0])),
+        lambda a: a.update(idf_docs=np.array([3.5])),
+        lambda a: a.update(idf_docs=np.array([3.0, 3.0])),
+        lambda a: a.pop("idf_df"),
+    ], ids=["fractional-token", "nan-token", "negative-token", "empty-gram", "gap-in-gram",
+            "three-columns", "df-zero", "df-above-corpus", "fractional-df",
+            "mismatched-lengths", "duplicate-gram", "no-documents", "fractional-corpus",
+            "two-corpus-sizes", "df-missing"])
+    def test_malformed_idf_table_is_format_error(self, tmp_path, edit):
+        ckpt, _ = self._with_idf()
+        aux = {k: v.copy() for k, v in ckpt.aux.items()}
+        edit(aux)
+        ckpt.aux = aux
+        path = tmp_path / "idf.ckpt"
+        dat.save_checkpoint(path, ckpt)
+        with pytest.raises(dat.FormatError, match="idf"):
+            dat.load_checkpoint(path)
 
     def test_save_over_an_existing_file_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "k.ckpt"
@@ -435,26 +529,31 @@ def test_truncation_at_any_offset_raises_only_format_errors(cut):
             dat.load_checkpoint(path)
 
 
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 _TABLES = st.dictionaries(
     st.text(max_size=10),
     st.lists(st.integers(0, 3), max_size=3).flatmap(
-        lambda shape: hnp.arrays(np.float64, tuple(shape),
-                                 elements=st.floats(allow_nan=True, allow_infinity=True))),
+        lambda shape: hnp.arrays(np.float64, tuple(shape), elements=_FLOATS)),
     max_size=4)
 
 
 @settings(max_examples=100, deadline=None)
-@given(aux=_TABLES, m=_TABLES, v=_TABLES, step=st.integers(0, 2**40),
-       hidden=st.integers(1, 3), variant=st.sampled_from(disc.VARIANTS))
-def test_save_load_save_is_byte_identical_for_random_tables(aux, m, v, step, hidden,
-                                                            variant):
+@given(aux=_TABLES, step=st.integers(0, 2**40), hidden=st.integers(1, 3),
+       variant=st.sampled_from(disc.VARIANTS), data=st.data())
+def test_save_load_save_is_byte_identical_for_random_tables(aux, step, hidden, variant,
+                                                            data):
     gcfg = CaptionerConfig(vocab_size=5, hidden_dim=hidden, num_crops=2, feature_dim=3)
     dcfg = disc.DiscriminatorConfig(vocab_size=5, hidden_dim=hidden + 1, num_crops=2,
                                     feature_dim=3)
+    g = init_params(gcfg, step % 7)
+
+    def moments():  # Adam moments must match the model's arrays
+        return {name: data.draw(hnp.arrays(np.float64, arr.shape, elements=_FLOATS))
+                for name, arr in g.arrays.items()}
+
     ckpt = dat.Checkpoint(
-        captioner=init_params(gcfg, step % 7),
-        discriminator=disc.init_discriminator(dcfg, step % 5, variant),
-        gen_opt=tr.AdamState(m=m, v=v, step=step), disc_opt=None,
+        captioner=g, discriminator=disc.init_discriminator(dcfg, step % 5, variant),
+        gen_opt=tr.AdamState(m=moments(), v=moments(), step=step), disc_opt=None,
         config={"seed": step}, rng_state=None, epoch=step % 9, aux=aux)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import per_reference_cider_d
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgan import metrics as met
 from seqgan.captioner import InputError, TokenSequence
@@ -128,6 +131,65 @@ class TestCiderD:
         for cand in itertools.product((2, 3, 4), repeat=3):
             s = met.cider_d(cand, [ref], toy_idf)
             assert 0.0 <= s <= best + 1e-12
+
+
+class TestCiderDCandidateOnce:
+    """The candidate side is built once per n; values equal the loop that
+    rebuilt it for every reference."""
+
+    @pytest.mark.parametrize("cand,refs", [
+        ([], [[2, 3, 4]]),
+        ([2, 3, 4, 1], [[2, 3, 4, 5, 1], [2, 3, 4, 5, 1], [2, 3, 6, 1]]),
+        ([20, 21, 3, 22, 1], [[20, 21, 22, 1], [3, 22, 21, 20, 1]]),
+        ([2, 3, 4, 5, 6, 7, 8, 9, 2, 3, 4, 1], [[2, 3, 1], [4, 5, 6, 1], [9, 2, 1]]),
+    ], ids=["empty-candidate", "duplicate-references", "grams-missing-from-idf",
+            "candidate-longer-than-every-reference"])
+    def test_equals_per_reference_loop(self, toy_idf, cand, refs):
+        assert met.cider_d(cand, refs, toy_idf) == per_reference_cider_d(cand, refs, toy_idf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=st.lists(st.lists(st.lists(st.integers(1, 8), max_size=8),
+                                    min_size=1, max_size=3), min_size=1, max_size=5),
+           cand=st.lists(st.integers(1, 9), max_size=12),
+           refs=st.lists(st.lists(st.integers(1, 9), max_size=10), min_size=1, max_size=5))
+    def test_random_sets_equal_per_reference_loop(self, corpus, cand, refs):
+        idf = met.fit_idf(corpus)
+        assert met.cider_d(cand, refs, idf) == per_reference_cider_d(cand, refs, idf)
+        # a second call reads the weights memoized by the first
+        assert met.cider_d(cand, refs, idf) == per_reference_cider_d(cand, refs, idf)
+
+    def test_weight_is_the_log_ratio_and_equality_ignores_the_memo(self, toy_idf):
+        fresh = met.NGramIdf(dict(toy_idf.doc_freq), toy_idf.corpus_size)
+        for gram in [(2,), (2, 3), (7, 9, 8), (40,)]:
+            want = float(np.log(toy_idf.corpus_size / max(1, toy_idf.doc_freq.get(gram, 0))))
+            assert toy_idf.idf(gram) == want
+            assert toy_idf.idf(gram) == want  # memoized
+        assert fresh == toy_idf
+
+
+class TestIdfAux:
+    def test_round_trip(self, toy_idf):
+        aux = toy_idf.to_aux()
+        assert sorted(aux) == sorted(met.IDF_AUX)
+        assert all(a.dtype == np.float64 for a in aux.values())
+        assert met.NGramIdf.from_aux(aux) == toy_idf
+        rows = [tuple(int(t) for t in row if t >= 0) for row in aux["idf_grams"]]
+        assert rows == sorted(toy_idf.doc_freq)
+        assert aux["idf_docs"].tolist() == [toy_idf.corpus_size]
+
+    def test_grams_sorted_whatever_the_fit_order(self, toy_idf):
+        shuffled = met.NGramIdf(dict(reversed(list(toy_idf.doc_freq.items()))),
+                                toy_idf.corpus_size)
+        for name, arr in shuffled.to_aux().items():
+            assert arr.tobytes() == toy_idf.to_aux()[name].tobytes(), name
+
+    def test_absent_table_is_none(self):
+        assert met.NGramIdf.from_aux({}) is None
+        assert met.NGramIdf.from_aux({"sem_U": np.zeros((2, 2))}) is None
+
+    def test_empty_table_round_trips(self):
+        empty = met.fit_idf([[[]]])
+        assert met.NGramIdf.from_aux(empty.to_aux()) == empty
 
 
 class TestBleuRouge:
