@@ -237,6 +237,16 @@ def decode_split(models: list[CaptionerParams], examples) -> list[TokenSequence]
     return [greedy_decode(stacked, scene.features) for scene, _ in examples]
 
 
+def _split_d_scores(d_params, decoded, examples) -> list[float]:
+    """Discriminator score of each decoded caption against its image, the
+    whole split scored as one batch."""
+    if not decoded:
+        return []
+    bound = disc.BoundDiscriminator(ad.Tape(grad=False), d_params)
+    feats = np.array([scene.features for scene, _ in examples])
+    return bound.score_sequence(feats, decoded)["score"].data.tolist()
+
+
 def split_metrics(cfg: ExperimentConfig, models, examples, idf, scorer,
                   vocab_size) -> dict:
     toggles = cfg.raw["metrics"]
@@ -330,15 +340,15 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
     idf = checkpoint_idf(first, dataset)
 
     decoded = decode_split(models, examples)
-    bound_d = disc.BoundDiscriminator(ad.Tape(grad=False), first.discriminator)
+    d_scores = _split_d_scores(first.discriminator, decoded, examples)
     rows = []
-    for seq, (scene, refs) in zip(decoded, examples):
+    for seq, (scene, refs), d_score in zip(decoded, examples, d_scores):
         rows.append({
             "image_id": scene.image_id,
             "caption": dataset.vocab.decode(seq.tokens),
             "cider": met.cider_d(seq, refs, idf),
             "semantic_score": scorer.score(seq, scene.features) if scorer else 0.0,
-            "d_score": bound_d.score_sequence(scene.features, seq)["score"].item(),
+            "d_score": d_score,
         })
     report = met.ScoreReport(
         cider=float(np.mean([r["cider"] for r in rows])),

@@ -8,9 +8,10 @@ Two variants share a word LSTM:
 - joint embedding: mean-pooled image features meet the last LSTM state
   through a bilinear similarity head.
 
-Caption input is the raw token list of a ``TokenSequence`` (EOS included,
-no BOS).  ``score_soft`` accepts relaxed token rows so generator gradients
-can flow through the caption input.
+Caption input is a batch of token rows: one-hot rows of the raw token lists
+of ``TokenSequence``s (EOS included, no BOS), or relaxed rows, so generator
+gradients can flow through the caption input.  Captions of different
+lengths are padded to the longest and masked (see ``BoundDiscriminator.forward``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .captioner import (_GATES, InputError, TokenSequence, _check_feats, _fuse_gates,
+from .captioner import (_GATES, _MASK, InputError, TokenSequence, _fuse_gates,
                         _gate_names, _lstm_cell)
 
 
@@ -118,8 +119,46 @@ def init_discriminator(config: DiscriminatorConfig, seed: int,
                                variant)
 
 
+def _one_hot_rows(seqs, vocab_size: int):
+    """Hard captions as padded one-hot token rows.
+
+    Returns (B x T x K rows, lengths), T the longest caption; the rows past
+    a caption's end are zero.
+    """
+    if not seqs:
+        raise InputError("no captions to score")
+    for seq in seqs:
+        if not seq.tokens:
+            raise InputError("caption is empty")
+        for tok in seq.tokens:
+            if not (0 <= tok < vocab_size):
+                raise InputError(f"invalid token id {tok}")
+    lengths = [len(seq.tokens) for seq in seqs]
+    rows = np.zeros((len(seqs), max(lengths), vocab_size))
+    for b, seq in enumerate(seqs):
+        rows[b, np.arange(lengths[b]), seq.tokens] = 1.0
+    return rows, lengths
+
+
+def _batch_feats(image_feats, config: DiscriminatorConfig, batch: int) -> np.ndarray:
+    """B x C x d features: one image per caption, or one C x d image shared
+    by all B captions."""
+    feats = np.asarray(image_feats, dtype=np.float64)
+    shape = (config.num_crops, config.feature_dim)
+    if feats.shape == shape:
+        return np.broadcast_to(feats, (batch,) + shape)
+    if feats.shape != (batch,) + shape:
+        raise InputError(f"image features must be {shape[0]} x {shape[1]} or "
+                         f"{batch} x {shape[0]} x {shape[1]}, got {feats.shape}")
+    return feats
+
+
 class BoundDiscriminator:
-    """Either discriminator variant bound to a tape."""
+    """Either discriminator variant bound to a tape.
+
+    ``forward`` scores a batch of B captions, each against its own image,
+    as one padded batch; scoring one caption is the case B = 1.
+    """
 
     def __init__(self, tape: ad.Tape, params: DiscriminatorParams):
         self.tape = tape
@@ -133,82 +172,102 @@ class BoundDiscriminator:
         c_new, h_new = _lstm_cell([x, h], c, self._W, self._b)
         return h_new, c_new
 
-    def hidden_states(self, word_vectors) -> ad.Tensor:
-        """Stacked LSTM states, one row per consumed word vector (T x m)."""
-        m = self.config.hidden_dim
-        h = self.tape.tensor(np.zeros((1, m)))
-        c = self.tape.tensor(np.zeros((1, m)))
-        rows = []
-        for x in word_vectors:
-            h, c = self._lstm_step(h, c, x)
-            rows.append(h)
-        return ad.concat(rows, axis=0)
-
-    def _hard_word_vectors(self, seq: TokenSequence):
-        if not seq.tokens:
-            raise InputError("caption is empty")
+    def embed_rows(self, rows) -> ad.Tensor:
+        """Word vectors ``rows @ embed`` (B x T x m) of B x T x K token rows:
+        one-hot rows for hard tokens, simplex rows for relaxed ones."""
+        data = rows.data if isinstance(rows, ad.Tensor) else np.asarray(rows)
         K = self.config.vocab_size
-        for tok in seq.tokens:
-            if not (0 <= tok < K):
-                raise InputError(f"invalid token id {tok}")
-        return [ad.get_row(self.p["embed"], tok) for tok in seq.tokens]
-
-    def _soft_word_vectors(self, soft_tokens):
-        data = np.asarray(soft_tokens, dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != self.config.vocab_size:
-            raise InputError(f"soft tokens must be T x {self.config.vocab_size}")
-        if data.shape[0] == 0:
+        if data.ndim != 3 or data.shape[-1] != K:
+            raise InputError(f"token rows must be B x T x {K}, got {data.shape}")
+        if data.shape[1] == 0:
             raise InputError("caption is empty")
         if np.any(data < 0):
-            raise InputError("soft token rows must be nonnegative")
-        rows = [self.tape.tensor(data[t : t + 1]) for t in range(data.shape[0])]
-        return [ad.matmul(r, self.p["embed"]) for r in rows]
+            raise InputError("token rows must be nonnegative")
+        return ad.matmul(rows, self.p["embed"])
 
-    def _soft_tensor_vectors(self, soft_rows: list[ad.Tensor]):
-        return [ad.matmul(r, self.p["embed"]) for r in soft_rows]
+    def hidden_states(self, word_vectors: ad.Tensor) -> ad.Tensor:
+        """LSTM state after each word vector, B x T x m (rows past a
+        caption's end are states over padding; ``forward`` masks them)."""
+        B, T, m = word_vectors.shape
+        h = c = self.tape.tensor(np.zeros((B, 1, m)))
+        states = []
+        for t in range(T):
+            h, c = self._lstm_step(h, c, ad.narrow(word_vectors, 1, t, 1))
+            states.append(h)
+        return ad.concat(states, axis=1)
 
-    def forward(self, image_feats, word_vectors) -> dict:
-        """Score from already-embedded word vectors.
+    def forward(self, image_feats, rows, lengths) -> dict:
+        """Scores of B captions given as padded B x T x K token rows.
 
-        Returns score plus the attention vectors and pooled embeddings
-        (alpha/beta are None for the joint-embedding variant).
+        ``image_feats`` is B x C x d (one image per caption) or one C x d
+        image for all; ``lengths`` holds each caption's length.  Padding is
+        masked three ways: padded LSTM states are zeroed, so their columns of
+        the correlation map are 0; co-attention's beta is a softmax over the
+        valid words only; joint embedding reads each caption's last valid
+        state through a one-hot row.
+
+        Returns the scores (B,) plus the attention rows alpha (B x 1 x C)
+        and beta (B x 1 x T), None for the joint-embedding variant, and the
+        pooled embeddings e_img, e_cap (B x 1 x m).
         """
         p = self.p
-        feats_t = self.tape.tensor(_check_feats(image_feats, self.config))
-        H = self.hidden_states(word_vectors)  # T x m
+        X = self.embed_rows(rows)
+        B, T = X.shape[:2]
+        lengths = np.asarray(lengths)
+        if lengths.shape != (B,) or np.any(lengths < 1) or np.any(lengths > T):
+            raise InputError(f"lengths must be {B} values in 1..{T}")
+        feats_t = self.tape.tensor(_batch_feats(image_feats, self.config, B))
+        valid = (np.arange(T) < lengths[:, None]).astype(np.float64)  # B x T
+        H = ad.mul(self.hidden_states(X), valid[:, :, None])         # B x T x m
 
         if self.variant == "jointemb":
-            pooled = ad.reshape(ad.reduce_mean(feats_t, axis=0), (1, -1))
-            e_img = ad.matmul(pooled, p["img_W"])                   # 1 x m
-            e_cap = ad.narrow(H, 0, H.shape[0] - 1, 1)              # last state
+            pooled = ad.reshape(ad.reduce_mean(feats_t, axis=1), (B, 1, -1))
+            e_img = ad.matmul(pooled, p["img_W"])                   # B x 1 x m
+            last = np.zeros((B, 1, T))
+            last[np.arange(B), 0, lengths - 1] = 1.0
+            e_cap = ad.matmul(last, H)                              # last valid state
             logit = ad.matmul(ad.matmul(e_img, p["head_M"]), ad.transpose(e_cap))
-            return {"score": ad.sigmoid(ad.reshape(logit, ())), "alpha": None,
+            return {"score": ad.sigmoid(ad.reshape(logit, (B,))), "alpha": None,
                     "beta": None, "e_img": e_img, "e_cap": e_cap}
 
-        I = ad.matmul(feats_t, p["img_W"])                          # C x m
-        Y = ad.tanh(ad.matmul(ad.matmul(I, p["bilinear_Q"]), ad.transpose(H)))  # C x T
+        I = ad.matmul(feats_t, p["img_W"])                          # B x C x m
+        Y = ad.tanh(ad.matmul(ad.matmul(I, p["bilinear_Q"]), ad.transpose(H)))  # B x C x T
 
         act_i = ad.tanh(ad.matmul(I, p["attn_WI"])
                         + ad.matmul(ad.matmul(Y, H), p["attn_WIh"]) + p["attn_bI"])
-        alpha = ad.softmax(ad.transpose(ad.matmul(act_i, p["alpha_w"]) + p["alpha_b"]))
+        alpha = ad.softmax(ad.transpose(ad.affine(act_i, p["alpha_w"], p["alpha_b"])))
 
         act_s = ad.tanh(ad.matmul(H, p["attn_Wh"])
                         + ad.matmul(ad.matmul(ad.transpose(Y), I), p["attn_WhI"])
                         + p["attn_bS"])
-        beta = ad.softmax(ad.transpose(ad.matmul(act_s, p["beta_w"]) + p["beta_b"]))
+        word_mask = np.where(valid, 0.0, _MASK)[:, None, :]        # B x 1 x T
+        beta = ad.softmax(ad.transpose(ad.affine(act_s, p["beta_w"], p["beta_b"]))
+                          + word_mask)
 
-        e_img = ad.matmul(ad.matmul(alpha, I), p["out_UI"])         # 1 x m
-        e_cap = ad.matmul(ad.matmul(beta, H), p["out_VS"])          # 1 x m
+        e_img = ad.matmul(ad.matmul(alpha, I), p["out_UI"])         # B x 1 x m
+        e_cap = ad.matmul(ad.matmul(beta, H), p["out_VS"])          # B x 1 x m
         logit = ad.matmul(e_img, ad.transpose(e_cap))
-        return {"score": ad.sigmoid(ad.reshape(logit, ())), "alpha": alpha,
+        return {"score": ad.sigmoid(ad.reshape(logit, (B,))), "alpha": alpha,
                 "beta": beta, "e_img": e_img, "e_cap": e_cap}
 
-    def score_sequence(self, image_feats, seq: TokenSequence) -> dict:
-        return self.forward(image_feats, self._hard_word_vectors(seq))
+    def score_sequence(self, image_feats, seqs) -> dict:
+        """``forward`` on hard captions: one ``TokenSequence`` (B = 1) or a
+        list of B, against C x d or B x C x d features."""
+        if isinstance(seqs, TokenSequence):
+            seqs = [seqs]
+        rows, lengths = _one_hot_rows(seqs, self.config.vocab_size)
+        return self.forward(image_feats, rows, lengths)
 
     def score_soft_rows(self, image_feats, soft_rows: list[ad.Tensor]) -> dict:
-        """Differentiable path for on-tape relaxed token rows."""
-        return self.forward(image_feats, self._soft_tensor_vectors(soft_rows))
+        """``forward`` (B = 1) on one caption given as on-tape relaxed token
+        rows (each n x K), so gradients reach the rows."""
+        if not soft_rows:
+            raise InputError("caption is empty")
+        rows = ad.concat(soft_rows, axis=0) if len(soft_rows) > 1 else soft_rows[0]
+        if rows.data.ndim != 2:
+            raise InputError(f"soft tokens must be T x {self.config.vocab_size}")
+        return self.forward(image_feats, ad.reshape(rows, (1,) + rows.shape),
+                            [rows.shape[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +277,9 @@ class BoundDiscriminator:
 
 def embed_caption(params, seq: TokenSequence) -> np.ndarray:
     """LSTM hidden state after each token, stacked as a T x m array."""
-    tape = ad.Tape(grad=False)
-    bound = BoundDiscriminator(tape, params)
-    return bound.hidden_states(bound._hard_word_vectors(seq)).data.copy()
+    bound = BoundDiscriminator(ad.Tape(grad=False), params)
+    rows, _ = _one_hot_rows([seq], params.config.vocab_size)
+    return bound.hidden_states(bound.embed_rows(rows)).data[0].copy()
 
 
 def coatt_score(params: DiscriminatorParams, image_feats, seq: TokenSequence):
@@ -237,8 +296,7 @@ def coatt_score(params: DiscriminatorParams, image_feats, seq: TokenSequence):
 def jointemb_score(params: DiscriminatorParams, image_feats, seq: TokenSequence) -> float:
     if params.variant != "jointemb":
         raise InputError("jointemb_score needs joint-embedding parameters")
-    out = BoundDiscriminator(ad.Tape(grad=False), params).score_sequence(image_feats, seq)
-    return out["score"].item()
+    return score(params, image_feats, seq)
 
 
 def score(params, image_feats, seq: TokenSequence) -> float:
@@ -251,5 +309,4 @@ def score_soft(params, image_feats, soft_tokens) -> float:
     """Score a caption given as rows of token weights (simplex or one-hot)."""
     tape = ad.Tape(grad=False)
     bound = BoundDiscriminator(tape, params)
-    vectors = bound._soft_word_vectors(soft_tokens)
-    return bound.forward(image_feats, vectors)["score"].item()
+    return bound.score_soft_rows(image_feats, [tape.tensor(soft_tokens)])["score"].item()

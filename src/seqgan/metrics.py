@@ -60,12 +60,15 @@ IDF_AUX = ("idf_grams", "idf_df", "idf_docs")
 class NGramIdf:
     """Document frequencies per n-gram; one document = one image's reference set.
 
-    ``idf`` computes a gram's weight once and then looks it up.
+    ``idf`` computes a gram's weight once and then looks it up;
+    ``reference_side`` does the same for a reference caption's n-gram counts
+    and norms.  Neither memo takes part in ``==``.
     """
 
     doc_freq: dict[tuple, int]
     corpus_size: int
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _references: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def idf(self, gram: tuple) -> float:
         w = self._weights.get(gram)
@@ -73,6 +76,19 @@ class NGramIdf:
             w = float(np.log(self.corpus_size / max(1, self.doc_freq.get(gram, 0))))
             self._weights[gram] = w
         return w
+
+    def reference_side(self, tokens: tuple) -> list:
+        """(n-gram counts, tf-idf norm) of a reference token tuple for
+        n = 1..``CIDER_N``."""
+        side = self._references.get(tokens)
+        if side is None:
+            side = []
+            for n in range(1, CIDER_N + 1):
+                counts = _ngram_counts(tokens, n)
+                side.append((counts, np.sqrt(sum((cnt * self.idf(g)) ** 2
+                                                 for g, cnt in counts.items()))))
+            self._references[tokens] = side
+        return side
 
     def to_aux(self) -> dict:
         """Float64 arrays for checkpoint aux (names in ``IDF_AUX``).
@@ -148,7 +164,8 @@ def cider_d(candidate, refs, idf: NGramIdf) -> float:
     """Consensus tf-idf similarity with length penalty, scaled by 10.
 
     The candidate's n-gram counts, weights and norm are built once per n and
-    shared by every reference.
+    shared by every reference; each reference's counts and norms come from
+    the idf's memo.
     """
     if not refs:
         raise InputError("reference set is empty")
@@ -158,14 +175,14 @@ def cider_d(candidate, refs, idf: NGramIdf) -> float:
     unique_refs = list(dict.fromkeys(_tokens(r) for r in refs))
     penalties = [float(np.exp(-((len(cand) - len(rtok)) ** 2) / (2 * CIDER_SIGMA**2)))
                  for rtok in unique_refs]
+    ref_sides = [idf.reference_side(rtok) for rtok in unique_refs]
 
     per_n = np.zeros(CIDER_N)
     for n in range(1, CIDER_N + 1):
         c_grams = [(g, cnt, idf.idf(g)) for g, cnt in _ngram_counts(cand, n).items()]
         norm_c = np.sqrt(sum((cnt * w) ** 2 for _, cnt, w in c_grams))
-        for rtok, penalty in zip(unique_refs, penalties):
-            r_cnt = _ngram_counts(rtok, n)
-            norm_r = np.sqrt(sum((cnt * idf.idf(g)) ** 2 for g, cnt in r_cnt.items()))
+        for side, penalty in zip(ref_sides, penalties):
+            r_cnt, norm_r = side[n - 1]
             num = sum(min(cnt, r_cnt.get(g, 0)) * w * r_cnt.get(g, 0) * w
                       for g, cnt, w in c_grams)
             if norm_c > 0 and norm_r > 0:

@@ -141,31 +141,43 @@ def _accumulate(total, part, scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _clamp_score(score: ad.Tensor) -> ad.Tensor:
-    """``score`` clipped to [eps, 1 - eps]; logs a warning when the clip bites."""
-    raw = score.item()
-    if raw <= SCORE_EPS or raw >= 1.0 - SCORE_EPS:
-        logger.warning("discriminator score %.3g clamped before log", raw)
-    return ad.clip(score, SCORE_EPS, 1.0 - SCORE_EPS)
+def _clamp_score(scores: ad.Tensor) -> ad.Tensor:
+    """``scores`` clipped to [eps, 1 - eps]; logs a warning for every score
+    the clip bites, in batch order."""
+    raw = scores.data.reshape(-1)
+    for value in raw[(raw <= SCORE_EPS) | (raw >= 1.0 - SCORE_EPS)]:
+        logger.warning("discriminator score %.3g clamped before log", value)
+    return ad.clip(scores, SCORE_EPS, 1.0 - SCORE_EPS)
 
 
-def _one_minus(t: ad.Tensor) -> ad.Tensor:
-    return ad.sub(t.tape.tensor(1.0), t)
+# per image: log D(real) + 1/2 log(1 - D(fake)) + 1/2 log(1 - D(mismatched)),
+# taken as log(sign * D + offset) weighted per column
+_OBJ_SIGN = np.array([1.0, -1.0, -1.0])
+_OBJ_OFFSET = np.array([0.0, 1.0, 1.0])
+_OBJ_WEIGHT = np.array([1.0, 0.5, 0.5])
 
 
 def discriminator_objective(bound: BoundDiscriminator, image_feats,
-                            real: TokenSequence, fake: TokenSequence,
-                            mismatched: TokenSequence) -> ad.Tensor:
+                            real, fake, mismatched) -> ad.Tensor:
     """log D(I, real) + 1/2 log(1 - D(I, fake)) + 1/2 log(1 - D(I, mismatched)).
 
-    The trainer ascends this; scores are clamped away from {0, 1}.
+    One image: C x d features and three ``TokenSequence``s.  A minibatch:
+    B x C x d features and three lists of B captions, all 3B scored in one
+    padded batch (per image: real, fake, mismatched); the objective is then
+    the batch mean.  The trainer ascends this; scores are clamped away from
+    {0, 1}.
     """
-    def clamped(seq):
-        return _clamp_score(bound.score_sequence(image_feats, seq)["score"])
-
-    return ad.log(clamped(real)) \
-        + ad.scale(ad.log(_one_minus(clamped(fake))), 0.5) \
-        + ad.scale(ad.log(_one_minus(clamped(mismatched))), 0.5)
+    if isinstance(real, TokenSequence):
+        real, fake, mismatched = [real], [fake], [mismatched]
+    B = len(real)
+    if not (B == len(fake) == len(mismatched)):
+        raise InputError("real, fake and mismatched need one caption per image")
+    feats = np.asarray(image_feats, dtype=np.float64)
+    feats = np.repeat(feats.reshape((-1,) + feats.shape[-2:]), 3, axis=0)
+    captions = [seq for trio in zip(real, fake, mismatched) for seq in trio]
+    scores = _clamp_score(bound.score_sequence(feats, captions)["score"])
+    logs = ad.log(ad.add(ad.mul(ad.reshape(scores, (B, 3)), _OBJ_SIGN), _OBJ_OFFSET))
+    return ad.reduce_sum(ad.mul(logs, _OBJ_WEIGHT / B))
 
 
 def discriminator_loss(d_params, image_feats, real: TokenSequence,
@@ -175,9 +187,11 @@ def discriminator_loss(d_params, image_feats, real: TokenSequence,
     return discriminator_objective(bound, image_feats, real, fake, mismatched).item()
 
 
-def _clamped_score_value(d_params, feats, seq) -> float:
+def _clamped_scores(d_params, image_feats, seqs) -> np.ndarray:
+    """Clamped scores of one caption or a list of them, in one no-grad pass
+    (arguments as for ``BoundDiscriminator.score_sequence``)."""
     bound = BoundDiscriminator(ad.Tape(grad=False), d_params)
-    return _clamp_score(bound.score_sequence(feats, seq)["score"]).item()
+    return _clamp_score(bound.score_sequence(image_feats, seqs)["score"]).data
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +199,19 @@ def _clamped_score_value(d_params, feats, seq) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sequence_reward(cfg: GanConfig, d_params, image_feats, seq: TokenSequence,
-                    refs=None, idf=None) -> float:
-    """Reward of a finished sequence under the configured reward mode."""
+def _sequence_rewards(cfg: GanConfig, d_params, image_feats, seqs, refs=None,
+                      idf=None) -> list[float]:
+    """Rewards of finished sequences of one image under the configured reward
+    mode; their D scores are taken in one pass."""
     if cfg.reward in ("logD_plus_cider", "cider") and (refs is None or idf is None):
         raise InputError(f"reward {cfg.reward!r} needs reference captions and idf")
     if cfg.reward == "cider":
-        return met.cider_d(seq, refs, idf)
-    r = float(np.log(_clamped_score_value(d_params, image_feats, seq)))
+        return [met.cider_d(seq, refs, idf) for seq in seqs]
+    rewards = [float(np.log(v)) for v in _clamped_scores(d_params, image_feats, seqs)]
     if cfg.reward == "logD_plus_cider":
-        r += cfg.cider_weight * met.cider_d(seq, refs, idf)
-    return r
+        rewards = [r + cfg.cider_weight * met.cider_d(seq, refs, idf)
+                   for r, seq in zip(rewards, seqs)]
+    return rewards
 
 
 def scst_grad(g_params: CaptionerParams, d_params, image_feats,
@@ -208,9 +224,8 @@ def scst_grad(g_params: CaptionerParams, d_params, image_feats,
     """
     sample, _ = sample_sentence(g_params, image_feats, rng)
     baseline = greedy_decode(g_params, image_feats)
-    r_sample = sequence_reward(cfg, d_params, image_feats, sample, refs, idf)
-    r_base = sequence_reward(cfg, d_params, image_feats, baseline, refs, idf)
-    record = RewardRecord(r_sample, r_base)
+    record = RewardRecord(*_sequence_rewards(cfg, d_params, image_feats,
+                                             [sample, baseline], refs, idf))
     adv = record.advantage
 
     if adv == 0.0:
@@ -237,29 +252,6 @@ def scst_grad(g_params: CaptionerParams, d_params, image_feats,
 def gumbel_noise(rng: np.random.Generator, size) -> np.ndarray:
     u = rng.random(size)
     return -np.log(-np.log(u + 1e-20) + 1e-20)
-
-
-def gumbel_sample(logits, temperature: float, rng: np.random.Generator, mode: str):
-    """Relaxed categorical sample from a logit row.
-
-    Returns (row, argmax index): the row is on the simplex for ``soft`` and
-    an exact one-hot for ``st``.
-    """
-    if mode not in ("soft", "st"):
-        raise InputError(f"mode must be 'soft' or 'st', got {mode!r}")
-    if temperature <= 0:
-        raise InputError("temperature must be positive")
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    z = (logits + gumbel_noise(rng, logits.size)) / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    y = e / e.sum()
-    hard = int(np.argmax(y))
-    if mode == "soft":
-        return y, hard
-    onehot = np.zeros_like(y)
-    onehot[hard] = 1.0
-    return onehot, hard
 
 
 def gumbel_unroll(tape: ad.Tape, bound_g: BoundCaptioner, image_feats,
@@ -414,20 +406,24 @@ def _pick_other_ref(dataset, i, rng) -> TokenSequence:
 
 
 def _d_batch_step(g_params, d_params, d_opt, dataset, batch, rng, cfg):
-    grads = _zero_grads(d_params.arrays)
+    """One discriminator ascent step on one tape: per image, draw the real
+    caption, a sample and a mismatched caption (in that order), then score
+    all 3B captions as one batch.  Returns the objective before the step."""
+    feats, real, fake, mismatched = [], [], [], []
     for i in batch:
-        feats = _example_feats(dataset[i])
         refs = dataset[i][1]
-        real = refs[int(rng.integers(len(refs)))]
-        fake, _ = sample_sentence(g_params, feats, rng)
-        mismatched = _pick_other_ref(dataset, i, rng)
-        tape = ad.Tape()
-        bound = BoundDiscriminator(tape, d_params)
-        objective = discriminator_objective(bound, feats, real, fake, mismatched)
-        ad.backward(tape, objective)
-        _accumulate(grads, {n: bound.p[n].grad for n in grads}, scale=1.0 / len(batch))
+        feats.append(_example_feats(dataset[i]))
+        real.append(refs[int(rng.integers(len(refs)))])
+        fake.append(sample_sentence(g_params, feats[-1], rng)[0])
+        mismatched.append(_pick_other_ref(dataset, i, rng))
+    tape = ad.Tape()
+    bound = BoundDiscriminator(tape, d_params)
+    objective = discriminator_objective(bound, np.array(feats), real, fake, mismatched)
+    ad.backward(tape, objective)
     # ascend the objective
-    adam_step(d_params.arrays, {n: -g for n, g in grads.items()}, d_opt, cfg.d_lr)
+    adam_step(d_params.arrays, {n: -bound.p[n].grad for n in d_params.arrays}, d_opt,
+              cfg.d_lr)
+    return objective.item()
 
 
 def _g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf):
@@ -443,18 +439,18 @@ def _g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf):
 
 
 def mean_d_scores(g_params, d_params, dataset, rng, limit=16) -> dict:
-    """Mean discriminator score on real, generated and mismatched captions."""
+    """Mean discriminator score on real, generated and mismatched captions,
+    all scored in one pass."""
     take = dataset[: min(limit, len(dataset))]
-    real, fake, rand = [], [], []
+    feats, captions = [], []
     for i, (scene, refs) in enumerate(take):
-        feats = _example_feats((scene, refs))
-        real.append(_clamped_score_value(d_params, feats, refs[0]))
-        sample, _ = sample_sentence(g_params, feats, rng)
-        fake.append(_clamped_score_value(d_params, feats, sample))
-        rand.append(_clamped_score_value(d_params, feats,
-                                         _pick_other_ref(dataset, i, rng)))
-    return {"d_real": float(np.mean(real)), "d_fake": float(np.mean(fake)),
-            "d_random": float(np.mean(rand))}
+        f = _example_feats((scene, refs))
+        sample, _ = sample_sentence(g_params, f, rng)
+        feats += [f] * 3
+        captions += [refs[0], sample, _pick_other_ref(dataset, i, rng)]
+    scores = _clamped_scores(d_params, np.array(feats), captions).reshape(-1, 3)
+    return {"d_real": float(np.mean(scores[:, 0])), "d_fake": float(np.mean(scores[:, 1])),
+            "d_random": float(np.mean(scores[:, 2]))}
 
 
 def train_gan(g_params: CaptionerParams, d_params, dataset, cfg: GanConfig,

@@ -8,7 +8,11 @@ that the fused models replaced, as the oracle for the fused path;
 ``composed_lstm_cell`` is the oracle for ``ad.lstm_cell``, and
 ``per_member_decode`` keeps the per-member ensemble loop as the oracle for
 the stacked ensemble bind, and ``per_reference_cider_d`` the CIDEr-D loop
-that rebuilt the candidate side for every reference.
+that rebuilt the candidate side for every reference.  ``loop_d_batch_step``
+keeps the discriminator step as a per-image loop (one tape, one bind and
+three single-caption scores per image) as the oracle for the padded batch,
+and ``gumbel_sample`` is a numpy relaxed sampler, the oracle for the
+Gumbel-max law.
 """
 
 from collections import Counter
@@ -16,7 +20,9 @@ from collections import Counter
 import numpy as np
 
 from seqgan import autodiff as ad
-from seqgan.captioner import BoundCaptioner, TokenSequence, _check_seq, log_prob
+from seqgan import training as tr
+from seqgan.captioner import (BoundCaptioner, InputError, TokenSequence, _check_seq,
+                              log_prob, sample_sentence)
 from seqgan.discriminator import BoundDiscriminator
 
 GATES = ("i", "f", "o", "g")
@@ -160,6 +166,69 @@ class PerGateDiscriminator(BoundDiscriminator):
 
     def _lstm_step(self, h, c, x):
         return per_gate_lstm(self.p, x, h, c)
+
+
+def per_caption_objective(bound, image_feats, real, fake, mismatched):
+    """The single-image discriminator objective with each caption scored by
+    its own forward pass (B = 1, no padding), summed term by term."""
+    def clamped(seq):
+        return tr._clamp_score(bound.score_sequence(image_feats, seq)["score"])
+
+    def one_minus(t):
+        return ad.sub(t.tape.tensor(1.0), t)
+
+    return ad.log(clamped(real)) \
+        + ad.scale(ad.log(one_minus(clamped(fake))), 0.5) \
+        + ad.scale(ad.log(one_minus(clamped(mismatched))), 0.5)
+
+
+def loop_d_batch_step(g_params, d_params, d_opt, dataset, batch, rng, cfg):
+    """The discriminator step as a per-image loop, drawing from ``rng`` in
+    the same order as ``training._d_batch_step``: one tape and one bind per
+    image, gradients averaged over the batch, then the Adam ascent step.
+
+    Returns (mean objective, averaged gradients of the objective).
+    """
+    grads = {k: np.zeros_like(a) for k, a in d_params.arrays.items()}
+    total = 0.0
+    for i in batch:
+        feats = tr._example_feats(dataset[i])
+        refs = dataset[i][1]
+        real = refs[int(rng.integers(len(refs)))]
+        fake, _ = sample_sentence(g_params, feats, rng)
+        mismatched = tr._pick_other_ref(dataset, i, rng)
+        tape = ad.Tape()
+        bound = BoundDiscriminator(tape, d_params)
+        objective = per_caption_objective(bound, feats, real, fake, mismatched)
+        ad.backward(tape, objective)
+        for name in grads:
+            grads[name] += bound.p[name].grad / len(batch)
+        total += objective.item() / len(batch)
+    tr.adam_step(d_params.arrays, {n: -g for n, g in grads.items()}, d_opt, cfg.d_lr)
+    return total, grads
+
+
+def gumbel_sample(logits, temperature: float, rng: np.random.Generator, mode: str):
+    """Relaxed categorical sample from a logit row.
+
+    Returns (row, argmax index): the row is on the simplex for ``soft`` and
+    an exact one-hot for ``st``.
+    """
+    if mode not in ("soft", "st"):
+        raise InputError(f"mode must be 'soft' or 'st', got {mode!r}")
+    if temperature <= 0:
+        raise InputError("temperature must be positive")
+    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
+    z = (logits + tr.gumbel_noise(rng, logits.size)) / temperature
+    z = z - z.max()
+    e = np.exp(z)
+    y = e / e.sum()
+    hard = int(np.argmax(y))
+    if mode == "soft":
+        return y, hard
+    onehot = np.zeros_like(y)
+    onehot[hard] = 1.0
+    return onehot, hard
 
 
 def enumerate_sequences(config):

@@ -7,6 +7,7 @@ from helpers import per_member_decode
 
 from seqgan import cli
 from seqgan import data as dat
+from seqgan import discriminator as disc
 from seqgan import metrics as met
 from seqgan.captioner import CaptionerConfig, ensemble_decode, init_params
 
@@ -209,6 +210,27 @@ class TestEval:
             report = capsys.readouterr().out.splitlines()[0]
             outputs.append(((out / "eval-val.csv").read_bytes(), report))
         assert outputs[0] == outputs[1]
+
+    def test_discriminator_bound_once_per_split(self, trained_run, monkeypatch):
+        ckpt = dat.load_checkpoint(trained_run["ckpts"][-1])
+        binds = []
+        init = disc.BoundDiscriminator.__init__
+        monkeypatch.setattr(disc.BoundDiscriminator, "__init__",
+                            lambda self, tape, params: binds.append(tape.grad)
+                            or init(self, tape, params))
+        out = trained_run["tmp"] / "d-binds"
+        assert cli.main(["eval", "--checkpoint", str(trained_run["ckpts"][-1]),
+                         "--split", "val", "--out-dir", str(out)]) == 0
+        assert binds == [False]
+        monkeypatch.undo()
+        # each row equals the caption scored alone
+        examples = cli.build_dataset(cli.parse_config(ckpt.config)).val
+        decoded = cli.decode_split([ckpt.captioner], examples)
+        rows = (out / "eval-val.csv").read_text().splitlines()[2:]
+        assert len(rows) == len(examples)
+        for row, seq, (scene, _) in zip(rows, decoded, examples):
+            want = disc.score(ckpt.discriminator, scene.features, seq)
+            assert abs(float(row.rsplit(",", 1)[1]) - want) <= 1e-12
 
     def test_ooc_split_supported(self, trained_run):
         out = trained_run["tmp"] / "ooc"

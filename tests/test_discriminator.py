@@ -238,3 +238,89 @@ class TestNoGradEquivalence:
         for a, b in zip(disc.coatt_score(params, feats, seq),
                         on_grad_tapes(disc.coatt_score, params, feats, seq)):
             assert np.array_equal(a, b)
+
+
+class TestPaddedBatch:
+    """``forward`` scores captions of mixed lengths as one padded batch;
+    every row equals the caption scored alone (B = 1) to 1e-12, and padded
+    words get exactly zero attention."""
+
+    LENGTHS = (3, 1, 6, 2, 5, 4)
+
+    def setup_batch(self, variant, seed):
+        config = tiny_config()
+        params = disc.init_discriminator(config, seed, variant)
+        rng = np.random.default_rng(seed)
+        seqs = [TokenSequence([int(t) for t in rng.integers(0, config.vocab_size, size=n)],
+                              True) for n in self.LENGTHS]
+        feats = rng.uniform(-1, 1, (len(seqs), config.num_crops, config.feature_dim))
+        return config, params, rng, seqs, feats
+
+    def assert_row_equals(self, batch, b, one, n, variant):
+        assert abs(batch["score"].data[b] - one["score"].item()) <= 1e-12
+        for key in ("e_img", "e_cap"):
+            assert np.max(np.abs(batch[key].data[b] - one[key].data[0])) <= 1e-12
+        if variant == "coatt":
+            assert np.max(np.abs(batch["alpha"].data[b] - one["alpha"].data[0])) <= 1e-12
+            assert np.max(np.abs(batch["beta"].data[b, :, :n]
+                                 - one["beta"].data[0])) <= 1e-12
+            assert np.all(batch["beta"].data[b, :, n:] == 0.0)
+
+    @pytest.mark.parametrize("variant", disc.VARIANTS)
+    def test_hard_rows_equal_score_sequence(self, variant):
+        _, params, _, seqs, feats = self.setup_batch(variant, 11)
+        bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
+        batch = bound.score_sequence(feats, seqs)
+        assert batch["score"].shape == (len(seqs),)
+        for b, seq in enumerate(seqs):
+            one = bound.score_sequence(feats[b], seq)
+            self.assert_row_equals(batch, b, one, len(seq.tokens), variant)
+
+    @pytest.mark.parametrize("variant", disc.VARIANTS)
+    def test_relaxed_rows_equal_score_soft_rows_with_gradients(self, variant):
+        config, params, rng, _, feats = self.setup_batch(variant, 12)
+        T, K = max(self.LENGTHS), config.vocab_size
+        valid = np.arange(T) < np.array(self.LENGTHS)[:, None]
+        soft = rng.dirichlet(np.ones(K), size=(len(self.LENGTHS), T)) * valid[..., None]
+
+        tape = ad.Tape()
+        bound = disc.BoundDiscriminator(tape, params)
+        rows = tape.tensor(soft)
+        batch = bound.forward(feats, rows, self.LENGTHS)
+        ad.backward(tape, ad.reduce_sum(ad.log(batch["score"])))
+        for b, n in enumerate(self.LENGTHS):
+            t1 = ad.Tape()
+            b1 = disc.BoundDiscriminator(t1, params)
+            row_tensors = [t1.tensor(soft[b, t : t + 1]) for t in range(n)]
+            one = b1.score_soft_rows(feats[b], row_tensors)
+            ad.backward(t1, ad.log(one["score"]))
+            self.assert_row_equals(batch, b, one, n, variant)
+            single = np.vstack([r.grad for r in row_tensors])
+            assert np.max(np.abs(rows.grad[b, :n] - single)) <= 1e-12
+            assert np.all(rows.grad[b, n:] == 0.0)
+
+    def test_one_shared_image_broadcasts(self):
+        _, params, _, seqs, feats = self.setup_batch("coatt", 13)
+        bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
+        shared = bound.score_sequence(feats[0], seqs)["score"].data
+        stacked = bound.score_sequence(np.repeat(feats[:1], len(seqs), axis=0),
+                                       seqs)["score"].data
+        assert np.array_equal(shared, stacked)
+
+    def test_bad_batches_rejected(self):
+        config, params, _, seqs, feats = self.setup_batch("coatt", 14)
+        bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
+        K = config.vocab_size
+        for bad_seqs in ([], seqs[:2] + [TokenSequence([], False)],
+                         seqs[:2] + [TokenSequence([2, K], True)]):
+            with pytest.raises(InputError):
+                bound.score_sequence(feats[: len(bad_seqs)], bad_seqs)
+        with pytest.raises(InputError):  # one feature row per caption
+            bound.score_sequence(feats[:2], seqs[:3])
+        rows = np.zeros((2, 3, K))
+        rows[:, :, 2] = 1.0
+        for bad_rows, lengths in ((rows[:, :, :-1], [3, 3]), (rows[:, :0], [1, 1]),
+                                  (-rows, [3, 3]), (rows, [3, 4]), (rows, [0, 3]),
+                                  (rows, [3])):
+            with pytest.raises(InputError):
+                bound.forward(feats[:2], bad_rows, lengths)

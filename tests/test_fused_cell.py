@@ -133,7 +133,8 @@ def test_discriminator_objective_matches_per_gate(variant):
         bound = cls(tape, d)
         value = tr.discriminator_objective(bound, feats, real, fake, mismatched)
         ad.backward(tape, value)
-        hidden = bound.hidden_states(bound._hard_word_vectors(fake)).data
+        rows, _ = disc._one_hot_rows([fake], d.config.vocab_size)
+        hidden = bound.hidden_states(bound.embed_rows(rows)).data
         return value.item(), {n: bound.p[n].grad for n in d.arrays}, hidden
 
     value, grads, hidden = objective(disc.BoundDiscriminator)

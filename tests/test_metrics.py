@@ -155,7 +155,7 @@ class TestCiderDCandidateOnce:
     def test_random_sets_equal_per_reference_loop(self, corpus, cand, refs):
         idf = met.fit_idf(corpus)
         assert met.cider_d(cand, refs, idf) == per_reference_cider_d(cand, refs, idf)
-        # a second call reads the weights memoized by the first
+        # a second call reads the weights and reference sides memoized by the first
         assert met.cider_d(cand, refs, idf) == per_reference_cider_d(cand, refs, idf)
 
     def test_weight_is_the_log_ratio_and_equality_ignores_the_memo(self, toy_idf):
@@ -164,6 +164,19 @@ class TestCiderDCandidateOnce:
             want = float(np.log(toy_idf.corpus_size / max(1, toy_idf.doc_freq.get(gram, 0))))
             assert toy_idf.idf(gram) == want
             assert toy_idf.idf(gram) == want  # memoized
+        assert fresh == toy_idf
+
+    def test_reference_side_memoized_and_equality_ignores_it(self, toy_idf):
+        fresh = met.NGramIdf(dict(toy_idf.doc_freq), toy_idf.corpus_size)
+        refs = [[2, 3, 4, 5, 1], [2, 3, 6, 1]]
+        first = met.cider_d([2, 3, 4, 1], refs, toy_idf)
+        side = toy_idf.reference_side((2, 3, 6, 1))
+        assert toy_idf.reference_side((2, 3, 6, 1)) is side
+        counts, norm = side[1]
+        assert counts == {(2, 3): 1, (3, 6): 1, (6, 1): 1}
+        assert norm == np.sqrt(sum(toy_idf.idf(g) ** 2 for g in counts))
+        assert met.cider_d([2, 3, 4, 1], refs, toy_idf) == first == \
+            per_reference_cider_d([2, 3, 4, 1], refs, fresh)
         assert fresh == toy_idf
 
 

@@ -8,9 +8,9 @@ from seqgan.captioner import (CaptionerConfig, InputError, TokenSequence,
                               greedy_decode, init_params, sample_sentence)
 from conftest import central_difference, rel_err
 from helpers import (autodiff_expected_reward_grad, enumerate_sequences,
-                     expected_policy_gradient, flat_grads,
-                     per_sequence_score_grads, policy_gradient_variance,
-                     sequence_probabilities)
+                     expected_policy_gradient, flat_grads, gumbel_sample,
+                     loop_d_batch_step, per_sequence_score_grads,
+                     policy_gradient_variance, sequence_probabilities)
 
 
 def tiny_setup(seed=0, vocab=5, crops=2, dim=3, m=4, max_len=4):
@@ -146,6 +146,129 @@ class TestDiscriminatorLoss:
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
 
 
+MAX_LEN = 6
+
+
+def mixed_length_setup(variant, seed=0):
+    """Models plus 8 images with two references each, both of length
+    i % MAX_LEN + 1 for image i, so a minibatch of all of them pads real
+    captions of every length from 1 to MAX_LEN."""
+    vocab, crops, dim, m = 7, 2, 3, 4
+    g = init_params(CaptionerConfig(vocab_size=vocab, hidden_dim=m, num_crops=crops,
+                                    feature_dim=dim, max_len=MAX_LEN), seed)
+    d = disc.init_discriminator(disc.DiscriminatorConfig(vocab, m, crops, dim),
+                                seed + 100, variant)
+    rng = np.random.default_rng(seed + 200)
+    dataset = [(rng.uniform(-1, 1, (crops, dim)),
+                [TokenSequence([int(t) for t in rng.integers(2, vocab, size=i % MAX_LEN)]
+                               + [1], True) for _ in range(2)])
+               for i in range(8)]
+    return g, d, dataset
+
+
+def count_binds(monkeypatch):
+    calls = []
+    init = disc.BoundDiscriminator.__init__
+
+    def counted(self, tape, params):
+        calls.append(tape.grad)
+        init(self, tape, params)
+
+    monkeypatch.setattr(disc.BoundDiscriminator, "__init__", counted)
+    return calls
+
+
+class TestBatchedDiscriminatorStep:
+    """``_d_batch_step`` scores a minibatch's 3B captions on one tape with
+    one bind; the per-image loop in ``helpers`` is its oracle."""
+
+    def run_step(self, monkeypatch, variant, step, seed=0):
+        g, d, dataset = mixed_length_setup(variant, seed)
+        grads = []
+        adam = tr.adam_step
+        monkeypatch.setattr(tr, "adam_step", lambda arrays, gr, state, lr:
+                            grads.append({n: -x for n, x in gr.items()})
+                            or adam(arrays, gr, state, lr))
+        rng = np.random.default_rng(7)
+        objective = step(g, d, tr.init_adam(d.arrays), dataset, np.arange(8), rng,
+                         tr.GanConfig())
+        monkeypatch.undo()
+        return objective, grads[-1], rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("variant", disc.VARIANTS)
+    def test_matches_per_image_loop(self, monkeypatch, variant, seed):
+        value, grads, state = self.run_step(monkeypatch, variant, tr._d_batch_step, seed)
+        (ref_value, ref_grads), _, ref_state = self.run_step(
+            monkeypatch, variant, loop_d_batch_step, seed)
+        assert abs(value - ref_value) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.max(np.abs(grads[name] - ref_grads[name])) <= 1e-12, name
+        assert state == ref_state
+
+    @pytest.mark.parametrize("variant", disc.VARIANTS)
+    def test_clamp_warnings_match_loop(self, monkeypatch, caplog, variant):
+        counts = []
+        for step in (tr._d_batch_step, loop_d_batch_step):
+            g, d, dataset = mixed_length_setup(variant)
+            d.arrays["out_UI" if variant == "coatt" else "head_M"] *= 1e4
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="seqgan.training"):
+                step(g, d, tr.init_adam(d.arrays), dataset, np.arange(8),
+                     np.random.default_rng(7), tr.GanConfig())
+            counts.append([r.getMessage() for r in caplog.records])
+        assert counts[0] and counts[0] == counts[1]
+
+    @pytest.mark.parametrize("variant", disc.VARIANTS)
+    def test_one_bind_and_batch_size_free_tape(self, monkeypatch, variant):
+        g, d, dataset = mixed_length_setup(variant)
+        binds = count_binds(monkeypatch)
+        sizes = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda tape, root:
+                            sizes.append(len(tape.nodes)) or backward(tape, root))
+        # image 5's caption has MAX_LEN tokens, so both batches pad to MAX_LEN
+        for batch in ([5], np.arange(8)):
+            tr._d_batch_step(g, d, tr.init_adam(d.arrays), dataset, batch,
+                             np.random.default_rng(3), tr.GanConfig())
+        assert binds == [True, True]
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("variant", disc.VARIANTS)
+    def test_mean_d_scores_one_pass(self, monkeypatch, variant):
+        g, d, dataset = mixed_length_setup(variant)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        binds = count_binds(monkeypatch)
+        got = tr.mean_d_scores(g, d, dataset, rng)
+        assert binds == [False]
+        monkeypatch.undo()
+        ref = {"d_real": [], "d_fake": [], "d_random": []}
+        for i, (feats, refs) in enumerate(dataset):
+            sample, _ = sample_sentence(g, feats, ref_rng)
+            for key, seq in zip(ref, (refs[0], sample,
+                                      tr._pick_other_ref(dataset, i, ref_rng))):
+                ref[key].append(disc.score(d, feats, seq))
+        for key, values in ref.items():
+            assert abs(got[key] - np.mean(values)) <= 1e-12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_scst_rewards_one_pass(self, monkeypatch):
+        g, d, feats = tiny_setup(seed=4)
+        binds = count_binds(monkeypatch)
+        cfg = tr.GanConfig(estimator="scst")
+        _, record = tr.scst_grad(g, d, feats, np.random.default_rng(2), cfg)
+        assert binds.count(False) == 1
+        monkeypatch.undo()
+        sample, _ = sample_sentence(g, feats, np.random.default_rng(2))
+        baseline = greedy_decode(g, feats)
+        for reward, seq in ((record.sample_reward, sample),
+                            (record.baseline_reward, baseline)):
+            want = np.log(np.clip(disc.score(d, feats, seq), tr.SCORE_EPS,
+                                  1.0 - tr.SCORE_EPS))
+            assert abs(reward - want) <= 1e-12
+
+
 class TestScstGrad:
     def test_advantage_arithmetic(self):
         rec = tr.RewardRecord(np.log(0.8), np.log(0.4))
@@ -225,7 +348,7 @@ class TestGumbelSample:
         logits = np.array([0.3, -1.0, 1.2, 0.0])
         noise_rng = np.random.default_rng(5)
         expected_noise = tr.gumbel_noise(np.random.default_rng(5), 4)
-        row, hard = tr.gumbel_sample(logits, 0.01, noise_rng, "soft")
+        row, hard = gumbel_sample(logits, 0.01, noise_rng, "soft")
         target = int(np.argmax(logits + expected_noise))
         assert hard == target
         onehot = np.zeros(4)
@@ -235,7 +358,7 @@ class TestGumbelSample:
     def test_st_row_is_exact_onehot(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            row, hard = tr.gumbel_sample(rng.normal(size=6), 0.7, rng, "st")
+            row, hard = gumbel_sample(rng.normal(size=6), 0.7, rng, "st")
             assert row.sum() == 1.0
             assert np.count_nonzero(row) == 1
             assert row[hard] == 1.0
@@ -243,7 +366,7 @@ class TestGumbelSample:
     def test_soft_row_on_simplex(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            row, _ = tr.gumbel_sample(rng.normal(size=5), 0.5, rng, "soft")
+            row, _ = gumbel_sample(rng.normal(size=5), 0.5, rng, "soft")
             assert abs(row.sum() - 1.0) < 1e-12
             assert np.all(row >= 0)
 
@@ -256,16 +379,16 @@ class TestGumbelSample:
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
-            _, hard = tr.gumbel_sample(logits, 0.7, rng, "st")
+            _, hard = gumbel_sample(logits, 0.7, rng, "st")
             counts[hard] += 1
         sd = np.sqrt(n * expected * (1 - expected))
         assert np.all(np.abs(counts - n * expected) <= 3 * sd)
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):
-            tr.gumbel_sample(np.zeros(3), 0.5, np.random.default_rng(0), "hard")
+            gumbel_sample(np.zeros(3), 0.5, np.random.default_rng(0), "hard")
         with pytest.raises(InputError):
-            tr.gumbel_sample(np.zeros(3), 0.0, np.random.default_rng(0), "soft")
+            gumbel_sample(np.zeros(3), 0.0, np.random.default_rng(0), "soft")
 
 
 class TestGumbelGrad:
@@ -450,8 +573,8 @@ class TestNoGradEquivalence:
         args = (d, feats, real, fake, mis)
         assert tr.discriminator_loss(*args) == on_grad_tapes(tr.discriminator_loss, *args)
         for seq in (real, fake, mis):
-            assert tr._clamped_score_value(d, feats, seq) == \
-                on_grad_tapes(tr._clamped_score_value, d, feats, seq)
+            assert np.array_equal(tr._clamped_scores(d, feats, seq),
+                                  on_grad_tapes(tr._clamped_scores, d, feats, seq))
 
     def test_clamped_score_value_matches_np_clip(self, caplog):
         d = disc.init_coatt(self.DCFG, 5)
@@ -461,7 +584,7 @@ class TestNoGradEquivalence:
         raw = disc.score(d, feats, seq)
         assert raw <= tr.SCORE_EPS or raw >= 1.0 - tr.SCORE_EPS
         with caplog.at_level("WARNING", logger="seqgan.training"):
-            value = tr._clamped_score_value(d, feats, seq)
+            value, = tr._clamped_scores(d, feats, seq)
         assert value == float(np.clip(raw, tr.SCORE_EPS, 1.0 - tr.SCORE_EPS))
         assert [r.getMessage() for r in caplog.records] == \
             [f"discriminator score {raw:.3g} clamped before log"]
