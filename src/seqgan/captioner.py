@@ -77,27 +77,21 @@ def initial_state(config: CaptionerConfig) -> DecoderState:
     return DecoderState(np.zeros((1, m)), np.zeros((1, m)), np.zeros((1, m)))
 
 
-_GATES = ("i", "f", "o", "g")
-
-
 def _param_shapes(config: CaptionerConfig) -> dict[str, tuple[int, int]]:
     K, m, d = config.vocab_size, config.hidden_dim, config.feature_dim
-    shapes: dict[str, tuple[int, int]] = {"embed": (K, m)}
-    for gate in _GATES:
-        shapes[f"lstm_Wx_{gate}"] = (2 * m, m)
-        shapes[f"lstm_Wh_{gate}"] = (m, m)
-        shapes[f"lstm_b_{gate}"] = (1, m)
-    shapes["sent_Wx"] = (2 * m, m)
-    shapes["sent_Wh"] = (m, m)
-    shapes["sent_b"] = (1, m)
-    shapes["attn_Wv"] = (d, m)
-    shapes["attn_Wa"] = (m, m)
-    shapes["attn_Wh"] = (m, m)
-    shapes["attn_w"] = (m, 1)
-    shapes["attn_b"] = (1, m)
-    shapes["out_W"] = (m, K)
-    shapes["out_b"] = (1, K)
-    return shapes
+    return {
+        "embed": (K, m),
+        # fused LSTM cell of [x_embed | ctx | h]: column blocks i, f, o, sentinel, g
+        "lstm_W": (3 * m, 5 * m),
+        "lstm_b": (1, 5 * m),
+        "attn_Wv": (d, m),
+        "attn_Wa": (m, m),
+        "attn_Wh": (m, m),
+        "attn_w": (m, 1),
+        "attn_b": (1, m),
+        "out_W": (m, K),
+        "out_b": (1, K),
+    }
 
 
 @dataclass
@@ -111,11 +105,29 @@ class CaptionerParams:
 
 def init_params(config: CaptionerConfig, seed: int) -> CaptionerParams:
     """Uniform init in [-a, a] with a = 1/sqrt(hidden_dim); seed-deterministic."""
+    return CaptionerParams(config, _init_arrays(_param_shapes(config), config.hidden_dim,
+                                                seed))
+
+
+def _init_arrays(shapes, m: int, seed: int) -> dict[str, np.ndarray]:
+    """Uniform init in [-a, a] with a = 1/sqrt(m), one array after another in
+    ``shapes`` order; serves both models.
+
+    ``lstm_W`` and ``lstm_b`` are drawn together, as one (rows + 1) x m block
+    ``[W_x; W_h; b]`` per gate in the order i, f, o, g, then any further
+    output gate (the captioner's sentinel); g's column block goes last.
+    """
     rng = np.random.default_rng(seed)
-    a = 1.0 / np.sqrt(config.hidden_dim)
-    arrays = {name: rng.uniform(-a, a, shape)
-              for name, shape in _param_shapes(config).items()}
-    return CaptionerParams(config, arrays)
+    a = 1.0 / np.sqrt(m)
+    arrays = {}
+    for name, shape in shapes.items():
+        if name == "lstm_W":
+            blocks = rng.uniform(-a, a, (shape[1] // m, shape[0] + 1, m))
+            fused = np.concatenate([*blocks[:3], *blocks[4:], blocks[3]], axis=1)
+            arrays["lstm_W"], arrays["lstm_b"] = fused[:-1], fused[-1:]
+        elif name != "lstm_b":
+            arrays[name] = rng.uniform(-a, a, shape)
+    return arrays
 
 
 def _lstm_cell(inputs, c, W, b):
@@ -134,34 +146,11 @@ def _lstm_cell(inputs, c, W, b):
     return [ad.narrow(out, -1, j, m) for j in range(0, out.shape[-1], m)]
 
 
-def _fuse_gates(p, blocks):
-    """Fused weight and bias of an LSTM cell from per-gate tensors.
-
-    ``blocks`` lists (input weight, hidden weight, bias) names in column
-    order; the weight stacks the input rows over the hidden rows.  Gradients
-    reach the per-gate tensors through the concat VJP.
-    """
-    W = ad.concat([ad.concat([p[wx] for wx, _, _ in blocks], axis=-1),
-                   ad.concat([p[wh] for _, wh, _ in blocks], axis=-1)], axis=-2)
-    return W, ad.concat([p[bias] for _, _, bias in blocks], axis=-1)
-
-
-def _gate_names(gate):
-    return f"lstm_Wx_{gate}", f"lstm_Wh_{gate}", f"lstm_b_{gate}"
-
-
-# column blocks of the fused captioner cell: i, f, o, sentinel gate, g
-_CAPTIONER_BLOCKS = (_gate_names("i"), _gate_names("f"), _gate_names("o"),
-                     ("sent_Wx", "sent_Wh", "sent_b"), _gate_names("g"))
-
-
 class BoundCaptioner:
     """Captioner parameters bound to a tape, exposing differentiable steps.
 
     Used directly by the training losses; the module-level functions below
-    wrap it for plain (non-gradient) decoding.  Binding also builds the
-    fused LSTM weight (3m x 5m) and bias (1 x 5m) from the stored per-gate
-    arrays.
+    wrap it for plain (non-gradient) decoding.
 
     ``step`` returns the output row ``h' + ctx'``; ``logits`` projects one
     or several stacked output rows to word scores in one affine node.
@@ -176,7 +165,6 @@ class BoundCaptioner:
         self.tape = tape
         self.config = params.config
         self.p = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
-        self._W, self._b = _fuse_gates(self.p, _CAPTIONER_BLOCKS)
         mask = np.zeros(params.config.vocab_size)
         mask[params.config.bos_id] = _MASK
         self._bos_mask = tape.tensor(mask.reshape(1, -1))
@@ -218,7 +206,8 @@ class BoundCaptioner:
         p = self.p
         if not self._context_aware:
             ctx = self._zero
-        c_new, h_new, sentinel = _lstm_cell([x_embed, ctx, h], c, self._W, self._b)
+        c_new, h_new, sentinel = _lstm_cell([x_embed, ctx, h], c, p["lstm_W"],
+                                              p["lstm_b"])
         values = ad.concat([feats_proj, sentinel], axis=-2)  # (C+1) x m
         act = ad.tanh(ad.matmul(values, p["attn_Wa"])
                       + ad.affine(h_new, p["attn_Wh"], p["attn_b"]))

@@ -11,10 +11,13 @@ File formats (also documented in the README):
 
 - feature file: magic ``SGF1``, little-endian u32 count, u32 crops, u32
   feature dim, then count*crops*dim little-endian float32 values.
-- checkpoint: magic ``SGCK``, u32 version, u32 section count, a section
+- checkpoint: magic ``SGCK``, u32 version (2), u32 section count, a section
   table of (u16 name length, name, u64 payload length) records, then the
   payloads in table order.  Tensor payloads store (u16 name length, name,
-  u8 rank, u32 dims..., float64 little-endian data) per entry.
+  u8 rank, u32 dims..., float64 little-endian data) per entry; rank 0 keeps
+  one placeholder dim.  Version 2 stores each LSTM as its fused ``lstm_W``/
+  ``lstm_b``; version-1 files (per-gate arrays, scalars as rank 1) still
+  load, converted to the fused layout.
 """
 
 from __future__ import annotations
@@ -291,7 +294,12 @@ def load_features(path, expected_crops=None, expected_dim=None):
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"SGCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+
+# Version 1 stored each LSTM gate as three arrays (``{}`` = Wx, Wh or b),
+# listed here in the column-block order of the fused cell.
+_V1_GATES = {"gen": ("lstm_{}_i", "lstm_{}_f", "lstm_{}_o", "sent_{}", "lstm_{}_g"),
+             "disc": ("lstm_{}_i", "lstm_{}_f", "lstm_{}_o", "lstm_{}_g")}
 
 
 @dataclass
@@ -309,7 +317,7 @@ class Checkpoint:
 def _pack_table(arrays: dict[str, np.ndarray]) -> bytes:
     chunks = [struct.pack("<I", len(arrays))]
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        arr = np.asarray(arrays[name], dtype=np.float64)  # keeps rank 0
         nb = name.encode()
         chunks.append(struct.pack("<H", len(nb)))
         chunks.append(nb)
@@ -406,6 +414,28 @@ def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict, section: str, off
                               offset=offset)
 
 
+def _fuse_v1(table, model: str, shape, prefix: str, section: str, offset: int):
+    """Replace the version-1 per-gate LSTM arrays named ``prefix`` + name in
+    ``table`` by the fused ``lstm_W`` (``shape``, from the config) and
+    ``lstm_b``: each gate's ``[W_x; W_h; b]`` is its (rows + 1) x m block."""
+    gates = _V1_GATES[model]
+    rows, m = shape[0], shape[1] // len(gates)
+    want = [(rows - m, m), (m, m), (1, m)]
+    blocks = []
+    for gate in gates:
+        names = [prefix + gate.format(part) for part in ("Wx", "Wh", "b")]
+        parts = [table.pop(name, None) for name in names]
+        if [None if p is None else p.shape for p in parts] != want:
+            raise FormatError(f"section {section!r} lacks version-1 gate arrays {names} "
+                              f"of shapes {want}", offset=offset)
+        blocks.append(np.concatenate(parts))
+    if {prefix + "lstm_W", prefix + "lstm_b"} & table.keys():
+        raise FormatError(f"section {section!r} mixes fused and per-gate LSTM arrays",
+                          offset=offset)
+    fused = np.concatenate(blocks, axis=1)
+    table[prefix + "lstm_W"], table[prefix + "lstm_b"] = fused[:-1], fused[-1:]
+
+
 def _opt_to_table(state) -> dict[str, np.ndarray]:
     table = {"__step": np.array(float(state.step))}
     for k, v in state.m.items():
@@ -424,7 +454,7 @@ def _opt_from_table(table: dict[str, np.ndarray], model, section: str, offset: i
         raise FormatError(f"section {section!r} has no model in the checkpoint",
                           offset=offset)
     step = table.get("__step", np.zeros(0))
-    step = step.item() if step.size == 1 else np.nan  # stored as a one-element array
+    step = step.item() if step.size == 1 else np.nan  # shape (), (1,) in version 1
     if not (np.isfinite(step) and step == np.floor(step) and step >= 0):
         raise FormatError(f"section {section!r} lacks an integer __step >= 0",
                           offset=offset)
@@ -496,7 +526,7 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) < 12:
         raise FormatError("truncated checkpoint header", offset=len(blob))
     version, n_sections = struct.unpack_from("<II", blob, 4)
-    if version != _CKPT_VERSION:
+    if version not in (1, _CKPT_VERSION):
         raise VersionError(f"unsupported checkpoint version {version}", offset=4)
 
     off = 12
@@ -543,6 +573,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"meta names a model but section {name!r} is missing",
                               offset=12)
         arrays = _unpack_table(payloads[name], starts[name])
+        if version == 1:
+            _fuse_v1(arrays, name, shapes["lstm_W"], "", name, starts[name])
         _check_shapes(arrays, shapes, name, starts[name])
         return arrays
 
@@ -567,10 +599,15 @@ def load_checkpoint(path) -> Checkpoint:
         discriminator = DiscriminatorParams(
             dcfg, model_arrays("disc", _SHAPES[variant](dcfg)), variant)
     opts = {}
-    for name, model in (("gen_opt", captioner), ("disc_opt", discriminator)):
+    for name, model, kind in (("gen_opt", captioner, "gen"),
+                              ("disc_opt", discriminator, "disc")):
         if name in payloads:
-            opts[name] = _opt_from_table(_unpack_table(payloads[name], starts[name]),
-                                         model, name, starts[name])
+            table = _unpack_table(payloads[name], starts[name])
+            if version == 1 and model is not None:
+                for prefix in ("m__", "v__"):
+                    _fuse_v1(table, kind, model.arrays["lstm_W"].shape, prefix, name,
+                             starts[name])
+            opts[name] = _opt_from_table(table, model, name, starts[name])
     aux = {}
     if "aux" in payloads:
         aux = _unpack_table(payloads["aux"], starts["aux"])

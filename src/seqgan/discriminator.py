@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .captioner import (_GATES, _MASK, InputError, TokenSequence, _fuse_gates,
-                        _gate_names, _lstm_cell)
+from .captioner import _MASK, InputError, TokenSequence, _init_arrays, _lstm_cell
 
 
 @dataclass(frozen=True)
@@ -38,20 +37,16 @@ class DiscriminatorConfig:
                 raise InputError(f"{name} must be >= 1")
 
 
-def _lstm_shapes(m: int) -> dict[str, tuple[int, int]]:
-    shapes = {}
-    for gate in _GATES:
-        shapes[f"lstm_Wx_{gate}"] = (m, m)
-        shapes[f"lstm_Wh_{gate}"] = (m, m)
-        shapes[f"lstm_b_{gate}"] = (1, m)
-    return shapes
+def _lstm_shapes(config: DiscriminatorConfig) -> dict[str, tuple[int, int]]:
+    """Word embedding and the fused word-LSTM cell of [x | h] (column blocks
+    i, f, o, g), shared by both variants."""
+    K, m = config.vocab_size, config.hidden_dim
+    return {"embed": (K, m), "lstm_W": (2 * m, 4 * m), "lstm_b": (1, 4 * m)}
 
 
 def _coatt_shapes(config: DiscriminatorConfig) -> dict[str, tuple[int, int]]:
-    K, m, d = config.vocab_size, config.hidden_dim, config.feature_dim
-    shapes = {"embed": (K, m)}
-    shapes.update(_lstm_shapes(m))
-    shapes.update({
+    m, d = config.hidden_dim, config.feature_dim
+    return _lstm_shapes(config) | {
         "img_W": (d, m),
         "bilinear_Q": (m, m),
         "attn_WI": (m, m),
@@ -66,16 +61,12 @@ def _coatt_shapes(config: DiscriminatorConfig) -> dict[str, tuple[int, int]]:
         "beta_b": (1, 1),
         "out_UI": (m, m),
         "out_VS": (m, m),
-    })
-    return shapes
+    }
 
 
 def _jointemb_shapes(config: DiscriminatorConfig) -> dict[str, tuple[int, int]]:
-    K, m, d = config.vocab_size, config.hidden_dim, config.feature_dim
-    shapes = {"embed": (K, m)}
-    shapes.update(_lstm_shapes(m))
-    shapes.update({"img_W": (d, m), "head_M": (m, m)})
-    return shapes
+    m, d = config.hidden_dim, config.feature_dim
+    return _lstm_shapes(config) | {"img_W": (d, m), "head_M": (m, m)}
 
 
 _SHAPES = {"coatt": _coatt_shapes, "jointemb": _jointemb_shapes}
@@ -94,12 +85,6 @@ class DiscriminatorParams:
         return DiscriminatorParams(self.config,
                                    {k: v.copy() for k, v in self.arrays.items()},
                                    self.variant)
-
-
-def _init_arrays(shapes, m, seed):
-    rng = np.random.default_rng(seed)
-    a = 1.0 / np.sqrt(m)
-    return {name: rng.uniform(-a, a, shape) for name, shape in shapes.items()}
 
 
 def init_coatt(config: DiscriminatorConfig, seed: int) -> DiscriminatorParams:
@@ -165,11 +150,9 @@ class BoundDiscriminator:
         self.config = params.config
         self.variant = params.variant
         self.p = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
-        # fused word-LSTM weight (2m x 4m, column blocks i, f, o, g) and bias
-        self._W, self._b = _fuse_gates(self.p, [_gate_names(g) for g in _GATES])
 
     def _lstm_step(self, h, c, x):
-        c_new, h_new = _lstm_cell([x, h], c, self._W, self._b)
+        c_new, h_new = _lstm_cell([x, h], c, self.p["lstm_W"], self.p["lstm_b"])
         return h_new, c_new
 
     def embed_rows(self, rows) -> ad.Tensor:
@@ -275,13 +258,6 @@ class BoundDiscriminator:
 # ---------------------------------------------------------------------------
 
 
-def embed_caption(params, seq: TokenSequence) -> np.ndarray:
-    """LSTM hidden state after each token, stacked as a T x m array."""
-    bound = BoundDiscriminator(ad.Tape(grad=False), params)
-    rows, _ = _one_hot_rows([seq], params.config.vocab_size)
-    return bound.hidden_states(bound.embed_rows(rows)).data[0].copy()
-
-
 def coatt_score(params: DiscriminatorParams, image_feats, seq: TokenSequence):
     """Returns (score, alpha over crops, beta over words, image embedding,
     caption embedding)."""
@@ -291,12 +267,6 @@ def coatt_score(params: DiscriminatorParams, image_feats, seq: TokenSequence):
     return (out["score"].item(), out["alpha"].data.reshape(-1).copy(),
             out["beta"].data.reshape(-1).copy(), out["e_img"].data.reshape(-1).copy(),
             out["e_cap"].data.reshape(-1).copy())
-
-
-def jointemb_score(params: DiscriminatorParams, image_feats, seq: TokenSequence) -> float:
-    if params.variant != "jointemb":
-        raise InputError("jointemb_score needs joint-embedding parameters")
-    return score(params, image_feats, seq)
 
 
 def score(params, image_feats, seq: TokenSequence) -> float:

@@ -3,8 +3,10 @@
 The enumeration helpers walk the complete sampling tree of a tiny
 captioner, so expectations and variances over the sequence distribution are
 exact.  ``PerGateCaptioner`` and ``PerGateDiscriminator`` keep the per-gate
-LSTM cells, the separate sentinel branch and the per-token log-likelihood
-that the fused models replaced, as the oracle for the fused path;
+LSTM cells (each gate's weights sliced from the stored fused arrays), the
+separate sentinel branch and the per-token log-likelihood that the fused
+models replaced, as the oracle for the fused path, and ``per_gate_init``
+the per-gate draws as the oracle for the fused initial values;
 ``composed_lstm_cell`` is the oracle for ``ad.lstm_cell``, and
 ``per_member_decode`` keeps the per-member ensemble loop as the oracle for
 the stacked ensemble bind, and ``per_reference_cider_d`` the CIDEr-D loop
@@ -26,17 +28,64 @@ from seqgan.captioner import (BoundCaptioner, InputError, TokenSequence, _check_
 from seqgan.discriminator import BoundDiscriminator
 
 GATES = ("i", "f", "o", "g")
+# the gate of each column block of the fused lstm_W / lstm_b, in order
+CAPTIONER_BLOCKS = ("i", "f", "o", "sent", "g")
+DISCRIMINATOR_BLOCKS = GATES
 
 
-def per_gate_lstm(p, inputs, h, c):
-    """LSTM cell with one matmul pair and one bias add per gate."""
+def gate_weights(p, blocks, m):
+    """Each gate's (W_x, W_h, b) as ``ad.narrow`` slices of the bound fused
+    ``lstm_W``/``lstm_b``: gate ``blocks[j]`` owns column block j of width m,
+    and its W_h is the last m rows."""
+    W, b = p["lstm_W"], p["lstm_b"]
+    rows = W.shape[-2]
     gates = {}
+    for j, gate in enumerate(blocks):
+        cols = ad.narrow(W, -1, j * m, m)
+        gates[gate] = (ad.narrow(cols, -2, 0, rows - m), ad.narrow(cols, -2, rows - m, m),
+                       ad.narrow(b, -1, j * m, m))
+    return gates
+
+
+def per_gate_lstm(gates, inputs, h, c):
+    """LSTM cell with one matmul pair and one bias add per gate."""
+    acts = {}
     for gate in GATES:
-        pre = ad.matmul(inputs, p[f"lstm_Wx_{gate}"]) + ad.matmul(h, p[f"lstm_Wh_{gate}"]) \
-            + p[f"lstm_b_{gate}"]
-        gates[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
-    c_new = gates["f"] * c + gates["i"] * gates["g"]
-    return gates["o"] * ad.tanh(c_new), c_new
+        W_x, W_h, b = gates[gate]
+        pre = ad.matmul(inputs, W_x) + ad.matmul(h, W_h) + b
+        acts[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
+    c_new = acts["f"] * c + acts["i"] * acts["g"]
+    return acts["o"] * ad.tanh(c_new), c_new
+
+
+def per_gate_init(config, seed, variant=None):
+    """Initial parameters as the per-gate layout drew them, one array after
+    another with each gate's W_x, W_h and b in turn (gates i, f, o, g, then
+    the captioner's sentinel), then concatenated into the fused
+    ``lstm_W``/``lstm_b``.  ``variant`` None means the captioner."""
+    K, m, d = config.vocab_size, config.hidden_dim, config.feature_dim
+    in_rows = 2 * m if variant is None else m
+    draws = [("embed", (K, m))]
+    for gate in GATES + (("sent",) if variant is None else ()):
+        draws += [(f"Wx_{gate}", (in_rows, m)), (f"Wh_{gate}", (m, m)), (f"b_{gate}", (1, m))]
+    if variant is None:
+        draws += [("attn_Wv", (d, m)), ("attn_Wa", (m, m)), ("attn_Wh", (m, m)),
+                  ("attn_w", (m, 1)), ("attn_b", (1, m)), ("out_W", (m, K)), ("out_b", (1, K))]
+    elif variant == "coatt":
+        draws += [("img_W", (d, m))] + [(name, (m, m)) for name in (
+            "bilinear_Q", "attn_WI", "attn_WIh", "attn_Wh", "attn_WhI")] + [
+            ("attn_bI", (1, m)), ("attn_bS", (1, m)), ("alpha_w", (m, 1)), ("alpha_b", (1, 1)),
+            ("beta_w", (m, 1)), ("beta_b", (1, 1)), ("out_UI", (m, m)), ("out_VS", (m, m))]
+    else:
+        draws += [("img_W", (d, m)), ("head_M", (m, m))]
+    rng = np.random.default_rng(seed)
+    a = 1.0 / np.sqrt(m)
+    arrays = {name: rng.uniform(-a, a, shape) for name, shape in draws}
+    blocks = CAPTIONER_BLOCKS if variant is None else DISCRIMINATOR_BLOCKS
+    arrays["lstm_W"] = np.concatenate([np.vstack([arrays.pop(f"Wx_{g}"), arrays.pop(f"Wh_{g}")])
+                                       for g in blocks], axis=1)
+    arrays["lstm_b"] = np.concatenate([arrays.pop(f"b_{g}") for g in blocks], axis=1)
+    return arrays
 
 
 def composed_lstm_cell(pre, c, k):
@@ -54,13 +103,17 @@ def composed_lstm_cell(pre, c, k):
 class PerGateCaptioner(BoundCaptioner):
     """The captioner step as separate per-gate and sentinel branches."""
 
+    def __init__(self, tape, params):
+        super().__init__(tape, params)
+        self.gates = gate_weights(self.p, CAPTIONER_BLOCKS, params.config.hidden_dim)
+
     def step(self, h, c, ctx, x_embed, feats_proj):
         p = self.p
         context_aware = self.config.attention == "context_aware"
         if not context_aware:
             ctx = self.tape.tensor(np.zeros_like(ctx.data))
         x = ad.concat([x_embed, ctx], axis=1)  # 1 x 2m
-        h_new, c_new = per_gate_lstm(p, x, h, c)
+        h_new, c_new = per_gate_lstm(self.gates, x, h, c)
 
         hidden_part = ad.matmul(h_new, p["attn_Wh"])
         act_img = ad.tanh(ad.add(ad.matmul(feats_proj, p["attn_Wa"]), hidden_part)
@@ -68,8 +121,8 @@ class PerGateCaptioner(BoundCaptioner):
         e_img = ad.transpose(ad.matmul(act_img, p["attn_w"]))  # 1 x C
 
         if context_aware:
-            sent_gate_vec = ad.sigmoid(ad.matmul(x, p["sent_Wx"]) + ad.matmul(h, p["sent_Wh"])
-                                       + p["sent_b"])
+            W_x, W_h, b = self.gates["sent"]
+            sent_gate_vec = ad.sigmoid(ad.matmul(x, W_x) + ad.matmul(h, W_h) + b)
             sentinel = sent_gate_vec * ad.tanh(c_new)  # 1 x m
             act_s = ad.tanh(ad.matmul(sentinel, p["attn_Wa"]) + hidden_part + p["attn_b"])
             e_s = ad.matmul(act_s, p["attn_w"])  # 1 x 1
@@ -164,8 +217,12 @@ def per_reference_cider_d(candidate, refs, idf):
 class PerGateDiscriminator(BoundDiscriminator):
     """The discriminator with its word LSTM as per-gate branches."""
 
+    def __init__(self, tape, params):
+        super().__init__(tape, params)
+        self.gates = gate_weights(self.p, DISCRIMINATOR_BLOCKS, params.config.hidden_dim)
+
     def _lstm_step(self, h, c, x):
-        return per_gate_lstm(self.p, x, h, c)
+        return per_gate_lstm(self.gates, x, h, c)
 
 
 def per_caption_objective(bound, image_feats, real, fake, mismatched):

@@ -148,12 +148,51 @@ def split_container(blob):
     return sections
 
 
-def join_container(sections):
-    chunks = [b"SGCK", struct.pack("<II", 1, len(sections))]
+def join_container(sections, version=dat._CKPT_VERSION):
+    chunks = [b"SGCK", struct.pack("<II", version, len(sections))]
     for name, payload in sections:
         nb = name if isinstance(name, bytes) else name.encode()
         chunks += [struct.pack("<H", len(nb)), nb, struct.pack("<Q", len(payload))]
     return b"".join(chunks + [payload for _, payload in sections])
+
+
+# column blocks of the fused LSTM cells, by gate, as version 1 named their arrays
+V1_BLOCKS = {"gen": ("i", "f", "o", "sent", "g"), "disc": ("i", "f", "o", "g")}
+
+
+def v1_gate_names(gate, prefix=""):
+    names = ("sent_Wx", "sent_Wh", "sent_b") if gate == "sent" else \
+        (f"lstm_Wx_{gate}", f"lstm_Wh_{gate}", f"lstm_b_{gate}")
+    return [prefix + name for name in names]
+
+
+def as_version_1(blob, edit=lambda section, table: None):
+    """A checkpoint rewritten as version 1 wrote it: each fused ``lstm_W``/
+    ``lstm_b`` (in the model tables and in the Adam moments) split into every
+    gate's W_x, W_h and b, and ``__step`` as a one-element array.
+    ``edit(section, table)`` may then alter a converted table."""
+    sections = split_container(blob)
+    meta = json.loads(sections[0][1])
+    hidden = {"gen": meta["captioner_config"]["hidden_dim"],
+              "disc": meta["discriminator"]["config"]["hidden_dim"]}
+    out = []
+    for name, payload in sections:
+        model = name.removesuffix("_opt")
+        if model in V1_BLOCKS:
+            table, m = dat._unpack_table(payload, 0), hidden[model]
+            for prefix in ("m__", "v__") if name != model else ("",):
+                W, b = table.pop(prefix + "lstm_W"), table.pop(prefix + "lstm_b")
+                rows = W.shape[0]
+                for j, gate in enumerate(V1_BLOCKS[model]):
+                    cols = slice(j * m, (j + 1) * m)
+                    table.update(zip(v1_gate_names(gate, prefix),
+                                     (W[: rows - m, cols], W[rows - m :, cols], b[:, cols])))
+            if "__step" in table:
+                table["__step"] = table["__step"].reshape(1)
+            edit(name, table)
+            payload = dat._pack_table(table)
+        out.append((name, payload))
+    return join_container(out, version=1)
 
 
 def test_one_parameter_error_class():
@@ -507,6 +546,105 @@ class TestCheckpoint:
         assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
+class TestVersion1:
+    """Version-1 files stored per-gate LSTM arrays; they load into the fused
+    layout and re-save as version 2."""
+
+    def _v2_bytes(self, tmp_path):
+        ckpt = TestCheckpoint()._make()
+        rng = np.random.default_rng(5)
+        for opt in (ckpt.gen_opt, ckpt.disc_opt):
+            opt.step = 7
+            for moments in (opt.m, opt.v):
+                for name in moments:
+                    moments[name] = rng.uniform(-1, 1, moments[name].shape)
+        path = tmp_path / "v2.ckpt"
+        dat.save_checkpoint(path, ckpt)
+        return ckpt, path.read_bytes()
+
+    def _load(self, tmp_path, blob):
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(blob)
+        return dat.load_checkpoint(path)
+
+    def test_loads_equal_to_the_fused_original(self, tmp_path):
+        ckpt, blob = self._v2_bytes(tmp_path)
+        loaded = self._load(tmp_path, as_version_1(blob))
+        for model in ("captioner", "discriminator"):
+            want, got = getattr(ckpt, model).arrays, getattr(loaded, model).arrays
+            assert sorted(got) == sorted(want)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+        for opt in ("gen_opt", "disc_opt"):
+            want, got = getattr(ckpt, opt), getattr(loaded, opt)
+            assert got.step == want.step == 7
+            for moments, ref in ((got.m, want.m), (got.v, want.v)):
+                assert sorted(moments) == sorted(ref)
+                assert all(np.array_equal(moments[k], ref[k]) for k in ref)
+        assert loaded.rng_state == ckpt.rng_state and loaded.epoch == ckpt.epoch
+
+    def test_resaves_as_version_2_byte_identically(self, tmp_path):
+        _, blob = self._v2_bytes(tmp_path)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        dat.save_checkpoint(first, self._load(tmp_path, as_version_1(blob)))
+        assert struct.unpack_from("<I", first.read_bytes(), 4) == (2,)
+        assert first.read_bytes() == blob
+        dat.save_checkpoint(second, dat.load_checkpoint(first))
+        assert second.read_bytes() == first.read_bytes()
+
+    @staticmethod
+    def _move_column(table, prefix, src, dst):
+        """Widen one gate's W_x by a column taken from another, so the widths
+        still sum to the fused width."""
+        wx_src, wx_dst = v1_gate_names(src, prefix)[0], v1_gate_names(dst, prefix)[0]
+        table[wx_dst] = np.hstack([table[wx_dst], table[wx_src][:, -1:]])
+        table[wx_src] = table[wx_src][:, :-1]
+
+    @staticmethod
+    def _move_row(table, prefix):
+        """Move W_x's last row to the top of W_h: the block keeps its shape."""
+        wx, wh, _ = v1_gate_names("f", prefix)
+        table[wh] = np.vstack([table[wx][-1:], table[wh]])
+        table[wx] = table[wx][:-1]
+
+    @pytest.mark.parametrize("edit", [
+        lambda t, p: t.pop(p + "lstm_Wh_f"),
+        lambda t, p: t.update({p + "lstm_b_o": t[p + "lstm_b_o"].reshape(-1, 1)}),
+        lambda t, p: TestVersion1._move_column(t, p, "i", "f"),
+        lambda t, p: TestVersion1._move_row(t, p),
+        lambda t, p: t.update({p + "lstm_b": np.zeros((1, 1))}),
+    ], ids=["missing", "bias-shape", "widths-sum", "rows-sum", "fused-too"])
+    @pytest.mark.parametrize("section", ["gen", "disc", "gen_opt", "disc_opt"])
+    def test_malformed_gate_arrays_are_format_error(self, tmp_path, section, edit):
+        prefix = "m__" if section.endswith("_opt") else ""
+        _, blob = self._v2_bytes(tmp_path)
+        bad = as_version_1(blob, lambda name, table: edit(table, prefix)
+                           if name == section else None)
+        with pytest.raises(dat.FormatError, match=f"section '{section}'"):
+            self._load(tmp_path, bad)
+
+    @pytest.mark.parametrize("section", ["gen", "disc", "gen_opt", "disc_opt"])
+    def test_per_gate_names_in_version_2_are_format_error(self, tmp_path, section):
+        _, blob = self._v2_bytes(tmp_path)
+        per_gate = dict(split_container(as_version_1(blob)))
+        mixed = join_container([(n, per_gate[n] if n == section else p)
+                                for n, p in split_container(blob)])
+        with pytest.raises(dat.FormatError, match=f"section '{section}'"):
+            self._load(tmp_path, mixed)
+
+
+def test_scalars_load_with_rank_0(tmp_path):
+    ckpt = TestCheckpoint()._make()
+    ckpt.gen_opt.step = 3
+    ckpt.aux["scalar"] = np.array(2.5)
+    path = tmp_path / "s.ckpt"
+    dat.save_checkpoint(path, ckpt)
+    sections = dict(split_container(path.read_bytes()))
+    assert dat._unpack_table(sections["gen_opt"], 0)["__step"].shape == ()
+    loaded = dat.load_checkpoint(path)
+    assert loaded.aux["scalar"].shape == () and loaded.aux["scalar"] == 2.5
+    assert loaded.gen_opt.step == 3
+
+
 def _real_checkpoint_bytes():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "real.ckpt")
@@ -516,15 +654,18 @@ def _real_checkpoint_bytes():
 
 
 _REAL_CKPT = _real_checkpoint_bytes()
+_REAL_CKPTS = {2: _REAL_CKPT, 1: as_version_1(_REAL_CKPT)}
 
 
 @settings(max_examples=300, deadline=None)
-@given(cut=st.integers(min_value=0, max_value=len(_REAL_CKPT) - 1))
-def test_truncation_at_any_offset_raises_only_format_errors(cut):
+@given(version=st.sampled_from((2, 1)), data=st.data())
+def test_truncation_at_any_offset_raises_only_format_errors(version, data):
+    blob = _REAL_CKPTS[version]
+    cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1), label="cut")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cut.ckpt")
         with open(path, "wb") as fh:
-            fh.write(_REAL_CKPT[:cut])
+            fh.write(blob[:cut])
         with pytest.raises(dat.FormatError):  # VersionError is a FormatError
             dat.load_checkpoint(path)
 

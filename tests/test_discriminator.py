@@ -17,30 +17,37 @@ def rand_feats(config, rng):
     return rng.uniform(-1, 1, (config.num_crops, config.feature_dim))
 
 
+def embed_caption(params, seq):
+    """LSTM hidden state after each token of one caption, T x m."""
+    bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
+    rows, _ = disc._one_hot_rows([seq], params.config.vocab_size)
+    return bound.hidden_states(bound.embed_rows(rows)).data[0]
+
+
 class TestEmbedCaption:
     def test_single_token_single_row(self):
         params = disc.init_coatt(tiny_config(), 0)
-        H = disc.embed_caption(params, TokenSequence([2], True))
+        H = embed_caption(params, TokenSequence([2], True))
         assert H.shape == (1, params.config.hidden_dim)
 
     def test_deterministic(self):
         params = disc.init_coatt(tiny_config(), 1)
         seq = TokenSequence([2, 3, 1], True)
-        np.testing.assert_array_equal(disc.embed_caption(params, seq),
-                                      disc.embed_caption(params, seq))
+        np.testing.assert_array_equal(embed_caption(params, seq),
+                                      embed_caption(params, seq))
 
     def test_prefix_property(self):
         params = disc.init_jointemb(tiny_config(), 2)
         seq = TokenSequence([2, 4, 3, 1], True)
-        full = disc.embed_caption(params, seq)
+        full = embed_caption(params, seq)
         for t in range(1, len(seq.tokens) + 1):
-            part = disc.embed_caption(params, TokenSequence(seq.tokens[:t], False))
+            part = embed_caption(params, TokenSequence(seq.tokens[:t], False))
             np.testing.assert_allclose(full[:t], part, atol=1e-15)
 
     def test_empty_rejected(self):
         params = disc.init_coatt(tiny_config(), 0)
         with pytest.raises(InputError):
-            disc.embed_caption(params, TokenSequence([], False))
+            embed_caption(params, TokenSequence([], False))
 
 
 class TestCoattScore:
@@ -113,9 +120,9 @@ class TestJointEmbScore:
         rng = np.random.default_rng(3)
         feats = rand_feats(config, rng)
         seq = TokenSequence([2, 3, 1], True)
-        base = disc.jointemb_score(params, feats, seq)
+        base = disc.score(params, feats, seq)
         for _ in range(3):
-            assert abs(disc.jointemb_score(params, feats[rng.permutation(5)], seq)
+            assert abs(disc.score(params, feats[rng.permutation(5)], seq)
                        - base) <= 1e-12
 
     def test_zero_params_half_score(self):
@@ -123,8 +130,8 @@ class TestJointEmbScore:
         params = disc.init_jointemb(config, 0)
         for arr in params.arrays.values():
             arr[:] = 0.0
-        assert disc.jointemb_score(params, np.zeros((config.num_crops, config.feature_dim)),
-                                   TokenSequence([2], True)) == 0.5
+        assert disc.score(params, np.zeros((config.num_crops, config.feature_dim)),
+                          TokenSequence([2], True)) == 0.5
 
     def test_param_gradients_vs_fd(self):
         config = tiny_config()
@@ -141,15 +148,10 @@ class TestJointEmbScore:
             def f(arr, name=name):
                 trial = params.copy()
                 trial.arrays[name] = arr
-                return float(np.log(disc.jointemb_score(trial, feats, seq)))
+                return float(np.log(disc.score(trial, feats, seq)))
 
             fd = central_difference(f, params.arrays[name].copy())
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
-
-    def test_variant_mixup_rejected(self):
-        coatt = disc.init_coatt(tiny_config(), 0)
-        with pytest.raises(InputError):
-            disc.jointemb_score(coatt, np.zeros((3, 3)), TokenSequence([2], True))
 
 
 class TestScoreSoft:
@@ -229,15 +231,12 @@ class TestNoGradEquivalence:
         for fn, args in [(disc.score, (params, feats, seq)),
                          (disc.score_soft, (params, feats, soft))]:
             assert fn(*args) == on_grad_tapes(fn, *args)
-        assert np.array_equal(disc.embed_caption(params, seq),
-                              on_grad_tapes(disc.embed_caption, params, seq))
-        if variant == "jointemb":
-            assert disc.jointemb_score(params, feats, seq) == \
-                on_grad_tapes(disc.jointemb_score, params, feats, seq)
-            return
-        for a, b in zip(disc.coatt_score(params, feats, seq),
-                        on_grad_tapes(disc.coatt_score, params, feats, seq)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(embed_caption(params, seq),
+                              on_grad_tapes(embed_caption, params, seq))
+        if variant == "coatt":
+            for a, b in zip(disc.coatt_score(params, feats, seq),
+                            on_grad_tapes(disc.coatt_score, params, feats, seq)):
+                assert np.array_equal(a, b)
 
 
 class TestPaddedBatch:

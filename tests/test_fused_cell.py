@@ -1,10 +1,12 @@
-"""The fused LSTM cells against the per-gate oracle in ``helpers``.
+"""The fused LSTM cells against the per-gate oracles in ``helpers``.
 
 The captioner fuses its four gates and the sentinel gate into one affine and
 one ``lstm_cell`` node (the sentinel is the cell's second output gate), and
 attends over the sentinel as one more value row; the discriminator fuses its
 word LSTM the same way.  Values, every parameter gradient and the logit
-gradients must match the per-gate formulation to 1e-12.
+gradients must match the per-gate formulation to 1e-12.  Both models store
+the fused weight and bias, and their initial values must equal the per-gate
+draws concatenated.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from seqgan import captioner as cap
 from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import training as tr
-from helpers import PerGateCaptioner, PerGateDiscriminator
+from helpers import PerGateCaptioner, PerGateDiscriminator, per_gate_init
 
 TOL = 1e-12
 ATTENTION = ("context_aware", "att2all")
@@ -44,6 +46,23 @@ def teacher_forced(cls, params, feats, seq):
     logit_grads = logits.grad if isinstance(logits, ad.Tensor) \
         else np.vstack([t.grad for t in logits])
     return logp.item(), {n: bound.p[n].grad for n in params.arrays}, logit_grads
+
+
+@pytest.mark.parametrize("hidden", (1, 4))
+@pytest.mark.parametrize("model", ATTENTION + disc.VARIANTS)
+def test_init_equals_per_gate_draws(model, hidden):
+    if model in ATTENTION:
+        config = cap.CaptionerConfig(vocab_size=9, hidden_dim=hidden, num_crops=3,
+                                     feature_dim=5, attention=model)
+        arrays, variant = cap.init_params(config, 17).arrays, None
+    else:
+        config = disc.DiscriminatorConfig(vocab_size=9, hidden_dim=hidden, num_crops=3,
+                                          feature_dim=5)
+        arrays, variant = disc.init_discriminator(config, 17, model).arrays, model
+    ref = per_gate_init(config, 17, variant)
+    assert sorted(arrays) == sorted(ref)
+    for name in ref:
+        assert np.array_equal(arrays[name], ref[name]), name
 
 
 @pytest.mark.parametrize("attention", ATTENTION)
