@@ -172,6 +172,17 @@ def _check_matmul(name, av, bv):
         raise ShapeError(f"{name} inner dims disagree: {av.shape} @ {bv.shape}")
 
 
+def _weight_grad(av, g, shape):
+    """Gradient of the right operand of ``av @ W``: ``_mT(av) @ g`` summed
+    down to W's ``shape``.  A rank-2 W under leading axes gets it as one 2-D
+    product with the leading axes folded into rows, instead of one product
+    per leading index and a sum over them; a stacked W keeps the per-index
+    products."""
+    if len(shape) == 2 and av.ndim > 2:
+        return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return _unbroadcast(_mT(av) @ g, shape)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
     tape = _tape_of(a, b)
@@ -187,7 +198,7 @@ def matmul(a, b) -> Tensor:
         return Tensor(tape, None, out)
 
     def vjp(g):
-        return _unbroadcast(g @ _mT(bv), av.shape), _unbroadcast(_mT(av) @ g, bv.shape)
+        return _unbroadcast(g @ _mT(bv), av.shape), _weight_grad(av, g, bv.shape)
 
     return tape._record(out, (a.index, b.index), vjp)
 
@@ -210,8 +221,8 @@ def affine(x, W, b) -> Tensor:
         return Tensor(tape, None, out)
 
     def vjp(g):
-        return (_unbroadcast(g @ _mT(Wv), xv.shape),
-                _unbroadcast(_mT(xv) @ g, Wv.shape), _unbroadcast(g, bv.shape))
+        return (_unbroadcast(g @ _mT(Wv), xv.shape), _weight_grad(xv, g, Wv.shape),
+                _unbroadcast(g, bv.shape))
 
     return tape._record(out, (x.index, W.index, b.index), vjp)
 
@@ -510,18 +521,35 @@ def concat(tensors, axis=0) -> Tensor:
     return tape._record(out, tuple(t.index for t in tensors), vjp)
 
 
-def get_row(x: Tensor, i: int) -> Tensor:
-    """Row i of the last two axes as a ... x 1 x n tensor (embedding lookup)."""
+def get_row(x: Tensor, i) -> Tensor:
+    """Row i of the last two axes as a ... x 1 x n tensor (embedding lookup).
+
+    ``i`` may also be a vector of B row ids: the rows are then gathered into
+    a new axis before the last two, ... x B x 1 x n with row ``i[b]`` at b, in
+    one gather; the VJP scatters with ``np.add.at``, so repeated ids add up.
+    """
     v = x.data
-    if v.ndim < 2 or not (0 <= i < v.shape[-2]):
+    rows = v.shape[-2] if v.ndim >= 2 else 0
+    single = isinstance(i, (int, np.integer))
+    if single:
+        valid = 0 <= i < rows
+    else:
+        ids = np.asarray(i)
+        valid = ids.ndim == 1 and ids.dtype.kind in "iu" \
+            and bool(np.all((0 <= ids) & (ids < rows)))
+    if not valid:
         raise ShapeError(f"row {i} invalid for shape {v.shape}")
-    out = v[..., i : i + 1, :].copy()
+    # fancy indexing copies
+    out = v[..., i : i + 1, :].copy() if single else v[..., ids, :][..., None, :]
     if not x.tape.grad:
         return Tensor(x.tape, None, out)
 
     def vjp(g):
         gx = np.zeros_like(v)
-        gx[..., i, :] = g[..., 0, :]
+        if single:
+            gx[..., i, :] = g[..., 0, :]
+        else:
+            np.add.at(gx, (Ellipsis, ids, slice(None)), g[..., 0, :])
         return (gx,)
 
     return x.tape._record(out, (x.index,), vjp)

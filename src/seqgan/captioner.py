@@ -65,6 +65,19 @@ class TokenSequence:
 
 
 @dataclass
+class CaptionBatch:
+    """B captions teacher-forced as one padded batch (see
+    ``BoundCaptioner.sequence_log_prob_and_logits``)."""
+
+    seqs: list[TokenSequence]
+
+    @property
+    def tokens(self) -> list[list[int]]:
+        """Each caption's tokens, in batch order."""
+        return [seq.tokens for seq in self.seqs]
+
+
+@dataclass
 class DecoderState:
     h: np.ndarray        # 1 x m hidden
     c: np.ndarray        # 1 x m cell
@@ -168,20 +181,31 @@ class BoundCaptioner:
         mask = np.zeros(params.config.vocab_size)
         mask[params.config.bos_id] = _MASK
         self._bos_mask = tape.tensor(mask.reshape(1, -1))
-        members = params.arrays["embed"].shape[:-2]  # (M,) when stacked, else ()
-        self._zero = tape.tensor(np.zeros(members + (1, params.config.hidden_dim)))
+        self._members = params.arrays["embed"].shape[:-2]  # (M,) when stacked, else ()
+        self._zeros = {}  # zero leaves by shape, bound on first use
         self._context_aware = params.config.attention == "context_aware"
         if not self._context_aware:  # the sentinel slot gets exactly zero attention
             scores = np.zeros((1, params.config.num_crops + 1))
             scores[0, -1] = _MASK
             self._sentinel_mask = tape.tensor(scores)
 
-    def project_feats(self, image_feats) -> ad.Tensor:
-        feats = _check_feats(image_feats, self.config)
+    def project_feats(self, image_feats, batch: int | None = None) -> ad.Tensor:
+        """Crops projected to the attention width: C x m, or B x C x m for
+        ``batch`` = B images given as B x C x d."""
+        feats = _check_feats(image_feats, self.config, batch)
         return ad.matmul(self.tape.tensor(feats), self.p["attn_Wv"])
 
-    def zero_state(self):
-        return self._zero, self._zero, self._zero
+    def _zero(self, shape) -> ad.Tensor:
+        if shape not in self._zeros:
+            self._zeros[shape] = self.tape.tensor(np.zeros(shape))
+        return self._zeros[shape]
+
+    def zero_state(self, batch: int | None = None):
+        """Zero (h, c, ctx), 1 x m per member, or B x 1 x m for ``batch`` = B
+        rows; the first-step context is defined as the zero vector."""
+        rows = () if batch is None else (batch,)
+        zero = self._zero(self._members + rows + (1, self.config.hidden_dim))
+        return zero, zero, zero
 
     def embed_token(self, token: int) -> ad.Tensor:
         if not (0 <= token < self.config.vocab_size):
@@ -196,7 +220,9 @@ class BoundCaptioner:
         """One decoder step.
 
         Returns (output row h' + ctx' 1xm, h', c', ctx', attn 1x(C+1)); pass
-        the output row to ``logits`` for word scores.  The last slot of
+        the output row to ``logits`` for word scores.  Every operand may carry
+        leading axes (members, batch rows), e.g. B x 1 x m states against
+        B x C x m crops.  The last slot of
         ``attn`` is the sentinel gate.  The sentinel is the cell's second
         output gate applied to tanh(c'), stacked as one more attendable row
         under the projected crops, so the crop and sentinel scores come from
@@ -205,7 +231,7 @@ class BoundCaptioner:
         """
         p = self.p
         if not self._context_aware:
-            ctx = self._zero
+            ctx = self._zero(h.shape)
         c_new, h_new, sentinel = _lstm_cell([x_embed, ctx, h], c, p["lstm_W"],
                                               p["lstm_b"])
         values = ad.concat([feats_proj, sentinel], axis=-2)  # (C+1) x m
@@ -230,41 +256,70 @@ class BoundCaptioner:
         """Output distribution; BOS is masked out and never emitted."""
         return ad.softmax(self.masked_logits(logits))
 
-    def sequence_log_prob(self, image_feats, seq: TokenSequence) -> ad.Tensor:
-        """Teacher-forced log p(sequence | image) as a differentiable scalar."""
+    def sequence_log_prob(self, image_feats, seq) -> ad.Tensor:
+        """Teacher-forced log p(sequence | image) as a differentiable scalar,
+        or as B values for a ``CaptionBatch`` of B against B x C x d
+        features."""
         return self.sequence_log_prob_and_logits(image_feats, seq)[0]
 
-    def sequence_log_prob_and_logits(self, image_feats, seq: TokenSequence):
-        """As ``sequence_log_prob`` but also returns the T x K logit tensor
-        (pre-mask, row t for step t), so callers can harvest its gradient
-        after backward.
+    def sequence_log_prob_and_logits(self, image_feats, seq):
+        """As ``sequence_log_prob`` but also returns the logit tensor
+        (pre-mask, row t for step t): T x K for one ``TokenSequence``, B x T x
+        K for a ``CaptionBatch``, T the longest caption; callers can harvest
+        its gradient after backward.
 
-        The T output rows are stacked, so the caption takes one output
-        affine, one masked softmax, one one-hot pick, one log and one sum.
+        The one teacher-forced loop; a single caption is the case B = 1.  The
+        captions are padded to the longest, and each step advances B x 1 x m
+        rows from one bind.  The pass is causal, so a padded step, which comes
+        after its caption's last word, never reaches a valid one, and the
+        LSTM state needs no mask.  The T output rows are stacked, so the batch
+        takes one output affine, one B x T x K masked softmax, one pick, one
+        log and one sum: each valid step picks its word's probability with
+        weight 1, and a padded step picks nothing and adds log 1 = 0.
         """
-        _check_seq(seq, self.config)
-        feats_proj = self.project_feats(image_feats)
-        h, c, ctx = self.zero_state()
-        prev = self.config.bos_id
+        single = isinstance(seq, TokenSequence)
+        if not single and not isinstance(seq, CaptionBatch):
+            raise InputError("expected a TokenSequence or a CaptionBatch")
+        seqs = [seq] if single else seq.seqs
+        if not seqs:
+            raise InputError("caption batch is empty")
+        for s in seqs:
+            _check_seq(s, self.config)
+        B, T = len(seqs), max(len(s.tokens) for s in seqs)
+        prev = np.full((B, T), self.config.bos_id)
+        picks = np.zeros((B, T, self.config.vocab_size))
+        for b, s in enumerate(seqs):
+            prev[b, 1 : len(s.tokens)] = s.tokens[:-1]
+            picks[b, np.arange(len(s.tokens)), s.tokens] = 1.0
+        if single:
+            image_feats = _check_feats(image_feats, self.config)[None]
+        feats_proj = self.project_feats(image_feats, batch=B)
+        h, c, ctx = self.zero_state(B)
         rows = []
-        for tok in seq.tokens:
-            row, h, c, ctx, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
+        for t in range(T):
+            x = ad.get_row(self.p["embed"], prev[:, t])  # B x 1 x m
+            row, h, c, ctx, _ = self.step(h, c, ctx, x, feats_proj)
             rows.append(row)
-            prev = tok
-        logits = self.logits(ad.concat(rows, axis=0))  # T x K
-        probs = self.word_dist(logits)
-        onehot = np.zeros(probs.shape)
-        onehot[np.arange(len(seq.tokens)), seq.tokens] = 1.0
-        picked = ad.reduce_sum(ad.mul(probs, onehot), axis=1)
-        return ad.reduce_sum(ad.log(picked)), logits
+        rows = ad.concat(rows, axis=-2)  # B x T x m
+        if single:
+            rows, picks = ad.reshape(rows, (T, -1)), picks[0]
+        logits = self.logits(rows)
+        picked = ad.reduce_sum(ad.mul(self.word_dist(logits), picks), axis=-1)
+        pad = 1.0 - picks.sum(axis=-1)
+        if pad.any():
+            picked = ad.add(picked, pad)
+        return ad.reduce_sum(ad.log(picked), axis=None if single else -1), logits
 
 
-def _check_feats(image_feats, config: CaptionerConfig) -> np.ndarray:
+def _check_feats(image_feats, config: CaptionerConfig, batch: int | None = None):
+    """Features as float64, C x d, or B x C x d for ``batch`` = B."""
     feats = np.asarray(image_feats, dtype=np.float64)
-    if feats.shape != (config.num_crops, config.feature_dim):
-        raise InputError(
-            f"image features must be {config.num_crops} x {config.feature_dim}, "
-            f"got {feats.shape}")
+    shape = (config.num_crops, config.feature_dim)
+    if batch is not None:
+        shape = (batch,) + shape
+    if feats.shape != shape:
+        raise InputError(f"image features must be {' x '.join(map(str, shape))}, "
+                         f"got {feats.shape}")
     return feats
 
 

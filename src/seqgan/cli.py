@@ -111,7 +111,21 @@ class ExperimentConfig:
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    return ExperimentConfig(_merge_strict(_DEFAULTS, data))
+    """The config merged over the defaults and checked before any work:
+    ``ce_pretrain`` values against their ranges, ``gan`` by building its
+    ``GanConfig``.  Errors name the field path."""
+    cfg = ExperimentConfig(_merge_strict(_DEFAULTS, data))
+    ce = cfg.raw["ce_pretrain"]
+    for name, ok, rule in (("epochs", ce["epochs"] >= 0, ">= 0"),
+                           ("batch_size", ce["batch_size"] >= 1, ">= 1"),
+                           ("lr", ce["lr"] > 0, "> 0")):
+        if not ok:
+            raise ConfigError(f"ce_pretrain.{name} must be {rule}, got {ce[name]}")
+    try:
+        gan_config(cfg)
+    except tr.InputError as e:  # its message starts with the field name
+        raise ConfigError(f"gan.{e}") from None
+    return cfg
 
 
 def load_config(path, seed_override=None, out_dir=None) -> ExperimentConfig:

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as datamod
 from . import metrics as met
-from .captioner import (BoundCaptioner, CaptionerParams, InputError,
+from .captioner import (BoundCaptioner, CaptionBatch, CaptionerParams, InputError,
                         TokenSequence, greedy_decode, sample_sentence)
 from .discriminator import BoundDiscriminator
 from .metrics import NumericError
@@ -53,16 +53,21 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Each error message starts with the name of the field at fault."""
         if self.estimator not in ESTIMATORS:
             raise InputError(f"estimator must be one of {ESTIMATORS}")
         if self.reward not in REWARDS:
             raise InputError(f"reward must be one of {REWARDS}")
         if self.temperature <= 0:
             raise InputError("temperature must be positive")
-        if self.cider_weight < 0 or self.fm_image_weight < 0 or self.fm_caption_weight < 0:
-            raise InputError("regularizer weights must be nonnegative")
-        if self.batch_size < 1 or self.epochs < 0 or self.d_pretrain_epochs < 0:
-            raise InputError("batch_size >= 1, epochs/d_pretrain_epochs >= 0")
+        for name in ("cider_weight", "fm_image_weight", "fm_caption_weight"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be nonnegative")
+        if self.batch_size < 1:
+            raise InputError("batch_size must be >= 1")
+        for name in ("epochs", "d_pretrain_epochs"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -351,11 +356,20 @@ def ce_pretrain(g_params: CaptionerParams, dataset, epochs: int,
                 rng: np.random.Generator, lr: float = 1e-3, batch_size: int = 8):
     """Teacher-forced next-token cross entropy over all reference captions.
 
+    Each minibatch is one padded batch: one tape, one bind and one
+    teacher-forced pass for all its captions, then one backward and one Adam
+    step on the batch mean of each caption's loss in nats per token.  Only
+    the epoch permutations are drawn from ``rng``.
+
     Mutates ``g_params`` in place; returns (params, per-epoch mean loss in
     nats per token).
     """
     if not dataset:
         raise InputError("dataset is empty")
+    if batch_size < 1:
+        raise InputError(f"batch_size must be >= 1, got {batch_size}")
+    if epochs < 0:
+        raise InputError(f"epochs must be >= 0, got {epochs}")
     pairs = [(idx, r) for idx, (_, refs) in enumerate(dataset) for r in range(len(refs))]
     opt = init_adam(g_params.arrays)
     curve = []
@@ -363,22 +377,19 @@ def ce_pretrain(g_params: CaptionerParams, dataset, epochs: int,
         order = rng.permutation(len(pairs))
         epoch_loss, epoch_tokens = 0.0, 0
         for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            grads = _zero_grads(g_params.arrays)
-            for j in batch:
-                idx, r = pairs[j]
-                feats = _example_feats(dataset[idx])
-                ref = dataset[idx][1][r]
-                tape = ad.Tape()
-                bound = BoundCaptioner(tape, g_params)
-                logp = bound.sequence_log_prob(feats, ref)
-                loss = ad.scale(logp, -1.0 / len(ref.tokens))
-                ad.backward(tape, loss)
-                _accumulate(grads, {n: bound.p[n].grad for n in grads},
-                            scale=1.0 / len(batch))
-                epoch_loss += loss.item() * len(ref.tokens)
-                epoch_tokens += len(ref.tokens)
-            adam_step(g_params.arrays, grads, opt, lr)
+            batch = [pairs[j] for j in order[start : start + batch_size]]
+            feats = np.array([_example_feats(dataset[idx]) for idx, _ in batch])
+            refs = [dataset[idx][1][r] for idx, r in batch]
+            lengths = np.array([len(ref.tokens) for ref in refs])
+            tape = ad.Tape()
+            bound = BoundCaptioner(tape, g_params)
+            logp = bound.sequence_log_prob(feats, CaptionBatch(refs))
+            loss = ad.reduce_sum(ad.mul(logp, -1.0 / (len(batch) * lengths)))
+            ad.backward(tape, loss)
+            adam_step(g_params.arrays, {n: bound.p[n].grad for n in g_params.arrays}, opt,
+                      lr)
+            epoch_loss -= float(logp.data.sum())
+            epoch_tokens += int(lengths.sum())
         curve.append(epoch_loss / max(epoch_tokens, 1))
     return g_params, curve
 

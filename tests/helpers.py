@@ -14,7 +14,9 @@ that rebuilt the candidate side for every reference.  ``loop_d_batch_step``
 keeps the discriminator step as a per-image loop (one tape, one bind and
 three single-caption scores per image) as the oracle for the padded batch,
 and ``gumbel_sample`` is a numpy relaxed sampler, the oracle for the
-Gumbel-max law.
+Gumbel-max law.  ``loop_ce_pretrain`` keeps cross-entropy pretraining as the
+per-caption loop (one tape, one bind and one teacher-forced pass per
+caption) as the oracle for the padded minibatch.
 """
 
 from collections import Counter
@@ -263,6 +265,48 @@ def loop_d_batch_step(g_params, d_params, d_opt, dataset, batch, rng, cfg):
         total += objective.item() / len(batch)
     tr.adam_step(d_params.arrays, {n: -g for n, g in grads.items()}, d_opt, cfg.d_lr)
     return total, grads
+
+
+def per_caption_ce_grads(g_params, examples, bound_cls=BoundCaptioner):
+    """Gradient of the minibatch's CE loss, the mean over its captions of
+    each caption's nats per token, summed caption by caption: one tape, one
+    bind and one teacher-forced pass each.  ``examples`` holds (C x d
+    features, caption) pairs.
+
+    Returns (gradients, the minibatch's total nats).
+    """
+    grads = {k: np.zeros_like(a) for k, a in g_params.arrays.items()}
+    nats = 0.0
+    for feats, ref in examples:
+        tape = ad.Tape()
+        bound = bound_cls(tape, g_params)
+        loss = ad.scale(bound.sequence_log_prob(feats, ref), -1.0 / len(ref.tokens))
+        ad.backward(tape, loss)
+        for name in grads:
+            grads[name] += 1.0 / len(examples) * bound.p[name].grad
+        nats += loss.item() * len(ref.tokens)
+    return grads, nats
+
+
+def loop_ce_pretrain(g_params, dataset, epochs, rng, lr=1e-3, batch_size=8,
+                     bound_cls=BoundCaptioner):
+    """``training.ce_pretrain`` as a per-caption loop (``per_caption_ce_grads``
+    per minibatch), drawing the same epoch permutations from ``rng``."""
+    pairs = [(idx, r) for idx, (_, refs) in enumerate(dataset) for r in range(len(refs))]
+    opt = tr.init_adam(g_params.arrays)
+    curve = []
+    for _ in range(epochs):
+        order = rng.permutation(len(pairs))
+        epoch_loss, epoch_tokens = 0.0, 0
+        for start in range(0, len(order), batch_size):
+            examples = [(tr._example_feats(dataset[idx]), dataset[idx][1][r])
+                        for idx, r in (pairs[j] for j in order[start : start + batch_size])]
+            grads, nats = per_caption_ce_grads(g_params, examples, bound_cls)
+            tr.adam_step(g_params.arrays, grads, opt, lr)
+            epoch_loss += nats
+            epoch_tokens += sum(len(ref.tokens) for _, ref in examples)
+        curve.append(epoch_loss / max(epoch_tokens, 1))
+    return g_params, curve
 
 
 def gumbel_sample(logits, temperature: float, rng: np.random.Generator, mode: str):

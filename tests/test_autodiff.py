@@ -694,3 +694,74 @@ class TestLeadingAxes:
             ad.lstm_cell(tape.tensor(np.zeros((2, 3, 8))), tape.tensor(np.zeros((3, 3, 2))))
         with pytest.raises(ad.ShapeError):
             ad.get_row(tape.tensor(np.zeros((2, 3, 4))), 3)
+
+
+class TestFoldedWeightGradient:
+    """A rank-2 weight under leading axes gets its gradient as one 2-D
+    product over the folded rows; the sum of per-index products is the
+    oracle (the summation order differs, so 1e-12, not bit equality)."""
+
+    @staticmethod
+    def weight_grad(op, x_arr, W_arr, g):
+        tape = ad.Tape()
+        x, W = tape.tensor(x_arr), tape.tensor(W_arr)
+        out = ad.matmul(x, W) if op == "matmul" else \
+            ad.affine(x, W, tape.tensor(np.ones((1, W_arr.shape[-1]))))
+        ad.backward(tape, ad.reduce_sum(ad.mul(out, g)))
+        return W.grad
+
+    @pytest.mark.parametrize("op", ("matmul", "affine"))
+    @pytest.mark.parametrize("lead", ((1,), (5,), (2, 3), (3, 1, 2)))
+    def test_matches_unfolded_form(self, op, lead):
+        rng = np.random.default_rng(sum(lead))
+        n, k, m = rng.integers(1, 6, size=3)
+        x = rng.normal(size=lead + (n, k))
+        W = rng.normal(size=(k, m))
+        g = rng.normal(size=lead + (n, m))
+        unfolded = ad._unbroadcast(ad._mT(x) @ g, W.shape)
+        got = self.weight_grad(op, x, W, g)
+        assert got.shape == W.shape
+        np.testing.assert_allclose(got, unfolded, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("op", ("matmul", "affine"))
+    @pytest.mark.parametrize("x_shape", ((2, 3, 4), (3, 4), (1, 3, 4)))
+    def test_stacked_weight_keeps_unfolded_path(self, op, x_shape):
+        rng = np.random.default_rng(61)
+        x, W = rng.normal(size=x_shape), rng.normal(size=(2, 4, 3))
+        g = rng.normal(size=(2, 3, 3))
+        unfolded = ad._unbroadcast(ad._mT(x) @ g, W.shape)
+        assert np.array_equal(self.weight_grad(op, x, W, g), unfolded)
+
+    def test_rank_3_affine_vs_fd(self):
+        rng = np.random.default_rng(62)
+        _check_fd(lambda t, x, W, b: ad.affine(x, W, b),
+                  [rng.normal(size=s) for s in ((2, 2, 3, 4), (4, 3), (1, 3))])
+
+
+class TestGetRowIds:
+    """``get_row`` with a vector of row ids: one gather into a new axis
+    before the last two, and a scatter-add VJP."""
+
+    @pytest.mark.parametrize("shape", ((5, 3), (2, 5, 3)))
+    def test_values_are_the_rows(self, shape):
+        x = np.random.default_rng(63).normal(size=shape)
+        ids = np.array([4, 0, 4, 2])
+        for grad in (True, False):
+            out = ad.get_row(ad.Tape(grad=grad).tensor(x), ids).data
+            assert out.shape == shape[:-2] + (4, 1, 3)
+            assert np.array_equal(out[..., 0, :], x[..., ids, :])
+
+    @pytest.mark.parametrize("shape", ((5, 3), (2, 5, 3)))
+    def test_repeated_ids_vs_fd(self, shape):
+        x = np.random.default_rng(64).normal(size=shape)
+        _check_fd(lambda t, x: ad.get_row(x, np.array([2, 0, 2, 2, 4])), [x])
+
+    def test_repeated_ids_add_up(self):
+        x0 = np.zeros((4, 2))
+        g = grad_of(lambda x: ad.reduce_sum(ad.get_row(x, np.array([1, 3, 1]))), x0)
+        np.testing.assert_array_equal(g, [[0, 0], [2, 2], [0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("ids", ([0, 5], [-1], [[1]], [1.0]))
+    def test_invalid_ids(self, ids):
+        with pytest.raises(ad.ShapeError):
+            ad.get_row(ad.Tape().tensor(np.zeros((5, 3))), np.array(ids))

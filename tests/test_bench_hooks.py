@@ -1,13 +1,21 @@
 """The benchmark's tracer hooks ``seqgan`` names given as strings
 (``bench/tracer.py``): every class, method and function it names must exist,
-so that renaming or deleting one fails here rather than only in the
-benchmark's own, slower tests."""
+and the calls it keys its units by must still be made, so that renaming or
+bypassing one fails here rather than only in the benchmark's own, slower
+tests."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -32,3 +40,45 @@ def test_every_traced_name_exists():
                if not callable(getattr(owner, name, None))]
     assert tracer.CLASS_METHODS and tracer.DECODERS and tracer.FIRST_WORK
     assert not missing
+
+
+# Installs the untraced phase timers (which patch seqgan for good, hence the
+# separate process) and runs two epochs of CE pretraining over 12 captions at
+# batch size 5: 3 minibatches per epoch (5, 5 and 2 captions).
+CE_CONTRACT = r"""
+import importlib.util, json, sys
+import numpy as np
+
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+timers = tracer.PhaseTimers()
+timers.install()
+
+from seqgan import captioner as cap, training as tr
+
+config = cap.CaptionerConfig(vocab_size=7, hidden_dim=4, num_crops=2, feature_dim=3,
+                             max_len=5)
+rng = np.random.default_rng(0)
+dataset = [(rng.uniform(-1, 1, (2, 3)),
+            [cap.TokenSequence([int(t) for t in rng.integers(2, 7, size=n)] + [1], True)
+             for n in (0, 3, 2)]) for _ in range(4)]
+tr.ce_pretrain(cap.init_params(config, 0), dataset, 2, np.random.default_rng(1),
+               batch_size=5)
+print(json.dumps({"phase_s": timers.phase_s["ce_pretrain"],
+                  "units": dict(timers.units["ce"])}))
+"""
+
+
+def test_ce_units_cover_the_phase_one_per_minibatch():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", CE_CONTRACT, str(TRACER)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout)
+    units = out["units"]
+    # every unit was keyed, or _close_ce_unit would have dropped its time
+    total = sum(sum(durations) for durations in units.values())
+    assert total == pytest.approx(out["phase_s"], rel=1e-9)
+    assert len(units.pop("ce-start")) == 1
+    assert len(units.pop("adam")) == 6
+    assert sum(len(durations) for durations in units.values()) == 6

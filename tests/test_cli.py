@@ -86,6 +86,27 @@ class TestConfigParsing:
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("section, field, value", (
+        ("ce_pretrain", "batch_size", -8), ("ce_pretrain", "batch_size", 0),
+        ("ce_pretrain", "epochs", -1), ("ce_pretrain", "lr", 0.0),
+        ("gan", "batch_size", 0), ("gan", "epochs", -1), ("gan", "temperature", 0.0)))
+    def test_bad_size_rejected_with_path(self, section, field, value):
+        with pytest.raises(cli.ConfigError, match=f"{section}.{field}"):
+            cli.parse_config({section: {field: value}})
+
+    @pytest.mark.parametrize("section, value", (("ce_pretrain", -8), ("ce_pretrain", 0),
+                                                ("gan", 0)))
+    def test_bad_batch_size_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    section, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although the config is bad")
+
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        config = write_config(tmp_path, **{section: {**TINY[section], "batch_size": value}})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert f"config error: {section}.batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_log_level_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQGAN_LOG", "verbose")
         assert cli.main(["plots", str(tmp_path / "x.jsonl")]) == 2
