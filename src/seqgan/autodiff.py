@@ -535,8 +535,11 @@ def get_row(x: Tensor, i) -> Tensor:
         valid = 0 <= i < rows
     else:
         ids = np.asarray(i)
-        valid = ids.ndim == 1 and ids.dtype.kind in "iu" \
-            and bool(np.all((0 <= ids) & (ids < rows)))
+        # checked on a list: for the few ids of a decoder step that is
+        # several times cheaper than numpy comparisons and a reduction
+        listed = ids.tolist() if ids.ndim == 1 and ids.dtype.kind in "iu" else None
+        valid = listed is not None and (not listed
+                                        or (min(listed) >= 0 and max(listed) < rows))
     if not valid:
         raise ShapeError(f"row {i} invalid for shape {v.shape}")
     # fancy indexing copies

@@ -171,7 +171,9 @@ class BoundCaptioner:
     The arrays of ``params`` may carry a leading member axis (M x ...,
     built by ``stack_members``): the bound model then runs M same-config
     models as one, every tensor of a step carries the member axis (the zero
-    state is M x 1 x m), and each step is one set of nodes for all members.
+    state is M x 1 x m, or M x B x 1 x m for B rows, whose weights need a
+    row axis: see ``_decode``), and each step is one set of nodes for all
+    members.
     """
 
     def __init__(self, tape: ad.Tape, params: CaptionerParams):
@@ -351,8 +353,9 @@ def decode_step(params: CaptionerParams, state: DecoderState, prev_token: int,
     return bound.logits(row).data.reshape(-1).copy(), new_state, attn, float(attn[-1])
 
 
-def _argmax(probs) -> int:
-    return int(np.argmax(probs))
+def _argmax(probs) -> np.ndarray:
+    """Each row's most probable word (ties toward the lowest id)."""
+    return probs.argmax(axis=-1)
 
 
 def stack_members(params_list: list[CaptionerParams]) -> CaptionerParams:
@@ -379,28 +382,57 @@ def stack_members(params_list: list[CaptionerParams]) -> CaptionerParams:
                             for name in shapes})
 
 
-def _decode(params: CaptionerParams, image_feats, pick) -> TokenSequence:
-    """The one decode loop.  ``params`` may be stacked (``stack_members``):
-    the members then advance together on the previous word and their word
-    distributions are averaged over the member axis (a single model's is
-    used as is); ``pick(probs_row) -> token id`` chooses the next word."""
+def _decode(params: CaptionerParams, image_feats, pick,
+            batch: int | None = None) -> list[TokenSequence]:
+    """The one decode loop, over the B images of B x C x d ``image_feats``
+    for ``batch`` = B: B x 1 x m states step against B x C x m crops, and
+    each step gathers the B previous words with one vector ``get_row``.
+    Rows never mix, so row b decodes as image b would alone.  With
+    ``batch`` None, ``image_feats`` is one C x d image, whose 1 x m states
+    keep no row axis (so one image costs what it cost before the loop took
+    batches).  ``pick(probs)`` gets the n x K word distributions of the n
+    rows still decoding, in row order, and returns their n next words; a
+    row stops at EOS or at max_len.
+
+    ``params`` may be stacked (``stack_members``): the members then advance
+    together on the previous words and their word distributions are averaged
+    over the member axis (a single model's are used as is).
+    """
     config = params.config
+    B = 1 if batch is None else batch
+    stacked = params.arrays["embed"].ndim == 3
+    if stacked and batch is not None:
+        # every weight gets a length-1 row axis after the member axis, so it
+        # broadcasts over the B rows (M x B x ... tensors); get_row gathers
+        # the embedding's rows into that axis itself
+        params = CaptionerParams(config, {name: arr if name == "embed" else arr[:, None]
+                                          for name, arr in params.arrays.items()})
     bound = BoundCaptioner(ad.Tape(grad=False), params)
-    feats_proj = bound.project_feats(image_feats)
-    h, c, ctx = bound.zero_state()
-    prev = config.bos_id
-    tokens: list[int] = []
-    terminated = False
-    while len(tokens) < config.max_len:
-        row, h, c, ctx, _ = bound.step(h, c, ctx, bound.embed_token(prev), feats_proj)
-        probs = bound.word_dist(bound.logits(row)).data
-        tok = pick((probs.mean(axis=0) if probs.ndim == 3 else probs).reshape(-1))
-        tokens.append(tok)
-        prev = tok
-        if tok == config.eos_id:
-            terminated = True
+    feats_proj = bound.project_feats(image_feats, batch)
+    h, c, ctx = bound.zero_state(batch)
+    prev = np.full(B, config.bos_id)
+    tokens: list[list[int]] = [[] for _ in range(B)]
+    live = list(range(B))  # rows still decoding
+    for _ in range(config.max_len):
+        ids = prev if batch is not None else int(prev[0])  # one image: no row axis
+        row, h, c, ctx, _ = bound.step(h, c, ctx, ad.get_row(bound.p["embed"], ids),
+                                       feats_proj)
+        probs = bound.word_dist(bound.logits(row)).data  # (M x) (B x) 1 x K
+        if stacked:
+            probs = probs.mean(axis=0)
+        probs = probs.reshape(B, config.vocab_size)
+        if len(live) == B:  # every row still decodes: no gather
+            prev[:] = pick(probs)
+        else:
+            prev[live] = pick(probs[live])
+        words = prev.tolist()
+        for b in live:
+            tokens[b].append(words[b])
+        live = [b for b in live if tokens[b][-1] != config.eos_id]
+        if not live:
             break
-    return TokenSequence(tokens, terminated or len(tokens) == config.max_len)
+    # every row ended on EOS or at max_len
+    return [TokenSequence(seq, True) for seq in tokens]
 
 
 def greedy_decode(params: CaptionerParams, image_feats) -> TokenSequence:
@@ -408,22 +440,27 @@ def greedy_decode(params: CaptionerParams, image_feats) -> TokenSequence:
 
     Parameters stacked by ``stack_members`` decode as an ensemble.
     """
-    return _decode(params, image_feats, _argmax)
+    return _decode(params, image_feats, _argmax)[0]
+
+
+def greedy_decode_batch(params: CaptionerParams, image_feats) -> list[TokenSequence]:
+    """``greedy_decode`` of each of the B images of B x C x d ``image_feats``,
+    in one pass."""
+    return _decode(params, image_feats, _argmax, batch=len(image_feats))
 
 
 def sample_sentence(params: CaptionerParams, image_feats, rng: np.random.Generator):
     """Multinomial sample; returns the sequence and its total log-probability."""
     log_p = 0.0
 
-    def pick(probs):
+    def pick(probs):  # 1 x K: one image
         nonlocal log_p
-        tok = int(min(np.searchsorted(np.cumsum(probs), rng.random(), side="right"),
-                      probs.size - 1))
-        log_p += float(np.log(probs[tok]))
+        row = probs[0]
+        tok = int(min(row.cumsum().searchsorted(rng.random(), side="right"), row.size - 1))
+        log_p += float(np.log(row[tok]))
         return tok
 
-    seq = _decode(params, image_feats, pick)
-    return seq, log_p
+    return _decode(params, image_feats, pick)[0], log_p
 
 
 def log_prob(params: CaptionerParams, image_feats, seq: TokenSequence) -> float:
@@ -436,4 +473,4 @@ def ensemble_decode(params_list: list[CaptionerParams], image_feats) -> TokenSeq
     """Average the per-step word distributions of several models, then argmax:
     ``greedy_decode(stack_members(params_list), image_feats)``.  To decode
     many images, stack the members once and call ``greedy_decode``."""
-    return _decode(stack_members(params_list), image_feats, _argmax)
+    return _decode(stack_members(params_list), image_feats, _argmax)[0]

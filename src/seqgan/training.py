@@ -24,8 +24,11 @@ import numpy as np
 from . import autodiff as ad
 from . import data as datamod
 from . import metrics as met
-from .captioner import (BoundCaptioner, CaptionBatch, CaptionerParams, InputError,
-                        TokenSequence, greedy_decode, sample_sentence)
+# greedy_decode is not called here; bench/test_bench.py checks that the
+# tracer rebinds it as training.greedy_decode too
+from .captioner import (BoundCaptioner, CaptionBatch, CaptionerParams,  # noqa: F401
+                        InputError, TokenSequence, greedy_decode, greedy_decode_batch,
+                        sample_sentence)
 from .discriminator import BoundDiscriminator
 from .metrics import NumericError
 
@@ -206,47 +209,63 @@ def _clamped_scores(d_params, image_feats, seqs) -> np.ndarray:
 
 def _sequence_rewards(cfg: GanConfig, d_params, image_feats, seqs, refs=None,
                       idf=None) -> list[float]:
-    """Rewards of finished sequences of one image under the configured reward
-    mode; their D scores are taken in one pass."""
+    """Rewards of finished captions under the configured reward mode, in
+    ``seqs`` order: caption j against image j of ``image_feats`` and
+    reference list ``refs[j]``.  The D scores of all captions come from one
+    pass; the ``cider`` reward takes none."""
     if cfg.reward in ("logD_plus_cider", "cider") and (refs is None or idf is None):
         raise InputError(f"reward {cfg.reward!r} needs reference captions and idf")
     if cfg.reward == "cider":
-        return [met.cider_d(seq, refs, idf) for seq in seqs]
+        return [met.cider_d(seq, r, idf) for seq, r in zip(seqs, refs)]
     rewards = [float(np.log(v)) for v in _clamped_scores(d_params, image_feats, seqs)]
     if cfg.reward == "logD_plus_cider":
-        rewards = [r + cfg.cider_weight * met.cider_d(seq, refs, idf)
-                   for r, seq in zip(rewards, seqs)]
+        rewards = [reward + cfg.cider_weight * met.cider_d(seq, r, idf)
+                   for reward, seq, r in zip(rewards, seqs, refs)]
     return rewards
 
 
-def scst_grad(g_params: CaptionerParams, d_params, image_feats,
-              rng: np.random.Generator, cfg: GanConfig, refs=None, idf=None,
-              want_logit_grads=False):
-    """Single-sample SCST gradient of the generator objective (to ascend).
+def scst_batch_grad(g_params: CaptionerParams, d_params, image_feats, samples,
+                    cfg: GanConfig, refs=None, idf=None):
+    """SCST gradient of a minibatch's generator objective (to ascend), from
+    one drawn sample per image and the greedy decode's reward as baseline.
 
-    Draws one sample, uses the greedy decode's reward as baseline, and scales
-    the sample's log-probability gradient by the advantage.
+    ``image_feats`` is B x C x d, ``samples`` holds image b's sample at b
+    and ``refs`` its reference captions (the CIDEr rewards need them).  Draws
+    nothing.  The B baselines come from one greedy pass, and the 2B captions
+    are rewarded in one pass, per image the sample, then the baseline.  Only
+    the rows with a non-zero advantage are replayed, as one teacher-forced
+    batch on one tape, whose backward gives the gradient of
+    sum_b (adv_b / B) log p(sample_b); with no such row no tape is recorded.
+
+    Returns (gradients, one ``RewardRecord`` per image, per image the
+    len(sample) x K gradient of the same objective with respect to the
+    sample's step logits: zero for a zero advantage).
     """
-    sample, _ = sample_sentence(g_params, image_feats, rng)
-    baseline = greedy_decode(g_params, image_feats)
-    record = RewardRecord(*_sequence_rewards(cfg, d_params, image_feats,
-                                             [sample, baseline], refs, idf))
-    adv = record.advantage
-
-    if adv == 0.0:
-        grads = _zero_grads(g_params.arrays)
-        logit_grads = [np.zeros(g_params.config.vocab_size) for _ in sample.tokens]
-        return (grads, record, logit_grads) if want_logit_grads else (grads, record)
+    feats = np.asarray(image_feats, dtype=np.float64)
+    B = len(samples)
+    if len(feats) != B:
+        raise InputError(f"need one sample per image: {B} samples for {len(feats)} images")
+    baselines = greedy_decode_batch(g_params, feats)
+    captions = [seq for pair in zip(samples, baselines) for seq in pair]
+    caption_refs = None if refs is None else [r for r in refs for _ in range(2)]
+    rewards = _sequence_rewards(cfg, d_params, np.repeat(feats, 2, axis=0), captions,
+                                caption_refs, idf)
+    records = [RewardRecord(*rewards[2 * b : 2 * b + 2]) for b in range(B)]
+    adv = np.array([record.advantage for record in records])
+    K = g_params.config.vocab_size
+    logit_grads = [np.zeros((len(seq.tokens), K)) for seq in samples]
+    rows = np.flatnonzero(adv)
+    if not rows.size:
+        return _zero_grads(g_params.arrays), records, logit_grads
 
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g_params)
-    logp, logits = bound.sequence_log_prob_and_logits(image_feats, sample)
-    ad.backward(tape, logp)
-    grads = {name: adv * bound.p[name].grad for name in g_params.arrays}
-    if not want_logit_grads:
-        return grads, record
-    logit_grads = [adv * row for row in logits.grad]
-    return grads, record, logit_grads
+    logp, logits = bound.sequence_log_prob_and_logits(
+        feats[rows], CaptionBatch([samples[b] for b in rows]))
+    ad.backward(tape, ad.reduce_sum(ad.mul(logp, adv[rows] / B)))
+    for j, b in enumerate(rows):
+        logit_grads[b] = logits.grad[j, : len(samples[b].tokens)]
+    return {name: bound.p[name].grad for name in g_params.arrays}, records, logit_grads
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +350,6 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
     if want_logit_grads:
         result["logit_grads"] = [t.grad.reshape(-1).copy() for t in step_logits]
     return result
-
-
-def generator_grad(g_params, d_params, image_feats, rng, cfg: GanConfig,
-                   refs=None, idf=None, gt_seq=None):
-    """Dispatch to the configured estimator; returns ascent gradients."""
-    if cfg.estimator == "scst":
-        grads, _ = scst_grad(g_params, d_params, image_feats, rng, cfg, refs, idf)
-        return grads
-    return gumbel_grad(g_params, d_params, image_feats, rng, cfg, gt_seq=gt_seq)["grads"]
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +448,24 @@ def _d_batch_step(g_params, d_params, d_opt, dataset, batch, rng, cfg):
 
 
 def _g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf):
+    """One generator ascent step.  Per image, draw a ground-truth caption
+    (only feature matching uses it), then the estimator's own draws: SCST
+    draws every image's sample, then takes one batched step
+    (``scst_batch_grad``); the Gumbel estimators unroll image by image."""
+    feats = [_example_feats(dataset[i]) for i in batch]
+    refs = [dataset[i][1] for i in batch]
     grads = _zero_grads(g_params.arrays)
-    for i in batch:
-        feats = _example_feats(dataset[i])
-        refs = dataset[i][1]
-        gt = refs[int(rng.integers(len(refs)))]
-        part = generator_grad(g_params, d_params, feats, rng, cfg,
-                              refs=refs, idf=idf, gt_seq=gt)
-        _accumulate(grads, part, scale=1.0 / len(batch))
+    samples = []
+    for f, r in zip(feats, refs):
+        gt = r[int(rng.integers(len(r)))]
+        if cfg.estimator == "scst":
+            samples.append(sample_sentence(g_params, f, rng)[0])
+        else:
+            part = gumbel_grad(g_params, d_params, f, rng, cfg, gt_seq=gt)["grads"]
+            _accumulate(grads, part, scale=1.0 / len(batch))
+    if samples:
+        grads = scst_batch_grad(g_params, d_params, np.array(feats), samples, cfg, refs,
+                                idf)[0]
     adam_step(g_params.arrays, {n: -g for n, g in grads.items()}, g_opt, cfg.g_lr)
 
 
@@ -527,12 +547,6 @@ def train_gan(g_params: CaptionerParams, d_params, dataset, cfg: GanConfig,
 # ---------------------------------------------------------------------------
 
 
-def _scst_logit_grads(g_params, d_params, feats, rng, cfg, refs, idf):
-    _, _, logit_grads = scst_grad(g_params, d_params, feats, rng, cfg,
-                                  refs=refs, idf=idf, want_logit_grads=True)
-    return logit_grads
-
-
 def grad_norm_probe(g_params, d_params, dataset, estimator: str, n_batches: int,
                     rng: np.random.Generator, cfg: GanConfig, idf=None):
     """L2 norm of the minibatch-mean logit gradient, one value per minibatch.
@@ -562,17 +576,19 @@ def grad_norm_probe(g_params, d_params, dataset, estimator: str, n_batches: int,
                                  replace=False)
         hashes.append(hashlib.sha256(batch.astype("<i8").tobytes()).hexdigest()[:16])
         mean_grad = np.zeros((T, K))
-        for i in batch:
-            feats = _example_feats(dataset[i])
-            refs = dataset[i][1]
-            if estimator == "scst":
-                grads = _scst_logit_grads(g_params, d_params, feats, est_rng,
+        feats = [_example_feats(dataset[i]) for i in batch]
+        refs = [dataset[i][1] for i in batch]
+        if estimator == "scst":
+            samples = [sample_sentence(g_params, f, est_rng)[0] for f in feats]
+            _, _, grads = scst_batch_grad(g_params, d_params, np.array(feats), samples,
                                           probe_cfg, refs, idf)
-            else:
-                out = gumbel_grad(g_params, d_params, feats, est_rng, probe_cfg,
-                                  gt_seq=refs[0], want_logit_grads=True)
-                grads = out["logit_grads"]
-            for t, row in enumerate(grads):
-                mean_grad[t] += row / len(batch)
+            for g in grads:  # already the minibatch mean's share
+                mean_grad[: len(g)] += g
+        else:
+            for f, r in zip(feats, refs):
+                out = gumbel_grad(g_params, d_params, f, est_rng, probe_cfg,
+                                  gt_seq=r[0], want_logit_grads=True)
+                for t, row in enumerate(out["logit_grads"]):
+                    mean_grad[t] += row / len(batch)
         norms.append(float(np.linalg.norm(mean_grad)))
     return norms, hashes

@@ -16,7 +16,10 @@ three single-caption scores per image) as the oracle for the padded batch,
 and ``gumbel_sample`` is a numpy relaxed sampler, the oracle for the
 Gumbel-max law.  ``loop_ce_pretrain`` keeps cross-entropy pretraining as the
 per-caption loop (one tape, one bind and one teacher-forced pass per
-caption) as the oracle for the padded minibatch.
+caption) as the oracle for the padded minibatch.  ``scst_grad`` keeps the
+per-image SCST step (one sample, one greedy decode, one reward pass and one
+replay tape), and ``loop_g_batch_step`` the generator step as a loop over
+it, as the oracle for the batched SCST step.
 """
 
 from collections import Counter
@@ -24,9 +27,10 @@ from collections import Counter
 import numpy as np
 
 from seqgan import autodiff as ad
+from seqgan import metrics as met
 from seqgan import training as tr
 from seqgan.captioner import (BoundCaptioner, InputError, TokenSequence, _check_seq,
-                              log_prob, sample_sentence)
+                              greedy_decode, log_prob, sample_sentence)
 from seqgan.discriminator import BoundDiscriminator
 
 GATES = ("i", "f", "o", "g")
@@ -307,6 +311,74 @@ def loop_ce_pretrain(g_params, dataset, epochs, rng, lr=1e-3, batch_size=8,
             epoch_tokens += sum(len(ref.tokens) for _, ref in examples)
         curve.append(epoch_loss / max(epoch_tokens, 1))
     return g_params, curve
+
+
+def per_image_rewards(cfg, d_params, image_feats, seqs, refs=None, idf=None):
+    """Rewards of finished captions of one image (C x d features, that
+    image's references), their D scores taken in one pass."""
+    if cfg.reward in ("logD_plus_cider", "cider") and (refs is None or idf is None):
+        raise InputError(f"reward {cfg.reward!r} needs reference captions and idf")
+    if cfg.reward == "cider":
+        return [met.cider_d(seq, refs, idf) for seq in seqs]
+    rewards = [float(np.log(v)) for v in tr._clamped_scores(d_params, image_feats, seqs)]
+    if cfg.reward == "logD_plus_cider":
+        rewards = [r + cfg.cider_weight * met.cider_d(seq, refs, idf)
+                   for r, seq in zip(rewards, seqs)]
+    return rewards
+
+
+def scst_grad(g_params, d_params, image_feats, rng, cfg, refs=None, idf=None,
+              want_logit_grads=False):
+    """Single-sample SCST gradient of one image's generator objective (to
+    ascend): one sample, the greedy decode's reward as baseline, and the
+    sample's log-probability gradient from its own replay tape, scaled by
+    the advantage.  Returns (gradients, ``RewardRecord``) and, with
+    ``want_logit_grads``, the scaled gradient of each step's logits."""
+    sample, _ = sample_sentence(g_params, image_feats, rng)
+    baseline = greedy_decode(g_params, image_feats)
+    record = tr.RewardRecord(*per_image_rewards(cfg, d_params, image_feats,
+                                                [sample, baseline], refs, idf))
+    adv = record.advantage
+
+    if adv == 0.0:
+        grads = {k: np.zeros_like(a) for k, a in g_params.arrays.items()}
+        logit_grads = [np.zeros(g_params.config.vocab_size) for _ in sample.tokens]
+        return (grads, record, logit_grads) if want_logit_grads else (grads, record)
+
+    tape = ad.Tape()
+    bound = BoundCaptioner(tape, g_params)
+    logp, logits = bound.sequence_log_prob_and_logits(image_feats, sample)
+    ad.backward(tape, logp)
+    grads = {name: adv * bound.p[name].grad for name in g_params.arrays}
+    if not want_logit_grads:
+        return grads, record
+    logit_grads = [adv * row for row in logits.grad]
+    return grads, record, logit_grads
+
+
+def loop_g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf=None):
+    """The SCST generator step as a per-image loop, drawing from ``rng`` in
+    the same order as ``training._g_batch_step``: per image the
+    ground-truth pick, then ``scst_grad``; gradients averaged over the
+    batch, then the Adam ascent step.
+
+    Returns (averaged gradients, one ``RewardRecord`` per image, per image
+    the len(sample) x K logit gradients of the averaged objective).
+    """
+    grads = {k: np.zeros_like(a) for k, a in g_params.arrays.items()}
+    records, logit_grads = [], []
+    for i in batch:
+        feats = tr._example_feats(dataset[i])
+        refs = dataset[i][1]
+        refs[int(rng.integers(len(refs)))]  # the ground-truth pick, unused by SCST
+        part, record, rows = scst_grad(g_params, d_params, feats, rng, cfg, refs, idf,
+                                       want_logit_grads=True)
+        for name in grads:
+            grads[name] += 1.0 / len(batch) * part[name]
+        records.append(record)
+        logit_grads.append(np.array(rows) / len(batch))
+    tr.adam_step(g_params.arrays, {n: -g for n, g in grads.items()}, g_opt, cfg.g_lr)
+    return grads, records, logit_grads
 
 
 def gumbel_sample(logits, temperature: float, rng: np.random.Generator, mode: str):

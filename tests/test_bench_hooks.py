@@ -82,3 +82,54 @@ def test_ce_units_cover_the_phase_one_per_minibatch():
     assert len(units.pop("ce-start")) == 1
     assert len(units.pop("adam")) == 6
     assert sum(len(durations) for durations in units.values()) == 6
+
+
+# Installs the untraced phase timers and runs a tiny SCST train_gan twice
+# from equal seeds (7 images in batches of 3, so the last minibatch is
+# partial).  Each run's segments are the stretches between the marks it
+# adds, from its start to its end.
+SCST_CONTRACT = r"""
+import importlib.util, json, sys, time
+import numpy as np
+
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+timers = tracer.PhaseTimers()
+timers.install()
+
+from seqgan import captioner as cap, discriminator as disc, training as tr
+
+config = cap.CaptionerConfig(vocab_size=7, hidden_dim=4, num_crops=2, feature_dim=3,
+                             max_len=5)
+rng = np.random.default_rng(0)
+dataset = [(rng.uniform(-1, 1, (2, 3)),
+            [cap.TokenSequence([int(t) for t in rng.integers(2, 7, size=n)] + [1], True)
+             for n in (1, 3)]) for _ in range(7)]
+segments = []
+for _ in range(2):
+    g = cap.init_params(config, 1)
+    d = disc.init_coatt(disc.DiscriminatorConfig(7, 4, 2, 3), 2)
+    cfg = tr.GanConfig(estimator="scst", batch_size=3, epochs=2, d_pretrain_epochs=1)
+    timers.first_work_at = time.perf_counter()
+    tr.train_gan(g, d, dataset, cfg)
+    segments.append(len(timers.segments(time.perf_counter())))
+print(json.dumps({"segments": segments, "decode_keys": sorted(timers.units["decode"])}))
+"""
+
+
+def test_scst_train_gan_keeps_decode_units_and_segments():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", SCST_CONTRACT, str(TRACER)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    keys = out["decode_keys"]
+    assert keys
+    tracer = load_tracer()
+    for key in keys:
+        decoder, length, terminated = key.split(":")
+        assert decoder in tracer.DECODERS and length.isdigit() and int(length) > 0, key
+        assert terminated in ("True", "False"), key
+    first, second = out["segments"]
+    assert first == second > 1

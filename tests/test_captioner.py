@@ -154,6 +154,29 @@ class TestGreedyDecode:
             assert cap.greedy_decode(params, feats[perm]).tokens == base.tokens
 
 
+    @pytest.mark.parametrize("n_models", [1, 3])
+    @pytest.mark.parametrize("attention", cap.ATTENTION_MODES)
+    def test_batch_rows_equal_per_image_decodes(self, attention, n_models):
+        """One pass over B images gives each image's own greedy decode, for
+        B = 1..8, one model and three stacked members; rows stop at
+        different steps."""
+        config = tiny_config(vocab_size=7, hidden_dim=5, num_crops=3, max_len=6,
+                             attention=attention)
+        models = [cap.init_params(config, 40 + k) for k in range(n_models)]
+        for model in models:  # sharper image dependence, so decode lengths vary
+            model.arrays["attn_Wv"] *= 3.0
+            model.arrays["out_W"] *= 3.0
+        params = cap.stack_members(models)
+        rng = np.random.default_rng(n_models)
+        lengths = set()
+        for B in range(1, 9):
+            feats = np.array([rand_feats(config, rng) for _ in range(B)])
+            rows = cap.greedy_decode_batch(params, feats)
+            assert rows == [cap.greedy_decode(params, f) for f in feats]
+            lengths |= {len(seq.tokens) for seq in rows}
+        assert len(lengths) > 1
+
+
 class TestSampleSentence:
     def test_log_prob_nonpositive_and_reproducible(self):
         config = tiny_config()
@@ -275,11 +298,11 @@ class TestEnsembleDecode:
             feats = rand_feats(config, np.random.default_rng(seed))
             steps = []
 
-            def pick(probs):
-                steps.append(probs.copy())
-                return int(np.argmax(probs))
+            def pick(probs):  # 1 x K: one image
+                steps.append(probs[0].copy())
+                return np.argmax(probs, axis=-1)
 
-            seq = cap._decode(cap.stack_members(models), feats, pick)
+            seq, = cap._decode(cap.stack_members(models), feats, pick)
             oracle_seq, oracle_steps = per_member_decode(models, feats)
             assert cap.ensemble_decode(models, feats) == seq == oracle_seq
             assert len(steps) == len(oracle_steps)

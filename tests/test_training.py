@@ -3,14 +3,15 @@ import pytest
 
 from seqgan import autodiff as ad
 from seqgan import discriminator as disc
+from seqgan import metrics as met
 from seqgan import training as tr
-from seqgan.captioner import (CaptionerConfig, InputError, TokenSequence,
-                              greedy_decode, init_params, sample_sentence)
+from seqgan.captioner import (ATTENTION_MODES, BoundCaptioner, CaptionerConfig, InputError,
+                              TokenSequence, greedy_decode, init_params, sample_sentence)
 from conftest import central_difference, rel_err
 from helpers import (autodiff_expected_reward_grad, enumerate_sequences,
                      expected_policy_gradient, flat_grads, gumbel_sample,
-                     loop_d_batch_step, per_sequence_score_grads,
-                     policy_gradient_variance, sequence_probabilities)
+                     loop_d_batch_step, loop_g_batch_step, per_sequence_score_grads,
+                     policy_gradient_variance, scst_grad, sequence_probabilities)
 
 
 def tiny_setup(seed=0, vocab=5, crops=2, dim=3, m=4, max_len=4):
@@ -257,7 +258,7 @@ class TestBatchedDiscriminatorStep:
         g, d, feats = tiny_setup(seed=4)
         binds = count_binds(monkeypatch)
         cfg = tr.GanConfig(estimator="scst")
-        _, record = tr.scst_grad(g, d, feats, np.random.default_rng(2), cfg)
+        _, record = scst_grad(g, d, feats, np.random.default_rng(2), cfg)
         assert binds.count(False) == 1
         monkeypatch.undo()
         sample, _ = sample_sentence(g, feats, np.random.default_rng(2))
@@ -278,14 +279,14 @@ class TestScstGrad:
         g, d, feats = tiny_setup(seed=1)
         g.arrays["out_b"][0, 1] = 60.0  # EOS dominates: sample == greedy == [eos]
         cfg = tr.GanConfig(estimator="scst", reward="logD")
-        grads, record = tr.scst_grad(g, d, feats, np.random.default_rng(0), cfg)
+        grads, record = scst_grad(g, d, feats, np.random.default_rng(0), cfg)
         assert record.advantage == 0.0
         assert all(np.all(v == 0) for v in grads.values())
 
     def test_matches_manual_replay(self):
         g, d, feats = tiny_setup(seed=5)
         cfg = tr.GanConfig(estimator="scst", reward="logD")
-        grads, record = tr.scst_grad(g, d, feats, np.random.default_rng(11), cfg)
+        grads, record = scst_grad(g, d, feats, np.random.default_rng(11), cfg)
 
         # replay the same computation from its pieces
         sample, _ = sample_sentence(g, feats, np.random.default_rng(11))
@@ -340,7 +341,170 @@ class TestScstGrad:
         g, d, feats = tiny_setup()
         cfg = tr.GanConfig(estimator="scst", reward="cider")
         with pytest.raises(InputError):
-            tr.scst_grad(g, d, feats, np.random.default_rng(0), cfg)
+            scst_grad(g, d, feats, np.random.default_rng(0), cfg)
+
+
+def scst_setup(attention="context_aware", seed=0, n_images=9):
+    """Models, a dataset of ``n_images`` images with three references each
+    and its idf; max_len 5 over 7 words, so samples differ in length."""
+    vocab, crops, dim, m = 7, 2, 3, 4
+    g = init_params(CaptionerConfig(vocab_size=vocab, hidden_dim=m, num_crops=crops,
+                                    feature_dim=dim, max_len=5, attention=attention), seed)
+    d = disc.init_coatt(disc.DiscriminatorConfig(vocab, m, crops, dim), seed + 100)
+    dataset = tiny_dataset(n_images=n_images, seed=seed + 200, vocab=vocab)
+    return g, d, dataset, met.fit_idf([refs for _, refs in dataset])
+
+
+class TestBatchedScstStep:
+    """``_g_batch_step`` takes one batched SCST step per minibatch
+    (``scst_batch_grad``); the per-image loop in ``helpers`` is its oracle."""
+
+    def run_batched(self, monkeypatch, g, d, dataset, batch, cfg, idf):
+        """Returns (Adam's ascent gradients, the step's result, rng state)."""
+        grads, results = [], []
+        adam, step = tr.adam_step, tr.scst_batch_grad
+        monkeypatch.setattr(tr, "adam_step", lambda arrays, gr, state, lr:
+                            grads.append({n: -x for n, x in gr.items()})
+                            or adam(arrays, gr, state, lr))
+        monkeypatch.setattr(tr, "scst_batch_grad", lambda *args:
+                            results.append((args[3], step(*args))) or results[-1][1])
+        rng = np.random.default_rng(7)
+        tr._g_batch_step(g, d, tr.init_adam(g.arrays), dataset, batch, rng, cfg, idf)
+        monkeypatch.undo()
+        assert len(results) == 1
+        return grads[-1], results[0], rng.bit_generator.state
+
+    def check_against_loop(self, monkeypatch, g, d, dataset, batch, cfg, idf):
+        """Runs both steps from equal parameters and compares them; returns
+        the samples and the batched step's records."""
+        g_ref = g.copy()
+        grads, (samples, (step_grads, records, logit_grads)), state = self.run_batched(
+            monkeypatch, g, d, dataset, batch, cfg, idf)
+        rng = np.random.default_rng(7)
+        ref_grads, ref_records, ref_logit_grads = loop_g_batch_step(
+            g_ref, d, tr.init_adam(g_ref.arrays), dataset, batch, rng, cfg, idf)
+        assert state == rng.bit_generator.state
+        assert grads.keys() == step_grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], step_grads[name])
+            assert np.max(np.abs(grads[name] - ref_grads[name])) <= 1e-12, name
+            assert np.max(np.abs(g.arrays[name] - g_ref.arrays[name])) <= 1e-12, name
+        assert records == ref_records
+        assert len(logit_grads) == len(ref_logit_grads) == len(batch)
+        for seq, got, want in zip(samples, logit_grads, ref_logit_grads):
+            assert got.shape == want.shape == (len(seq.tokens), g.config.vocab_size)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        return samples, records
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    @pytest.mark.parametrize("reward", tr.REWARDS)
+    def test_matches_per_image_loop(self, monkeypatch, reward, attention, seed):
+        g, d, dataset, idf = scst_setup(attention, seed)
+        cfg = tr.GanConfig(reward=reward)
+        samples, records = self.check_against_loop(monkeypatch, g, d, dataset,
+                                                   np.arange(8), cfg, idf)
+        assert len({len(seq.tokens) for seq in samples}) > 1
+        assert any(record.advantage != 0.0 for record in records)
+
+    @pytest.mark.parametrize("batch", [[4], [8], [6, 1, 3], [2, 7, 0, 5, 8]])
+    def test_small_and_partial_minibatches(self, monkeypatch, batch):
+        g, d, dataset, idf = scst_setup(seed=3)
+        self.check_against_loop(monkeypatch, g, d, dataset, np.array(batch),
+                                tr.GanConfig(reward="logD_plus_cider"), idf)
+
+    @pytest.mark.parametrize("reward", tr.REWARDS)
+    def test_some_advantages_zero(self, monkeypatch, reward):
+        g, d, dataset, idf = scst_setup(seed=1)
+        g.arrays["out_b"][0, 1] = 3.0  # EOS is likely: some samples equal their baseline
+        baselines = [greedy_decode(g, feats) for feats, _ in dataset[:8]]
+        samples, records = self.check_against_loop(monkeypatch, g, d, dataset,
+                                                   np.arange(8), tr.GanConfig(reward=reward),
+                                                   idf)
+        same = [s.tokens == b.tokens for s, b in zip(samples, baselines)]
+        assert any(same) and not all(same)
+        for equal, record in zip(same, records):
+            if equal:
+                assert record.advantage == 0.0
+        assert any(record.advantage != 0.0 for record in records)
+
+    def test_all_advantages_zero_records_no_tape(self, monkeypatch):
+        g, d, dataset, idf = scst_setup(seed=2)
+        g.arrays["out_b"][0, 1] = 60.0  # EOS dominates: sample == greedy == [eos]
+        tapes = []
+        monkeypatch.setattr(ad, "backward", lambda tape, root: tapes.append(tape))
+        feats = np.array([f for f, _ in dataset[:4]])
+        samples = [TokenSequence([1], True)] * 4
+        grads, records, logit_grads = tr.scst_batch_grad(g, d, feats, samples,
+                                                         tr.GanConfig(), idf=idf)
+        monkeypatch.undo()
+        assert not tapes
+        assert [record.advantage for record in records] == [0.0] * 4
+        assert all(np.all(v == 0) for v in grads.values())
+        assert all(np.all(lg == 0) and lg.shape == (1, 7) for lg in logit_grads)
+        self.check_against_loop(monkeypatch, g, d, dataset, np.arange(4), tr.GanConfig(),
+                                idf)
+
+    def test_one_sample_per_image_required(self):
+        g, d, dataset, idf = scst_setup()
+        feats = np.array([f for f, _ in dataset[:3]])
+        with pytest.raises(InputError):
+            tr.scst_batch_grad(g, d, feats, [TokenSequence([2, 1], True)] * 2, tr.GanConfig())
+
+    @pytest.mark.parametrize("reward", tr.REWARDS)
+    def test_binds_per_step(self, monkeypatch, reward):
+        g, d, dataset, idf = scst_setup(seed=4)
+        feats = np.array([f for f, _ in dataset[:8]])
+        rng = np.random.default_rng(0)
+        samples = [sample_sentence(g, f, rng)[0] for f in feats]
+        d_binds = count_binds(monkeypatch)
+        g_binds = []
+        init = BoundCaptioner.__init__
+        monkeypatch.setattr(BoundCaptioner, "__init__", lambda self, tape, params:
+                            g_binds.append(tape.grad) or init(self, tape, params))
+        _, records, _ = tr.scst_batch_grad(g, d, feats, samples, tr.GanConfig(reward=reward),
+                                           [refs for _, refs in dataset[:8]], idf)
+        assert any(record.advantage != 0.0 for record in records)
+        assert g_binds == [False, True]
+        assert d_binds == ([] if reward == "cider" else [False])
+
+    def test_clamp_warnings_match_loop(self, monkeypatch, caplog):
+        messages = []
+        for batched in (True, False):
+            g, d, dataset, idf = scst_setup(seed=5)
+            d.arrays["out_UI"] *= 1e4
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="seqgan.training"):
+                if batched:
+                    self.run_batched(monkeypatch, g, d, dataset, np.arange(8),
+                                     tr.GanConfig(), idf)
+                else:
+                    loop_g_batch_step(g, d, tr.init_adam(g.arrays), dataset, np.arange(8),
+                                      np.random.default_rng(7), tr.GanConfig(), idf)
+            messages.append([r.getMessage() for r in caplog.records])
+        assert messages[0] and messages[0] == messages[1]
+
+    def test_train_gan_matches_loop(self, monkeypatch):
+        """Whole runs, with a partial last minibatch (7 images, batches of 3)."""
+        runs = []
+        for step in (None, loop_g_batch_step):
+            g, d, dataset, idf = scst_setup(seed=6, n_images=7)
+            if step is not None:
+                monkeypatch.setattr(tr, "_g_batch_step", lambda *args: step(*args) and None)
+            cfg = tr.GanConfig(reward="logD_plus_cider", batch_size=3, epochs=2,
+                               d_pretrain_epochs=1, seed=3)
+            runs.append(tr.train_gan(g, d, dataset, cfg, idf=idf))
+            monkeypatch.undo()
+        (ckpts, records), (ref_ckpts, ref_records) = runs
+        assert len(records) == len(ref_records) == 2
+        for got, want in zip(records, ref_records):
+            assert got.keys() == want.keys()
+            for key in got:
+                assert abs(got[key] - want[key]) <= 1e-12, key
+        for ckpt, ref in zip(ckpts, ref_ckpts):
+            assert ckpt.rng_state == ref.rng_state
+            for name, arr in ckpt.captioner.arrays.items():
+                assert np.max(np.abs(arr - ref.captioner.arrays[name])) <= 1e-12, name
 
 
 class TestGumbelSample:
