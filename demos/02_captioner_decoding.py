@@ -7,10 +7,11 @@ slot, and the effect of teacher-forced pretraining on a tiny scene set.
 
 import numpy as np
 
+from seqgan import autodiff as ad
 from seqgan import data as dat
 from seqgan import training as tr
-from seqgan.captioner import (CaptionerConfig, decode_step, greedy_decode,
-                              init_params, initial_state, sample_sentence)
+from seqgan.captioner import (BoundCaptioner, CaptionerConfig, greedy_decode,
+                              init_params, sample_sentence)
 
 ds = dat.generate_dataset(seed=1, n_objects=5, n_contexts=3, n_images=24,
                           num_crops=4, feature_dim=12)
@@ -39,10 +40,13 @@ for _ in range(3):
     seq, logp = sample_sentence(params, scene.features, rng)
     print(f"sample (logp {logp:7.3f}):    ", ds.vocab.decode(seq.tokens))
 
-# one decoding step under the microscope
-state = initial_state(config)
-logits, state, attn, gate = decode_step(params, state, config.bos_id,
-                                        scene.features)
+# one decoding step under the microscope: bind the captioner on a no-grad
+# tape and step it once from the zero state, fed BOS
+bound = BoundCaptioner(ad.Tape(grad=False), params)
+h, c, ctx = bound.zero_state()
+row, h, c, ctx, attn = bound.step(h, c, ctx, bound.embed_token(config.bos_id),
+                                  bound.project_feats(scene.features))
+attn = attn.data.reshape(-1)
 print("\nfirst-step attention over 4 crops + sentinel:", np.round(attn, 3))
-print("sentinel gate (weight on non-visual evidence):", round(gate, 3))
+print("sentinel gate (weight on non-visual evidence):", round(float(attn[-1]), 3))
 print("attention sums to", attn.sum())

@@ -27,7 +27,7 @@ _, curve = tr.ce_pretrain(g, ds.train, epochs=15, rng=np.random.default_rng(0),
 print(f"cross entropy pretraining: {curve[0]:.3f} -> {curve[-1]:.3f} nats/token")
 
 idf = met.fit_idf([refs for _, refs in ds.train])
-d = disc.init_coatt(dcfg, 1)
+d = disc.init_discriminator(dcfg, 1, "coatt")
 cfg = tr.GanConfig(estimator="scst", reward="logD", epochs=4,
                    d_pretrain_epochs=20, batch_size=8, d_lr=1e-2, g_lr=5e-4,
                    seed=2)

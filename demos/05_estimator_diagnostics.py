@@ -9,20 +9,21 @@ norms of SCST vs Gumbel straight-through on identical batch streams.
 
 import numpy as np
 
+from seqgan import autodiff as ad
 from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import metrics as met
 from seqgan import training as tr
-from seqgan.captioner import (BoundCaptioner, CaptionerConfig, greedy_decode,
-                              init_params, log_prob)
-from seqgan import autodiff as ad
+from seqgan.captioner import (BoundCaptioner, CaptionerConfig, TokenSequence,
+                              greedy_decode, init_params)
 
 # ---- exact enumeration on a 4-token model ----------------------------------
 gcfg = CaptionerConfig(vocab_size=4, hidden_dim=3, num_crops=2, feature_dim=3,
                        max_len=3)
 g = init_params(gcfg, 7)
-d = disc.init_coatt(disc.DiscriminatorConfig(vocab_size=4, hidden_dim=3,
-                                             num_crops=2, feature_dim=3), 107)
+d = disc.init_discriminator(disc.DiscriminatorConfig(vocab_size=4, hidden_dim=3,
+                                                     num_crops=2, feature_dim=3),
+                            107, "coatt")
 feats = np.random.default_rng(2).uniform(-1, 1, (2, 3))
 
 seqs = []
@@ -31,13 +32,13 @@ def walk(prefix):
         if tok == gcfg.bos_id:
             continue
         cur = prefix + [tok]
-        from seqgan.captioner import TokenSequence
         if tok == gcfg.eos_id or len(cur) == gcfg.max_len:
             seqs.append(TokenSequence(cur, True))
         else:
             walk(cur)
 walk([])
-probs = np.array([np.exp(log_prob(g, feats, s)) for s in seqs])
+plain = BoundCaptioner(ad.Tape(grad=False), g)
+probs = np.array([np.exp(plain.sequence_log_prob(feats, s).item()) for s in seqs])
 rewards = np.array([np.log(disc.score(d, feats, s)) for s in seqs])
 baseline = np.log(disc.score(d, feats, greedy_decode(g, feats)))
 print(f"enumerated {len(seqs)} sequences, total probability {probs.sum():.12f}")
@@ -82,7 +83,7 @@ idf = met.fit_idf([refs for _, refs in ds.train])
 
 for est in ("scst", "gumbel_st"):
     g = g0.copy()
-    d = disc.init_coatt(dcfg, 99)
+    d = disc.init_discriminator(dcfg, 99, "coatt")
     cfg = tr.GanConfig(estimator=est, reward="logD", temperature=0.1, epochs=6,
                        d_pretrain_epochs=15, batch_size=8, d_lr=1e-2,
                        g_lr=1e-3, seed=3)

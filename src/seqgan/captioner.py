@@ -77,19 +77,6 @@ class CaptionBatch:
         return [seq.tokens for seq in self.seqs]
 
 
-@dataclass
-class DecoderState:
-    h: np.ndarray        # 1 x m hidden
-    c: np.ndarray        # 1 x m cell
-    context: np.ndarray  # 1 x m attention mixture from the previous step
-
-
-def initial_state(config: CaptionerConfig) -> DecoderState:
-    """Zero state; the first-step context is defined as the zero vector."""
-    m = config.hidden_dim
-    return DecoderState(np.zeros((1, m)), np.zeros((1, m)), np.zeros((1, m)))
-
-
 def _param_shapes(config: CaptionerConfig) -> dict[str, tuple[int, int]]:
     K, m, d = config.vocab_size, config.hidden_dim, config.feature_dim
     return {
@@ -335,24 +322,6 @@ def _check_seq(seq: TokenSequence, config: CaptionerConfig):
             raise InputError(f"invalid token id {tok}")
 
 
-def decode_step(params: CaptionerParams, state: DecoderState, prev_token: int,
-                image_feats):
-    """Single decoder step on plain arrays.
-
-    Returns (logits (K,), new DecoderState, attention weights (C+1,) on the
-    simplex including the sentinel slot, sentinel gate in [0, 1]).
-    """
-    tape = ad.Tape(grad=False)
-    bound = BoundCaptioner(tape, params)
-    feats_proj = bound.project_feats(image_feats)
-    h, c, ctx = (tape.tensor(state.h), tape.tensor(state.c), tape.tensor(state.context))
-    row, h2, c2, ctx2, attn = bound.step(h, c, ctx, bound.embed_token(prev_token),
-                                         feats_proj)
-    new_state = DecoderState(h2.data.copy(), c2.data.copy(), ctx2.data.copy())
-    attn = attn.data.reshape(-1).copy()
-    return bound.logits(row).data.reshape(-1).copy(), new_state, attn, float(attn[-1])
-
-
 def _argmax(probs) -> np.ndarray:
     """Each row's most probable word (ties toward the lowest id)."""
     return probs.argmax(axis=-1)
@@ -461,12 +430,6 @@ def sample_sentence(params: CaptionerParams, image_feats, rng: np.random.Generat
         return tok
 
     return _decode(params, image_feats, pick)[0], log_p
-
-
-def log_prob(params: CaptionerParams, image_feats, seq: TokenSequence) -> float:
-    """Total log p(seq | image) under teacher forcing."""
-    tape = ad.Tape(grad=False)
-    return BoundCaptioner(tape, params).sequence_log_prob(image_feats, seq).item()
 
 
 def ensemble_decode(params_list: list[CaptionerParams], image_feats) -> TokenSequence:

@@ -24,8 +24,8 @@ from . import data as dat
 from . import discriminator as disc
 from . import metrics as met
 from . import training as tr
-# ensemble_decode is not called here; bench/test_bench.py checks that the
-# tracer rebinds it as cli.ensemble_decode too
+# ensemble_decode is not called here; the benchmark's tracer rebinds it as
+# cli.ensemble_decode too (tests/test_bench_hooks.py keeps the import)
 from .captioner import (CaptionerConfig, CaptionerParams, TokenSequence,  # noqa: F401
                         ensemble_decode, greedy_decode, init_params, stack_members)
 
@@ -336,24 +336,18 @@ def cmd_train(config_path, seed_override=None, out_dir=None) -> int:
     return EXIT_OK
 
 
-def _load_eval_models(checkpoint_paths):
-    ckpts = [dat.load_checkpoint(p) for p in checkpoint_paths]
-    first = ckpts[0]
-    models = [c.captioner for c in ckpts]
-    return ckpts, models, first
-
-
 def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
-    ckpts, models, first = _load_eval_models(checkpoint_paths)
-    cfg = parse_config(first.config)
-    dataset = build_dataset(cfg)
     if split not in ("val", "test", "ooc"):
         raise ConfigError(f"unknown split {split!r} (expected val, test or ooc)")
+    ckpts = [dat.load_checkpoint(p) for p in checkpoint_paths]
+    first = ckpts[0]
+    cfg = parse_config(first.config)
+    dataset = build_dataset(cfg)
     examples = dataset.split(split)
     scorer = SemanticScorer.from_aux(first.aux)
     idf = checkpoint_idf(first, dataset)
 
-    decoded = decode_split(models, examples)
+    decoded = decode_split([c.captioner for c in ckpts], examples)
     d_scores = _split_d_scores(first.discriminator, decoded, examples)
     rows = []
     for seq, (scene, refs), d_score in zip(decoded, examples, d_scores):
@@ -364,15 +358,16 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
             "semantic_score": scorer.score(seq, scene.features) if scorer else 0.0,
             "d_score": d_score,
         })
-    report = met.ScoreReport(
-        cider=float(np.mean([r["cider"] for r in rows])),
-        bleu4=float(np.mean([met.bleu4(seq, refs) for seq, (_, refs)
-                             in zip(decoded, examples)])),
-        rouge_l=float(np.mean([met.rouge_l(seq, refs) for seq, (_, refs)
-                               in zip(decoded, examples)])),
-        semantic_score=float(np.mean([r["semantic_score"] for r in rows])),
-        vocab_coverage=met.vocabulary_coverage(decoded, dataset.vocab.size),
-    )
+    report = {
+        "split": split,
+        "cider": float(np.mean([r["cider"] for r in rows])),
+        "bleu4": float(np.mean([met.bleu4(seq, refs) for seq, (_, refs)
+                                in zip(decoded, examples)])),
+        "rouge_l": float(np.mean([met.rouge_l(seq, refs) for seq, (_, refs)
+                                  in zip(decoded, examples)])),
+        "semantic_score": float(np.mean([r["semantic_score"] for r in rows])),
+        "vocab_coverage": met.vocabulary_coverage(decoded, dataset.vocab.size),
+    }
 
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -383,7 +378,7 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
         for r in rows:
             fh.write(f"{r['image_id']},\"{r['caption']}\",{r['cider']!r},"
                      f"{r['semantic_score']!r},{r['d_score']!r}\n")
-    print(json.dumps({"split": split, **report.as_dict()}, sort_keys=True))
+    print(json.dumps(report, sort_keys=True))
     print(f"eval: per-image table -> {csv_path}")
     return EXIT_OK
 

@@ -13,11 +13,13 @@ File formats (also documented in the README):
   feature dim, then count*crops*dim little-endian float32 values.
 - checkpoint: magic ``SGCK``, u32 version (2), u32 section count, a section
   table of (u16 name length, name, u64 payload length) records, then the
-  payloads in table order.  Tensor payloads store (u16 name length, name,
-  u8 rank, u32 dims..., float64 little-endian data) per entry; rank 0 keeps
-  one placeholder dim.  Version 2 stores each LSTM as its fused ``lstm_W``/
-  ``lstm_b``; version-1 files (per-gate arrays, scalars as rank 1) still
-  load, converted to the fused layout.
+  payloads in table order.  Section names are ``meta``, ``gen``, ``disc``,
+  ``gen_opt``, ``disc_opt`` and ``aux``; any other is rejected.  Tensor
+  payloads store (u16 name length, name, u8 rank, u32 dims..., float64
+  little-endian data) per entry; rank 0 keeps one placeholder dim.
+  Version 2 stores each LSTM as its fused ``lstm_W``/``lstm_b``; version-1
+  files (per-gate arrays, scalars as rank 1) still load, converted to the
+  fused layout.
 """
 
 from __future__ import annotations
@@ -295,6 +297,7 @@ def load_features(path, expected_crops=None, expected_dim=None):
 
 _CKPT_MAGIC = b"SGCK"
 _CKPT_VERSION = 2
+_CKPT_SECTIONS = ("meta", "gen", "disc", "gen_opt", "disc_opt", "aux")
 
 # Version 1 stored each LSTM gate as three arrays (``{}`` = Wx, Wh or b),
 # listed here in the column-block order of the fused cell.
@@ -547,6 +550,8 @@ def load_checkpoint(path) -> Checkpoint:
     payloads: dict[str, bytes] = {}
     starts: dict[str, int] = {}
     for name, plen in table:
+        if name not in _CKPT_SECTIONS:
+            raise FormatError(f"unknown section {name!r}", offset=off)
         if name in payloads:
             raise FormatError(f"duplicate section {name!r}", offset=off)
         if off + plen > len(blob):

@@ -87,14 +87,6 @@ class DiscriminatorParams:
                                    self.variant)
 
 
-def init_coatt(config: DiscriminatorConfig, seed: int) -> DiscriminatorParams:
-    return init_discriminator(config, seed, "coatt")
-
-
-def init_jointemb(config: DiscriminatorConfig, seed: int) -> DiscriminatorParams:
-    return init_discriminator(config, seed, "jointemb")
-
-
 def init_discriminator(config: DiscriminatorConfig, seed: int,
                        variant: str) -> DiscriminatorParams:
     if variant not in _SHAPES:
@@ -254,29 +246,13 @@ class BoundDiscriminator:
 
 
 # ---------------------------------------------------------------------------
-# plain-array front ends
+# plain-array front end
 # ---------------------------------------------------------------------------
 
 
-def coatt_score(params: DiscriminatorParams, image_feats, seq: TokenSequence):
-    """Returns (score, alpha over crops, beta over words, image embedding,
-    caption embedding)."""
-    if params.variant != "coatt":
-        raise InputError("coatt_score needs co-attention parameters")
-    out = BoundDiscriminator(ad.Tape(grad=False), params).score_sequence(image_feats, seq)
-    return (out["score"].item(), out["alpha"].data.reshape(-1).copy(),
-            out["beta"].data.reshape(-1).copy(), out["e_img"].data.reshape(-1).copy(),
-            out["e_cap"].data.reshape(-1).copy())
-
-
 def score(params, image_feats, seq: TokenSequence) -> float:
-    """Variant-agnostic scalar score."""
+    """Variant-agnostic scalar score of one caption, from a no-grad bind.
+    For alpha, beta or relaxed rows, bind on ``ad.Tape(grad=False)`` and call
+    ``score_sequence`` or ``score_soft_rows``."""
     bound = BoundDiscriminator(ad.Tape(grad=False), params)
     return bound.score_sequence(image_feats, seq)["score"].item()
-
-
-def score_soft(params, image_feats, soft_tokens) -> float:
-    """Score a caption given as rows of token weights (simplex or one-hot)."""
-    tape = ad.Tape(grad=False)
-    bound = BoundDiscriminator(tape, params)
-    return bound.score_soft_rows(image_feats, [tape.tensor(soft_tokens)])["score"].item()

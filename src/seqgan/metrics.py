@@ -321,17 +321,3 @@ def semantic_score(model: CcaModel, x, y) -> float:
         logger.warning("semantic_score: zero-norm projection, returning 0")
         return 0.0
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
-@dataclass
-class ScoreReport:
-    cider: float
-    bleu4: float
-    rouge_l: float
-    semantic_score: float
-    vocab_coverage: float
-
-    def as_dict(self) -> dict:
-        return {"cider": self.cider, "bleu4": self.bleu4, "rouge_l": self.rouge_l,
-                "semantic_score": self.semantic_score,
-                "vocab_coverage": self.vocab_coverage}

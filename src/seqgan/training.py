@@ -24,8 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from . import data as datamod
 from . import metrics as met
-# greedy_decode is not called here; bench/test_bench.py checks that the
-# tracer rebinds it as training.greedy_decode too
+# greedy_decode is not called here; the benchmark's tracer rebinds it as
+# training.greedy_decode too (tests/test_bench_hooks.py keeps the import)
 from .captioner import (BoundCaptioner, CaptionBatch, CaptionerParams,  # noqa: F401
                         InputError, TokenSequence, greedy_decode, greedy_decode_batch,
                         sample_sentence)
@@ -186,13 +186,6 @@ def discriminator_objective(bound: BoundDiscriminator, image_feats,
     scores = _clamp_score(bound.score_sequence(feats, captions)["score"])
     logs = ad.log(ad.add(ad.mul(ad.reshape(scores, (B, 3)), _OBJ_SIGN), _OBJ_OFFSET))
     return ad.reduce_sum(ad.mul(logs, _OBJ_WEIGHT / B))
-
-
-def discriminator_loss(d_params, image_feats, real: TokenSequence,
-                       fake: TokenSequence, mismatched: TokenSequence) -> float:
-    """Plain value of the discriminator objective (no gradients)."""
-    bound = BoundDiscriminator(ad.Tape(grad=False), d_params)
-    return discriminator_objective(bound, image_feats, real, fake, mismatched).item()
 
 
 def _clamped_scores(d_params, image_feats, seqs) -> np.ndarray:

@@ -19,7 +19,9 @@ per-caption loop (one tape, one bind and one teacher-forced pass per
 caption) as the oracle for the padded minibatch.  ``scst_grad`` keeps the
 per-image SCST step (one sample, one greedy decode, one reward pass and one
 replay tape), and ``loop_g_batch_step`` the generator step as a loop over
-it, as the oracle for the batched SCST step.
+it, as the oracle for the batched SCST step.  ``replay_steps`` steps one
+bound captioner through a token path, the step-by-step oracle for the
+decoders and the way to inspect one step's attention and sentinel gate.
 """
 
 from collections import Counter
@@ -30,7 +32,7 @@ from seqgan import autodiff as ad
 from seqgan import metrics as met
 from seqgan import training as tr
 from seqgan.captioner import (BoundCaptioner, InputError, TokenSequence, _check_seq,
-                              greedy_decode, log_prob, sample_sentence)
+                              greedy_decode, sample_sentence)
 from seqgan.discriminator import BoundDiscriminator
 
 GATES = ("i", "f", "o", "g")
@@ -161,6 +163,27 @@ class PerGateCaptioner(BoundCaptioner):
             total = total + ad.log(ad.reshape(ad.narrow(probs, 1, tok, 1), ()))
             prev = tok
         return total, step_logits
+
+
+def replay_steps(params, image_feats, prev_tokens, tape=None, bound_cls=BoundCaptioner):
+    """Steps of one bound captioner from the zero state, step t fed
+    ``prev_tokens[t]`` as its previous word (BOS first, to replay a
+    decode): the step-by-step oracle for the decoders.  One bind on
+    ``tape`` (a no-grad tape by default).
+
+    Returns per step the arrays of ``step``'s (row, h, c, ctx, attn), each
+    1 x ..., then the row's word scores, K values (the last attention slot
+    is the sentinel gate).
+    """
+    bound = bound_cls(ad.Tape(grad=False) if tape is None else tape, params)
+    feats_proj = bound.project_feats(image_feats)
+    h, c, ctx = bound.zero_state()
+    steps = []
+    for tok in prev_tokens:
+        row, h, c, ctx, attn = bound.step(h, c, ctx, bound.embed_token(tok), feats_proj)
+        steps.append(tuple(t.data for t in (row, h, c, ctx, attn))
+                     + (bound.logits(row).data.reshape(-1),))
+    return steps
 
 
 def per_member_decode(params_list, image_feats):
@@ -423,7 +446,8 @@ def enumerate_sequences(config):
 
 
 def sequence_probabilities(g_params, feats, seqs):
-    return np.array([np.exp(log_prob(g_params, feats, s)) for s in seqs])
+    bound = BoundCaptioner(ad.Tape(grad=False), g_params)
+    return np.array([np.exp(bound.sequence_log_prob(feats, s).item()) for s in seqs])
 
 
 def flat_grads(grads: dict) -> np.ndarray:

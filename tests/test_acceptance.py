@@ -26,7 +26,7 @@ from conftest import central_difference, rel_err
 from helpers import (autodiff_expected_reward_grad, enumerate_sequences,
                      expected_policy_gradient, flat_grads,
                      per_sequence_score_grads, policy_gradient_variance,
-                     sequence_probabilities)
+                     replay_steps, sequence_probabilities)
 
 
 @contextmanager
@@ -62,7 +62,7 @@ def bench():
 def gan_fixture(bench):
     """Adversarially trained pair for the score-ordering and coverage checks."""
     g = bench["g_ce"].copy()
-    d = disc.init_coatt(bench["dcfg"], 99)
+    d = disc.init_discriminator(bench["dcfg"], 99, "coatt")
     cfg = tr.GanConfig(estimator="scst", reward="logD", epochs=3,
                        d_pretrain_epochs=40, batch_size=8, d_lr=1e-2,
                        g_lr=5e-4, seed=3)
@@ -77,7 +77,7 @@ def estimator_fixture(bench):
     models = {}
     for est in ("scst", "gumbel_st"):
         g = bench["g_ce"].copy()
-        d = disc.init_coatt(bench["dcfg"], 99)
+        d = disc.init_discriminator(bench["dcfg"], 99, "coatt")
         cfg = tr.GanConfig(estimator=est, reward="logD", temperature=0.1,
                            epochs=10, d_pretrain_epochs=24, batch_size=8,
                            d_lr=1e-2, g_lr=1e-3, seed=3)
@@ -92,8 +92,8 @@ def rl_fixture(bench):
     g = bench["g_ce"].copy()
     cfg = tr.GanConfig(estimator="scst", reward="cider", epochs=6,
                        batch_size=8, g_lr=2e-3, seed=3)
-    tr.train_gan(g, disc.init_coatt(bench["dcfg"], 7), bench["ds"].train, cfg,
-                 idf=bench["idf"])
+    tr.train_gan(g, disc.init_discriminator(bench["dcfg"], 7, "coatt"), bench["ds"].train,
+                 cfg, idf=bench["idf"])
     return g
 
 
@@ -124,8 +124,8 @@ def _tiny_models(rng):
                                     feature_dim=dI)
     g = init_params(gcfg, int(rng.integers(10_000)))
     seed = int(rng.integers(10_000))
-    d = disc.init_coatt(dcfg, seed) if rng.random() < 0.5 \
-        else disc.init_jointemb(dcfg, seed)
+    d = disc.init_discriminator(dcfg, seed,
+                                "coatt" if rng.random() < 0.5 else "jointemb")
     feats = rng.uniform(-1, 1, (C, dI))
     toks = [int(t) for t in rng.integers(2, K, size=int(rng.integers(1, 3)))] + [1]
     return g, d, feats, TokenSequence(toks, True)
@@ -195,7 +195,8 @@ def test_criterion_01_gradient_correctness():
             mism = TokenSequence([3, 1], True)
 
             def d_loss(params):
-                return tr.discriminator_loss(params, feats, seq, fake, mism)
+                plain = disc.BoundDiscriminator(ad.Tape(grad=False), params)
+                return tr.discriminator_objective(plain, feats, seq, fake, mism).item()
 
             t = ad.Tape()
             bound_d = disc.BoundDiscriminator(t, d)
@@ -230,7 +231,7 @@ def enumerable_model():
     dcfg = disc.DiscriminatorConfig(vocab_size=4, hidden_dim=3, num_crops=2,
                                     feature_dim=3)
     g = init_params(gcfg, 7)
-    d = disc.init_coatt(dcfg, 107)
+    d = disc.init_discriminator(dcfg, 107, "coatt")
     feats = np.random.default_rng(200).uniform(-1, 1, (2, 3))
     seqs = enumerate_sequences(gcfg)
     rewards = [float(np.log(np.clip(disc.score(d, feats, s), tr.SCORE_EPS,
@@ -379,38 +380,40 @@ def test_criterion_09_structural_invariants(bench):
     with criterion(9, "structural invariants"):
         ds = bench["ds"]
         rng = np.random.default_rng(31)
-        d_co = disc.init_coatt(bench["dcfg"], 301)
-        d_je = disc.init_jointemb(bench["dcfg"], 302)
+        d_co = disc.init_discriminator(bench["dcfg"], 301, "coatt")
+        d_je = disc.init_discriminator(bench["dcfg"], 302, "jointemb")
         g = bench["g_ce"]
+        tape = ad.Tape(grad=False)
+        plain_co, plain_je = (disc.BoundDiscriminator(tape, d) for d in (d_co, d_je))
 
         for scene, refs in ds.val:
             feats = scene.features
             seq = refs[0]
-            score, alpha, beta, _, _ = disc.coatt_score(d_co, feats, seq)
+            out = plain_co.score_sequence(feats, seq)
+            alpha, beta = out["alpha"].data.reshape(-1), out["beta"].data.reshape(-1)
             assert abs(alpha.sum() - 1.0) < 1e-12 and np.all(alpha >= 0)
             assert abs(beta.sum() - 1.0) < 1e-12 and np.all(beta >= 0)
 
             perm = rng.permutation(feats.shape[0])
-            score_p, alpha_p, _, _, _ = disc.coatt_score(d_co, feats[perm], seq)
-            assert abs(score - score_p) <= 1e-12
-            np.testing.assert_allclose(alpha_p, alpha[perm], atol=1e-12)
+            out_p = plain_co.score_sequence(feats[perm], seq)
+            assert abs(out["score"].item() - out_p["score"].item()) <= 1e-12
+            np.testing.assert_allclose(out_p["alpha"].data.reshape(-1), alpha[perm],
+                                       atol=1e-12)
 
             onehot = np.zeros((len(seq.tokens), ds.vocab.size))
             onehot[np.arange(len(seq.tokens)), seq.tokens] = 1.0
-            for d_params in (d_co, d_je):
+            for d_params, bound in ((d_co, plain_co), (d_je, plain_je)):
                 hard = disc.score(d_params, feats, seq)
-                soft = disc.score_soft(d_params, feats, onehot)
+                soft = bound.score_soft_rows(feats, [tape.tensor(onehot)])["score"].item()
                 assert abs(hard - soft) <= 1e-12
 
             single = greedy_decode(g, feats)
             ens = ensemble_decode([g, g.copy(), g.copy()], feats)
             assert ens.tokens == single.tokens
 
-            from seqgan.captioner import decode_step, initial_state
-            state = initial_state(g.config)
-            _, _, attn, gate = decode_step(g, state, ds.vocab.bos_id, feats)
+            (*_, attn, _), = replay_steps(g, feats, [ds.vocab.bos_id])
             assert abs(attn.sum() - 1.0) < 1e-12 and np.all(attn >= 0)
-            assert 0.0 <= gate <= 1.0
+            assert 0.0 <= attn[0, -1] <= 1.0  # the sentinel gate
 
 
 def test_criterion_10_determinism_and_persistence(tmp_path):
@@ -452,7 +455,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
                                         num_crops=3, feature_dim=10)
 
         def fresh():
-            return init_params(gcfg, 1), disc.init_coatt(dcfg, 2)
+            return init_params(gcfg, 1), disc.init_discriminator(dcfg, 2, "coatt")
 
         cfg3 = tr.GanConfig(estimator="scst", epochs=3, d_pretrain_epochs=1,
                             batch_size=4, seed=9)

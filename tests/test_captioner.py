@@ -4,7 +4,7 @@ import pytest
 from seqgan import autodiff as ad
 from seqgan import captioner as cap
 from conftest import central_difference, rel_err
-from helpers import per_member_decode
+from helpers import per_member_decode, replay_steps
 
 
 def tiny_config(**kw):
@@ -28,18 +28,11 @@ def masked_dist(config, logits):
 
 
 def replay_step_dists(params, feats, tokens):
-    """Per-step oracle distributions along a token path, via decode_step."""
-    config = params.config
-    state = cap.initial_state(config)
-    prev = config.bos_id
-    dists = []
-    for tok in list(tokens) + [None]:
-        logits, state, _, _ = cap.decode_step(params, state, prev, feats)
-        dists.append(masked_dist(config, logits))
-        if tok is None:
-            break
-        prev = tok
-    return dists
+    """Per-step oracle distributions along a token path, one bound captioner
+    stepped from BOS through it."""
+    prevs = [params.config.bos_id] + list(tokens)
+    return [masked_dist(params.config, step[-1])
+            for step in replay_steps(params, feats, prevs)]
 
 
 class TestInitParams:
@@ -67,15 +60,17 @@ class TestDecodeStep:
         rng = np.random.default_rng(1)
         config = tiny_config()
         params = cap.init_params(config, 3)
-        state = cap.initial_state(config)
+        bound = cap.BoundCaptioner(ad.Tape(grad=False), params)
+        h, c, ctx = bound.zero_state()
         for tok in range(config.vocab_size):
-            logits, state, attn, gate = cap.decode_step(params, state, tok,
-                                                        rand_feats(config, rng))
-            assert attn.shape == (config.num_crops + 1,)
-            assert abs(attn.sum() - 1.0) < 1e-12
-            assert np.all(attn >= 0)
-            assert 0.0 <= gate <= 1.0
-            assert logits.shape == (config.vocab_size,)
+            feats_proj = bound.project_feats(rand_feats(config, rng))
+            row, h, c, ctx, attn = bound.step(h, c, ctx, bound.embed_token(tok), feats_proj)
+            weights = attn.data.reshape(-1)
+            assert weights.shape == (config.num_crops + 1,)
+            assert abs(weights.sum() - 1.0) < 1e-12
+            assert np.all(weights >= 0)
+            assert 0.0 <= weights[-1] <= 1.0  # the sentinel gate
+            assert bound.logits(row).data.reshape(-1).shape == (config.vocab_size,)
 
     def test_zero_features_zero_sentinel_gives_zero_context(self):
         config = tiny_config()
@@ -83,25 +78,22 @@ class TestDecodeStep:
         for arr in params.arrays.values():
             arr[:] = 0.0  # zero weights force a zero sentinel vector
         feats = np.zeros((config.num_crops, config.feature_dim))
-        _, state, attn, _ = cap.decode_step(params, cap.initial_state(config), 2, feats)
+        (_, _, _, ctx, attn, _), = replay_steps(params, feats, [2])
         assert abs(attn.sum() - 1.0) < 1e-12
-        np.testing.assert_array_equal(state.context, np.zeros_like(state.context))
+        np.testing.assert_array_equal(ctx, np.zeros_like(ctx))
 
     def test_token_out_of_range(self):
         config = tiny_config()
-        params = cap.init_params(config, 0)
+        bound = cap.BoundCaptioner(ad.Tape(grad=False), cap.init_params(config, 0))
         with pytest.raises(cap.InputError):
-            cap.decode_step(params, cap.initial_state(config), config.vocab_size,
-                            np.zeros((config.num_crops, config.feature_dim)))
+            bound.embed_token(config.vocab_size)
 
     def test_att2all_mode_sentinel_slot_zero(self):
         config = tiny_config(attention="att2all")
         params = cap.init_params(config, 5)
         rng = np.random.default_rng(2)
-        _, _, attn, gate = cap.decode_step(params, cap.initial_state(config), 2,
-                                           rand_feats(config, rng))
-        assert attn[-1] == 0.0
-        assert gate == 0.0
+        (*_, attn, _), = replay_steps(params, rand_feats(config, rng), [2])
+        assert attn[0, -1] == 0.0  # the sentinel gate
         assert abs(attn.sum() - 1.0) < 1e-12
 
 
@@ -201,8 +193,7 @@ class TestSampleSentence:
         config = tiny_config(vocab_size=5, max_len=1)
         params = cap.init_params(config, 3)
         feats = rand_feats(config, np.random.default_rng(2))
-        logits, _, _, _ = cap.decode_step(params, cap.initial_state(config),
-                                          config.bos_id, feats)
+        (*_, logits), = replay_steps(params, feats, [config.bos_id])
         expected = masked_dist(config, logits)
 
         n = 100_000
@@ -221,7 +212,8 @@ class TestLogProb:
         params = cap.init_params(config, 5)
         feats = rand_feats(config, np.random.default_rng(3))
         seq, lp = cap.sample_sentence(params, feats, np.random.default_rng(7))
-        assert abs(cap.log_prob(params, feats, seq) - lp) < 1e-12
+        bound = cap.BoundCaptioner(ad.Tape(grad=False), params)
+        assert abs(bound.sequence_log_prob(feats, seq).item() - lp) < 1e-12
 
     def test_uniform_two_choice_case(self):
         # zero weights, two emittable tokens -> every step is log(1/2)
@@ -231,18 +223,17 @@ class TestLogProb:
             arr[:] = 0.0
         feats = np.zeros((config.num_crops, config.feature_dim))
         seq = cap.TokenSequence([2, 2, 2], terminated=True)
-        assert abs(cap.log_prob(params, feats, seq) - 3 * np.log(0.5)) < 1e-12
+        bound = cap.BoundCaptioner(ad.Tape(grad=False), params)
+        assert abs(bound.sequence_log_prob(feats, seq).item() - 3 * np.log(0.5)) < 1e-12
 
     def test_invalid_ids_rejected(self):
         config = tiny_config()
         params = cap.init_params(config, 0)
         feats = np.zeros((config.num_crops, config.feature_dim))
-        with pytest.raises(cap.InputError):
-            cap.log_prob(params, feats, cap.TokenSequence([], False))
-        with pytest.raises(cap.InputError):
-            cap.log_prob(params, feats, cap.TokenSequence([config.vocab_size], True))
-        with pytest.raises(cap.InputError):
-            cap.log_prob(params, feats, cap.TokenSequence([config.bos_id], True))
+        bound = cap.BoundCaptioner(ad.Tape(grad=False), params)
+        for tokens in ([], [config.vocab_size], [config.bos_id]):
+            with pytest.raises(cap.InputError):
+                bound.sequence_log_prob(feats, cap.TokenSequence(tokens, bool(tokens)))
 
     def test_gradient_vs_finite_differences(self):
         config = tiny_config()
@@ -260,7 +251,8 @@ class TestLogProb:
             def f(arr, name=name):
                 trial = params.copy()
                 trial.arrays[name] = arr
-                return cap.log_prob(trial, feats, seq)
+                plain = cap.BoundCaptioner(ad.Tape(grad=False), trial)
+                return plain.sequence_log_prob(feats, seq).item()
 
             fd = central_difference(f, params.arrays[name].copy())
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
@@ -331,14 +323,11 @@ class TestEnsembleDecode:
         ens = cap.ensemble_decode([pa, pb], feats)
 
         # oracle: replay both models step by step, average, argmax
-        state_a, state_b = cap.initial_state(config), cap.initial_state(config)
-        prev = config.bos_id
-        for tok in ens.tokens:
-            la, state_a, _, _ = cap.decode_step(pa, state_a, prev, feats)
-            lb, state_b, _, _ = cap.decode_step(pb, state_b, prev, feats)
-            avg = 0.5 * (masked_dist(config, la) + masked_dist(config, lb))
+        prevs = [config.bos_id] + ens.tokens[:-1]
+        for tok, step_a, step_b in zip(ens.tokens, replay_steps(pa, feats, prevs),
+                                       replay_steps(pb, feats, prevs)):
+            avg = 0.5 * (masked_dist(config, step_a[-1]) + masked_dist(config, step_b[-1]))
             assert tok == int(np.argmax(avg))
-            prev = tok
 
 
 class TestNoGradEquivalence:
@@ -378,25 +367,23 @@ class TestNoGradEquivalence:
             on_grad_tapes(cap.ensemble_decode, models, feats)
 
     @pytest.mark.parametrize("seed,attention", CASES)
-    def test_log_prob(self, on_grad_tapes, seed, attention):
+    def test_log_prob(self, seed, attention):
         _, (params,), feats = self._setup(seed, attention)
         seq, _ = cap.sample_sentence(params, feats, np.random.default_rng(seed))
-        assert cap.log_prob(params, feats, seq) == \
-            on_grad_tapes(cap.log_prob, params, feats, seq)
+        plain, taped = (cap.BoundCaptioner(tape, params).sequence_log_prob(feats, seq).item()
+                        for tape in (ad.Tape(grad=False), ad.Tape()))
+        assert plain == taped
 
     @pytest.mark.parametrize("seed,attention", CASES)
-    def test_decode_step(self, on_grad_tapes, seed, attention):
+    def test_decode_step(self, seed, attention):
         config, (params,), feats = self._setup(seed, attention)
-        state = cap.initial_state(config)
-        prev = config.bos_id
-        for tok in (2, 3, 4):
-            a = cap.decode_step(params, state, prev, feats)
-            b = on_grad_tapes(cap.decode_step, params, state, prev, feats)
-            for x, y in [(a[0], b[0]), (a[1].h, b[1].h), (a[1].c, b[1].c),
-                         (a[1].context, b[1].context), (a[2], b[2])]:
+        prevs = [config.bos_id, 2, 3]
+        plain = replay_steps(params, feats, prevs, ad.Tape(grad=False))
+        taped = replay_steps(params, feats, prevs, ad.Tape())
+        assert len(plain) == len(taped) == len(prevs)
+        for a, b in zip(plain, taped):  # row, h, c, ctx, attn, logits
+            for x, y in zip(a, b):
                 assert np.array_equal(x, y)
-            assert a[3] == b[3]
-            state, prev = a[1], tok
 
     @pytest.mark.parametrize("seed,attention", CASES)
     def test_ensemble_of_one_is_greedy(self, seed, attention):
@@ -411,8 +398,8 @@ class TestNoGradEquivalence:
         seq = cap.greedy_decode(models[0], feats)
         cap.sample_sentence(models[0], feats, np.random.default_rng(0))
         cap.ensemble_decode(models, feats)
-        cap.log_prob(models[0], feats, seq)
-        cap.decode_step(models[0], cap.initial_state(config), config.bos_id, feats)
+        bound.sequence_log_prob(feats, seq)
+        replay_steps(models[0], feats, [config.bos_id] + seq.tokens[:-1])
         for m, k in zip(models, keep):
             for name in m.arrays:
                 assert np.array_equal(m.arrays[name], k.arrays[name])

@@ -263,6 +263,15 @@ class TestEval:
         assert cli.main(["eval", "--checkpoint",
                          str(trained_run["tmp"] / "missing.sgck")]) == 1
 
+    def test_unknown_split_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although the split is bad")
+
+        monkeypatch.setattr(cli.dat, "load_checkpoint", no_work)
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        with pytest.raises(cli.ConfigError, match="bogus"):
+            cli.cmd_eval(["missing.sgck"], "bogus")
+
     def test_unknown_split_rejected_by_parser(self, trained_run, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--checkpoint", "x", "--split", "bogus"])

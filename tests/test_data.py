@@ -206,7 +206,7 @@ class TestCheckpoint:
         dcfg = disc.DiscriminatorConfig(vocab_size=7, hidden_dim=4,
                                         num_crops=2, feature_dim=3)
         g = init_params(gcfg, 0)
-        d = disc.init_jointemb(dcfg, 1)
+        d = disc.init_discriminator(dcfg, 1, "jointemb")
         rng = np.random.default_rng(33)
         rng.random(17)  # advance the stream
         return dat.Checkpoint(
@@ -297,6 +297,13 @@ class TestCheckpoint:
         bad = self._rebuilt(tmp_path, lambda secs: join_container(secs) + b"\0")
         with pytest.raises(dat.FormatError, match="trailing"):
             dat.load_checkpoint(bad)
+
+    def test_unknown_section_is_format_error(self, tmp_path):
+        bad = self._rebuilt(tmp_path, lambda secs: join_container(
+            secs + [("gen_optt", b"8 bytes!")]))
+        with pytest.raises(dat.FormatError, match="unknown section 'gen_optt'") as err:
+            dat.load_checkpoint(bad)
+        assert err.value.offset == len(bad.read_bytes()) - 8  # the section's payload
 
     def test_duplicate_section_is_format_error(self, tmp_path):
         bad = self._rebuilt(tmp_path, lambda secs: join_container(secs + [secs[-1]]))

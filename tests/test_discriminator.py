@@ -26,18 +26,18 @@ def embed_caption(params, seq):
 
 class TestEmbedCaption:
     def test_single_token_single_row(self):
-        params = disc.init_coatt(tiny_config(), 0)
+        params = disc.init_discriminator(tiny_config(), 0, "coatt")
         H = embed_caption(params, TokenSequence([2], True))
         assert H.shape == (1, params.config.hidden_dim)
 
     def test_deterministic(self):
-        params = disc.init_coatt(tiny_config(), 1)
+        params = disc.init_discriminator(tiny_config(), 1, "coatt")
         seq = TokenSequence([2, 3, 1], True)
         np.testing.assert_array_equal(embed_caption(params, seq),
                                       embed_caption(params, seq))
 
     def test_prefix_property(self):
-        params = disc.init_jointemb(tiny_config(), 2)
+        params = disc.init_discriminator(tiny_config(), 2, "jointemb")
         seq = TokenSequence([2, 4, 3, 1], True)
         full = embed_caption(params, seq)
         for t in range(1, len(seq.tokens) + 1):
@@ -45,7 +45,7 @@ class TestEmbedCaption:
             np.testing.assert_allclose(full[:t], part, atol=1e-15)
 
     def test_empty_rejected(self):
-        params = disc.init_coatt(tiny_config(), 0)
+        params = disc.init_discriminator(tiny_config(), 0, "coatt")
         with pytest.raises(InputError):
             embed_caption(params, TokenSequence([], False))
 
@@ -53,10 +53,14 @@ class TestEmbedCaption:
 class TestCoattScore:
     def test_attention_simplexes(self):
         config = tiny_config()
-        params = disc.init_coatt(config, 3)
+        params = disc.init_discriminator(config, 3, "coatt")
         rng = np.random.default_rng(0)
         seq = TokenSequence([2, 3, 4, 1], True)
-        score, alpha, beta, e_img, e_cap = disc.coatt_score(params, rand_feats(config, rng), seq)
+        bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
+        out = bound.score_sequence(rand_feats(config, rng), seq)
+        score = out["score"].item()
+        alpha, beta, e_img, e_cap = (out[k].data.reshape(-1)
+                                     for k in ("alpha", "beta", "e_img", "e_cap"))
         assert 0.0 < score < 1.0
         assert alpha.shape == (config.num_crops,) and beta.shape == (len(seq.tokens),)
         assert abs(alpha.sum() - 1.0) < 1e-12 and abs(beta.sum() - 1.0) < 1e-12
@@ -65,36 +69,39 @@ class TestCoattScore:
 
     def test_zero_params_half_score(self):
         config = tiny_config()
-        params = disc.init_coatt(config, 0)
+        params = disc.init_discriminator(config, 0, "coatt")
         for arr in params.arrays.values():
             arr[:] = 0.0
-        score, _, _, _, _ = disc.coatt_score(
-            params, np.zeros((config.num_crops, config.feature_dim)),
-            TokenSequence([2, 1], True))
-        assert score == 0.5
+        bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
+        out = bound.score_sequence(np.zeros((config.num_crops, config.feature_dim)),
+                                   TokenSequence([2, 1], True))
+        assert out["score"].item() == 0.5
 
     def test_crop_permutation_invariance(self):
         config = tiny_config(num_crops=4)
-        params = disc.init_coatt(config, 5)
+        params = disc.init_discriminator(config, 5, "coatt")
         rng = np.random.default_rng(1)
         feats = rand_feats(config, rng)
         seq = TokenSequence([3, 2, 1], True)
-        base_score, base_alpha, base_beta, _, _ = disc.coatt_score(params, feats, seq)
+        bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
+        base = bound.score_sequence(feats, seq)
         for _ in range(4):
             perm = rng.permutation(config.num_crops)
-            s, a, b, _, _ = disc.coatt_score(params, feats[perm], seq)
-            assert abs(s - base_score) <= 1e-12
-            np.testing.assert_allclose(a, base_alpha[perm], atol=1e-12)
-            np.testing.assert_allclose(b, base_beta, atol=1e-12)
+            out = bound.score_sequence(feats[perm], seq)
+            assert abs(out["score"].item() - base["score"].item()) <= 1e-12
+            np.testing.assert_allclose(out["alpha"].data[0, 0],
+                                       base["alpha"].data[0, 0, perm], atol=1e-12)
+            np.testing.assert_allclose(out["beta"].data, base["beta"].data, atol=1e-12)
 
     def test_shape_mismatch(self):
-        params = disc.init_coatt(tiny_config(), 0)
+        params = disc.init_discriminator(tiny_config(), 0, "coatt")
+        bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
         with pytest.raises(InputError):
-            disc.coatt_score(params, np.zeros((2, 2)), TokenSequence([2], True))
+            bound.score_sequence(np.zeros((2, 2)), TokenSequence([2], True))
 
     def test_param_gradients_vs_fd(self):
         config = tiny_config()
-        params = disc.init_coatt(config, 7)
+        params = disc.init_discriminator(config, 7, "coatt")
         feats = rand_feats(config, np.random.default_rng(2))
         seq = TokenSequence([2, 4, 1], True)
 
@@ -107,7 +114,8 @@ class TestCoattScore:
             def f(arr, name=name):
                 trial = params.copy()
                 trial.arrays[name] = arr
-                return float(np.log(disc.coatt_score(trial, feats, seq)[0]))
+                plain = disc.BoundDiscriminator(ad.Tape(grad=False), trial)
+                return float(np.log(plain.score_sequence(feats, seq)["score"].item()))
 
             fd = central_difference(f, params.arrays[name].copy())
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
@@ -116,7 +124,7 @@ class TestCoattScore:
 class TestJointEmbScore:
     def test_crop_permutation_exact(self):
         config = tiny_config(num_crops=5)
-        params = disc.init_jointemb(config, 4)
+        params = disc.init_discriminator(config, 4, "jointemb")
         rng = np.random.default_rng(3)
         feats = rand_feats(config, rng)
         seq = TokenSequence([2, 3, 1], True)
@@ -127,7 +135,7 @@ class TestJointEmbScore:
 
     def test_zero_params_half_score(self):
         config = tiny_config()
-        params = disc.init_jointemb(config, 0)
+        params = disc.init_discriminator(config, 0, "jointemb")
         for arr in params.arrays.values():
             arr[:] = 0.0
         assert disc.score(params, np.zeros((config.num_crops, config.feature_dim)),
@@ -135,7 +143,7 @@ class TestJointEmbScore:
 
     def test_param_gradients_vs_fd(self):
         config = tiny_config()
-        params = disc.init_jointemb(config, 9)
+        params = disc.init_discriminator(config, 9, "jointemb")
         feats = rand_feats(config, np.random.default_rng(4))
         seq = TokenSequence([4, 2, 1], True)
 
@@ -162,30 +170,36 @@ class TestScoreSoft:
         seq = TokenSequence([2, 5, 3, 1], True)
         onehot = np.zeros((len(seq.tokens), config.vocab_size))
         onehot[np.arange(len(seq.tokens)), seq.tokens] = 1.0
-        for params in (disc.init_coatt(config, 6), disc.init_jointemb(config, 6)):
+        for params in (disc.init_discriminator(config, 6, "coatt"), disc.init_discriminator(config, 6, "jointemb")):
             hard = disc.score(params, feats, seq)
-            soft = disc.score_soft(params, feats, onehot)
+            tape = ad.Tape(grad=False)
+            bound = disc.BoundDiscriminator(tape, params)
+            soft = bound.score_soft_rows(feats, [tape.tensor(onehot)])["score"].item()
             assert abs(hard - soft) <= 1e-12
 
     def test_single_vocab_uniform_row(self):
         # K = 1 forces the uniform row to equal the lone one-hot row
         config = tiny_config(vocab_size=1)
-        params = disc.init_coatt(config, 1)
+        params = disc.init_discriminator(config, 1, "coatt")
         feats = rand_feats(config, np.random.default_rng(6))
         hard = disc.score(params, feats, TokenSequence([0], True))
-        soft = disc.score_soft(params, feats, np.ones((1, 1)))
+        tape = ad.Tape(grad=False)
+        bound = disc.BoundDiscriminator(tape, params)
+        soft = bound.score_soft_rows(feats, [tape.tensor(np.ones((1, 1)))])["score"].item()
         assert abs(hard - soft) <= 1e-12
 
     def test_negative_entries_rejected(self):
-        params = disc.init_coatt(tiny_config(), 0)
+        params = disc.init_discriminator(tiny_config(), 0, "coatt")
         bad = np.full((2, 6), 1.0 / 6.0)
         bad[0, 0] = -0.1
+        tape = ad.Tape(grad=False)
+        bound = disc.BoundDiscriminator(tape, params)
         with pytest.raises(InputError):
-            disc.score_soft(params, np.zeros((3, 3)), bad)
+            bound.score_soft_rows(np.zeros((3, 3)), [tape.tensor(bad)])
 
     def test_gradient_wrt_soft_tokens_vs_fd(self):
         config = tiny_config()
-        params = disc.init_coatt(config, 8)
+        params = disc.init_discriminator(config, 8, "coatt")
         feats = rand_feats(config, np.random.default_rng(7))
         rng = np.random.default_rng(8)
         soft0 = rng.dirichlet(np.ones(config.vocab_size), size=3)
@@ -197,8 +211,10 @@ class TestScoreSoft:
         ad.backward(tape, root)
         analytic = np.vstack([r.grad for r in rows])
 
+        plain = disc.BoundDiscriminator(ad.Tape(grad=False), params)
         fd = central_difference(
-            lambda s: float(np.log(disc.score_soft(params, feats, s))), soft0.copy())
+            lambda s: float(np.log(plain.score_soft_rows(
+                feats, [plain.tape.tensor(s)])["score"].item())), soft0.copy())
         assert rel_err(analytic, fd) < 1e-4
 
 
@@ -207,7 +223,7 @@ class TestScoresStrictlyInUnitInterval:
         config = tiny_config()
         rng = np.random.default_rng(9)
         for seed in range(5):
-            for params in (disc.init_coatt(config, seed), disc.init_jointemb(config, seed)):
+            for params in (disc.init_discriminator(config, seed, "coatt"), disc.init_discriminator(config, seed, "jointemb")):
                 feats = rand_feats(config, rng)
                 toks = [int(t) for t in rng.integers(0, config.vocab_size,
                                                      size=rng.integers(1, 6))]
@@ -216,8 +232,8 @@ class TestScoresStrictlyInUnitInterval:
 
 
 class TestNoGradEquivalence:
-    """The plain-array front ends run on no-grad tapes; the same pass
-    recorded on grad tapes must give bit-identical values."""
+    """Plain values come from no-grad tapes; the same pass recorded on a
+    grad tape must give bit-identical values."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("variant", ["coatt", "jointemb"])
@@ -228,15 +244,20 @@ class TestNoGradEquivalence:
         feats = rand_feats(config, rng)
         seq = TokenSequence([2, 4, 3, 1], True)
         soft = rng.dirichlet(np.ones(config.vocab_size), size=3)
-        for fn, args in [(disc.score, (params, feats, seq)),
-                         (disc.score_soft, (params, feats, soft))]:
-            assert fn(*args) == on_grad_tapes(fn, *args)
+        assert disc.score(params, feats, seq) == on_grad_tapes(disc.score, params, feats, seq)
         assert np.array_equal(embed_caption(params, seq),
                               on_grad_tapes(embed_caption, params, seq))
-        if variant == "coatt":
-            for a, b in zip(disc.coatt_score(params, feats, seq),
-                            on_grad_tapes(disc.coatt_score, params, feats, seq)):
-                assert np.array_equal(a, b)
+        plain, taped = (disc.BoundDiscriminator(tape, params)
+                        for tape in (ad.Tape(grad=False), ad.Tape()))
+        hard = [bound.score_sequence(feats, seq) for bound in (plain, taped)]
+        for key in ("score", "alpha", "beta", "e_img", "e_cap"):
+            if variant == "jointemb" and key in ("alpha", "beta"):
+                assert hard[0][key] is hard[1][key] is None
+            else:
+                assert np.array_equal(hard[0][key].data, hard[1][key].data), key
+        relaxed = [bound.score_soft_rows(feats, [bound.tape.tensor(soft)])["score"].data
+                   for bound in (plain, taped)]
+        assert np.array_equal(*relaxed)
 
 
 class TestPaddedBatch:

@@ -17,7 +17,7 @@ from seqgan import captioner as cap
 from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import training as tr
-from helpers import PerGateCaptioner, PerGateDiscriminator, per_gate_init
+from helpers import PerGateCaptioner, PerGateDiscriminator, per_gate_init, replay_steps
 
 TOL = 1e-12
 ATTENTION = ("context_aware", "att2all")
@@ -81,25 +81,17 @@ def test_teacher_forcing_matches_per_gate(seed, attention):
 
 
 @pytest.mark.parametrize("attention", ATTENTION)
-def test_decode_step_matches_per_gate(monkeypatch, attention):
+def test_decode_step_matches_per_gate(attention):
     g, _, feats = make_models(0, attention)
-    state = ref_state = cap.initial_state(g.config)
-    prev = g.config.bos_id
-    for tok in (2, 5, 7, 3):
-        logits, state, attn, gate = cap.decode_step(g, state, prev, feats)
-        with monkeypatch.context() as mp:
-            mp.setattr(cap, "BoundCaptioner", PerGateCaptioner)
-            ref_logits, ref_state, ref_attn, ref_gate = cap.decode_step(g, ref_state, prev,
-                                                                        feats)
-        assert max_diff(logits, ref_logits) <= TOL
-        assert max_diff(attn, ref_attn) <= TOL
-        assert abs(gate - ref_gate) <= TOL and gate == attn[-1]
-        for a, b in ((state.h, ref_state.h), (state.c, ref_state.c),
-                     (state.context, ref_state.context)):
-            assert max_diff(a, b) <= TOL
-        if attention == "att2all":
-            assert attn[-1] == 0.0 and gate == 0.0
-        prev = tok
+    prevs = [g.config.bos_id, 2, 5, 7]
+    steps = replay_steps(g, feats, prevs)
+    ref_steps = replay_steps(g, feats, prevs, bound_cls=PerGateCaptioner)
+    assert len(steps) == len(ref_steps) == len(prevs)
+    for step, ref_step in zip(steps, ref_steps):  # row, h, c, ctx, attn, logits
+        for a, b in zip(step, ref_step):
+            assert a.shape == b.shape and max_diff(a, b) <= TOL
+        if attention == "att2all":  # attn's last slot, the sentinel gate
+            assert step[4][0, -1] == ref_step[4][0, -1] == 0.0
 
 
 @pytest.mark.parametrize("attention", ATTENTION)

@@ -20,7 +20,7 @@ def tiny_setup(seed=0, vocab=5, crops=2, dim=3, m=4, max_len=4):
     dcfg = disc.DiscriminatorConfig(vocab_size=vocab, hidden_dim=m,
                                     num_crops=crops, feature_dim=dim)
     g = init_params(gcfg, seed)
-    d = disc.init_coatt(dcfg, seed + 100)
+    d = disc.init_discriminator(dcfg, seed + 100, "coatt")
     feats = np.random.default_rng(seed + 200).uniform(-1, 1, (crops, dim))
     return g, d, feats
 
@@ -103,9 +103,10 @@ class TestDiscriminatorLoss:
         g, d, feats = tiny_setup()
         for arr in d.arrays.values():
             arr[:] = 0.0  # every score is sigmoid(0) = 0.5
-        loss = tr.discriminator_loss(d, feats, TokenSequence([2, 1], True),
-                                     TokenSequence([3, 1], True),
-                                     TokenSequence([4, 1], True))
+        bound = disc.BoundDiscriminator(ad.Tape(grad=False), d)
+        loss = tr.discriminator_objective(bound, feats, TokenSequence([2, 1], True),
+                                          TokenSequence([3, 1], True),
+                                          TokenSequence([4, 1], True)).item()
         assert abs(loss - 2 * np.log(0.5)) < 1e-12
 
     def test_perfect_discriminator_limit(self):
@@ -141,7 +142,8 @@ class TestDiscriminatorLoss:
             def f(arr, name=name):
                 trial = d.copy()
                 trial.arrays[name] = arr
-                return tr.discriminator_loss(trial, feats, real, fake, mism)
+                plain = disc.BoundDiscriminator(ad.Tape(grad=False), trial)
+                return tr.discriminator_objective(plain, feats, real, fake, mism).item()
 
             fd = central_difference(f, d.arrays[name].copy())
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
@@ -350,7 +352,8 @@ def scst_setup(attention="context_aware", seed=0, n_images=9):
     vocab, crops, dim, m = 7, 2, 3, 4
     g = init_params(CaptionerConfig(vocab_size=vocab, hidden_dim=m, num_crops=crops,
                                     feature_dim=dim, max_len=5, attention=attention), seed)
-    d = disc.init_coatt(disc.DiscriminatorConfig(vocab, m, crops, dim), seed + 100)
+    d = disc.init_discriminator(disc.DiscriminatorConfig(vocab, m, crops, dim), seed + 100,
+                                "coatt")
     dataset = tiny_dataset(n_images=n_images, seed=seed + 200, vocab=vocab)
     return g, d, dataset, met.fit_idf([refs for _, refs in dataset])
 
@@ -633,7 +636,7 @@ class TestTrainGan:
         dcfg = disc.DiscriminatorConfig(vocab_size=7, hidden_dim=4, num_crops=2,
                                         feature_dim=3)
         g = init_params(gcfg, 1)
-        d = disc.init_coatt(dcfg, 2)
+        d = disc.init_discriminator(dcfg, 2, "coatt")
         cfg = tr.GanConfig(estimator=estimator, epochs=epochs, batch_size=3,
                            d_pretrain_epochs=1, seed=seed)
         return g, d, dataset, cfg
@@ -698,8 +701,9 @@ class TestGradNormProbe:
                                feature_dim=3, max_len=5)
         g = init_params(gcfg, 1)
         g.arrays["out_b"][0, 1] = 60.0  # degenerate model: sample == greedy
-        d = disc.init_coatt(disc.DiscriminatorConfig(vocab_size=7, hidden_dim=4,
-                                                     num_crops=2, feature_dim=3), 2)
+        d = disc.init_discriminator(disc.DiscriminatorConfig(vocab_size=7, hidden_dim=4,
+                                                             num_crops=2, feature_dim=3),
+                                    2, "coatt")
         cfg = tr.GanConfig(estimator="scst", batch_size=2)
         norms, _ = tr.grad_norm_probe(g, d, dataset, "scst", 5,
                                       np.random.default_rng(0), cfg)
@@ -710,8 +714,9 @@ class TestGradNormProbe:
         gcfg = CaptionerConfig(vocab_size=7, hidden_dim=4, num_crops=2,
                                feature_dim=3, max_len=5)
         g = init_params(gcfg, 1)
-        d = disc.init_coatt(disc.DiscriminatorConfig(vocab_size=7, hidden_dim=4,
-                                                     num_crops=2, feature_dim=3), 2)
+        d = disc.init_discriminator(disc.DiscriminatorConfig(vocab_size=7, hidden_dim=4,
+                                                             num_crops=2, feature_dim=3),
+                                    2, "coatt")
         cfg = tr.GanConfig(batch_size=3)
         res = {}
         for est in ("scst", "gumbel_st"):
@@ -734,14 +739,16 @@ class TestNoGradEquivalence:
         d = disc.init_discriminator(self.DCFG, 3, variant)
         feats = np.random.default_rng(4).uniform(-1, 1, (3, 5))
         real, fake, mis = (TokenSequence(t, True) for t in ([3, 4, 1], [2, 1], [4, 4, 3, 1]))
-        args = (d, feats, real, fake, mis)
-        assert tr.discriminator_loss(*args) == on_grad_tapes(tr.discriminator_loss, *args)
+        plain, taped = (tr.discriminator_objective(disc.BoundDiscriminator(tape, d), feats,
+                                                   real, fake, mis).item()
+                        for tape in (ad.Tape(grad=False), ad.Tape()))
+        assert plain == taped
         for seq in (real, fake, mis):
             assert np.array_equal(tr._clamped_scores(d, feats, seq),
                                   on_grad_tapes(tr._clamped_scores, d, feats, seq))
 
     def test_clamped_score_value_matches_np_clip(self, caplog):
-        d = disc.init_coatt(self.DCFG, 5)
+        d = disc.init_discriminator(self.DCFG, 5, "coatt")
         d.arrays["out_UI"] *= 1e4  # saturate the sigmoid
         feats = np.random.default_rng(6).uniform(-1, 1, (3, 5))
         seq = TokenSequence([2, 3, 1], True)
