@@ -70,7 +70,7 @@ for b, label in ((baseline, "greedy baseline"), (0.0, "no baseline")):
     print(f"mean per-component variance, {label}: {var.mean():.3e}")
 
 # ---- minibatch norms on a trained desk model -------------------------------
-print("\ntraining the desk-scale comparison models (about a minute)...")
+print("\ntraining the desk-scale comparison models (a few seconds)...")
 ds = dat.generate_dataset(seed=5, n_objects=6, n_contexts=4, n_images=40,
                           num_crops=4, feature_dim=14, noise=0.15)
 gcfg = CaptionerConfig(vocab_size=ds.vocab.size, hidden_dim=20, num_crops=4,

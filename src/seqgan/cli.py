@@ -87,6 +87,8 @@ def _merge_strict(defaults, overrides, path=""):
             expect = type(defaults[key])
             if expect in (float, int) and isinstance(value, (int, float)) \
                     and not isinstance(value, bool):
+                if expect is int and isinstance(value, float) and not value.is_integer():
+                    raise ConfigError(f"{here}: expected an integer, got {value}")
                 merged[key] = expect(value)
             elif isinstance(value, expect) and not (expect is not bool
                                                     and isinstance(value, bool)):
@@ -111,20 +113,30 @@ class ExperimentConfig:
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """The config merged over the defaults and checked before any work:
-    ``ce_pretrain`` values against their ranges, ``gan`` by building its
-    ``GanConfig``.  Errors name the field path."""
+    """The config merged over the defaults and checked before any work, by
+    ranges, the rules of ``generate_dataset`` and building the model and
+    ``gan`` config objects.  Errors name the field path."""
     cfg = ExperimentConfig(_merge_strict(_DEFAULTS, data))
-    ce = cfg.raw["ce_pretrain"]
-    for name, ok, rule in (("epochs", ce["epochs"] >= 0, ">= 0"),
-                           ("batch_size", ce["batch_size"] >= 1, ">= 1"),
-                           ("lr", ce["lr"] > 0, "> 0")):
+    raw, ce = cfg.raw, cfg.raw["ce_pretrain"]
+    for name, ok, rule in (("ce_pretrain.epochs", ce["epochs"] >= 0, ">= 0"),
+                           ("ce_pretrain.batch_size", ce["batch_size"] >= 1, ">= 1"),
+                           ("ce_pretrain.lr", ce["lr"] > 0, "> 0"),
+                           ("metrics.cca_rank", raw["metrics"]["cca_rank"] >= 1, ">= 1")):
         if not ok:
-            raise ConfigError(f"ce_pretrain.{name} must be {rule}, got {ce[name]}")
-    try:
-        gan_config(cfg)
-    except tr.InputError as e:  # its message starts with the field name
-        raise ConfigError(f"gan.{e}") from None
+            section, field = name.split(".")
+            raise ConfigError(f"{name} must be {rule}, got {raw[section][field]}")
+    ds, d = raw["dataset"], raw["discriminator"]
+    for section, check in (
+            ("dataset", lambda: dat.check_dataset_request(
+                ds["n_objects"], ds["n_contexts"], ds["n_images"], ds["feature_dim"])),
+            ("captioner", lambda: CaptionerConfig(vocab_size=2, **raw["captioner"])),
+            ("discriminator", lambda: disc.init_discriminator(
+                disc.DiscriminatorConfig(1, d["hidden_dim"], 1, 1), 0, d["variant"])),
+            ("gan", lambda: gan_config(cfg))):
+        try:
+            check()
+        except (tr.InputError, dat.ParameterError) as e:  # led by the field name
+            raise ConfigError(f"{section}.{e}") from None
     return cfg
 
 

@@ -149,6 +149,19 @@ class DatasetSplit:
         return getattr(self, name)
 
 
+def check_dataset_request(n_objects: int, n_contexts: int, n_images: int, feature_dim: int):
+    """``ParameterError``, led by the argument at fault, for a dataset
+    ``generate_dataset`` cannot build."""
+    if n_objects * n_contexts < 4:
+        raise ParameterError("n_objects * n_contexts must be >= 4 object-context pairs")
+    if n_objects + n_contexts > feature_dim:
+        raise ParameterError(
+            f"feature_dim={feature_dim} too small for {n_objects} objects + "
+            f"{n_contexts} contexts (orthogonal prototypes)")
+    if n_images < 4:
+        raise ParameterError(f"n_images must be >= 4, got {n_images}")
+
+
 def generate_dataset(seed: int, n_objects: int, n_contexts: int, n_images: int,
                      vocab_spec: VocabSpec | None = None, num_crops: int = 4,
                      feature_dim: int = 16, noise: float = 0.1,
@@ -158,14 +171,7 @@ def generate_dataset(seed: int, n_objects: int, n_contexts: int, n_images: int,
     A biased object-context co-occurrence drives train/val/test; a reserved
     set of pairs that never co-occur there supplies the ooc images.
     """
-    if n_objects * n_contexts < 4:
-        raise ParameterError("need at least 4 object-context combinations")
-    if n_objects + n_contexts > feature_dim:
-        raise ParameterError(
-            f"feature_dim={feature_dim} too small for {n_objects} objects + "
-            f"{n_contexts} contexts (orthogonal prototypes)")
-    if n_images < 4:
-        raise ParameterError("need at least 4 images")
+    check_dataset_request(n_objects, n_contexts, n_images, feature_dim)
     spec = vocab_spec or VocabSpec()
 
     rng = np.random.default_rng(seed)
@@ -256,8 +262,8 @@ def write_features(path, feature_arrays):
     if not arrays:
         raise InputError("no feature arrays to write")
     shape = arrays[0].shape
-    if len(shape) != 2 or any(a.shape != shape for a in arrays):
-        raise InputError("all feature arrays must share one crops x dim shape")
+    if len(shape) != 2 or any(a.shape != shape for a in arrays) or 0 in shape:
+        raise InputError("all feature arrays must share one nonempty crops x dim shape")
     with open(path, "wb") as fh:
         fh.write(_FEATURE_MAGIC)
         fh.write(struct.pack("<III", len(arrays), shape[0], shape[1]))
@@ -274,6 +280,10 @@ def load_features(path, expected_crops=None, expected_dim=None):
     if len(blob) < 16:
         raise FormatError("truncated feature-file header", offset=len(blob))
     count, crops, dim = struct.unpack_from("<III", blob, 4)
+    for offset, name, value in ((4, "image count", count), (8, "crops", crops),
+                                (12, "dim", dim)):
+        if value == 0:
+            raise FormatError(f"feature-file header has zero {name}", offset=offset)
     if expected_crops is not None and crops != expected_crops:
         raise FormatError(f"expected {expected_crops} crops, file has {crops}", offset=8)
     if expected_dim is not None and dim != expected_dim:

@@ -90,7 +90,7 @@ class DiscriminatorParams:
 def init_discriminator(config: DiscriminatorConfig, seed: int,
                        variant: str) -> DiscriminatorParams:
     if variant not in _SHAPES:
-        raise InputError(f"unknown discriminator variant {variant!r}")
+        raise InputError(f"variant must be one of {VARIANTS}, got {variant!r}")
     shapes = _SHAPES[variant](config)
     return DiscriminatorParams(config, _init_arrays(shapes, config.hidden_dim, seed),
                                variant)

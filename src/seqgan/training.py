@@ -134,16 +134,6 @@ def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return arrays, state
 
 
-def _zero_grads(arrays):
-    return {k: np.zeros_like(a) for k, a in arrays.items()}
-
-
-def _accumulate(total, part, scale=1.0):
-    for k, g in part.items():
-        total[k] += scale * g
-    return total
-
-
 # ---------------------------------------------------------------------------
 # discriminator objective
 # ---------------------------------------------------------------------------
@@ -249,7 +239,8 @@ def scst_batch_grad(g_params: CaptionerParams, d_params, image_feats, samples,
     logit_grads = [np.zeros((len(seq.tokens), K)) for seq in samples]
     rows = np.flatnonzero(adv)
     if not rows.size:
-        return _zero_grads(g_params.arrays), records, logit_grads
+        zeros = {k: np.zeros_like(a) for k, a in g_params.arrays.items()}
+        return zeros, records, logit_grads
 
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g_params)
@@ -273,32 +264,33 @@ def gumbel_noise(rng: np.random.Generator, size) -> np.ndarray:
 
 def gumbel_unroll(tape: ad.Tape, bound_g: BoundCaptioner, image_feats,
                   rng: np.random.Generator, cfg: GanConfig):
-    """Decode with relaxed samples fed back as inputs.
-
-    Returns (soft rows on the tape, per-step logits tensors, hard token ids).
-    Unrolling stops when the hard argmax is EOS or max_len is reached.
-    """
-    mode = "soft" if cfg.estimator == "gumbel_soft" else "st"
+    """Decode B x C x d ``image_feats`` with relaxed samples fed back as
+    inputs.  Each step draws one (B, 1, K) uniform block while any row is
+    live; a row ends at its first hard EOS or at max_len, and then its noise
+    is unused.  Returns (the B x T x K relaxed rows, T the longest row, each
+    step's B x 1 x K logits, each row's hard token ids)."""
     config = bound_g.config
-    feats_proj = bound_g.project_feats(image_feats)
-    h, c, ctx = bound_g.zero_state()
-    x = bound_g.embed_token(config.bos_id)
-    rows, step_logits, tokens = [], [], []
+    B = len(image_feats)
+    feats_proj = bound_g.project_feats(image_feats, batch=B)
+    h, c, ctx = bound_g.zero_state(B)
+    x = ad.get_row(bound_g.p["embed"], np.full(B, config.bos_id))
+    rows, step_logits, tokens, live = [], [], [[] for _ in range(B)], list(range(B))
     for _ in range(config.max_len):
-        row, h, c, ctx, _ = bound_g.step(h, c, ctx, x, feats_proj)
-        logits = bound_g.logits(row)
+        out, h, c, ctx, _ = bound_g.step(h, c, ctx, x, feats_proj)
+        logits = bound_g.logits(out)
         step_logits.append(logits)
-        noise = tape.tensor(gumbel_noise(rng, (1, config.vocab_size)))
+        noise = tape.tensor(gumbel_noise(rng, (B, 1, config.vocab_size)))
         y = ad.softmax(ad.add(bound_g.masked_logits(logits), noise),
                        temperature=cfg.temperature)
-        row = ad.st_onehot(y) if mode == "st" else y
-        hard = int(np.argmax(row.data))
-        rows.append(row)
-        tokens.append(hard)
-        x = bound_g.embed_soft(row)
-        if hard == config.eos_id:
+        rows.append(y if cfg.estimator == "gumbel_soft" else ad.st_onehot(y))
+        hard = rows[-1].data.argmax(axis=-1).reshape(B).tolist()
+        for b in live:
+            tokens[b].append(hard[b])
+        live = [b for b in live if hard[b] != config.eos_id]
+        if not live:
             break
-    return rows, step_logits, tokens
+        x = bound_g.embed_soft(rows[-1])
+    return ad.concat(rows, axis=1), step_logits, tokens
 
 
 def _sum_sq(t: ad.Tensor) -> ad.Tensor:
@@ -306,43 +298,38 @@ def _sum_sq(t: ad.Tensor) -> ad.Tensor:
 
 
 def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
-                rng: np.random.Generator, cfg: GanConfig,
-                gt_seq: TokenSequence | None = None, want_logit_grads=False):
-    """Gradient of log D on a relaxed sample, backpropagated into the captioner.
+                rng: np.random.Generator, cfg: GanConfig, gt_seqs=None) -> dict:
+    """Gradient of the batch mean of log D on relaxed samples of B x C x d
+    ``image_feats`` (or one C x d image), backpropagated into the captioner
+    from one tape.  With feature matching, row b's loss subtracts the
+    weighted squared distances between the discriminator embeddings of
+    ``gt_seqs[b]`` (then required) and of its relaxed sample.
 
-    With feature matching enabled the loss subtracts the squared distances
-    between the discriminator embeddings of the ground-truth caption and of
-    the relaxed sample; ``gt_seq`` is then required.
-    """
+    Returns "grads" and "loss" of the batch mean and per row its "tokens",
+    "score" and "logit_grads" (len(tokens) x K, the row's 1/B share)."""
     if cfg.estimator not in ("gumbel_soft", "gumbel_st"):
         raise InputError("gumbel_grad needs a gumbel estimator config")
     fm_on = cfg.fm_image_weight > 0 or cfg.fm_caption_weight > 0
-    if fm_on and gt_seq is None:
-        raise InputError("feature matching requires the ground-truth caption")
+    if fm_on and gt_seqs is None:
+        raise InputError("feature matching requires the ground-truth captions")
+    feats = np.reshape(image_feats, (-1,) + np.shape(image_feats)[-2:])
 
     tape = ad.Tape()
     bound_g = BoundCaptioner(tape, g_params)
     bound_d = BoundDiscriminator(tape, d_params)
-    rows, step_logits, tokens = gumbel_unroll(tape, bound_g, image_feats, rng, cfg)
-
-    out = bound_d.score_soft_rows(image_feats, rows)
-    loss = ad.log(_clamp_score(out["score"]))
+    rows, step_logits, tokens = gumbel_unroll(tape, bound_g, feats, rng, cfg)
+    out = bound_d.forward(feats, rows, [len(seq) for seq in tokens])
+    total = ad.reduce_sum(ad.log(_clamp_score(out["score"])))
     if fm_on:
-        ref = bound_d.score_sequence(image_feats, gt_seq)
-        loss = loss - ad.scale(_sum_sq(ref["e_img"] - out["e_img"]), cfg.fm_image_weight)
-        loss = loss - ad.scale(_sum_sq(ref["e_cap"] - out["e_cap"]), cfg.fm_caption_weight)
-
+        ref = bound_d.score_sequence(feats, gt_seqs)
+        total -= ad.scale(_sum_sq(ref["e_img"] - out["e_img"]), cfg.fm_image_weight)
+        total -= ad.scale(_sum_sq(ref["e_cap"] - out["e_cap"]), cfg.fm_caption_weight)
+    loss = ad.scale(total, 1.0 / len(feats))
     ad.backward(tape, loss)
-    grads = {name: bound_g.p[name].grad.copy() for name in g_params.arrays}
-    result = {
-        "grads": grads,
-        "loss": loss.item(),
-        "tokens": tokens,
-        "score": out["score"].item(),
-    }
-    if want_logit_grads:
-        result["logit_grads"] = [t.grad.reshape(-1).copy() for t in step_logits]
-    return result
+    logit_grads = np.concatenate([t.grad for t in step_logits], axis=1)  # B x T x K
+    return {"grads": {name: bound_g.p[name].grad for name in g_params.arrays},
+            "loss": loss.item(), "tokens": tokens, "score": out["score"].data,
+            "logit_grads": [logit_grads[b, : len(seq)] for b, seq in enumerate(tokens)]}
 
 
 # ---------------------------------------------------------------------------
@@ -442,23 +429,19 @@ def _d_batch_step(g_params, d_params, d_opt, dataset, batch, rng, cfg):
 
 def _g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf):
     """One generator ascent step.  Per image, draw a ground-truth caption
-    (only feature matching uses it), then the estimator's own draws: SCST
-    draws every image's sample, then takes one batched step
-    (``scst_batch_grad``); the Gumbel estimators unroll image by image."""
-    feats = [_example_feats(dataset[i]) for i in batch]
+    (only feature matching uses it) and, for SCST, a sample; then take one
+    batched step (the Gumbel unroll draws its noise after all the picks)."""
+    feats = np.array([_example_feats(dataset[i]) for i in batch])
     refs = [dataset[i][1] for i in batch]
-    grads = _zero_grads(g_params.arrays)
-    samples = []
+    gts, samples = [], []
     for f, r in zip(feats, refs):
-        gt = r[int(rng.integers(len(r)))]
+        gts.append(r[int(rng.integers(len(r)))])
         if cfg.estimator == "scst":
             samples.append(sample_sentence(g_params, f, rng)[0])
-        else:
-            part = gumbel_grad(g_params, d_params, f, rng, cfg, gt_seq=gt)["grads"]
-            _accumulate(grads, part, scale=1.0 / len(batch))
-    if samples:
-        grads = scst_batch_grad(g_params, d_params, np.array(feats), samples, cfg, refs,
-                                idf)[0]
+    if cfg.estimator == "scst":
+        grads = scst_batch_grad(g_params, d_params, feats, samples, cfg, refs, idf)[0]
+    else:
+        grads = gumbel_grad(g_params, d_params, feats, rng, cfg, gts)["grads"]
     adam_step(g_params.arrays, {n: -g for n, g in grads.items()}, g_opt, cfg.g_lr)
 
 
@@ -542,12 +525,10 @@ def train_gan(g_params: CaptionerParams, d_params, dataset, cfg: GanConfig,
 
 def grad_norm_probe(g_params, d_params, dataset, estimator: str, n_batches: int,
                     rng: np.random.Generator, cfg: GanConfig, idf=None):
-    """L2 norm of the minibatch-mean logit gradient, one value per minibatch.
-
-    Per-example step gradients are laid out on a (max_len, vocab) grid
-    (zero-padded past each sequence's end), averaged over the minibatch in
-    example order, and reduced to a single norm, so opposite-signed example
-    gradients cancel the way they do in an actual update.
+    """L2 norm of the minibatch-mean logit gradient, one value per minibatch:
+    each row's step gradients, its share of the minibatch mean, are summed on
+    a zero-padded (max_len, vocab) grid, so opposite-signed example gradients
+    cancel the way they do in an actual update.
 
     Batch selection and estimator sampling use two separate streams derived
     from ``rng``, so different estimators probed with equal-seeded generators
@@ -568,20 +549,17 @@ def grad_norm_probe(g_params, d_params, dataset, estimator: str, n_batches: int,
         batch = batch_rng.choice(len(dataset), size=min(cfg.batch_size, len(dataset)),
                                  replace=False)
         hashes.append(hashlib.sha256(batch.astype("<i8").tobytes()).hexdigest()[:16])
-        mean_grad = np.zeros((T, K))
-        feats = [_example_feats(dataset[i]) for i in batch]
+        feats = np.array([_example_feats(dataset[i]) for i in batch])
         refs = [dataset[i][1] for i in batch]
         if estimator == "scst":
             samples = [sample_sentence(g_params, f, est_rng)[0] for f in feats]
-            _, _, grads = scst_batch_grad(g_params, d_params, np.array(feats), samples,
-                                          probe_cfg, refs, idf)
-            for g in grads:  # already the minibatch mean's share
-                mean_grad[: len(g)] += g
+            grads = scst_batch_grad(g_params, d_params, feats, samples, probe_cfg, refs,
+                                    idf)[2]
         else:
-            for f, r in zip(feats, refs):
-                out = gumbel_grad(g_params, d_params, f, est_rng, probe_cfg,
-                                  gt_seq=r[0], want_logit_grads=True)
-                for t, row in enumerate(out["logit_grads"]):
-                    mean_grad[t] += row / len(batch)
+            grads = gumbel_grad(g_params, d_params, feats, est_rng, probe_cfg,
+                                [r[0] for r in refs])["logit_grads"]
+        mean_grad = np.zeros((T, K))
+        for g in grads:  # already the minibatch mean's share
+            mean_grad[: len(g)] += g
         norms.append(float(np.linalg.norm(mean_grad)))
     return norms, hashes

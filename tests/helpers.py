@@ -19,7 +19,11 @@ per-caption loop (one tape, one bind and one teacher-forced pass per
 caption) as the oracle for the padded minibatch.  ``scst_grad`` keeps the
 per-image SCST step (one sample, one greedy decode, one reward pass and one
 replay tape), and ``loop_g_batch_step`` the generator step as a loop over
-it, as the oracle for the batched SCST step.  ``replay_steps`` steps one
+it, as the oracle for the batched SCST step.  ``gumbel_unroll`` and
+``gumbel_grad`` keep the per-image Gumbel estimators (one tape, one bind of
+each model and one 1 x K noise draw per decoder step) as the oracle for the
+batched relaxed unroll; ``PerGateCaptioner`` steps B x 1 x m rows too, so
+the per-gate oracle covers that batch.  ``replay_steps`` steps one
 bound captioner through a token path, the step-by-step oracle for the
 decoders and the way to inspect one step's attention and sentinel gate.
 """
@@ -116,17 +120,20 @@ class PerGateCaptioner(BoundCaptioner):
         self.gates = gate_weights(self.p, CAPTIONER_BLOCKS, params.config.hidden_dim)
 
     def step(self, h, c, ctx, x_embed, feats_proj):
+        """Blocks are joined and split on the last axis, so B x 1 x m rows
+        step as 1 x m ones do."""
         p = self.p
         context_aware = self.config.attention == "context_aware"
         if not context_aware:
             ctx = self.tape.tensor(np.zeros_like(ctx.data))
-        x = ad.concat([x_embed, ctx], axis=1)  # 1 x 2m
+        x = ad.concat([x_embed, ctx], axis=-1)  # 1 x 2m
         h_new, c_new = per_gate_lstm(self.gates, x, h, c)
 
         hidden_part = ad.matmul(h_new, p["attn_Wh"])
         act_img = ad.tanh(ad.add(ad.matmul(feats_proj, p["attn_Wa"]), hidden_part)
                           + p["attn_b"])
         e_img = ad.transpose(ad.matmul(act_img, p["attn_w"]))  # 1 x C
+        n_crops = e_img.shape[-1]
 
         if context_aware:
             W_x, W_h, b = self.gates["sent"]
@@ -134,13 +141,14 @@ class PerGateCaptioner(BoundCaptioner):
             sentinel = sent_gate_vec * ad.tanh(c_new)  # 1 x m
             act_s = ad.tanh(ad.matmul(sentinel, p["attn_Wa"]) + hidden_part + p["attn_b"])
             e_s = ad.matmul(act_s, p["attn_w"])  # 1 x 1
-            attn = ad.softmax(ad.concat([e_img, e_s], axis=1))  # 1 x (C+1)
-            attn_img = ad.narrow(attn, 1, 0, e_img.shape[1])
-            attn_sent = ad.narrow(attn, 1, e_img.shape[1], 1)
+            attn = ad.softmax(ad.concat([e_img, e_s], axis=-1))  # 1 x (C+1)
+            attn_img = ad.narrow(attn, -1, 0, n_crops)
+            attn_sent = ad.narrow(attn, -1, n_crops, 1)
             ctx_new = ad.matmul(attn_img, feats_proj) + attn_sent * sentinel
         else:
             attn_img = ad.softmax(e_img)
-            attn = ad.concat([attn_img, self.tape.tensor(np.zeros((1, 1)))], axis=1)
+            sentinel_slot = self.tape.tensor(np.zeros(e_img.shape[:-1] + (1,)))
+            attn = ad.concat([attn_img, sentinel_slot], axis=-1)
             ctx_new = ad.matmul(attn_img, feats_proj)
 
         return h_new + ctx_new, h_new, c_new, ctx_new, attn
@@ -402,6 +410,75 @@ def loop_g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf=N
         logit_grads.append(np.array(rows) / len(batch))
     tr.adam_step(g_params.arrays, {n: -g for n, g in grads.items()}, g_opt, cfg.g_lr)
     return grads, records, logit_grads
+
+
+def gumbel_unroll(tape, bound_g, image_feats, rng, cfg):
+    """Decode with relaxed samples fed back as inputs.
+
+    Returns (soft rows on the tape, per-step logits tensors, hard token ids).
+    Unrolling stops when the hard argmax is EOS or max_len is reached.
+    """
+    mode = "soft" if cfg.estimator == "gumbel_soft" else "st"
+    config = bound_g.config
+    feats_proj = bound_g.project_feats(image_feats)
+    h, c, ctx = bound_g.zero_state()
+    x = bound_g.embed_token(config.bos_id)
+    rows, step_logits, tokens = [], [], []
+    for _ in range(config.max_len):
+        row, h, c, ctx, _ = bound_g.step(h, c, ctx, x, feats_proj)
+        logits = bound_g.logits(row)
+        step_logits.append(logits)
+        noise = tape.tensor(tr.gumbel_noise(rng, (1, config.vocab_size)))
+        y = ad.softmax(ad.add(bound_g.masked_logits(logits), noise),
+                       temperature=cfg.temperature)
+        row = ad.st_onehot(y) if mode == "st" else y
+        hard = int(np.argmax(row.data))
+        rows.append(row)
+        tokens.append(hard)
+        x = bound_g.embed_soft(row)
+        if hard == config.eos_id:
+            break
+    return rows, step_logits, tokens
+
+
+def gumbel_grad(g_params, d_params, image_feats, rng, cfg, gt_seq=None,
+                want_logit_grads=False):
+    """Gradient of log D on a relaxed sample, backpropagated into the captioner.
+
+    With feature matching enabled the loss subtracts the squared distances
+    between the discriminator embeddings of the ground-truth caption and of
+    the relaxed sample; ``gt_seq`` is then required.
+    """
+    if cfg.estimator not in ("gumbel_soft", "gumbel_st"):
+        raise InputError("gumbel_grad needs a gumbel estimator config")
+    fm_on = cfg.fm_image_weight > 0 or cfg.fm_caption_weight > 0
+    if fm_on and gt_seq is None:
+        raise InputError("feature matching requires the ground-truth caption")
+
+    tape = ad.Tape()
+    bound_g = BoundCaptioner(tape, g_params)
+    bound_d = BoundDiscriminator(tape, d_params)
+    rows, step_logits, tokens = gumbel_unroll(tape, bound_g, image_feats, rng, cfg)
+
+    out = bound_d.score_soft_rows(image_feats, rows)
+    loss = ad.log(tr._clamp_score(out["score"]))
+    if fm_on:
+        ref = bound_d.score_sequence(image_feats, gt_seq)
+        loss = loss - ad.scale(tr._sum_sq(ref["e_img"] - out["e_img"]), cfg.fm_image_weight)
+        loss = loss - ad.scale(tr._sum_sq(ref["e_cap"] - out["e_cap"]),
+                               cfg.fm_caption_weight)
+
+    ad.backward(tape, loss)
+    grads = {name: bound_g.p[name].grad.copy() for name in g_params.arrays}
+    result = {
+        "grads": grads,
+        "loss": loss.item(),
+        "tokens": tokens,
+        "score": out["score"].item(),
+    }
+    if want_logit_grads:
+        result["logit_grads"] = [t.grad.reshape(-1).copy() for t in step_logits]
+    return result
 
 
 def gumbel_sample(logits, temperature: float, rng: np.random.Generator, mode: str):

@@ -214,10 +214,10 @@ def test_criterion_01_gradient_correctness():
                 def soft_loss(params):
                     return tr.gumbel_grad(params, d, feats,
                                           np.random.default_rng(noise_seed),
-                                          cfg, gt_seq=seq)["loss"]
+                                          cfg, gt_seqs=seq)["loss"]
 
                 out = tr.gumbel_grad(g, d, feats, np.random.default_rng(noise_seed),
-                                     cfg, gt_seq=seq)
+                                     cfg, gt_seqs=seq)
                 _check_param_subset(soft_loss, out["grads"], g, rng)
 
         elapsed = time.time() - start

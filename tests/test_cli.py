@@ -107,6 +107,38 @@ class TestConfigParsing:
         assert f"config error: {section}.batch_size" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, field, value", (
+        ("gan", "epochs", 2.7), ("gan", "batch_size", 0.5), ("ce_pretrain", "epochs", 1.9),
+        ("ce_pretrain", "batch_size", 3.5), ("dataset", "n_images", 20.25),
+        ("gan", "epochs", float("inf"))))
+    def test_fractional_integer_rejected_with_path(self, section, field, value):
+        with pytest.raises(cli.ConfigError, match=f"{section}.{field}: expected an integer"):
+            cli.parse_config({section: {field: value}})
+
+    def test_integral_float_reads_as_int(self):
+        cfg = cli.parse_config({"gan": {"epochs": 3.0}, "ce_pretrain": {"batch_size": 4.0}})
+        assert cfg.raw["gan"]["epochs"] == 3 and type(cfg.raw["gan"]["epochs"]) is int
+        assert cfg.raw["ce_pretrain"]["batch_size"] == 4
+        assert type(cfg.raw["ce_pretrain"]["batch_size"]) is int
+
+    @pytest.mark.parametrize("section, field, value", (
+        ("gan", "epochs", 2.7), ("ce_pretrain", "epochs", 1.9),
+        ("discriminator", "variant", "nope"), ("discriminator", "hidden_dim", 0),
+        ("metrics", "cca_rank", 0), ("captioner", "attention", "bogus"),
+        ("captioner", "hidden_dim", 0), ("captioner", "max_len", 0),
+        ("dataset", "n_images", 2), ("dataset", "feature_dim", 5),
+        ("dataset", "n_objects", 1)))
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                               section, field, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although the config is bad")
+
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        config = write_config(tmp_path, **{section: {**TINY.get(section, {}), field: value}})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert f"config error: {section}.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_log_level_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQGAN_LOG", "verbose")
         assert cli.main(["plots", str(tmp_path / "x.jsonl")]) == 2

@@ -15,7 +15,7 @@ from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import metrics as met
 from seqgan import training as tr
-from seqgan.captioner import CaptionerConfig, init_params
+from seqgan.captioner import CaptionerConfig, InputError, init_params
 
 
 def small_dataset(seed=0, **kw):
@@ -110,6 +110,22 @@ class TestFeatureFile:
             with pytest.raises(dat.FormatError) as err:
                 dat.load_features(bad)
             assert err.value.offset is not None
+
+    @pytest.mark.parametrize("count, crops, dim, offset", ((3, 0, 5, 8), (0, 4, 5, 4),
+                                                           (2, 3, 0, 12), (0, 0, 0, 4)))
+    def test_zero_header_field_is_format_error(self, tmp_path, count, crops, dim, offset):
+        path = tmp_path / "empty.sgf"
+        path.write_bytes(b"SGF1" + struct.pack("<III", count, crops, dim))
+        with pytest.raises(dat.FormatError) as err:
+            dat.load_features(path)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("shape", ((0, 4), (3, 0), (0, 0)))
+    def test_zero_sized_arrays_not_written(self, tmp_path, shape):
+        path = tmp_path / "empty.sgf"
+        with pytest.raises(InputError):
+            dat.write_features(path, [np.zeros(shape)])
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sgf"

@@ -1,7 +1,7 @@
-"""Smoke test: the quick demos run to completion against the current API.
+"""Smoke test: every demo runs to completion against the current API.
 
-``04_adversarial_training.py`` and ``05_estimator_diagnostics.py`` take
-about half a minute each and are left to manual runs.
+Each takes a few seconds; ``05_estimator_diagnostics.py`` is the only one
+that runs the Gumbel branch of ``grad_norm_probe``.
 """
 
 import os
@@ -13,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK_DEMOS = ("01_tape_autodiff.py", "02_captioner_decoding.py",
-               "03_coattention_scoring.py", "06_metrics_and_semantic_score.py")
+               "03_coattention_scoring.py", "04_adversarial_training.py",
+               "05_estimator_diagnostics.py", "06_metrics_and_semantic_score.py")
 
 
 @pytest.mark.parametrize("script", QUICK_DEMOS)

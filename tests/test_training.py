@@ -9,7 +9,7 @@ from seqgan.captioner import (ATTENTION_MODES, BoundCaptioner, CaptionerConfig, 
                               TokenSequence, greedy_decode, init_params, sample_sentence)
 from conftest import central_difference, rel_err
 from helpers import (autodiff_expected_reward_grad, enumerate_sequences,
-                     expected_policy_gradient, flat_grads, gumbel_sample,
+                     expected_policy_gradient, flat_grads, gumbel_grad, gumbel_sample,
                      loop_d_batch_step, loop_g_batch_step, per_sequence_score_grads,
                      policy_gradient_variance, scst_grad, sequence_probabilities)
 
@@ -563,7 +563,7 @@ class TestGumbelGrad:
         g, d, feats = tiny_setup(seed=11)
         cfg = tr.GanConfig(estimator="gumbel_soft", temperature=0.7)
         out = tr.gumbel_grad(g, d, feats, np.random.default_rng(3), cfg)
-        assert abs(out["loss"] - np.log(out["score"])) < 1e-12
+        assert abs(out["loss"] - np.log(out["score"][0])) < 1e-12
 
     def test_st_onehot_of_ground_truth_zeroes_fm_penalty(self):
         g, d, feats = tiny_setup(seed=12)
@@ -571,9 +571,9 @@ class TestGumbelGrad:
         gt = TokenSequence([1], True)
         cfg = tr.GanConfig(estimator="gumbel_st", temperature=0.5,
                            fm_image_weight=1.0, fm_caption_weight=1.0)
-        out = tr.gumbel_grad(g, d, feats, np.random.default_rng(4), cfg, gt_seq=gt)
-        assert out["tokens"] == [1]
-        assert abs(out["loss"] - np.log(out["score"])) < 1e-12  # penalty exactly 0
+        out = tr.gumbel_grad(g, d, feats, np.random.default_rng(4), cfg, gt_seqs=gt)
+        assert out["tokens"] == [[1]]
+        assert abs(out["loss"] - np.log(out["score"][0])) < 1e-12  # penalty exactly 0
 
     def test_fm_requires_ground_truth(self):
         g, d, feats = tiny_setup()
@@ -587,17 +587,142 @@ class TestGumbelGrad:
         cfg = tr.GanConfig(estimator="gumbel_soft", temperature=0.8,
                            fm_image_weight=0.5, fm_caption_weight=0.5)
 
-        out = tr.gumbel_grad(g, d, feats, np.random.default_rng(21), cfg, gt_seq=gt)
+        out = tr.gumbel_grad(g, d, feats, np.random.default_rng(21), cfg, gt_seqs=gt)
 
         for name in list(g.arrays):
             def f(arr, name=name):
                 trial = g.copy()
                 trial.arrays[name] = arr
                 return tr.gumbel_grad(trial, d, feats, np.random.default_rng(21),
-                                      cfg, gt_seq=gt)["loss"]
+                                      cfg, gt_seqs=gt)["loss"]
 
             fd = central_difference(f, g.arrays[name].copy())
             assert rel_err(out["grads"][name], fd) < 1e-4, name
+
+
+class RecordingRng:
+    """A seeded generator that keeps every uniform block it hands out."""
+
+    def __init__(self, seed):
+        self.rng, self.blocks = np.random.default_rng(seed), []
+
+    def random(self, size):
+        self.blocks.append(self.rng.random(size))
+        return self.blocks[-1]
+
+
+class ReplayRng:
+    """Hands out the given uniform rows in turn, one per ``random`` call."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, size):
+        row = next(self.rows)
+        assert row.shape == tuple(size)
+        return row
+
+
+def gumbel_batch_setup(variant, attention, seed):
+    """Models with 9 words, max_len 4, and 5 images with one ground truth
+    each; EOS is made likelier, so rows end at every length."""
+    vocab, crops, dim, m = 9, 2, 3, 4
+    g = init_params(CaptionerConfig(vocab_size=vocab, hidden_dim=m, num_crops=crops,
+                                    feature_dim=dim, max_len=4, attention=attention), seed)
+    g.arrays["out_b"][0, 1] += 1.0
+    d = disc.init_discriminator(disc.DiscriminatorConfig(vocab, m, crops, dim), seed + 100,
+                                variant)
+    rng = np.random.default_rng(seed + 200)
+    feats = rng.uniform(-1, 1, (5, crops, dim))
+    gts = [TokenSequence([int(t) for t in rng.integers(2, vocab, size=n)] + [1], True)
+           for n in (0, 3, 1, 2, 3)]
+    return g, d, feats, gts
+
+
+class TestBatchedGumbel:
+    """``gumbel_grad`` unrolls a minibatch as one batch; the per-image
+    ``helpers.gumbel_grad`` replaying row b's noise is its oracle."""
+
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    @pytest.mark.parametrize("variant", disc.VARIANTS)
+    @pytest.mark.parametrize("estimator", ("gumbel_soft", "gumbel_st"))
+    @pytest.mark.parametrize("n_images", (5, 1))
+    def test_matches_per_image_oracle(self, estimator, variant, attention, n_images):
+        g, d, feats, gts = gumbel_batch_setup(variant, attention, seed=3)
+        feats, gts = feats[:n_images], gts[:n_images]
+        cfg = tr.GanConfig(estimator=estimator, temperature=0.7, fm_image_weight=0.4,
+                           fm_caption_weight=0.3)
+        rng = RecordingRng(11)
+        out = tr.gumbel_grad(g, d, feats, rng, cfg, gt_seqs=gts)
+        lengths = [len(t) for t in out["tokens"]]
+        assert len(rng.blocks) == max(lengths)
+        assert all(block.shape == (n_images, 1, 9) for block in rng.blocks)
+        if n_images > 1:  # mixed lengths, one row ending at max_len
+            assert len(set(lengths)) > 2 and max(lengths) == 4
+
+        refs = [gumbel_grad(g, d, feats[b], ReplayRng([blk[b] for blk in rng.blocks]),
+                            cfg, gt_seq=gts[b], want_logit_grads=True)
+                for b in range(n_images)]
+        assert out["tokens"] == [ref["tokens"] for ref in refs]
+        assert np.max(np.abs(out["score"] - [ref["score"] for ref in refs])) <= 1e-12
+        assert abs(out["loss"] - np.mean([ref["loss"] for ref in refs])) <= 1e-12
+        for name in g.arrays:
+            want = np.mean([ref["grads"][name] for ref in refs], axis=0)
+            assert np.max(np.abs(out["grads"][name] - want)) <= 1e-12, name
+        for got, ref in zip(out["logit_grads"], refs, strict=True):
+            want = np.array(ref["logit_grads"]) / n_images
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_one_image_draws_as_the_per_image_unroll(self):
+        """B = 1 takes the per-image sequence: the same tokens from the same
+        seeded generator, which is left in the same state."""
+        g, d, feats, gts = gumbel_batch_setup("coatt", "context_aware", seed=4)
+        cfg = tr.GanConfig(estimator="gumbel_st", fm_image_weight=0.5)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for b in range(len(feats)):
+            out = tr.gumbel_grad(g, d, feats[b], rng, cfg, gt_seqs=gts[b])
+            ref = gumbel_grad(g, d, feats[b], ref_rng, cfg, gt_seq=gts[b])
+            assert out["tokens"] == [ref["tokens"]]
+            assert abs(out["loss"] - ref["loss"]) <= 1e-12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_g_step_draws_picks_then_noise(self):
+        """One generator step: every image's ground-truth pick, then one
+        (B, 1, K) block per step; one Adam step on the batch-mean gradient."""
+        g, d, dataset, _ = scst_setup(seed=2)
+        cfg = tr.GanConfig(estimator="gumbel_soft", fm_caption_weight=0.5, batch_size=4)
+        batch = np.array([3, 0, 7, 5])
+        ref_g, rng, ref_rng = g.copy(), np.random.default_rng(8), np.random.default_rng(8)
+        tr._g_batch_step(g, d, tr.init_adam(g.arrays), dataset, batch, rng, cfg, None)
+
+        gts = [dataset[i][1][int(ref_rng.integers(3))] for i in batch]
+        feats = np.array([dataset[i][0] for i in batch])
+        grads = tr.gumbel_grad(ref_g, d, feats, ref_rng, cfg, gt_seqs=gts)["grads"]
+        tr.adam_step(ref_g.arrays, {n: -v for n, v in grads.items()},
+                     tr.init_adam(ref_g.arrays), cfg.g_lr)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for name in g.arrays:
+            assert np.array_equal(g.arrays[name], ref_g.arrays[name]), name
+
+    def test_probe_sums_the_per_row_shares(self):
+        """The Gumbel probe's norm is that of the minibatch's per-row logit
+        gradients summed on the (max_len, K) grid."""
+        g, d, dataset, _ = scst_setup(seed=5)
+        cfg = tr.GanConfig(batch_size=4, fm_image_weight=0.2)
+        norms, _ = tr.grad_norm_probe(g, d, dataset, "gumbel_st", 2,
+                                      np.random.default_rng(1), cfg)
+        seeds = np.random.default_rng(1).integers(0, 2**63 - 1, size=2)
+        batch_rng, est_rng = (np.random.default_rng(int(s)) for s in seeds)
+        probe_cfg = tr.GanConfig(**{**vars(cfg), "estimator": "gumbel_st"})
+        for norm in norms:
+            batch = batch_rng.choice(len(dataset), size=4, replace=False)
+            out = tr.gumbel_grad(g, d, np.array([dataset[i][0] for i in batch]), est_rng,
+                                 probe_cfg, gt_seqs=[dataset[i][1][0] for i in batch])
+            grid = np.zeros((5, 7))
+            for rows in out["logit_grads"]:
+                grid[: len(rows)] += rows
+            assert norm == float(np.linalg.norm(grid))
 
 
 class TestCePretrain:
