@@ -1,9 +1,11 @@
 """Experiment runner: train, eval, grad-probe, plots, gen-data.
 
 One JSON config file fully reproduces a run.  Unknown keys are rejected with
-their field path.  Exit codes: 0 ok, 1 runtime failure, 2 usage/config
-error.  The SEQGAN_LOG environment variable (error/info/debug) controls
-logging; all data files carry a schema string in their header line.
+their field path.  One evaluator, ``split_metrics``, scores a decoded split
+for both the per-epoch record and ``eval``.  Exit codes: 0 ok, 1 runtime
+failure, 2 usage/config error.  The SEQGAN_LOG environment variable
+(error/info/debug) controls logging; all data files carry a schema string in
+their header line.
 """
 
 from __future__ import annotations
@@ -68,9 +70,12 @@ _DEFAULTS = {
         "d_pretrain_epochs": 8,
     },
     "ce_pretrain": {"epochs": 12, "lr": 5e-3, "batch_size": 8},
-    "metrics": {"cider": True, "bleu4": True, "rouge_l": True,
-                "semantic_score": True, "vocab_coverage": True, "cca_rank": 4},
+    "metrics": {"cca_rank": 4},
 }
+
+# on/off switches for each metric, retired when one evaluator came to compute
+# them all; checkpoints written before still store them in their config
+_RETIRED_METRIC_SWITCHES = ("cider", "bleu4", "rouge_l", "semantic_score", "vocab_coverage")
 
 
 def _merge_strict(defaults, overrides, path=""):
@@ -99,37 +104,26 @@ def _merge_strict(defaults, overrides, path=""):
     return merged
 
 
-@dataclass
-class ExperimentConfig:
-    raw: dict
-
-    @property
-    def seed(self):
-        return self.raw["seed"]
-
-    @property
-    def out_dir(self):
-        return self.raw["out_dir"]
-
-
-def parse_config(data: dict) -> ExperimentConfig:
+def parse_config(data: dict) -> dict:
     """The config merged over the defaults and checked before any work, by
     ranges, the rules of ``generate_dataset`` and building the model and
     ``gan`` config objects.  Errors name the field path."""
-    cfg = ExperimentConfig(_merge_strict(_DEFAULTS, data))
-    raw, ce = cfg.raw, cfg.raw["ce_pretrain"]
+    cfg = _merge_strict(_DEFAULTS, data)
+    ce = cfg["ce_pretrain"]
     for name, ok, rule in (("ce_pretrain.epochs", ce["epochs"] >= 0, ">= 0"),
                            ("ce_pretrain.batch_size", ce["batch_size"] >= 1, ">= 1"),
                            ("ce_pretrain.lr", ce["lr"] > 0, "> 0"),
-                           ("metrics.cca_rank", raw["metrics"]["cca_rank"] >= 1, ">= 1")):
+                           ("metrics.cca_rank", cfg["metrics"]["cca_rank"] >= 1, ">= 1")):
         if not ok:
             section, field = name.split(".")
-            raise ConfigError(f"{name} must be {rule}, got {raw[section][field]}")
-    ds, d = raw["dataset"], raw["discriminator"]
+            raise ConfigError(f"{name} must be {rule}, got {cfg[section][field]}")
+    ds, d = cfg["dataset"], cfg["discriminator"]
     for section, check in (
             ("dataset", lambda: dat.check_dataset_request(
-                ds["n_objects"], ds["n_contexts"], ds["n_images"], ds["feature_dim"])),
-            ("captioner", lambda: CaptionerConfig(vocab_size=2, **raw["captioner"])),
+                ds["n_objects"], ds["n_contexts"], ds["n_images"], ds["feature_dim"],
+                ds["num_crops"], ds["ooc_fraction"],
+                dat.VocabSpec(ds["words_per_object"], ds["words_per_context"]))),
+            ("captioner", lambda: CaptionerConfig(vocab_size=2, **cfg["captioner"])),
             ("discriminator", lambda: disc.init_discriminator(
                 disc.DiscriminatorConfig(1, d["hidden_dim"], 1, 1), 0, d["variant"])),
             ("gan", lambda: gan_config(cfg))):
@@ -140,7 +134,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path, seed_override=None, out_dir=None) -> ExperimentConfig:
+def load_config(path, seed_override=None, out_dir=None) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -150,10 +144,20 @@ def load_config(path, seed_override=None, out_dir=None) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {e}")
     cfg = parse_config(data)
     if seed_override is not None:
-        cfg.raw["seed"] = int(seed_override)
+        cfg["seed"] = int(seed_override)
     if out_dir is not None:
-        cfg.raw["out_dir"] = str(out_dir)
+        cfg["out_dir"] = str(out_dir)
     return cfg
+
+
+def stored_config(ckpt: dat.Checkpoint) -> dict:
+    """A checkpoint's config, parsed, without the retired metric switches
+    that checkpoints written before the single evaluator still carry."""
+    data = ckpt.config
+    if isinstance(data, dict) and isinstance(data.get("metrics"), dict):
+        data = {**data, "metrics": {k: v for k, v in data["metrics"].items()
+                                    if k not in _RETIRED_METRIC_SWITCHES}}
+    return parse_config(data)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +165,8 @@ def load_config(path, seed_override=None, out_dir=None) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def build_dataset(cfg: ExperimentConfig) -> dat.DatasetSplit:
-    d = cfg.raw["dataset"]
+def build_dataset(cfg: dict) -> dat.DatasetSplit:
+    d = cfg["dataset"]
     return dat.generate_dataset(
         seed=d["seed"], n_objects=d["n_objects"], n_contexts=d["n_contexts"],
         n_images=d["n_images"],
@@ -171,8 +175,12 @@ def build_dataset(cfg: ExperimentConfig) -> dat.DatasetSplit:
         noise=d["noise"], ooc_fraction=d["ooc_fraction"])
 
 
-def captioner_config(cfg: ExperimentConfig, dataset) -> CaptionerConfig:
-    c = cfg.raw["captioner"]
+def captioner_config(cfg: dict, dataset) -> CaptionerConfig:
+    c = cfg["captioner"]
+    longest = max((len(ref.tokens) for _, refs in dataset.train for ref in refs), default=0)
+    if c["max_len"] < longest:
+        raise ConfigError(f"captioner.max_len must be >= {longest}, the longest reference "
+                          f"caption with EOS, got {c['max_len']}")
     return CaptionerConfig(
         vocab_size=dataset.vocab.size, hidden_dim=c["hidden_dim"],
         num_crops=dataset.num_crops, feature_dim=dataset.feature_dim,
@@ -180,16 +188,16 @@ def captioner_config(cfg: ExperimentConfig, dataset) -> CaptionerConfig:
         eos_id=dataset.vocab.eos_id, attention=c["attention"])
 
 
-def discriminator_setup(cfg: ExperimentConfig, dataset):
-    d = cfg.raw["discriminator"]
+def discriminator_setup(cfg: dict, dataset):
+    d = cfg["discriminator"]
     dconf = disc.DiscriminatorConfig(
         vocab_size=dataset.vocab.size, hidden_dim=d["hidden_dim"],
         num_crops=dataset.num_crops, feature_dim=dataset.feature_dim)
-    return disc.init_discriminator(dconf, cfg.seed + 1, d["variant"])
+    return disc.init_discriminator(dconf, cfg["seed"] + 1, d["variant"])
 
 
-def gan_config(cfg: ExperimentConfig) -> tr.GanConfig:
-    return tr.GanConfig(seed=cfg.seed, **cfg.raw["gan"])
+def gan_config(cfg: dict) -> tr.GanConfig:
+    return tr.GanConfig(seed=cfg["seed"], **cfg["gan"])
 
 
 # --- semantic scorer -------------------------------------------------------
@@ -253,7 +261,7 @@ def fit_semantic_scorer(g_params: CaptionerParams, dataset, rank: int) -> Semant
     return scorer
 
 
-# --- per-epoch evaluation ---------------------------------------------------
+# --- split evaluation ------------------------------------------------------
 
 
 def decode_split(models: list[CaptionerParams], examples) -> list[TokenSequence]:
@@ -273,27 +281,21 @@ def _split_d_scores(d_params, decoded, examples) -> list[float]:
     return bound.score_sequence(feats, decoded)["score"].data.tolist()
 
 
-def split_metrics(cfg: ExperimentConfig, models, examples, idf, scorer,
-                  vocab_size) -> dict:
-    toggles = cfg.raw["metrics"]
+def split_metrics(models, examples, idf, scorer,
+                  vocab_size) -> tuple[list[TokenSequence], list[dict], dict]:
+    """The one evaluator of a split: the greedy captions of ``decode_split``,
+    each image's row of CIDEr-D, BLEU4, ROUGE-L and semantic score (0.0
+    without a scorer), and the report of the rows' column means plus
+    vocabulary coverage.  Returns ``(captions, rows, report)``."""
     decoded = decode_split(models, examples)
-    out = {}
-    if toggles["cider"]:
-        out["cider"] = float(np.mean([met.cider_d(seq, refs, idf)
-                                      for seq, (_, refs) in zip(decoded, examples)]))
-    if toggles["bleu4"]:
-        out["bleu4"] = float(np.mean([met.bleu4(seq, refs)
-                                      for seq, (_, refs) in zip(decoded, examples)]))
-    if toggles["rouge_l"]:
-        out["rouge_l"] = float(np.mean([met.rouge_l(seq, refs)
-                                        for seq, (_, refs) in zip(decoded, examples)]))
-    if toggles["semantic_score"] and scorer is not None:
-        out["semantic_score"] = float(np.mean(
-            [scorer.score(seq, scene.features)
-             for seq, (scene, _) in zip(decoded, examples)]))
-    if toggles["vocab_coverage"]:
-        out["vocab_coverage"] = met.vocabulary_coverage(decoded, vocab_size)
-    return out
+    rows = [{"cider": met.cider_d(seq, refs, idf), "bleu4": met.bleu4(seq, refs),
+             "rouge_l": met.rouge_l(seq, refs),
+             "semantic_score": scorer.score(seq, scene.features) if scorer else 0.0}
+            for seq, (scene, refs) in zip(decoded, examples)]
+    report = {key: float(np.mean([row[key] for row in rows]))
+              for key in ("cider", "bleu4", "rouge_l", "semantic_score")}
+    report["vocab_coverage"] = met.vocabulary_coverage(decoded, vocab_size)
+    return decoded, rows, report
 
 
 # ---------------------------------------------------------------------------
@@ -303,37 +305,36 @@ def split_metrics(cfg: ExperimentConfig, models, examples, idf, scorer,
 
 def cmd_train(config_path, seed_override=None, out_dir=None) -> int:
     cfg = load_config(config_path, seed_override, out_dir)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     dataset = build_dataset(cfg)
     logger.info("dataset: %d train / %d val / %d test / %d ooc images, vocab %d",
                 len(dataset.train), len(dataset.val), len(dataset.test),
                 len(dataset.ooc), dataset.vocab.size)
 
-    g_params = init_params(captioner_config(cfg, dataset), cfg.seed)
-    ce = cfg.raw["ce_pretrain"]
+    g_params = init_params(captioner_config(cfg, dataset), cfg["seed"])
+    ce = cfg["ce_pretrain"]
     _, ce_curve = tr.ce_pretrain(g_params, dataset.train, ce["epochs"],
-                                 np.random.default_rng(cfg.seed + 17),
+                                 np.random.default_rng(cfg["seed"] + 17),
                                  lr=ce["lr"], batch_size=ce["batch_size"])
     if ce_curve:
         logger.info("cross-entropy pretraining: %.3f -> %.3f nats/token",
                     ce_curve[0], ce_curve[-1])
 
     idf = met.fit_idf([refs for _, refs in dataset.train])
-    scorer = fit_semantic_scorer(g_params, dataset, cfg.raw["metrics"]["cca_rank"])
+    scorer = fit_semantic_scorer(g_params, dataset, cfg["metrics"]["cca_rank"])
     d_params = discriminator_setup(cfg, dataset)
     gcfg = gan_config(cfg)
 
     def epoch_hook(epoch, g, d):
-        return split_metrics(cfg, [g], dataset.val, idf, scorer, dataset.vocab.size)
+        return split_metrics([g], dataset.val, idf, scorer, dataset.vocab.size)[2]
 
     checkpoints, records = tr.train_gan(g_params, d_params, dataset.train, gcfg,
                                         idf=idf, epoch_hook=epoch_hook,
                                         aux=scorer.to_aux() | idf.to_aux())
     # the output path is environment, not experiment identity; keeping it out
     # of the checkpoint makes checkpoint bytes location-independent
-    persisted = {k: v for k, v in cfg.raw.items() if k != "out_dir"}
+    persisted = {k: v for k, v in cfg.items() if k != "out_dir"}
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     for ckpt in checkpoints:
         ckpt.config = persisted
         dat.save_checkpoint(out / f"ckpt-{ckpt.epoch:05d}.sgck", ckpt)
@@ -353,44 +354,24 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
         raise ConfigError(f"unknown split {split!r} (expected val, test or ooc)")
     ckpts = [dat.load_checkpoint(p) for p in checkpoint_paths]
     first = ckpts[0]
-    cfg = parse_config(first.config)
+    cfg = stored_config(first)
     dataset = build_dataset(cfg)
     examples = dataset.split(split)
-    scorer = SemanticScorer.from_aux(first.aux)
-    idf = checkpoint_idf(first, dataset)
-
-    decoded = decode_split([c.captioner for c in ckpts], examples)
+    decoded, rows, report = split_metrics(
+        [c.captioner for c in ckpts], examples, checkpoint_idf(first, dataset),
+        SemanticScorer.from_aux(first.aux), dataset.vocab.size)
     d_scores = _split_d_scores(first.discriminator, decoded, examples)
-    rows = []
-    for seq, (scene, refs), d_score in zip(decoded, examples, d_scores):
-        rows.append({
-            "image_id": scene.image_id,
-            "caption": dataset.vocab.decode(seq.tokens),
-            "cider": met.cider_d(seq, refs, idf),
-            "semantic_score": scorer.score(seq, scene.features) if scorer else 0.0,
-            "d_score": d_score,
-        })
-    report = {
-        "split": split,
-        "cider": float(np.mean([r["cider"] for r in rows])),
-        "bleu4": float(np.mean([met.bleu4(seq, refs) for seq, (_, refs)
-                                in zip(decoded, examples)])),
-        "rouge_l": float(np.mean([met.rouge_l(seq, refs) for seq, (_, refs)
-                                  in zip(decoded, examples)])),
-        "semantic_score": float(np.mean([r["semantic_score"] for r in rows])),
-        "vocab_coverage": met.vocabulary_coverage(decoded, dataset.vocab.size),
-    }
 
-    out = Path(out_dir or cfg.out_dir)
+    out = Path(out_dir or cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"eval-{split}.csv"
     with open(csv_path, "w") as fh:
         fh.write(f"# schema={EVAL_SCHEMA}\n")
         fh.write("image_id,caption,cider,semantic_score,d_score\n")
-        for r in rows:
-            fh.write(f"{r['image_id']},\"{r['caption']}\",{r['cider']!r},"
-                     f"{r['semantic_score']!r},{r['d_score']!r}\n")
-    print(json.dumps(report, sort_keys=True))
+        for seq, (scene, _), row, d_score in zip(decoded, examples, rows, d_scores):
+            fh.write(f"{scene.image_id},\"{dataset.vocab.decode(seq.tokens)}\","
+                     f"{row['cider']!r},{row['semantic_score']!r},{d_score!r}\n")
+    print(json.dumps({"split": split, **report}, sort_keys=True))
     print(f"eval: per-image table -> {csv_path}")
     return EXIT_OK
 
@@ -403,9 +384,9 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
     if n_batches < 1:
         raise ConfigError("n_batches must be >= 1")
     ckpt = dat.load_checkpoint(checkpoint_path)
-    cfg = parse_config(ckpt.config)
+    cfg = stored_config(ckpt)
     if seed_override is not None:
-        cfg.raw["seed"] = int(seed_override)
+        cfg["seed"] = int(seed_override)
     dataset = build_dataset(cfg)
     idf = checkpoint_idf(ckpt, dataset)
     gcfg = gan_config(cfg)
@@ -414,7 +395,7 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
     for est in estimators:
         norms, hashes = tr.grad_norm_probe(
             ckpt.captioner, ckpt.discriminator, dataset.train, est, n_batches,
-            np.random.default_rng(cfg.seed + 99), gcfg, idf=idf)
+            np.random.default_rng(cfg["seed"] + 99), gcfg, idf=idf)
         results[est] = norms
         hash_streams[est] = hashes
         logger.info("probe %s: batch hashes %s...", est, hashes[:2])
@@ -422,7 +403,7 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
     if any(s != streams[0] for s in streams):
         raise ProbeError("estimators saw different batches")
 
-    out = Path(out_dir or cfg.out_dir)
+    out = Path(out_dir or cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "grad_probe.csv"
     with open(csv_path, "w") as fh:
@@ -481,7 +462,7 @@ def cmd_plots(metrics_files, out_dir=None) -> int:
 def cmd_gen_data(config_path, out_dir=None, seed_override=None) -> int:
     cfg = load_config(config_path, seed_override, out_dir)
     dataset = build_dataset(cfg)
-    out = Path(cfg.out_dir)
+    out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     summary = {"vocab_size": dataset.vocab.size}
     captions = {}

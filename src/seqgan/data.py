@@ -67,10 +67,6 @@ class VocabSpec:
     words_per_object: int = 2
     words_per_context: int = 2
 
-    def __post_init__(self):
-        if self.words_per_object < 1 or self.words_per_context < 1:
-            raise ParameterError("synonym counts must be >= 1")
-
 
 @dataclass
 class Vocabulary:
@@ -149,9 +145,17 @@ class DatasetSplit:
         return getattr(self, name)
 
 
-def check_dataset_request(n_objects: int, n_contexts: int, n_images: int, feature_dim: int):
+def check_dataset_request(n_objects: int, n_contexts: int, n_images: int, feature_dim: int,
+                          num_crops: int, ooc_fraction: float, vocab_spec: VocabSpec):
     """``ParameterError``, led by the argument at fault, for a dataset
     ``generate_dataset`` cannot build."""
+    for name in ("words_per_object", "words_per_context"):
+        if getattr(vocab_spec, name) < 1:
+            raise ParameterError(f"{name} must be >= 1, got {getattr(vocab_spec, name)}")
+    if num_crops < 1:
+        raise ParameterError(f"num_crops must be >= 1, got {num_crops}")
+    if not 0.0 <= ooc_fraction <= 1.0:
+        raise ParameterError(f"ooc_fraction must be in [0, 1], got {ooc_fraction}")
     if n_objects * n_contexts < 4:
         raise ParameterError("n_objects * n_contexts must be >= 4 object-context pairs")
     if n_objects + n_contexts > feature_dim:
@@ -171,8 +175,9 @@ def generate_dataset(seed: int, n_objects: int, n_contexts: int, n_images: int,
     A biased object-context co-occurrence drives train/val/test; a reserved
     set of pairs that never co-occur there supplies the ooc images.
     """
-    check_dataset_request(n_objects, n_contexts, n_images, feature_dim)
     spec = vocab_spec or VocabSpec()
+    check_dataset_request(n_objects, n_contexts, n_images, feature_dim, num_crops,
+                          ooc_fraction, spec)
 
     rng = np.random.default_rng(seed)
     vocab, obj_ids, ctx_ids, w = _build_vocab(n_objects, n_contexts, spec)

@@ -142,3 +142,30 @@ def test_scst_train_gan_keeps_decode_units_and_segments():
         assert terminated in ("True", "False"), key
     first, second = out["segments"]
     assert first == second > 1
+
+
+def test_cli_names_the_benchmark_calls_work_on_a_trained_checkpoint(tmp_path, monkeypatch):
+    # bench/run.py and bench/worker.py call these directly, and the tracer
+    # spans decode_split and split_metrics by name and reads decode_split's
+    # argument 1 as the decoded examples
+    cli = layer("cli")
+    for name in ("decode_split", "split_metrics", "parse_config", "build_dataset", "main"):
+        assert callable(getattr(cli, name, None)), name
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {"n_objects": 4, "n_contexts": 3, "n_images": 16, "feature_dim": 10,
+                    "num_crops": 3},
+        "captioner": {"hidden_dim": 6}, "discriminator": {"hidden_dim": 6},
+        "gan": {"epochs": 0, "d_pretrain_epochs": 0}, "ce_pretrain": {"epochs": 1}}))
+    assert cli.main(["train", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    ckpt = layer("data").load_checkpoint(tmp_path / "ckpt-00000.sgck")
+    dataset = cli.build_dataset(cli.parse_config(ckpt.config))
+    assert all(dataset.split(s) for s in ("val", "test", "ooc"))
+
+    decoded_splits = []
+    decode = cli.decode_split
+    monkeypatch.setattr(cli, "decode_split", lambda models, examples: decoded_splits.append(
+        len(examples)) or decode(models, examples))
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt-00000.sgck"),
+                     "--split", "ooc", "--out-dir", str(tmp_path)]) == 0
+    assert decoded_splits == [len(dataset.ooc)]

@@ -75,8 +75,8 @@ class TestConfigParsing:
 
     def test_defaults_fill_in(self):
         cfg = cli.parse_config({})
-        assert cfg.raw["gan"]["estimator"] == "scst"
-        assert cfg.raw["dataset"]["n_images"] == 48
+        assert cfg["gan"]["estimator"] == "scst"
+        assert cfg["dataset"]["n_images"] == 48
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -117,9 +117,9 @@ class TestConfigParsing:
 
     def test_integral_float_reads_as_int(self):
         cfg = cli.parse_config({"gan": {"epochs": 3.0}, "ce_pretrain": {"batch_size": 4.0}})
-        assert cfg.raw["gan"]["epochs"] == 3 and type(cfg.raw["gan"]["epochs"]) is int
-        assert cfg.raw["ce_pretrain"]["batch_size"] == 4
-        assert type(cfg.raw["ce_pretrain"]["batch_size"]) is int
+        assert cfg["gan"]["epochs"] == 3 and type(cfg["gan"]["epochs"]) is int
+        assert cfg["ce_pretrain"]["batch_size"] == 4
+        assert type(cfg["ce_pretrain"]["batch_size"]) is int
 
     @pytest.mark.parametrize("section, field, value", (
         ("gan", "epochs", 2.7), ("ce_pretrain", "epochs", 1.9),
@@ -127,7 +127,9 @@ class TestConfigParsing:
         ("metrics", "cca_rank", 0), ("captioner", "attention", "bogus"),
         ("captioner", "hidden_dim", 0), ("captioner", "max_len", 0),
         ("dataset", "n_images", 2), ("dataset", "feature_dim", 5),
-        ("dataset", "n_objects", 1)))
+        ("dataset", "n_objects", 1), ("dataset", "words_per_object", 0),
+        ("dataset", "words_per_context", 0), ("dataset", "num_crops", 0),
+        ("dataset", "ooc_fraction", 2.0), ("dataset", "ooc_fraction", -3.0)))
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                section, field, value):
         def no_work(*args, **kwargs):
@@ -137,6 +139,20 @@ class TestConfigParsing:
         config = write_config(tmp_path, **{section: {**TINY.get(section, {}), field: value}})
         assert cli.main(["train", "--config", str(config)]) == 2
         assert f"config error: {section}.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("switch", ("cider", "bleu4", "rouge_l", "semantic_score",
+                                        "vocab_coverage"))
+    def test_retired_metric_switch_exits_2_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, switch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although the config is bad")
+
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        config = write_config(tmp_path, metrics={switch: False})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert f"config error: unknown config key: metrics.{switch}" in \
+            capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_bad_log_level_exits_2(self, tmp_path, monkeypatch):
@@ -165,6 +181,23 @@ class TestTrain:
         assert sorted(p.name for p in out.glob("ckpt-*.sgck")) == ["ckpt-00000.sgck"]
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 1  # schema header only
+
+    @pytest.mark.parametrize("max_len", (1, 8))
+    def test_max_len_below_longest_reference_exits_2_before_ce(self, tmp_path, capsys,
+                                                               monkeypatch, max_len):
+        def no_ce(*args, **kwargs):
+            raise AssertionError("CE pretraining started although max_len is too short")
+
+        monkeypatch.setattr(cli.tr, "ce_pretrain", no_ce)
+        config = write_config(tmp_path, captioner={**TINY["captioner"], "max_len": max_len})
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert (f"config error: captioner.max_len must be >= 9, the longest reference "
+                f"caption with EOS, got {max_len}") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_max_len_equal_to_longest_reference_trains(self, tmp_path):
+        config = write_config(tmp_path, captioner={**TINY["captioner"], "max_len": 9})
+        assert cli.main(["train", "--config", str(config)]) == 0
 
     def test_byte_identical_reruns(self, trained_run, tmp_path):
         config2 = write_config(tmp_path)
@@ -284,6 +317,39 @@ class TestEval:
         for row, seq, (scene, _) in zip(rows, decoded, examples):
             want = disc.score(ckpt.discriminator, scene.features, seq)
             assert abs(float(row.rsplit(",", 1)[1]) - want) <= 1e-12
+
+    def test_report_has_the_epoch_record_metrics(self, trained_run, capsys):
+        assert cli.main(["eval", "--checkpoint", str(trained_run["ckpts"][-1]),
+                         "--split", "val", "--out-dir",
+                         str(trained_run["tmp"] / "report-keys")]) == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        lines = (trained_run["out"] / "metrics.jsonl").read_text().splitlines()[1:]
+        for line in lines:
+            record_keys = {k for k in json.loads(line)
+                           if k != "epoch" and not k.startswith("d_")}
+            assert record_keys == set(report) - {"split"}
+
+    @pytest.mark.parametrize("switch", (True, False))
+    def test_checkpoint_with_retired_metric_switches_reads_the_same(self, trained_run,
+                                                                   capsys, switch):
+        tmp = trained_run["tmp"]
+        original = str(trained_run["ckpts"][-1])
+        switched = rewrite_checkpoint(original, tmp / f"switches-{switch}.sgck", metrics={
+            name: switch for name in ("cider", "bleu4", "rouge_l", "semantic_score",
+                                      "vocab_coverage")})
+        assert "cider" in dat.load_checkpoint(switched).config["metrics"]
+        outputs = []
+        for name, path in (("original", original), ("switched", switched)):
+            out = tmp / f"switches-{switch}-{name}"
+            assert cli.main(["eval", "--checkpoint", path, "--split", "val",
+                             "--out-dir", str(out)]) == 0
+            assert cli.main(["grad-probe", "--checkpoint", path, "--estimators",
+                             "scst,gumbel_st", "--n-batches", "2",
+                             "--out-dir", str(out)]) == 0
+            report = capsys.readouterr().out.splitlines()[0]
+            outputs.append(((out / "eval-val.csv").read_bytes(), report,
+                            (out / "grad_probe.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_ooc_split_supported(self, trained_run):
         out = trained_run["tmp"] / "ooc"

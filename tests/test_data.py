@@ -84,6 +84,24 @@ class TestGenerateDataset:
             dat.generate_dataset(seed=0, n_objects=6, n_contexts=4,
                                  n_images=8, feature_dim=6)
 
+    @pytest.mark.parametrize("kw, message", (
+        ({"vocab_spec": dat.VocabSpec(0, 2)}, "words_per_object must be >= 1, got 0"),
+        ({"vocab_spec": dat.VocabSpec(2, 0)}, "words_per_context must be >= 1, got 0"),
+        ({"num_crops": 0}, "num_crops must be >= 1, got 0"),
+        ({"ooc_fraction": 2.0}, r"ooc_fraction must be in \[0, 1\], got 2.0"),
+        ({"ooc_fraction": -3.0}, r"ooc_fraction must be in \[0, 1\], got -3.0"),
+        ({"ooc_fraction": float("nan")}, "ooc_fraction must be in")))
+    def test_bad_sizes_rejected_led_by_the_argument(self, kw, message):
+        with pytest.raises(dat.ParameterError, match=f"^{message}"):
+            small_dataset(**kw)
+        args = {"num_crops": 3, "ooc_fraction": 0.15, "vocab_spec": dat.VocabSpec()} | kw
+        with pytest.raises(dat.ParameterError, match=f"^{message}"):
+            dat.check_dataset_request(4, 3, 12, 10, **args)
+
+    @pytest.mark.parametrize("ooc_fraction", (0.0, 1.0))
+    def test_ooc_fraction_bounds_accepted(self, ooc_fraction):
+        assert small_dataset(ooc_fraction=ooc_fraction).ooc
+
 
 class TestFeatureFile:
     def test_roundtrip(self, tmp_path):
