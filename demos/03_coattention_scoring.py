@@ -10,6 +10,7 @@ import numpy as np
 from seqgan import autodiff as ad
 from seqgan import data as dat
 from seqgan import discriminator as disc
+from seqgan.captioner import CaptionBatch
 
 ds = dat.generate_dataset(seed=4, n_objects=5, n_contexts=3, n_images=20,
                           num_crops=4, feature_dim=12)
@@ -26,16 +27,18 @@ mismatched = other_refs[0]
 print("aligned caption:   ", ds.vocab.decode(aligned.tokens))
 print("mismatched caption:", ds.vocab.decode(mismatched.tokens))
 
+# both captions against the scene, scored as one batch of two
+pair_feats = np.stack([scene.features, scene.features])
 for name, params in (("co-attention", coatt), ("joint-embedding", joint)):
-    s_aligned = disc.score(params, scene.features, aligned)
-    s_mism = disc.score(params, scene.features, mismatched)
+    s_aligned, s_mism = disc.score(params, pair_feats, CaptionBatch([aligned, mismatched]))
     print(f"\n{name} (untrained): aligned={s_aligned:.3f} mismatched={s_mism:.3f}")
 
 # the internals: bind the co-attention model on a no-grad tape and score one
-# caption; alpha (crops) and beta (words) come back as 1 x 1 x n rows
+# caption as a batch of one; alpha (crops) and beta (words) come back as
+# 1 x 1 x n rows
 tape = ad.Tape(grad=False)
 bound = disc.BoundDiscriminator(tape, coatt)
-out = bound.score_sequence(scene.features, aligned)
+out = bound.score_sequence(scene.features[None], CaptionBatch([aligned]))
 score = out["score"].item()
 alpha, beta = out["alpha"].data.reshape(-1), out["beta"].data.reshape(-1)
 print("\nco-attention internals:")
@@ -44,7 +47,7 @@ print("  word attention beta: ", np.round(beta, 3), "sum", beta.sum())
 print("  pooled embeddings:   ", out["e_img"].shape, out["e_cap"].shape, "(B x 1 x m)")
 
 perm = np.random.default_rng(0).permutation(4)
-out_p = bound.score_sequence(scene.features[perm], aligned)
+out_p = bound.score_sequence(scene.features[perm][None], CaptionBatch([aligned]))
 alpha_p = out_p["alpha"].data.reshape(-1)
 print(f"\ncrop permutation: score delta = {abs(score - out_p['score'].item()):.2e} "
       f"(alpha permutes identically: {np.allclose(alpha_p, alpha[perm])})")

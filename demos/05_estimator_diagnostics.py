@@ -14,8 +14,8 @@ from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import metrics as met
 from seqgan import training as tr
-from seqgan.captioner import (BoundCaptioner, CaptionerConfig, TokenSequence,
-                              greedy_decode, init_params)
+from seqgan.captioner import (BoundCaptioner, CaptionBatch, CaptionerConfig,
+                              TokenSequence, greedy_decode, init_params)
 
 # ---- exact enumeration on a 4-token model ----------------------------------
 gcfg = CaptionerConfig(vocab_size=4, hidden_dim=3, num_crops=2, feature_dim=3,
@@ -37,17 +37,19 @@ def walk(prefix):
         else:
             walk(cur)
 walk([])
+# every sequence against the one image, as one batch
+all_feats, batch = np.repeat(feats[None], len(seqs), axis=0), CaptionBatch(seqs)
 plain = BoundCaptioner(ad.Tape(grad=False), g)
-probs = np.array([np.exp(plain.sequence_log_prob(feats, s).item()) for s in seqs])
-rewards = np.array([np.log(disc.score(d, feats, s)) for s in seqs])
-baseline = np.log(disc.score(d, feats, greedy_decode(g, feats)))
+probs = np.exp(plain.sequence_log_prob(all_feats, batch).data)
+rewards = np.log(disc.score(d, all_feats, batch))
+baseline = np.log(disc.score(d, feats[None], CaptionBatch([greedy_decode(g, feats)]))[0])
 print(f"enumerated {len(seqs)} sequences, total probability {probs.sum():.12f}")
 
 grads = []
 for s in seqs:
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g)
-    ad.backward(tape, bound.sequence_log_prob(feats, s))
+    ad.backward(tape, bound.sequence_log_prob(feats[None], CaptionBatch([s])))
     grads.append(np.concatenate([bound.p[n].grad.reshape(-1)
                                  for n in sorted(g.arrays)]))
 grads = np.vstack(grads)
@@ -55,10 +57,8 @@ grads = np.vstack(grads)
 est_mean = (probs * (rewards - baseline)) @ grads
 tape = ad.Tape()
 bound = BoundCaptioner(tape, g)
-total = tape.tensor(0.0)
-for s, r in zip(seqs, rewards):
-    total = total + ad.scale(ad.exp(bound.sequence_log_prob(feats, s)),
-                             r - baseline)
+total = ad.reduce_sum(ad.mul(ad.exp(bound.sequence_log_prob(all_feats, batch)),
+                             rewards - baseline))
 ad.backward(tape, total)
 truth = np.concatenate([bound.p[n].grad.reshape(-1) for n in sorted(g.arrays)])
 print(f"unbiasedness: max |E[estimate] - true gradient| = "

@@ -8,6 +8,11 @@ used last.  The sentinel competes with the image crops inside one
 
 A plain attention path without the sentinel and without context feedback is
 available via ``CaptionerConfig.attention = "att2all"``.
+
+Teacher forcing takes a ``CaptionBatch`` of B captions against B x C x d
+features; ``CaptionBatch.one_hot`` gives the padded one-hot rows that both
+models read.  The decoders ``greedy_decode``, ``sample_sentence`` and
+``ensemble_decode`` take one C x d image, ``greedy_decode_batch`` B of them.
 """
 
 from __future__ import annotations
@@ -71,10 +76,33 @@ class CaptionBatch:
 
     seqs: list[TokenSequence]
 
+    def __post_init__(self):
+        if not isinstance(self.seqs, list):
+            raise InputError(f"a CaptionBatch holds a list of captions, "
+                             f"got {type(self.seqs).__name__}")
+
     @property
     def tokens(self) -> list[list[int]]:
         """Each caption's tokens, in batch order."""
         return [seq.tokens for seq in self.seqs]
+
+    def one_hot(self, vocab_size: int):
+        """The captions as padded one-hot token rows: (B x T x K rows, the B
+        lengths), T the longest caption; the rows past a caption's end are
+        zero."""
+        if not self.seqs:
+            raise InputError("caption batch is empty")
+        for seq in self.seqs:
+            if not seq.tokens:
+                raise InputError("caption is empty")
+            for tok in seq.tokens:
+                if not (0 <= tok < vocab_size):
+                    raise InputError(f"invalid token id {tok}")
+        lengths = [len(seq.tokens) for seq in self.seqs]
+        rows = np.zeros((len(self.seqs), max(lengths), vocab_size))
+        for b, seq in enumerate(self.seqs):
+            rows[b, np.arange(lengths[b]), seq.tokens] = 1.0
+        return rows, lengths
 
 
 def _param_shapes(config: CaptionerConfig) -> dict[str, tuple[int, int]]:
@@ -245,43 +273,36 @@ class BoundCaptioner:
         """Output distribution; BOS is masked out and never emitted."""
         return ad.softmax(self.masked_logits(logits))
 
-    def sequence_log_prob(self, image_feats, seq) -> ad.Tensor:
-        """Teacher-forced log p(sequence | image) as a differentiable scalar,
-        or as B values for a ``CaptionBatch`` of B against B x C x d
-        features."""
-        return self.sequence_log_prob_and_logits(image_feats, seq)[0]
+    def sequence_log_prob(self, image_feats, batch: CaptionBatch) -> ad.Tensor:
+        """Teacher-forced log p(caption | image) of each of the B captions of
+        ``batch`` against B x C x d features, as B differentiable values."""
+        return self.sequence_log_prob_and_logits(image_feats, batch)[0]
 
-    def sequence_log_prob_and_logits(self, image_feats, seq):
-        """As ``sequence_log_prob`` but also returns the logit tensor
-        (pre-mask, row t for step t): T x K for one ``TokenSequence``, B x T x
-        K for a ``CaptionBatch``, T the longest caption; callers can harvest
-        its gradient after backward.
+    def sequence_log_prob_and_logits(self, image_feats, batch: CaptionBatch):
+        """As ``sequence_log_prob`` but also returns the B x T x K logit
+        tensor (pre-mask, row t for step t, T the longest caption); callers
+        can harvest its gradient after backward.
 
-        The one teacher-forced loop; a single caption is the case B = 1.  The
-        captions are padded to the longest, and each step advances B x 1 x m
-        rows from one bind.  The pass is causal, so a padded step, which comes
-        after its caption's last word, never reaches a valid one, and the
-        LSTM state needs no mask.  The T output rows are stacked, so the batch
-        takes one output affine, one B x T x K masked softmax, one pick, one
-        log and one sum: each valid step picks its word's probability with
-        weight 1, and a padded step picks nothing and adds log 1 = 0.
+        The one teacher-forced loop.  The captions are padded to the longest,
+        and each step advances B x 1 x m rows from one bind.  The pass is
+        causal, so a padded step, which comes after its caption's last word,
+        never reaches a valid one, and the LSTM state needs no mask.  The T
+        output rows are stacked, so the batch takes one output affine, one
+        B x T x K masked softmax, one pick, one log and one sum: each valid
+        step picks its word's probability with weight 1, and a padded step
+        picks nothing and adds log 1 = 0.
         """
-        single = isinstance(seq, TokenSequence)
-        if not single and not isinstance(seq, CaptionBatch):
-            raise InputError("expected a TokenSequence or a CaptionBatch")
-        seqs = [seq] if single else seq.seqs
-        if not seqs:
-            raise InputError("caption batch is empty")
-        for s in seqs:
-            _check_seq(s, self.config)
-        B, T = len(seqs), max(len(s.tokens) for s in seqs)
+        if not isinstance(batch, CaptionBatch):
+            raise InputError(f"expected a CaptionBatch, got {type(batch).__name__}")
+        picks, lengths = batch.one_hot(self.config.vocab_size)
+        B, T = picks.shape[:2]
+        if T > self.config.max_len:
+            raise InputError(f"caption longer than max_len={self.config.max_len}")
+        if picks[:, :, self.config.bos_id].any():
+            raise InputError(f"invalid token id {self.config.bos_id} (BOS)")
         prev = np.full((B, T), self.config.bos_id)
-        picks = np.zeros((B, T, self.config.vocab_size))
-        for b, s in enumerate(seqs):
-            prev[b, 1 : len(s.tokens)] = s.tokens[:-1]
-            picks[b, np.arange(len(s.tokens)), s.tokens] = 1.0
-        if single:
-            image_feats = _check_feats(image_feats, self.config)[None]
+        for b, s in enumerate(batch.seqs):
+            prev[b, 1 : lengths[b]] = s.tokens[:-1]
         feats_proj = self.project_feats(image_feats, batch=B)
         h, c, ctx = self.zero_state(B)
         rows = []
@@ -289,37 +310,26 @@ class BoundCaptioner:
             x = ad.get_row(self.p["embed"], prev[:, t])  # B x 1 x m
             row, h, c, ctx, _ = self.step(h, c, ctx, x, feats_proj)
             rows.append(row)
-        rows = ad.concat(rows, axis=-2)  # B x T x m
-        if single:
-            rows, picks = ad.reshape(rows, (T, -1)), picks[0]
-        logits = self.logits(rows)
+        logits = self.logits(ad.concat(rows, axis=-2))  # B x T x K
         picked = ad.reduce_sum(ad.mul(self.word_dist(logits), picks), axis=-1)
         pad = 1.0 - picks.sum(axis=-1)
         if pad.any():
             picked = ad.add(picked, pad)
-        return ad.reduce_sum(ad.log(picked), axis=None if single else -1), logits
+        return ad.reduce_sum(ad.log(picked), axis=-1), logits
 
 
-def _check_feats(image_feats, config: CaptionerConfig, batch: int | None = None):
-    """Features as float64, C x d, or B x C x d for ``batch`` = B."""
+def _check_feats(image_feats, config, batch: int | None = None):
+    """Features as float64, C x d, or B x C x d for ``batch`` = B, against the
+    ``num_crops`` and ``feature_dim`` of either model's config."""
     feats = np.asarray(image_feats, dtype=np.float64)
     shape = (config.num_crops, config.feature_dim)
     if batch is not None:
         shape = (batch,) + shape
     if feats.shape != shape:
-        raise InputError(f"image features must be {' x '.join(map(str, shape))}, "
-                         f"got {feats.shape}")
+        names = "C x d" if batch is None else "B x C x d"
+        raise InputError(f"image features must be {names} = "
+                         f"{' x '.join(map(str, shape))}, got {feats.shape}")
     return feats
-
-
-def _check_seq(seq: TokenSequence, config: CaptionerConfig):
-    if not seq.tokens:
-        raise InputError("sequence is empty")
-    if len(seq.tokens) > config.max_len:
-        raise InputError(f"sequence longer than max_len={config.max_len}")
-    for tok in seq.tokens:
-        if not (0 <= tok < config.vocab_size) or tok == config.bos_id:
-            raise InputError(f"invalid token id {tok}")
 
 
 def _argmax(probs) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 One JSON config file fully reproduces a run.  Unknown keys are rejected with
 their field path.  One evaluator, ``split_metrics``, scores a decoded split
-for both the per-epoch record and ``eval``.  Exit codes: 0 ok, 1 runtime
-failure, 2 usage/config error.  The SEQGAN_LOG environment variable
+for both the per-epoch record and ``eval``, which ensembles only members
+trained on one dataset.  Exit codes: 0 ok, 1 runtime failure, 2
+usage/config error.  The SEQGAN_LOG environment variable
 (error/info/debug) controls logging; all data files carry a schema string in
 their header line.
 """
@@ -16,20 +17,19 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import data as dat
 from . import discriminator as disc
 from . import metrics as met
 from . import training as tr
 # ensemble_decode is not called here; the benchmark's tracer rebinds it as
 # cli.ensemble_decode too (tests/test_bench_hooks.py keeps the import)
-from .captioner import (CaptionerConfig, CaptionerParams, TokenSequence,  # noqa: F401
-                        ensemble_decode, greedy_decode, init_params, stack_members)
+from .captioner import (CaptionBatch, CaptionerConfig, CaptionerParams,  # noqa: F401
+                        TokenSequence, ensemble_decode, greedy_decode, init_params,
+                        stack_members)
 
 logger = logging.getLogger(__name__)
 
@@ -200,45 +200,7 @@ def gan_config(cfg: dict) -> tr.GanConfig:
     return tr.GanConfig(seed=cfg["seed"], **cfg["gan"])
 
 
-# --- semantic scorer -------------------------------------------------------
-
-
-@dataclass
-class SemanticScorer:
-    """CCA over (mean caption-token embedding, mean crop feature) pairs.
-
-    The embedding table is frozen at fit time so scores stay comparable
-    across training epochs; everything round-trips through checkpoint aux
-    arrays.
-    """
-
-    embed: np.ndarray
-    model: met.CcaModel
-
-    def caption_vec(self, seq) -> np.ndarray:
-        toks = seq.tokens if isinstance(seq, TokenSequence) else list(seq)
-        return self.embed[toks].mean(axis=0) if toks else np.zeros(self.embed.shape[1])
-
-    @staticmethod
-    def image_vec(feats) -> np.ndarray:
-        return np.asarray(feats).mean(axis=0)
-
-    def score(self, seq, feats) -> float:
-        return met.semantic_score(self.model, self.caption_vec(seq),
-                                  self.image_vec(feats))
-
-    def to_aux(self) -> dict:
-        m = self.model
-        return {"sem_embed": self.embed, "sem_U": m.U, "sem_V": m.V,
-                "sem_sigma": m.sigma, "sem_mean_x": m.mean_x, "sem_mean_y": m.mean_y}
-
-    @staticmethod
-    def from_aux(aux: dict) -> "SemanticScorer | None":
-        if "sem_embed" not in aux:
-            return None
-        model = met.CcaModel(U=aux["sem_U"], V=aux["sem_V"], sigma=aux["sem_sigma"],
-                             mean_x=aux["sem_mean_x"], mean_y=aux["sem_mean_y"])
-        return SemanticScorer(embed=aux["sem_embed"], model=model)
+# --- idf and semantic scorer ----------------------------------------------
 
 
 def checkpoint_idf(ckpt: dat.Checkpoint, dataset) -> met.NGramIdf:
@@ -248,9 +210,10 @@ def checkpoint_idf(ckpt: dat.Checkpoint, dataset) -> met.NGramIdf:
     return idf if idf is not None else met.fit_idf([refs for _, refs in dataset.train])
 
 
-def fit_semantic_scorer(g_params: CaptionerParams, dataset, rank: int) -> SemanticScorer:
+def fit_semantic_scorer(g_params: CaptionerParams, dataset,
+                        rank: int) -> met.SemanticScorer:
     embed = g_params.arrays["embed"].copy()
-    scorer = SemanticScorer(embed=embed, model=None)
+    scorer = met.SemanticScorer(embed=embed, model=None)
     X, Y = [], []
     for scene, refs in dataset.train:
         for ref in refs:
@@ -269,16 +232,6 @@ def decode_split(models: list[CaptionerParams], examples) -> list[TokenSequence]
     stacked once for the whole split."""
     stacked = stack_members(models)
     return [greedy_decode(stacked, scene.features) for scene, _ in examples]
-
-
-def _split_d_scores(d_params, decoded, examples) -> list[float]:
-    """Discriminator score of each decoded caption against its image, the
-    whole split scored as one batch."""
-    if not decoded:
-        return []
-    bound = disc.BoundDiscriminator(ad.Tape(grad=False), d_params)
-    feats = np.array([scene.features for scene, _ in examples])
-    return bound.score_sequence(feats, decoded)["score"].data.tolist()
 
 
 def split_metrics(models, examples, idf, scorer,
@@ -355,12 +308,23 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
     ckpts = [dat.load_checkpoint(p) for p in checkpoint_paths]
     first = ckpts[0]
     cfg = stored_config(first)
+    # members trained on other datasets give the same token ids other words
+    for path, ckpt in zip(checkpoint_paths[1:], ckpts[1:]):
+        other = stored_config(ckpt)["dataset"]
+        for key, value in cfg["dataset"].items():
+            if other[key] != value:
+                raise ConfigError(f"{path}: dataset.{key} is {other[key]!r}, but "
+                                  f"{checkpoint_paths[0]} was trained with {value!r}; "
+                                  f"ensemble members must share one dataset")
     dataset = build_dataset(cfg)
     examples = dataset.split(split)
     decoded, rows, report = split_metrics(
         [c.captioner for c in ckpts], examples, checkpoint_idf(first, dataset),
-        SemanticScorer.from_aux(first.aux), dataset.vocab.size)
-    d_scores = _split_d_scores(first.discriminator, decoded, examples)
+        met.SemanticScorer.from_aux(first.aux), dataset.vocab.size)
+    # the whole split scored as one batch; tolist keeps the CSV's float repr
+    d_scores = disc.score(first.discriminator,
+                          np.array([scene.features for scene, _ in examples]),
+                          CaptionBatch(decoded)).tolist()
 
     out = Path(out_dir or cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -423,15 +387,35 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
     return EXIT_OK
 
 
+def _metrics_records(path) -> list[dict]:
+    """The epoch records of a ``metrics.jsonl`` file, after its schema
+    header line; ``ConfigError`` naming ``path:line`` for a line that is not
+    a JSON object or a record without ``epoch``."""
+    with open(path) as fh:
+        lines = [(num, line) for num, line in enumerate(fh, start=1) if line.strip()]
+    rows = []
+    for num, line in lines:
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}:{num}: not valid JSON ({e})") from None
+        if not isinstance(row, dict):
+            raise ConfigError(f"{path}:{num}: expected a JSON object, "
+                              f"got {type(row).__name__}")
+        rows.append((num, row))
+    if not rows or rows[0][1].get("schema") != METRICS_SCHEMA:
+        raise ConfigError(f"{path}: missing or wrong schema header line")
+    for num, row in rows[1:]:
+        if "epoch" not in row:
+            raise ConfigError(f"{path}:{num}: record has no epoch")
+    return [row for _, row in rows[1:]]
+
+
 def cmd_plots(metrics_files, out_dir=None) -> int:
     runs = []
     key_sets = {}
     for path in metrics_files:
-        with open(path) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        if not lines or lines[0].get("schema") != METRICS_SCHEMA:
-            raise ConfigError(f"{path}: missing or wrong schema header line")
-        records = lines[1:]
+        records = _metrics_records(path)
         run_id = Path(path).parent.name or Path(path).stem
         runs.append((run_id, records))
         for rec in records:

@@ -19,7 +19,9 @@ File formats (also documented in the README):
   little-endian data) per entry; rank 0 keeps one placeholder dim.
   Version 2 stores each LSTM as its fused ``lstm_W``/``lstm_b``; version-1
   files (per-gate arrays, scalars as rank 1) still load, converted to the
-  fused layout.
+  fused layout.  ``aux`` holds named arrays; a malformed CIDEr idf or
+  semantic-scorer table in it is rejected (``NGramIdf.from_aux``,
+  ``SemanticScorer.from_aux``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .autodiff import ParameterError  # also raised for infeasible dataset reque
 from .captioner import (CaptionerConfig, CaptionerParams, InputError, TokenSequence,
                         _param_shapes)
 from .discriminator import _SHAPES, VARIANTS, DiscriminatorConfig, DiscriminatorParams
-from .metrics import NGramIdf
+from .metrics import NGramIdf, SemanticScorer
 
 
 class FormatError(ValueError):
@@ -104,12 +106,13 @@ def _build_vocab(n_objects, n_contexts, spec: VocabSpec):
     return Vocabulary(words), obj_ids, ctx_ids, template_ids
 
 
-def _caption_templates(w, decor):
-    """Five paraphrase skeletons; OBJ/CTX are filled per image."""
+def _caption_templates(w):
+    """Five paraphrase skeletons; OBJ/CTX are filled per image, and template
+    2 also takes the image's drawn decoration word."""
     return [
         lambda o, c: [w["a"], o, w["in"], w["the"], c],
         lambda o, c: [w["the"], o, w["sits"], w["near"], w["the"], c],
-        lambda o, c, d=decor: [w["one"], o, w["seen"], w["by"], w["the"], c, d],
+        lambda o, c, d: [w["one"], o, w["seen"], w["by"], w["the"], c, d],
         lambda o, c: [o, w["at"], w["the"], c],
         lambda o, c: [w["there"], w["is"], w["a"], o, w["rests"], w["on"], w["the"], c],
     ]
@@ -181,7 +184,7 @@ def generate_dataset(seed: int, n_objects: int, n_contexts: int, n_images: int,
 
     rng = np.random.default_rng(seed)
     vocab, obj_ids, ctx_ids, w = _build_vocab(n_objects, n_contexts, spec)
-    templates = _caption_templates(w, decor=None)
+    templates = _caption_templates(w)
 
     # orthonormal concept directions
     basis = np.linalg.qr(rng.normal(size=(feature_dim, feature_dim)))[0].T
@@ -631,11 +634,15 @@ def load_checkpoint(path) -> Checkpoint:
     aux = {}
     if "aux" in payloads:
         aux = _unpack_table(payloads["aux"], starts["aux"])
-        try:
-            NGramIdf.from_aux(aux)
-        except InputError as err:
-            raise FormatError(f"aux idf table is malformed: {err}",
-                              offset=starts["aux"]) from None
+        for what, check in (
+                ("idf table", lambda: NGramIdf.from_aux(aux)),
+                ("semantic scorer", lambda: SemanticScorer.from_aux(
+                    aux, captioner.config.vocab_size if captioner else None))):
+            try:
+                check()
+            except InputError as err:
+                raise FormatError(f"aux {what} is malformed: {err}",
+                                  offset=starts["aux"]) from None
 
     return Checkpoint(captioner=captioner, discriminator=discriminator,
                       gen_opt=opts.get("gen_opt"), disc_opt=opts.get("disc_opt"),

@@ -8,10 +8,11 @@ Two variants share a word LSTM:
 - joint embedding: mean-pooled image features meet the last LSTM state
   through a bilinear similarity head.
 
-Caption input is a batch of token rows: one-hot rows of the raw token lists
-of ``TokenSequence``s (EOS included, no BOS), or relaxed rows, so generator
-gradients can flow through the caption input.  Captions of different
-lengths are padded to the longest and masked (see ``BoundDiscriminator.forward``).
+Caption input is a batch of B token rows against B x C x d image features:
+the one-hot rows of a ``CaptionBatch`` (``CaptionBatch.one_hot``: the raw
+token lists, EOS included, no BOS), or relaxed rows, so generator gradients
+can flow through the caption input.  Captions of different lengths are
+padded to the longest and masked (see ``BoundDiscriminator.forward``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .captioner import _MASK, InputError, TokenSequence, _init_arrays, _lstm_cell
+from .captioner import (_MASK, CaptionBatch, InputError, _check_feats, _init_arrays,
+                        _lstm_cell)
 
 
 @dataclass(frozen=True)
@@ -96,45 +98,11 @@ def init_discriminator(config: DiscriminatorConfig, seed: int,
                                variant)
 
 
-def _one_hot_rows(seqs, vocab_size: int):
-    """Hard captions as padded one-hot token rows.
-
-    Returns (B x T x K rows, lengths), T the longest caption; the rows past
-    a caption's end are zero.
-    """
-    if not seqs:
-        raise InputError("no captions to score")
-    for seq in seqs:
-        if not seq.tokens:
-            raise InputError("caption is empty")
-        for tok in seq.tokens:
-            if not (0 <= tok < vocab_size):
-                raise InputError(f"invalid token id {tok}")
-    lengths = [len(seq.tokens) for seq in seqs]
-    rows = np.zeros((len(seqs), max(lengths), vocab_size))
-    for b, seq in enumerate(seqs):
-        rows[b, np.arange(lengths[b]), seq.tokens] = 1.0
-    return rows, lengths
-
-
-def _batch_feats(image_feats, config: DiscriminatorConfig, batch: int) -> np.ndarray:
-    """B x C x d features: one image per caption, or one C x d image shared
-    by all B captions."""
-    feats = np.asarray(image_feats, dtype=np.float64)
-    shape = (config.num_crops, config.feature_dim)
-    if feats.shape == shape:
-        return np.broadcast_to(feats, (batch,) + shape)
-    if feats.shape != (batch,) + shape:
-        raise InputError(f"image features must be {shape[0]} x {shape[1]} or "
-                         f"{batch} x {shape[0]} x {shape[1]}, got {feats.shape}")
-    return feats
-
-
 class BoundDiscriminator:
     """Either discriminator variant bound to a tape.
 
     ``forward`` scores a batch of B captions, each against its own image,
-    as one padded batch; scoring one caption is the case B = 1.
+    as one padded batch.
     """
 
     def __init__(self, tape: ad.Tape, params: DiscriminatorParams):
@@ -174,12 +142,12 @@ class BoundDiscriminator:
     def forward(self, image_feats, rows, lengths) -> dict:
         """Scores of B captions given as padded B x T x K token rows.
 
-        ``image_feats`` is B x C x d (one image per caption) or one C x d
-        image for all; ``lengths`` holds each caption's length.  Padding is
-        masked three ways: padded LSTM states are zeroed, so their columns of
-        the correlation map are 0; co-attention's beta is a softmax over the
-        valid words only; joint embedding reads each caption's last valid
-        state through a one-hot row.
+        ``image_feats`` is B x C x d (one image per caption) and ``lengths``
+        holds each caption's length.  Padding is masked three ways: padded
+        LSTM states are zeroed, so their columns of the correlation map are
+        0; co-attention's beta is a softmax over the valid words only; joint
+        embedding reads each caption's last valid state through a one-hot
+        row.
 
         Returns the scores (B,) plus the attention rows alpha (B x 1 x C)
         and beta (B x 1 x T), None for the joint-embedding variant, and the
@@ -191,7 +159,7 @@ class BoundDiscriminator:
         lengths = np.asarray(lengths)
         if lengths.shape != (B,) or np.any(lengths < 1) or np.any(lengths > T):
             raise InputError(f"lengths must be {B} values in 1..{T}")
-        feats_t = self.tape.tensor(_batch_feats(image_feats, self.config, B))
+        feats_t = self.tape.tensor(_check_feats(image_feats, self.config, B))
         valid = (np.arange(T) < lengths[:, None]).astype(np.float64)  # B x T
         H = ad.mul(self.hidden_states(X), valid[:, :, None])         # B x T x m
 
@@ -225,24 +193,24 @@ class BoundDiscriminator:
         return {"score": ad.sigmoid(ad.reshape(logit, (B,))), "alpha": alpha,
                 "beta": beta, "e_img": e_img, "e_cap": e_cap}
 
-    def score_sequence(self, image_feats, seqs) -> dict:
-        """``forward`` on hard captions: one ``TokenSequence`` (B = 1) or a
-        list of B, against C x d or B x C x d features."""
-        if isinstance(seqs, TokenSequence):
-            seqs = [seqs]
-        rows, lengths = _one_hot_rows(seqs, self.config.vocab_size)
-        return self.forward(image_feats, rows, lengths)
+    def score_sequence(self, image_feats, batch: CaptionBatch) -> dict:
+        """``forward`` on the B hard captions of ``batch`` against B x C x d
+        features."""
+        if not isinstance(batch, CaptionBatch):
+            raise InputError(f"expected a CaptionBatch, got {type(batch).__name__}")
+        return self.forward(image_feats, *batch.one_hot(self.config.vocab_size))
 
     def score_soft_rows(self, image_feats, soft_rows: list[ad.Tensor]) -> dict:
         """``forward`` (B = 1) on one caption given as on-tape relaxed token
-        rows (each n x K), so gradients reach the rows."""
+        rows (each n x K) against its one C x d image, so gradients reach the
+        rows."""
         if not soft_rows:
             raise InputError("caption is empty")
         rows = ad.concat(soft_rows, axis=0) if len(soft_rows) > 1 else soft_rows[0]
         if rows.data.ndim != 2:
             raise InputError(f"soft tokens must be T x {self.config.vocab_size}")
-        return self.forward(image_feats, ad.reshape(rows, (1,) + rows.shape),
-                            [rows.shape[0]])
+        return self.forward(np.asarray(image_feats, dtype=np.float64)[None],
+                            ad.reshape(rows, (1,) + rows.shape), [rows.shape[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +218,10 @@ class BoundDiscriminator:
 # ---------------------------------------------------------------------------
 
 
-def score(params, image_feats, seq: TokenSequence) -> float:
-    """Variant-agnostic scalar score of one caption, from a no-grad bind.
-    For alpha, beta or relaxed rows, bind on ``ad.Tape(grad=False)`` and call
-    ``score_sequence`` or ``score_soft_rows``."""
+def score(params, image_feats, batch: CaptionBatch) -> np.ndarray:
+    """The B scores of the captions of ``batch`` against B x C x d features,
+    as a plain array from one no-grad bind (either variant).  For alpha,
+    beta or relaxed rows, bind on ``ad.Tape(grad=False)`` and call
+    ``score_sequence`` or ``forward``."""
     bound = BoundDiscriminator(ad.Tape(grad=False), params)
-    return bound.score_sequence(image_feats, seq)["score"].item()
+    return bound.score_sequence(image_feats, batch)["score"].data

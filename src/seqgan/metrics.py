@@ -12,6 +12,9 @@ vocabulary is already canonical, so there is no text normalization step):
 The semantic score is a cosine in CCA space: captions and images are
 embedded separately, projected through the fitted canonical directions, and
 the caption side is weighted by the canonical correlations.
+``SemanticScorer`` holds the fitted model with its frozen embedding table;
+it and ``NGramIdf`` round-trip through checkpoint aux arrays, and their
+``from_aux`` reject malformed tables.
 """
 
 from __future__ import annotations
@@ -321,3 +324,65 @@ def semantic_score(model: CcaModel, x, y) -> float:
         logger.warning("semantic_score: zero-norm projection, returning 0")
         return 0.0
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+
+
+# checkpoint aux arrays of a fitted semantic scorer: its frozen embedding
+# table, then the arrays of its CCA model
+SEM_AUX = ("sem_embed", "sem_U", "sem_V", "sem_sigma", "sem_mean_x", "sem_mean_y")
+
+
+@dataclass
+class SemanticScorer:
+    """CCA over (mean caption-token embedding, mean crop feature) pairs.
+
+    The embedding table is frozen at fit time so scores stay comparable
+    across training epochs; everything round-trips through checkpoint aux
+    arrays (names in ``SEM_AUX``).
+    """
+
+    embed: np.ndarray
+    model: CcaModel
+
+    def caption_vec(self, seq) -> np.ndarray:
+        toks = list(_tokens(seq))
+        return self.embed[toks].mean(axis=0) if toks else np.zeros(self.embed.shape[1])
+
+    @staticmethod
+    def image_vec(feats) -> np.ndarray:
+        return np.asarray(feats).mean(axis=0)
+
+    def score(self, seq, feats) -> float:
+        return semantic_score(self.model, self.caption_vec(seq), self.image_vec(feats))
+
+    def to_aux(self) -> dict:
+        m = self.model
+        return dict(zip(SEM_AUX, (self.embed, m.U, m.V, m.sigma, m.mean_x, m.mean_y)))
+
+    @staticmethod
+    def from_aux(aux: dict, vocab_size: int | None = None) -> "SemanticScorer | None":
+        """The scorer stored by ``to_aux``; None when ``aux`` holds none of
+        its arrays.  A malformed table raises ``InputError``: every array
+        must be present and finite, ``sem_embed`` K x m (K = ``vocab_size``
+        when given), ``sem_U`` m x r, ``sem_V`` d x r, ``sem_sigma`` r values
+        in [0, 1], ``sem_mean_x`` m values and ``sem_mean_y`` d values."""
+        present = [name for name in SEM_AUX if name in aux]
+        if not present:
+            return None
+        if len(present) != len(SEM_AUX):
+            raise InputError(f"semantic scorer needs all of {', '.join(SEM_AUX)}")
+        arrays = {name: np.asarray(aux[name]) for name in SEM_AUX}
+        for name, arr in arrays.items():
+            if not np.all(np.isfinite(arr)):
+                raise InputError(f"{name} holds a non-finite value")
+        embed, sigma, mean_y = arrays["sem_embed"], arrays["sem_sigma"], arrays["sem_mean_y"]
+        if embed.ndim != 2 or sigma.ndim != 1 or mean_y.ndim != 1:
+            raise InputError("sem_embed must be 2-D, sem_sigma and sem_mean_y 1-D")
+        (K, m), (r,), (d,) = embed.shape, sigma.shape, mean_y.shape
+        if vocab_size is not None and K != vocab_size:
+            raise InputError(f"sem_embed has {K} rows for a vocabulary of {vocab_size}")
+        for name, shape in (("sem_U", (m, r)), ("sem_V", (d, r)), ("sem_mean_x", (m,))):
+            if arrays[name].shape != shape:
+                raise InputError(f"{name} has shape {arrays[name].shape}, expected {shape}")
+        if np.any((sigma < 0.0) | (sigma > 1.0)):
+            raise InputError("sem_sigma must lie in [0, 1]")
+        return SemanticScorer(embed, CcaModel(*(arrays[name] for name in SEM_AUX[1:])))

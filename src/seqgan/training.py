@@ -9,8 +9,10 @@ ascends the expected log discriminator score with one of three estimators:
   the discriminator; the loss backpropagates through the relaxation.
 - ``gumbel_st``: one-hot forward, identity backward through the one-hot.
 
-All updates go through Adam; everything is driven by explicit generators,
-so a run is bit-reproducible from its seed.
+Every objective and estimator takes a minibatch: B x C x d features and B
+captions per role, scored and replayed as padded batches.  All updates go
+through Adam; everything is driven by explicit generators, so a run is
+bit-reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from . import metrics as met
 # greedy_decode is not called here; the benchmark's tracer rebinds it as
 # training.greedy_decode too (tests/test_bench_hooks.py keeps the import)
 from .captioner import (BoundCaptioner, CaptionBatch, CaptionerParams,  # noqa: F401
-                        InputError, TokenSequence, greedy_decode, greedy_decode_batch,
-                        sample_sentence)
+                        InputError, TokenSequence, _check_feats, greedy_decode,
+                        greedy_decode_batch, sample_sentence)
 from .discriminator import BoundDiscriminator
 from .metrics import NumericError
 
@@ -157,32 +159,31 @@ _OBJ_WEIGHT = np.array([1.0, 0.5, 0.5])
 
 def discriminator_objective(bound: BoundDiscriminator, image_feats,
                             real, fake, mismatched) -> ad.Tensor:
-    """log D(I, real) + 1/2 log(1 - D(I, fake)) + 1/2 log(1 - D(I, mismatched)).
+    """Batch mean over B images of log D(I, real) + 1/2 log(1 - D(I, fake))
+    + 1/2 log(1 - D(I, mismatched)).
 
-    One image: C x d features and three ``TokenSequence``s.  A minibatch:
-    B x C x d features and three lists of B captions, all 3B scored in one
-    padded batch (per image: real, fake, mismatched); the objective is then
-    the batch mean.  The trainer ascends this; scores are clamped away from
-    {0, 1}.
+    ``image_feats`` is B x C x d and ``real``, ``fake`` and ``mismatched``
+    are lists of B captions; all 3B are scored in one padded batch (per
+    image: real, fake, mismatched).  The trainer ascends this; scores are
+    clamped away from {0, 1}.
     """
-    if isinstance(real, TokenSequence):
-        real, fake, mismatched = [real], [fake], [mismatched]
+    if not all(isinstance(seqs, list) for seqs in (real, fake, mismatched)):
+        raise InputError("real, fake and mismatched must be lists of captions")
     B = len(real)
     if not (B == len(fake) == len(mismatched)):
         raise InputError("real, fake and mismatched need one caption per image")
-    feats = np.asarray(image_feats, dtype=np.float64)
-    feats = np.repeat(feats.reshape((-1,) + feats.shape[-2:]), 3, axis=0)
-    captions = [seq for trio in zip(real, fake, mismatched) for seq in trio]
+    feats = np.repeat(_check_feats(image_feats, bound.config, B), 3, axis=0)
+    captions = CaptionBatch([seq for trio in zip(real, fake, mismatched) for seq in trio])
     scores = _clamp_score(bound.score_sequence(feats, captions)["score"])
     logs = ad.log(ad.add(ad.mul(ad.reshape(scores, (B, 3)), _OBJ_SIGN), _OBJ_OFFSET))
     return ad.reduce_sum(ad.mul(logs, _OBJ_WEIGHT / B))
 
 
 def _clamped_scores(d_params, image_feats, seqs) -> np.ndarray:
-    """Clamped scores of one caption or a list of them, in one no-grad pass
-    (arguments as for ``BoundDiscriminator.score_sequence``)."""
+    """Clamped scores of a list of B captions against B x C x d features,
+    in one no-grad pass."""
     bound = BoundDiscriminator(ad.Tape(grad=False), d_params)
-    return _clamp_score(bound.score_sequence(image_feats, seqs)["score"]).data
+    return _clamp_score(bound.score_sequence(image_feats, CaptionBatch(seqs))["score"]).data
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +301,10 @@ def _sum_sq(t: ad.Tensor) -> ad.Tensor:
 def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
                 rng: np.random.Generator, cfg: GanConfig, gt_seqs=None) -> dict:
     """Gradient of the batch mean of log D on relaxed samples of B x C x d
-    ``image_feats`` (or one C x d image), backpropagated into the captioner
-    from one tape.  With feature matching, row b's loss subtracts the
-    weighted squared distances between the discriminator embeddings of
-    ``gt_seqs[b]`` (then required) and of its relaxed sample.
+    ``image_feats``, backpropagated into the captioner from one tape.  With
+    feature matching, row b's loss subtracts the weighted squared distances
+    between the discriminator embeddings of ``gt_seqs[b]`` (a list of B
+    captions, then required) and of its relaxed sample.
 
     Returns "grads" and "loss" of the batch mean and per row its "tokens",
     "score" and "logit_grads" (len(tokens) x K, the row's 1/B share)."""
@@ -312,7 +313,8 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
     fm_on = cfg.fm_image_weight > 0 or cfg.fm_caption_weight > 0
     if fm_on and gt_seqs is None:
         raise InputError("feature matching requires the ground-truth captions")
-    feats = np.reshape(image_feats, (-1,) + np.shape(image_feats)[-2:])
+    gt = CaptionBatch(gt_seqs) if fm_on else None
+    feats = _check_feats(image_feats, d_params.config, len(image_feats))
 
     tape = ad.Tape()
     bound_g = BoundCaptioner(tape, g_params)
@@ -321,7 +323,7 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
     out = bound_d.forward(feats, rows, [len(seq) for seq in tokens])
     total = ad.reduce_sum(ad.log(_clamp_score(out["score"])))
     if fm_on:
-        ref = bound_d.score_sequence(feats, gt_seqs)
+        ref = bound_d.score_sequence(feats, gt)
         total -= ad.scale(_sum_sq(ref["e_img"] - out["e_img"]), cfg.fm_image_weight)
         total -= ad.scale(_sum_sq(ref["e_cap"] - out["e_cap"]), cfg.fm_caption_weight)
     loss = ad.scale(total, 1.0 / len(feats))

@@ -33,9 +33,10 @@ from collections import Counter
 import numpy as np
 
 from seqgan import autodiff as ad
+from seqgan import discriminator as disc
 from seqgan import metrics as met
 from seqgan import training as tr
-from seqgan.captioner import (BoundCaptioner, InputError, TokenSequence, _check_seq,
+from seqgan.captioner import (BoundCaptioner, CaptionBatch, InputError, TokenSequence,
                               greedy_decode, sample_sentence)
 from seqgan.discriminator import BoundDiscriminator
 
@@ -153,11 +154,14 @@ class PerGateCaptioner(BoundCaptioner):
 
         return h_new + ctx_new, h_new, c_new, ctx_new, attn
 
-    def sequence_log_prob_and_logits(self, image_feats, seq):
-        """Per-token log-likelihood: one output affine, softmax, pick and log
-        per step.  Returns the per-step 1 x K logit tensors as a list."""
-        _check_seq(seq, self.config)
-        feats_proj = self.project_feats(image_feats)
+    def sequence_log_prob_and_logits(self, image_feats, batch):
+        """Per-token log-likelihood of a one-caption batch against 1 x C x d
+        features: one output affine, softmax, pick and log per step.  Returns
+        the log-likelihood as one value and the per-step 1 x K logit tensors
+        as a list."""
+        (seq,) = batch.seqs
+        batch.one_hot(self.config.vocab_size)  # rejects an empty caption or a bad id
+        feats_proj = self.project_feats(np.asarray(image_feats)[0])
         m = self.config.hidden_dim
         h, c, ctx = (self.tape.tensor(np.zeros((1, m))) for _ in range(3))
         prev = self.config.bos_id
@@ -170,7 +174,7 @@ class PerGateCaptioner(BoundCaptioner):
             probs = self.word_dist(logits)
             total = total + ad.log(ad.reshape(ad.narrow(probs, 1, tok, 1), ()))
             prev = tok
-        return total, step_logits
+        return ad.reshape(total, (1,)), step_logits
 
 
 def replay_steps(params, image_feats, prev_tokens, tape=None, bound_cls=BoundCaptioner):
@@ -262,11 +266,17 @@ class PerGateDiscriminator(BoundDiscriminator):
         return per_gate_lstm(self.gates, x, h, c)
 
 
+def score_one(params, feats, seq) -> float:
+    """``discriminator.score`` of one caption against its one C x d image."""
+    return disc.score(params, np.asarray(feats)[None], CaptionBatch([seq])).item()
+
+
 def per_caption_objective(bound, image_feats, real, fake, mismatched):
     """The single-image discriminator objective with each caption scored by
     its own forward pass (B = 1, no padding), summed term by term."""
     def clamped(seq):
-        return tr._clamp_score(bound.score_sequence(image_feats, seq)["score"])
+        return tr._clamp_score(bound.score_sequence(image_feats[None],
+                                                    CaptionBatch([seq]))["score"])
 
     def one_minus(t):
         return ad.sub(t.tape.tensor(1.0), t)
@@ -315,7 +325,8 @@ def per_caption_ce_grads(g_params, examples, bound_cls=BoundCaptioner):
     for feats, ref in examples:
         tape = ad.Tape()
         bound = bound_cls(tape, g_params)
-        loss = ad.scale(bound.sequence_log_prob(feats, ref), -1.0 / len(ref.tokens))
+        loss = ad.scale(bound.sequence_log_prob(feats[None], CaptionBatch([ref])),
+                        -1.0 / len(ref.tokens))
         ad.backward(tape, loss)
         for name in grads:
             grads[name] += 1.0 / len(examples) * bound.p[name].grad
@@ -351,7 +362,8 @@ def per_image_rewards(cfg, d_params, image_feats, seqs, refs=None, idf=None):
         raise InputError(f"reward {cfg.reward!r} needs reference captions and idf")
     if cfg.reward == "cider":
         return [met.cider_d(seq, refs, idf) for seq in seqs]
-    rewards = [float(np.log(v)) for v in tr._clamped_scores(d_params, image_feats, seqs)]
+    feats = np.repeat(np.asarray(image_feats)[None], len(seqs), axis=0)
+    rewards = [float(np.log(v)) for v in tr._clamped_scores(d_params, feats, seqs)]
     if cfg.reward == "logD_plus_cider":
         rewards = [r + cfg.cider_weight * met.cider_d(seq, refs, idf)
                    for r, seq in zip(rewards, seqs)]
@@ -378,12 +390,13 @@ def scst_grad(g_params, d_params, image_feats, rng, cfg, refs=None, idf=None,
 
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g_params)
-    logp, logits = bound.sequence_log_prob_and_logits(image_feats, sample)
+    logp, logits = bound.sequence_log_prob_and_logits(image_feats[None],
+                                                      CaptionBatch([sample]))
     ad.backward(tape, logp)
     grads = {name: adv * bound.p[name].grad for name in g_params.arrays}
     if not want_logit_grads:
         return grads, record
-    logit_grads = [adv * row for row in logits.grad]
+    logit_grads = [adv * row for row in logits.grad[0]]
     return grads, record, logit_grads
 
 
@@ -463,7 +476,7 @@ def gumbel_grad(g_params, d_params, image_feats, rng, cfg, gt_seq=None,
     out = bound_d.score_soft_rows(image_feats, rows)
     loss = ad.log(tr._clamp_score(out["score"]))
     if fm_on:
-        ref = bound_d.score_sequence(image_feats, gt_seq)
+        ref = bound_d.score_sequence(image_feats[None], CaptionBatch([gt_seq]))
         loss = loss - ad.scale(tr._sum_sq(ref["e_img"] - out["e_img"]), cfg.fm_image_weight)
         loss = loss - ad.scale(tr._sum_sq(ref["e_cap"] - out["e_cap"]),
                                cfg.fm_caption_weight)
@@ -524,7 +537,8 @@ def enumerate_sequences(config):
 
 def sequence_probabilities(g_params, feats, seqs):
     bound = BoundCaptioner(ad.Tape(grad=False), g_params)
-    return np.array([np.exp(bound.sequence_log_prob(feats, s).item()) for s in seqs])
+    return np.array([np.exp(bound.sequence_log_prob(feats[None], CaptionBatch([s])).item())
+                     for s in seqs])
 
 
 def flat_grads(grads: dict) -> np.ndarray:
@@ -537,7 +551,7 @@ def autodiff_expected_reward_grad(g_params, feats, seqs, rewards, baseline):
     bound = BoundCaptioner(tape, g_params)
     acc = tape.tensor(0.0)
     for seq, r in zip(seqs, rewards):
-        p = ad.exp(bound.sequence_log_prob(feats, seq))
+        p = ad.exp(bound.sequence_log_prob(feats[None], CaptionBatch([seq])))
         acc = acc + ad.scale(p, r - baseline)
     ad.backward(tape, acc)
     return {name: bound.p[name].grad.copy() for name in g_params.arrays}
@@ -549,7 +563,7 @@ def per_sequence_score_grads(g_params, feats, seqs):
     for seq in seqs:
         tape = ad.Tape()
         bound = BoundCaptioner(tape, g_params)
-        lp = bound.sequence_log_prob(feats, seq)
+        lp = bound.sequence_log_prob(feats[None], CaptionBatch([seq]))
         ad.backward(tape, lp)
         probs.append(float(np.exp(lp.item())))
         grads.append(flat_grads({n: bound.p[n].grad for n in g_params.arrays}))

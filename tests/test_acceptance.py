@@ -19,14 +19,14 @@ from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import metrics as met
 from seqgan import training as tr
-from seqgan.captioner import (BoundCaptioner, CaptionerConfig, TokenSequence,
-                              ensemble_decode, greedy_decode, init_params,
-                              sample_sentence)
+from seqgan.captioner import (BoundCaptioner, CaptionBatch, CaptionerConfig,
+                              TokenSequence, ensemble_decode, greedy_decode,
+                              init_params, sample_sentence)
 from conftest import central_difference, rel_err
 from helpers import (autodiff_expected_reward_grad, enumerate_sequences,
                      expected_policy_gradient, flat_grads,
                      per_sequence_score_grads, policy_gradient_variance,
-                     replay_steps, sequence_probabilities)
+                     replay_steps, score_one, sequence_probabilities)
 
 
 @contextmanager
@@ -179,12 +179,13 @@ def test_criterion_01_gradient_correctness():
             # teacher-forced cross entropy
             def ce_loss(params):
                 t = ad.Tape()
-                lp = BoundCaptioner(t, params).sequence_log_prob(feats, seq)
+                lp = BoundCaptioner(t, params).sequence_log_prob(feats[None],
+                                                                 CaptionBatch([seq]))
                 return -lp.item() / len(seq.tokens)
 
             t = ad.Tape()
             bound = BoundCaptioner(t, g)
-            root = ad.scale(bound.sequence_log_prob(feats, seq),
+            root = ad.scale(bound.sequence_log_prob(feats[None], CaptionBatch([seq])),
                             -1.0 / len(seq.tokens))
             ad.backward(t, root)
             _check_param_subset(ce_loss, {n: bound.p[n].grad for n in g.arrays},
@@ -196,11 +197,12 @@ def test_criterion_01_gradient_correctness():
 
             def d_loss(params):
                 plain = disc.BoundDiscriminator(ad.Tape(grad=False), params)
-                return tr.discriminator_objective(plain, feats, seq, fake, mism).item()
+                return tr.discriminator_objective(plain, feats[None], [seq], [fake],
+                                                  [mism]).item()
 
             t = ad.Tape()
             bound_d = disc.BoundDiscriminator(t, d)
-            root = tr.discriminator_objective(bound_d, feats, seq, fake, mism)
+            root = tr.discriminator_objective(bound_d, feats[None], [seq], [fake], [mism])
             ad.backward(t, root)
             _check_param_subset(d_loss, {n: bound_d.p[n].grad for n in d.arrays},
                                 d, rng)
@@ -212,12 +214,12 @@ def test_criterion_01_gradient_correctness():
                                    fm_image_weight=0.5, fm_caption_weight=0.5)
 
                 def soft_loss(params):
-                    return tr.gumbel_grad(params, d, feats,
+                    return tr.gumbel_grad(params, d, feats[None],
                                           np.random.default_rng(noise_seed),
-                                          cfg, gt_seqs=seq)["loss"]
+                                          cfg, gt_seqs=[seq])["loss"]
 
-                out = tr.gumbel_grad(g, d, feats, np.random.default_rng(noise_seed),
-                                     cfg, gt_seqs=seq)
+                out = tr.gumbel_grad(g, d, feats[None], np.random.default_rng(noise_seed),
+                                     cfg, gt_seqs=[seq])
                 _check_param_subset(soft_loss, out["grads"], g, rng)
 
         elapsed = time.time() - start
@@ -234,9 +236,9 @@ def enumerable_model():
     d = disc.init_discriminator(dcfg, 107, "coatt")
     feats = np.random.default_rng(200).uniform(-1, 1, (2, 3))
     seqs = enumerate_sequences(gcfg)
-    rewards = [float(np.log(np.clip(disc.score(d, feats, s), tr.SCORE_EPS,
+    rewards = [float(np.log(np.clip(score_one(d, feats, s), tr.SCORE_EPS,
                                     1 - tr.SCORE_EPS))) for s in seqs]
-    baseline = float(np.log(np.clip(disc.score(d, feats, greedy_decode(g, feats)),
+    baseline = float(np.log(np.clip(score_one(d, feats, greedy_decode(g, feats)),
                                     tr.SCORE_EPS, 1 - tr.SCORE_EPS)))
     return g, feats, seqs, rewards, baseline
 
@@ -296,17 +298,17 @@ def test_criterion_05_discriminator_score_levels(bench, gan_fixture):
         for i, (scene, refs) in enumerate(train):
             obj, ctx = scene.labels[0]
             for ref in refs:
-                real.append(disc.score(d, scene.features, ref))
+                real.append(score_one(d, scene.features, ref))
             for _ in range(3):
                 sample, _ = sample_sentence(g, scene.features, rng)
-                gen.append(disc.score(d, scene.features, sample))
+                gen.append(score_one(d, scene.features, sample))
             drawn = 0
             while drawn < 3:  # unrelated caption: different object and context
                 j = int(rng.integers(len(train)))
                 o2, c2 = train[j][0].labels[0]
                 if o2 != obj and c2 != ctx:
-                    rand.append(disc.score(d, scene.features,
-                                           train[j][1][int(rng.integers(5))]))
+                    rand.append(score_one(d, scene.features,
+                                          train[j][1][int(rng.integers(5))]))
                     drawn += 1
         r, f, x = np.mean(real), np.mean(gen), np.mean(rand)
         print(f"\n  mean scores: real={r:.3f} generated={f:.3f} random={x:.3f}")
@@ -389,13 +391,13 @@ def test_criterion_09_structural_invariants(bench):
         for scene, refs in ds.val:
             feats = scene.features
             seq = refs[0]
-            out = plain_co.score_sequence(feats, seq)
+            out = plain_co.score_sequence(feats[None], CaptionBatch([seq]))
             alpha, beta = out["alpha"].data.reshape(-1), out["beta"].data.reshape(-1)
             assert abs(alpha.sum() - 1.0) < 1e-12 and np.all(alpha >= 0)
             assert abs(beta.sum() - 1.0) < 1e-12 and np.all(beta >= 0)
 
             perm = rng.permutation(feats.shape[0])
-            out_p = plain_co.score_sequence(feats[perm], seq)
+            out_p = plain_co.score_sequence(feats[perm][None], CaptionBatch([seq]))
             assert abs(out["score"].item() - out_p["score"].item()) <= 1e-12
             np.testing.assert_allclose(out_p["alpha"].data.reshape(-1), alpha[perm],
                                        atol=1e-12)
@@ -403,7 +405,7 @@ def test_criterion_09_structural_invariants(bench):
             onehot = np.zeros((len(seq.tokens), ds.vocab.size))
             onehot[np.arange(len(seq.tokens)), seq.tokens] = 1.0
             for d_params, bound in ((d_co, plain_co), (d_je, plain_je)):
-                hard = disc.score(d_params, feats, seq)
+                hard = score_one(d_params, feats, seq)
                 soft = bound.score_soft_rows(feats, [tape.tensor(onehot)])["score"].item()
                 assert abs(hard - soft) <= 1e-12
 

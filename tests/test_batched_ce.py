@@ -78,26 +78,25 @@ def test_batched_gradients_match_per_caption_loop(attention, case):
     for b, (feats, ref) in enumerate(examples):
         tape = ad.Tape()
         bound = cap.BoundCaptioner(tape, g)
-        one, logits = bound.sequence_log_prob_and_logits(feats, ref)
+        one, logits = bound.sequence_log_prob_and_logits(feats[None], cap.CaptionBatch([ref]))
         ad.backward(tape, ad.scale(one, -1.0 / (len(examples) * len(ref.tokens))))
         n = len(ref.tokens)
         assert abs(logp[b] - one.item()) <= TOL
-        assert max_diff(logit_grads[b, :n], logits.grad) <= TOL
+        assert max_diff(logit_grads[b, :n], logits.grad[0]) <= TOL
         assert not logit_grads[b, n:].any()  # padded steps get no gradient
 
 
 def test_single_caption_is_the_batch_of_one():
+    """One caption is teacher-forced as ``CaptionBatch([seq])`` against 1 x C x d
+    features (``tests/test_caption_batch.py`` checks that the bare forms are
+    rejected)."""
     g, dataset = setup("context_aware")
     (feats, ref), = examples_of(dataset, [(1, 1)])
     tape = ad.Tape(grad=False)
     bound = cap.BoundCaptioner(tape, g)
-    one, logits = bound.sequence_log_prob_and_logits(feats, ref)
     batch, batch_logits = bound.sequence_log_prob_and_logits(feats[None],
                                                              cap.CaptionBatch([ref]))
-    assert one.shape == () and logits.shape == (len(ref.tokens), 8)
     assert batch.shape == (1,) and batch_logits.shape == (1, len(ref.tokens), 8)
-    assert np.array_equal(one.data, batch.data[0])
-    assert np.array_equal(logits.data, batch_logits.data[0])
 
 
 def test_caption_batch_lists_each_captions_tokens():

@@ -213,7 +213,8 @@ class TestLogProb:
         feats = rand_feats(config, np.random.default_rng(3))
         seq, lp = cap.sample_sentence(params, feats, np.random.default_rng(7))
         bound = cap.BoundCaptioner(ad.Tape(grad=False), params)
-        assert abs(bound.sequence_log_prob(feats, seq).item() - lp) < 1e-12
+        logp = bound.sequence_log_prob(feats[None], cap.CaptionBatch([seq])).item()
+        assert abs(logp - lp) < 1e-12
 
     def test_uniform_two_choice_case(self):
         # zero weights, two emittable tokens -> every step is log(1/2)
@@ -224,7 +225,8 @@ class TestLogProb:
         feats = np.zeros((config.num_crops, config.feature_dim))
         seq = cap.TokenSequence([2, 2, 2], terminated=True)
         bound = cap.BoundCaptioner(ad.Tape(grad=False), params)
-        assert abs(bound.sequence_log_prob(feats, seq).item() - 3 * np.log(0.5)) < 1e-12
+        logp = bound.sequence_log_prob(feats[None], cap.CaptionBatch([seq])).item()
+        assert abs(logp - 3 * np.log(0.5)) < 1e-12
 
     def test_invalid_ids_rejected(self):
         config = tiny_config()
@@ -233,7 +235,8 @@ class TestLogProb:
         bound = cap.BoundCaptioner(ad.Tape(grad=False), params)
         for tokens in ([], [config.vocab_size], [config.bos_id]):
             with pytest.raises(cap.InputError):
-                bound.sequence_log_prob(feats, cap.TokenSequence(tokens, bool(tokens)))
+                seq = cap.TokenSequence(tokens, bool(tokens))
+                bound.sequence_log_prob(feats[None], cap.CaptionBatch([seq]))
 
     def test_gradient_vs_finite_differences(self):
         config = tiny_config()
@@ -244,7 +247,7 @@ class TestLogProb:
 
         tape = ad.Tape()
         bound = cap.BoundCaptioner(tape, params)
-        root = bound.sequence_log_prob(feats, seq)
+        root = bound.sequence_log_prob(feats[None], cap.CaptionBatch([seq]))
         ad.backward(tape, root)
 
         for name in params.arrays:
@@ -252,7 +255,7 @@ class TestLogProb:
                 trial = params.copy()
                 trial.arrays[name] = arr
                 plain = cap.BoundCaptioner(ad.Tape(grad=False), trial)
-                return plain.sequence_log_prob(feats, seq).item()
+                return plain.sequence_log_prob(feats[None], cap.CaptionBatch([seq])).item()
 
             fd = central_difference(f, params.arrays[name].copy())
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
@@ -370,8 +373,9 @@ class TestNoGradEquivalence:
     def test_log_prob(self, seed, attention):
         _, (params,), feats = self._setup(seed, attention)
         seq, _ = cap.sample_sentence(params, feats, np.random.default_rng(seed))
-        plain, taped = (cap.BoundCaptioner(tape, params).sequence_log_prob(feats, seq).item()
-                        for tape in (ad.Tape(grad=False), ad.Tape()))
+        plain, taped = (cap.BoundCaptioner(tape, params).sequence_log_prob(
+            feats[None], cap.CaptionBatch([seq])).item()
+            for tape in (ad.Tape(grad=False), ad.Tape()))
         assert plain == taped
 
     @pytest.mark.parametrize("seed,attention", CASES)
@@ -398,7 +402,7 @@ class TestNoGradEquivalence:
         seq = cap.greedy_decode(models[0], feats)
         cap.sample_sentence(models[0], feats, np.random.default_rng(0))
         cap.ensemble_decode(models, feats)
-        bound.sequence_log_prob(feats, seq)
+        bound.sequence_log_prob(feats[None], cap.CaptionBatch([seq]))
         replay_steps(models[0], feats, [config.bos_id] + seq.tokens[:-1])
         for m, k in zip(models, keep):
             for name in m.arrays:

@@ -9,7 +9,7 @@ from seqgan import cli
 from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import metrics as met
-from seqgan.captioner import CaptionerConfig, ensemble_decode, init_params
+from seqgan.captioner import CaptionBatch, CaptionerConfig, ensemble_decode, init_params
 
 
 TINY = {
@@ -315,7 +315,7 @@ class TestEval:
         rows = (out / "eval-val.csv").read_text().splitlines()[2:]
         assert len(rows) == len(examples)
         for row, seq, (scene, _) in zip(rows, decoded, examples):
-            want = disc.score(ckpt.discriminator, scene.features, seq)
+            want = disc.score(ckpt.discriminator, scene.features[None], CaptionBatch([seq]))[0]
             assert abs(float(row.rsplit(",", 1)[1]) - want) <= 1e-12
 
     def test_report_has_the_epoch_record_metrics(self, trained_run, capsys):
@@ -360,6 +360,50 @@ class TestEval:
     def test_missing_checkpoint_is_runtime_error(self, trained_run):
         assert cli.main(["eval", "--checkpoint",
                          str(trained_run["tmp"] / "missing.sgck")]) == 1
+
+    def test_members_differing_only_in_seed_evaluate(self, trained_run):
+        """A member trained with another top-level seed on the same dataset
+        is accepted; with equal weights the ensemble decodes as one model."""
+        path = str(trained_run["ckpts"][-1])
+        ckpt = dat.load_checkpoint(path)
+        ckpt.config["seed"] += 1
+        reseeded = trained_run["tmp"] / "reseeded.sgck"
+        dat.save_checkpoint(reseeded, ckpt)
+        single, pair = trained_run["tmp"] / "seed-single", trained_run["tmp"] / "seed-pair"
+        assert cli.main(["eval", "--checkpoint", path, "--split", "val",
+                         "--out-dir", str(single)]) == 0
+        assert cli.main(["eval", "--checkpoint", path, "--checkpoint", str(reseeded),
+                         "--split", "val", "--out-dir", str(pair)]) == 0
+        assert (single / "eval-val.csv").read_bytes() == (pair / "eval-val.csv").read_bytes()
+
+    def test_members_from_another_dataset_exit_2(self, trained_run, capsys):
+        path = str(trained_run["ckpts"][-1])
+        other = rewrite_checkpoint(path, trained_run["tmp"] / "other-data.sgck",
+                                   dataset={"n_objects": 5, "n_contexts": 5})
+        out = trained_run["tmp"] / "mixed-data"
+        assert cli.main(["eval", "--checkpoint", path, "--checkpoint", other,
+                         "--split", "val", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {other}: dataset.n_objects is 5, but {path} was trained " \
+            "with 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a["sem_sigma"].__setitem__(0, np.nan),
+        lambda a: a.update(sem_embed=a["sem_embed"][:-3]),
+        lambda a: a.update(sem_U=a["sem_U"][:, :-1]),
+    ], ids=["nan-sigma", "embed-missing-rows", "U-missing-column"])
+    def test_malformed_semantic_scorer_exits_1_before_any_csv(self, trained_run, capsys,
+                                                              edit):
+        ckpt = dat.load_checkpoint(trained_run["ckpts"][-1])
+        edit(ckpt.aux)
+        bad = trained_run["tmp"] / "bad-scorer.sgck"
+        dat.save_checkpoint(bad, ckpt)
+        out = trained_run["tmp"] / "bad-scorer"
+        assert cli.main(["eval", "--checkpoint", str(bad), "--split", "val",
+                         "--out-dir", str(out)]) == 1
+        assert "FormatError: aux semantic scorer is malformed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_split_rejected_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):
@@ -483,6 +527,21 @@ class TestPlots:
         bad = tmp_path / "m.jsonl"
         bad.write_text(json.dumps({"epoch": 1}) + "\n")
         assert cli.main(["plots", str(bad)]) == 2
+
+    @pytest.mark.parametrize("bad_line,message", [
+        ('{"d_real": 0.5}', "record has no epoch"),
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "expected a JSON object, got list"),
+    ], ids=["no-epoch", "not-json", "array"])
+    def test_malformed_record_exits_2_naming_its_line(self, trained_run, tmp_path, capsys,
+                                                      bad_line, message):
+        lines = (trained_run["out"] / "metrics.jsonl").read_text().splitlines()
+        bad = tmp_path / "metrics.jsonl"
+        bad.write_text("\n".join(lines[:2] + [bad_line] + lines[2:]) + "\n")
+        out = tmp_path / "plots-bad"
+        assert cli.main(["plots", str(bad), "--out-dir", str(out)]) == 2
+        assert f"config error: {bad}:3: {message}" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
 
     def test_curves_support_cross_metric_analysis(self, trained_run, tmp_path):
         # the long format must let a consumer align two metrics by epoch,

@@ -545,6 +545,58 @@ class TestCheckpoint:
         with pytest.raises(dat.FormatError, match="idf"):
             dat.load_checkpoint(path)
 
+    def _with_scorer(self):
+        ckpt = self._make()
+        rng = np.random.default_rng(8)
+        cca = met.fit_cca(rng.normal(size=(12, 4)), rng.normal(size=(12, 3)), 2)
+        scorer = met.SemanticScorer(ckpt.captioner.arrays["embed"].copy(), cca)
+        ckpt.aux.update(scorer.to_aux())
+        return ckpt, scorer
+
+    def test_semantic_scorer_aux_round_trip(self, tmp_path):
+        ckpt, scorer = self._with_scorer()
+        path = tmp_path / "sem.ckpt"
+        dat.save_checkpoint(path, ckpt)
+        loaded = met.SemanticScorer.from_aux(dat.load_checkpoint(path).aux, vocab_size=7)
+        for name, arr in scorer.to_aux().items():
+            np.testing.assert_array_equal(loaded.to_aux()[name], arr)
+        feats = np.random.default_rng(9).uniform(-1, 1, (2, 3))
+        assert loaded.score([2, 3, 1], feats) == scorer.score([2, 3, 1], feats)
+        assert met.SemanticScorer.from_aux({"cca_sigma": np.ones(2)}) is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a["sem_sigma"].__setitem__(0, np.nan),
+        lambda a: a["sem_mean_y"].__setitem__(0, np.inf),
+        lambda a: a.update(sem_embed=a["sem_embed"][:-3]),
+        lambda a: a.update(sem_embed=a["sem_embed"][:, :-1]),
+        lambda a: a.update(sem_U=a["sem_U"][:, :-1]),
+        lambda a: a.update(sem_V=a["sem_V"][:-1]),
+        lambda a: a.update(sem_V=a["sem_V"][:, :-1]),
+        lambda a: a.update(sem_mean_x=a["sem_mean_x"][:-1]),
+        lambda a: a.update(sem_mean_y=a["sem_mean_y"][:-1]),
+        lambda a: a.update(sem_sigma=a["sem_sigma"][:-1]),
+        lambda a: a.update(sem_sigma=a["sem_sigma"][None]),
+        lambda a: a["sem_sigma"].__setitem__(0, 1.5),
+        lambda a: a["sem_sigma"].__setitem__(0, -0.25),
+        lambda a: a.pop("sem_V"),
+    ], ids=["nan-sigma", "inf-mean-y", "embed-missing-rows", "embed-missing-column",
+            "U-missing-column", "V-missing-row", "V-missing-column", "short-mean-x",
+            "short-mean-y", "short-sigma", "2d-sigma", "sigma-above-1", "negative-sigma",
+            "V-missing"])
+    def test_malformed_semantic_scorer_is_format_error_at_aux(self, tmp_path, edit):
+        ckpt, _ = self._with_scorer()
+        aux = {k: v.copy() for k, v in ckpt.aux.items()}
+        edit(aux)
+        ckpt.aux = aux
+        path = tmp_path / "sem.ckpt"
+        dat.save_checkpoint(path, ckpt)
+        blob = path.read_bytes()
+        name, payload = split_container(blob)[-1]
+        assert name == "aux"
+        with pytest.raises(dat.FormatError, match="aux semantic scorer is malformed") as err:
+            dat.load_checkpoint(path)
+        assert err.value.offset == len(blob) - len(payload)
+
     def test_save_over_an_existing_file_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "k.ckpt"
         dat.save_checkpoint(path, self._make())

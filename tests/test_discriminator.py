@@ -3,8 +3,9 @@ import pytest
 
 from seqgan import autodiff as ad
 from seqgan import discriminator as disc
-from seqgan.captioner import InputError, TokenSequence
+from seqgan.captioner import CaptionBatch, InputError, TokenSequence
 from conftest import central_difference, rel_err
+from helpers import score_one
 
 
 def tiny_config(**kw):
@@ -20,7 +21,7 @@ def rand_feats(config, rng):
 def embed_caption(params, seq):
     """LSTM hidden state after each token of one caption, T x m."""
     bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
-    rows, _ = disc._one_hot_rows([seq], params.config.vocab_size)
+    rows, _ = CaptionBatch([seq]).one_hot(params.config.vocab_size)
     return bound.hidden_states(bound.embed_rows(rows)).data[0]
 
 
@@ -57,7 +58,7 @@ class TestCoattScore:
         rng = np.random.default_rng(0)
         seq = TokenSequence([2, 3, 4, 1], True)
         bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
-        out = bound.score_sequence(rand_feats(config, rng), seq)
+        out = bound.score_sequence(rand_feats(config, rng)[None], CaptionBatch([seq]))
         score = out["score"].item()
         alpha, beta, e_img, e_cap = (out[k].data.reshape(-1)
                                      for k in ("alpha", "beta", "e_img", "e_cap"))
@@ -73,8 +74,8 @@ class TestCoattScore:
         for arr in params.arrays.values():
             arr[:] = 0.0
         bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
-        out = bound.score_sequence(np.zeros((config.num_crops, config.feature_dim)),
-                                   TokenSequence([2, 1], True))
+        out = bound.score_sequence(np.zeros((1, config.num_crops, config.feature_dim)),
+                                   CaptionBatch([TokenSequence([2, 1], True)]))
         assert out["score"].item() == 0.5
 
     def test_crop_permutation_invariance(self):
@@ -84,10 +85,10 @@ class TestCoattScore:
         feats = rand_feats(config, rng)
         seq = TokenSequence([3, 2, 1], True)
         bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
-        base = bound.score_sequence(feats, seq)
+        base = bound.score_sequence(feats[None], CaptionBatch([seq]))
         for _ in range(4):
             perm = rng.permutation(config.num_crops)
-            out = bound.score_sequence(feats[perm], seq)
+            out = bound.score_sequence(feats[perm][None], CaptionBatch([seq]))
             assert abs(out["score"].item() - base["score"].item()) <= 1e-12
             np.testing.assert_allclose(out["alpha"].data[0, 0],
                                        base["alpha"].data[0, 0, perm], atol=1e-12)
@@ -97,7 +98,7 @@ class TestCoattScore:
         params = disc.init_discriminator(tiny_config(), 0, "coatt")
         bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
         with pytest.raises(InputError):
-            bound.score_sequence(np.zeros((2, 2)), TokenSequence([2], True))
+            bound.score_sequence(np.zeros((1, 2, 2)), CaptionBatch([TokenSequence([2], True)]))
 
     def test_param_gradients_vs_fd(self):
         config = tiny_config()
@@ -107,7 +108,7 @@ class TestCoattScore:
 
         tape = ad.Tape()
         bound = disc.BoundDiscriminator(tape, params)
-        root = ad.log(bound.score_sequence(feats, seq)["score"])
+        root = ad.log(bound.score_sequence(feats[None], CaptionBatch([seq]))["score"])
         ad.backward(tape, root)
 
         for name in params.arrays:
@@ -115,7 +116,8 @@ class TestCoattScore:
                 trial = params.copy()
                 trial.arrays[name] = arr
                 plain = disc.BoundDiscriminator(ad.Tape(grad=False), trial)
-                return float(np.log(plain.score_sequence(feats, seq)["score"].item()))
+                return float(np.log(plain.score_sequence(feats[None], CaptionBatch([seq]))
+                                    ["score"].item()))
 
             fd = central_difference(f, params.arrays[name].copy())
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
@@ -128,9 +130,9 @@ class TestJointEmbScore:
         rng = np.random.default_rng(3)
         feats = rand_feats(config, rng)
         seq = TokenSequence([2, 3, 1], True)
-        base = disc.score(params, feats, seq)
+        base = score_one(params, feats, seq)
         for _ in range(3):
-            assert abs(disc.score(params, feats[rng.permutation(5)], seq)
+            assert abs(score_one(params, feats[rng.permutation(5)], seq)
                        - base) <= 1e-12
 
     def test_zero_params_half_score(self):
@@ -138,8 +140,8 @@ class TestJointEmbScore:
         params = disc.init_discriminator(config, 0, "jointemb")
         for arr in params.arrays.values():
             arr[:] = 0.0
-        assert disc.score(params, np.zeros((config.num_crops, config.feature_dim)),
-                          TokenSequence([2], True)) == 0.5
+        assert score_one(params, np.zeros((config.num_crops, config.feature_dim)),
+                         TokenSequence([2], True)) == 0.5
 
     def test_param_gradients_vs_fd(self):
         config = tiny_config()
@@ -149,14 +151,14 @@ class TestJointEmbScore:
 
         tape = ad.Tape()
         bound = disc.BoundDiscriminator(tape, params)
-        root = ad.log(bound.score_sequence(feats, seq)["score"])
+        root = ad.log(bound.score_sequence(feats[None], CaptionBatch([seq]))["score"])
         ad.backward(tape, root)
 
         for name in params.arrays:
             def f(arr, name=name):
                 trial = params.copy()
                 trial.arrays[name] = arr
-                return float(np.log(disc.score(trial, feats, seq)))
+                return float(np.log(score_one(trial, feats, seq)))
 
             fd = central_difference(f, params.arrays[name].copy())
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
@@ -171,7 +173,7 @@ class TestScoreSoft:
         onehot = np.zeros((len(seq.tokens), config.vocab_size))
         onehot[np.arange(len(seq.tokens)), seq.tokens] = 1.0
         for params in (disc.init_discriminator(config, 6, "coatt"), disc.init_discriminator(config, 6, "jointemb")):
-            hard = disc.score(params, feats, seq)
+            hard = score_one(params, feats, seq)
             tape = ad.Tape(grad=False)
             bound = disc.BoundDiscriminator(tape, params)
             soft = bound.score_soft_rows(feats, [tape.tensor(onehot)])["score"].item()
@@ -182,7 +184,7 @@ class TestScoreSoft:
         config = tiny_config(vocab_size=1)
         params = disc.init_discriminator(config, 1, "coatt")
         feats = rand_feats(config, np.random.default_rng(6))
-        hard = disc.score(params, feats, TokenSequence([0], True))
+        hard = score_one(params, feats, TokenSequence([0], True))
         tape = ad.Tape(grad=False)
         bound = disc.BoundDiscriminator(tape, params)
         soft = bound.score_soft_rows(feats, [tape.tensor(np.ones((1, 1)))])["score"].item()
@@ -227,7 +229,7 @@ class TestScoresStrictlyInUnitInterval:
                 feats = rand_feats(config, rng)
                 toks = [int(t) for t in rng.integers(0, config.vocab_size,
                                                      size=rng.integers(1, 6))]
-                s = disc.score(params, feats, TokenSequence(toks, True))
+                s = score_one(params, feats, TokenSequence(toks, True))
                 assert 0.0 < s < 1.0
 
 
@@ -244,12 +246,13 @@ class TestNoGradEquivalence:
         feats = rand_feats(config, rng)
         seq = TokenSequence([2, 4, 3, 1], True)
         soft = rng.dirichlet(np.ones(config.vocab_size), size=3)
-        assert disc.score(params, feats, seq) == on_grad_tapes(disc.score, params, feats, seq)
+        assert score_one(params, feats, seq) == on_grad_tapes(score_one, params, feats, seq)
         assert np.array_equal(embed_caption(params, seq),
                               on_grad_tapes(embed_caption, params, seq))
         plain, taped = (disc.BoundDiscriminator(tape, params)
                         for tape in (ad.Tape(grad=False), ad.Tape()))
-        hard = [bound.score_sequence(feats, seq) for bound in (plain, taped)]
+        hard = [bound.score_sequence(feats[None], CaptionBatch([seq]))
+                for bound in (plain, taped)]
         for key in ("score", "alpha", "beta", "e_img", "e_cap"):
             if variant == "jointemb" and key in ("alpha", "beta"):
                 assert hard[0][key] is hard[1][key] is None
@@ -290,10 +293,10 @@ class TestPaddedBatch:
     def test_hard_rows_equal_score_sequence(self, variant):
         _, params, _, seqs, feats = self.setup_batch(variant, 11)
         bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
-        batch = bound.score_sequence(feats, seqs)
+        batch = bound.score_sequence(feats, CaptionBatch(seqs))
         assert batch["score"].shape == (len(seqs),)
         for b, seq in enumerate(seqs):
-            one = bound.score_sequence(feats[b], seq)
+            one = bound.score_sequence(feats[b : b + 1], CaptionBatch([seq]))
             self.assert_row_equals(batch, b, one, len(seq.tokens), variant)
 
     @pytest.mark.parametrize("variant", disc.VARIANTS)
@@ -319,14 +322,6 @@ class TestPaddedBatch:
             assert np.max(np.abs(rows.grad[b, :n] - single)) <= 1e-12
             assert np.all(rows.grad[b, n:] == 0.0)
 
-    def test_one_shared_image_broadcasts(self):
-        _, params, _, seqs, feats = self.setup_batch("coatt", 13)
-        bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
-        shared = bound.score_sequence(feats[0], seqs)["score"].data
-        stacked = bound.score_sequence(np.repeat(feats[:1], len(seqs), axis=0),
-                                       seqs)["score"].data
-        assert np.array_equal(shared, stacked)
-
     def test_bad_batches_rejected(self):
         config, params, _, seqs, feats = self.setup_batch("coatt", 14)
         bound = disc.BoundDiscriminator(ad.Tape(grad=False), params)
@@ -334,9 +329,9 @@ class TestPaddedBatch:
         for bad_seqs in ([], seqs[:2] + [TokenSequence([], False)],
                          seqs[:2] + [TokenSequence([2, K], True)]):
             with pytest.raises(InputError):
-                bound.score_sequence(feats[: len(bad_seqs)], bad_seqs)
+                bound.score_sequence(feats[: len(bad_seqs)], CaptionBatch(bad_seqs))
         with pytest.raises(InputError):  # one feature row per caption
-            bound.score_sequence(feats[:2], seqs[:3])
+            bound.score_sequence(feats[:2], CaptionBatch(seqs[:3]))
         rows = np.zeros((2, 3, K))
         rows[:, :, 2] = 1.0
         for bad_rows, lengths in ((rows[:, :, :-1], [3, 3]), (rows[:, :0], [1, 1]),

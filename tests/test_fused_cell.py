@@ -40,10 +40,10 @@ def make_models(seed, attention, variant="coatt"):
 def teacher_forced(cls, params, feats, seq):
     tape = ad.Tape()
     bound = cls(tape, params)
-    logp, logits = bound.sequence_log_prob_and_logits(feats, seq)
+    logp, logits = bound.sequence_log_prob_and_logits(feats[None], cap.CaptionBatch([seq]))
     ad.backward(tape, logp)
-    # the fused path returns one T x K tensor, the oracle one 1 x K per step
-    logit_grads = logits.grad if isinstance(logits, ad.Tensor) \
+    # the fused path returns one 1 x T x K tensor, the oracle one 1 x K per step
+    logit_grads = logits.grad[0] if isinstance(logits, ad.Tensor) \
         else np.vstack([t.grad for t in logits])
     return logp.item(), {n: bound.p[n].grad for n in params.arrays}, logit_grads
 
@@ -143,9 +143,9 @@ def test_discriminator_objective_matches_per_gate(variant):
     def objective(cls):
         tape = ad.Tape()
         bound = cls(tape, d)
-        value = tr.discriminator_objective(bound, feats, real, fake, mismatched)
+        value = tr.discriminator_objective(bound, feats[None], [real], [fake], [mismatched])
         ad.backward(tape, value)
-        rows, _ = disc._one_hot_rows([fake], d.config.vocab_size)
+        rows, _ = cap.CaptionBatch([fake]).one_hot(d.config.vocab_size)
         hidden = bound.hidden_states(bound.embed_rows(rows)).data
         return value.item(), {n: bound.p[n].grad for n in d.arrays}, hidden
 
@@ -169,5 +169,6 @@ def test_teacher_forced_nodes_per_token():
     for scene, refs in ds.train[:3]:
         for ref in refs:
             tape = ad.Tape()
-            cap.BoundCaptioner(tape, params).sequence_log_prob(scene.features, ref)
+            cap.BoundCaptioner(tape, params).sequence_log_prob(scene.features[None],
+                                                               cap.CaptionBatch([ref]))
             assert len(tape.nodes) <= 26 * len(ref.tokens)

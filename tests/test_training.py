@@ -5,13 +5,15 @@ from seqgan import autodiff as ad
 from seqgan import discriminator as disc
 from seqgan import metrics as met
 from seqgan import training as tr
-from seqgan.captioner import (ATTENTION_MODES, BoundCaptioner, CaptionerConfig, InputError,
-                              TokenSequence, greedy_decode, init_params, sample_sentence)
+from seqgan.captioner import (ATTENTION_MODES, BoundCaptioner, CaptionBatch, CaptionerConfig,
+                              InputError, TokenSequence, greedy_decode, init_params,
+                              sample_sentence)
 from conftest import central_difference, rel_err
 from helpers import (autodiff_expected_reward_grad, enumerate_sequences,
                      expected_policy_gradient, flat_grads, gumbel_grad, gumbel_sample,
                      loop_d_batch_step, loop_g_batch_step, per_sequence_score_grads,
-                     policy_gradient_variance, scst_grad, sequence_probabilities)
+                     policy_gradient_variance, scst_grad, score_one,
+                     sequence_probabilities)
 
 
 def tiny_setup(seed=0, vocab=5, crops=2, dim=3, m=4, max_len=4):
@@ -104,9 +106,9 @@ class TestDiscriminatorLoss:
         for arr in d.arrays.values():
             arr[:] = 0.0  # every score is sigmoid(0) = 0.5
         bound = disc.BoundDiscriminator(ad.Tape(grad=False), d)
-        loss = tr.discriminator_objective(bound, feats, TokenSequence([2, 1], True),
-                                          TokenSequence([3, 1], True),
-                                          TokenSequence([4, 1], True)).item()
+        loss = tr.discriminator_objective(bound, feats[None], [TokenSequence([2, 1], True)],
+                                          [TokenSequence([3, 1], True)],
+                                          [TokenSequence([4, 1], True)]).item()
         assert abs(loss - 2 * np.log(0.5)) < 1e-12
 
     def test_perfect_discriminator_limit(self):
@@ -135,7 +137,7 @@ class TestDiscriminatorLoss:
 
         tape = ad.Tape()
         bound = disc.BoundDiscriminator(tape, d)
-        root = tr.discriminator_objective(bound, feats, real, fake, mism)
+        root = tr.discriminator_objective(bound, feats[None], [real], [fake], [mism])
         ad.backward(tape, root)
 
         for name in d.arrays:
@@ -143,7 +145,8 @@ class TestDiscriminatorLoss:
                 trial = d.copy()
                 trial.arrays[name] = arr
                 plain = disc.BoundDiscriminator(ad.Tape(grad=False), trial)
-                return tr.discriminator_objective(plain, feats, real, fake, mism).item()
+                return tr.discriminator_objective(plain, feats[None], [real], [fake],
+                                                  [mism]).item()
 
             fd = central_difference(f, d.arrays[name].copy())
             assert rel_err(bound.p[name].grad, fd) < 1e-4, name
@@ -251,7 +254,7 @@ class TestBatchedDiscriminatorStep:
             sample, _ = sample_sentence(g, feats, ref_rng)
             for key, seq in zip(ref, (refs[0], sample,
                                       tr._pick_other_ref(dataset, i, ref_rng))):
-                ref[key].append(disc.score(d, feats, seq))
+                ref[key].append(score_one(d, feats, seq))
         for key, values in ref.items():
             assert abs(got[key] - np.mean(values)) <= 1e-12
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -267,7 +270,7 @@ class TestBatchedDiscriminatorStep:
         baseline = greedy_decode(g, feats)
         for reward, seq in ((record.sample_reward, sample),
                             (record.baseline_reward, baseline)):
-            want = np.log(np.clip(disc.score(d, feats, seq), tr.SCORE_EPS,
+            want = np.log(np.clip(score_one(d, feats, seq), tr.SCORE_EPS,
                                   1.0 - tr.SCORE_EPS))
             assert abs(reward - want) <= 1e-12
 
@@ -293,9 +296,9 @@ class TestScstGrad:
         # replay the same computation from its pieces
         sample, _ = sample_sentence(g, feats, np.random.default_rng(11))
         baseline = greedy_decode(g, feats)
-        r_s = np.log(np.clip(disc.score(d, feats, sample), tr.SCORE_EPS,
+        r_s = np.log(np.clip(score_one(d, feats, sample), tr.SCORE_EPS,
                              1 - tr.SCORE_EPS))
-        r_b = np.log(np.clip(disc.score(d, feats, baseline), tr.SCORE_EPS,
+        r_b = np.log(np.clip(score_one(d, feats, baseline), tr.SCORE_EPS,
                              1 - tr.SCORE_EPS))
         assert record.sample_reward == pytest.approx(r_s, abs=0)
         assert record.baseline_reward == pytest.approx(r_b, abs=0)
@@ -303,7 +306,7 @@ class TestScstGrad:
         from seqgan.captioner import BoundCaptioner
         tape = ad.Tape()
         bound = BoundCaptioner(tape, g)
-        ad.backward(tape, bound.sequence_log_prob(feats, sample))
+        ad.backward(tape, bound.sequence_log_prob(feats[None], CaptionBatch([sample])))
         for name in grads:
             np.testing.assert_array_equal(grads[name],
                                           (r_s - r_b) * bound.p[name].grad)
@@ -315,9 +318,9 @@ class TestScstGrad:
         assert len(seqs) <= 85
         probs = sequence_probabilities(g, feats, seqs)
         assert abs(probs.sum() - 1.0) < 1e-12
-        rewards = [np.log(np.clip(disc.score(d, feats, s), tr.SCORE_EPS,
+        rewards = [np.log(np.clip(score_one(d, feats, s), tr.SCORE_EPS,
                                   1 - tr.SCORE_EPS)) for s in seqs]
-        baseline = np.log(np.clip(disc.score(d, feats, greedy_decode(g, feats)),
+        baseline = np.log(np.clip(score_one(d, feats, greedy_decode(g, feats)),
                                   tr.SCORE_EPS, 1 - tr.SCORE_EPS))
 
         probs2, score_grads = per_sequence_score_grads(g, feats, seqs)
@@ -331,9 +334,9 @@ class TestScstGrad:
         g, d, feats = tiny_setup(seed=9, vocab=4, max_len=3)
         seqs = enumerate_sequences(g.config)
         probs, score_grads = per_sequence_score_grads(g, feats, seqs)
-        rewards = [np.log(np.clip(disc.score(d, feats, s), tr.SCORE_EPS,
+        rewards = [np.log(np.clip(score_one(d, feats, s), tr.SCORE_EPS,
                                   1 - tr.SCORE_EPS)) for s in seqs]
-        baseline = np.log(np.clip(disc.score(d, feats, greedy_decode(g, feats)),
+        baseline = np.log(np.clip(score_one(d, feats, greedy_decode(g, feats)),
                                   tr.SCORE_EPS, 1 - tr.SCORE_EPS))
         var_scst = policy_gradient_variance(probs, score_grads, rewards, baseline)
         var_reinforce = policy_gradient_variance(probs, score_grads, rewards, 0.0)
@@ -562,7 +565,7 @@ class TestGumbelGrad:
     def test_loss_is_log_score_without_fm(self):
         g, d, feats = tiny_setup(seed=11)
         cfg = tr.GanConfig(estimator="gumbel_soft", temperature=0.7)
-        out = tr.gumbel_grad(g, d, feats, np.random.default_rng(3), cfg)
+        out = tr.gumbel_grad(g, d, feats[None], np.random.default_rng(3), cfg)
         assert abs(out["loss"] - np.log(out["score"][0])) < 1e-12
 
     def test_st_onehot_of_ground_truth_zeroes_fm_penalty(self):
@@ -571,7 +574,7 @@ class TestGumbelGrad:
         gt = TokenSequence([1], True)
         cfg = tr.GanConfig(estimator="gumbel_st", temperature=0.5,
                            fm_image_weight=1.0, fm_caption_weight=1.0)
-        out = tr.gumbel_grad(g, d, feats, np.random.default_rng(4), cfg, gt_seqs=gt)
+        out = tr.gumbel_grad(g, d, feats[None], np.random.default_rng(4), cfg, gt_seqs=[gt])
         assert out["tokens"] == [[1]]
         assert abs(out["loss"] - np.log(out["score"][0])) < 1e-12  # penalty exactly 0
 
@@ -579,7 +582,7 @@ class TestGumbelGrad:
         g, d, feats = tiny_setup()
         cfg = tr.GanConfig(estimator="gumbel_st", fm_image_weight=1.0)
         with pytest.raises(InputError):
-            tr.gumbel_grad(g, d, feats, np.random.default_rng(0), cfg)
+            tr.gumbel_grad(g, d, feats[None], np.random.default_rng(0), cfg)
 
     def test_soft_unroll_gradient_vs_fd(self):
         g, d, feats = tiny_setup(seed=13)
@@ -587,14 +590,14 @@ class TestGumbelGrad:
         cfg = tr.GanConfig(estimator="gumbel_soft", temperature=0.8,
                            fm_image_weight=0.5, fm_caption_weight=0.5)
 
-        out = tr.gumbel_grad(g, d, feats, np.random.default_rng(21), cfg, gt_seqs=gt)
+        out = tr.gumbel_grad(g, d, feats[None], np.random.default_rng(21), cfg, gt_seqs=[gt])
 
         for name in list(g.arrays):
             def f(arr, name=name):
                 trial = g.copy()
                 trial.arrays[name] = arr
-                return tr.gumbel_grad(trial, d, feats, np.random.default_rng(21),
-                                      cfg, gt_seqs=gt)["loss"]
+                return tr.gumbel_grad(trial, d, feats[None], np.random.default_rng(21),
+                                      cfg, gt_seqs=[gt])["loss"]
 
             fd = central_difference(f, g.arrays[name].copy())
             assert rel_err(out["grads"][name], fd) < 1e-4, name
@@ -681,7 +684,7 @@ class TestBatchedGumbel:
         cfg = tr.GanConfig(estimator="gumbel_st", fm_image_weight=0.5)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         for b in range(len(feats)):
-            out = tr.gumbel_grad(g, d, feats[b], rng, cfg, gt_seqs=gts[b])
+            out = tr.gumbel_grad(g, d, feats[b : b + 1], rng, cfg, gt_seqs=[gts[b]])
             ref = gumbel_grad(g, d, feats[b], ref_rng, cfg, gt_seq=gts[b])
             assert out["tokens"] == [ref["tokens"]]
             assert abs(out["loss"] - ref["loss"]) <= 1e-12
@@ -864,23 +867,23 @@ class TestNoGradEquivalence:
         d = disc.init_discriminator(self.DCFG, 3, variant)
         feats = np.random.default_rng(4).uniform(-1, 1, (3, 5))
         real, fake, mis = (TokenSequence(t, True) for t in ([3, 4, 1], [2, 1], [4, 4, 3, 1]))
-        plain, taped = (tr.discriminator_objective(disc.BoundDiscriminator(tape, d), feats,
-                                                   real, fake, mis).item()
+        plain, taped = (tr.discriminator_objective(disc.BoundDiscriminator(tape, d),
+                                                   feats[None], [real], [fake], [mis]).item()
                         for tape in (ad.Tape(grad=False), ad.Tape()))
         assert plain == taped
         for seq in (real, fake, mis):
-            assert np.array_equal(tr._clamped_scores(d, feats, seq),
-                                  on_grad_tapes(tr._clamped_scores, d, feats, seq))
+            assert np.array_equal(tr._clamped_scores(d, feats[None], [seq]),
+                                  on_grad_tapes(tr._clamped_scores, d, feats[None], [seq]))
 
     def test_clamped_score_value_matches_np_clip(self, caplog):
         d = disc.init_discriminator(self.DCFG, 5, "coatt")
         d.arrays["out_UI"] *= 1e4  # saturate the sigmoid
         feats = np.random.default_rng(6).uniform(-1, 1, (3, 5))
         seq = TokenSequence([2, 3, 1], True)
-        raw = disc.score(d, feats, seq)
+        raw = score_one(d, feats, seq)
         assert raw <= tr.SCORE_EPS or raw >= 1.0 - tr.SCORE_EPS
         with caplog.at_level("WARNING", logger="seqgan.training"):
-            value, = tr._clamped_scores(d, feats, seq)
+            value, = tr._clamped_scores(d, feats[None], [seq])
         assert value == float(np.clip(raw, tr.SCORE_EPS, 1.0 - tr.SCORE_EPS))
         assert [r.getMessage() for r in caplog.records] == \
             [f"discriminator score {raw:.3g} clamped before log"]
