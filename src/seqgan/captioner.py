@@ -17,7 +17,7 @@ models read.  The decoders ``greedy_decode``, ``sample_sentence`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,16 @@ ATTENTION_MODES = ("context_aware", "att2all")
 _MASK = -1e30
 
 
+def _check_field_types(config, str_fields=()):
+    """``InputError`` naming the first field of a model config that is not a
+    str (the fields named in ``str_fields``) or an int (every other; a bool
+    is not an int)."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), str if f.name in str_fields else int
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise InputError(f"{f.name} must be {kind.__name__}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class CaptionerConfig:
     vocab_size: int
@@ -46,6 +56,7 @@ class CaptionerConfig:
     attention: str = "context_aware"
 
     def __post_init__(self):
+        _check_field_types(self, str_fields=("attention",))
         for name in ("vocab_size", "hidden_dim", "num_crops", "feature_dim", "max_len"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")

@@ -15,6 +15,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -94,6 +95,8 @@ def _merge_strict(defaults, overrides, path=""):
                     and not isinstance(value, bool):
                 if expect is int and isinstance(value, float) and not value.is_integer():
                     raise ConfigError(f"{here}: expected an integer, got {value}")
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{here}: expected a finite number, got {value}")
                 merged[key] = expect(value)
             elif isinstance(value, expect) and not (expect is not bool
                                                     and isinstance(value, bool)):
@@ -109,15 +112,15 @@ def parse_config(data: dict) -> dict:
     ranges, the rules of ``generate_dataset`` and building the model and
     ``gan`` config objects.  Errors name the field path."""
     cfg = _merge_strict(_DEFAULTS, data)
-    ce = cfg["ce_pretrain"]
-    for name, ok, rule in (("ce_pretrain.epochs", ce["epochs"] >= 0, ">= 0"),
-                           ("ce_pretrain.batch_size", ce["batch_size"] >= 1, ">= 1"),
-                           ("ce_pretrain.lr", ce["lr"] > 0, "> 0"),
-                           ("metrics.cca_rank", cfg["metrics"]["cca_rank"] >= 1, ">= 1")):
-        if not ok:
-            section, field = name.split(".")
-            raise ConfigError(f"{name} must be {rule}, got {cfg[section][field]}")
-    ds, d = cfg["dataset"], cfg["discriminator"]
+    ce, ds, d = cfg["ce_pretrain"], cfg["dataset"], cfg["discriminator"]
+    for name, value, low in (("seed", cfg["seed"], 0), ("dataset.seed", ds["seed"], 0),
+                             ("ce_pretrain.epochs", ce["epochs"], 0),
+                             ("ce_pretrain.batch_size", ce["batch_size"], 1),
+                             ("metrics.cca_rank", cfg["metrics"]["cca_rank"], 1)):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if not ce["lr"] > 0:
+        raise ConfigError(f"ce_pretrain.lr must be > 0, got {ce['lr']}")
     for section, check in (
             ("dataset", lambda: dat.check_dataset_request(
                 ds["n_objects"], ds["n_contexts"], ds["n_images"], ds["feature_dim"],
@@ -134,7 +137,14 @@ def parse_config(data: dict) -> dict:
     return cfg
 
 
+def _check_seed_override(seed_override):
+    """``--seed-override`` replaces the config's ``seed``, so it obeys its rule."""
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"--seed-override must be >= 0, got {seed_override}")
+
+
 def load_config(path, seed_override=None, out_dir=None) -> dict:
+    _check_seed_override(seed_override)
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -308,14 +318,17 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
     ckpts = [dat.load_checkpoint(p) for p in checkpoint_paths]
     first = ckpts[0]
     cfg = stored_config(first)
-    # members trained on other datasets give the same token ids other words
+    # members trained on other datasets give the same token ids other words,
+    # and members of other captioner shapes cannot be stacked
     for path, ckpt in zip(checkpoint_paths[1:], ckpts[1:]):
-        other = stored_config(ckpt)["dataset"]
-        for key, value in cfg["dataset"].items():
-            if other[key] != value:
-                raise ConfigError(f"{path}: dataset.{key} is {other[key]!r}, but "
-                                  f"{checkpoint_paths[0]} was trained with {value!r}; "
-                                  f"ensemble members must share one dataset")
+        other = stored_config(ckpt)
+        for section in ("dataset", "captioner"):
+            for key, value in cfg[section].items():
+                if other[section][key] != value:
+                    raise ConfigError(f"{path}: {section}.{key} is {other[section][key]!r}, "
+                                      f"but {checkpoint_paths[0]} was trained with "
+                                      f"{value!r}; ensemble members must share one "
+                                      f"{section} config")
     dataset = build_dataset(cfg)
     examples = dataset.split(split)
     decoded, rows, report = split_metrics(
@@ -347,6 +360,7 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
             raise ConfigError(f"unknown estimator {est!r}")
     if n_batches < 1:
         raise ConfigError("n_batches must be >= 1")
+    _check_seed_override(seed_override)
     ckpt = dat.load_checkpoint(checkpoint_path)
     cfg = stored_config(ckpt)
     if seed_override is not None:

@@ -21,18 +21,24 @@ File formats (also documented in the README):
   files (per-gate arrays, scalars as rank 1) still load, converted to the
   fused layout.  ``aux`` holds named arrays; a malformed CIDEr idf or
   semantic-scorer table in it is rejected (``NGramIdf.from_aux``,
-  ``SemanticScorer.from_aux``).
+  ``SemanticScorer.from_aux``, against the stored captioner's vocabulary
+  and image width).  Stored model configs are rebuilt as
+  ``cls(**stored)``: ``CaptionerConfig`` and ``DiscriminatorConfig`` check
+  their own field types.
+
+Both formats are read through one bounds-checked cursor, ``_Reader``; a
+field that runs past the end raises ``FormatError`` at the offset where it
+starts.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
-import types
-import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +59,36 @@ class FormatError(ValueError):
 
 class VersionError(FormatError):
     """Unknown magic or unsupported container version."""
+
+
+class _Reader:
+    """A bounds-checked cursor over ``blob``, which starts at byte ``base``
+    of its file.  A field that runs past the end raises ``FormatError`` with
+    the caller's message at the file offset where that field starts."""
+
+    def __init__(self, blob: bytes, base: int = 0, pos: int = 0):
+        self.blob, self.base, self.pos = blob, base, pos
+
+    def skip(self, n: int, what: str) -> int:
+        """Step over ``n`` bytes; returns the position they start at."""
+        start = self.pos
+        if start + n > len(self.blob):
+            raise FormatError(what, offset=self.base + start)
+        self.pos += n
+        return start
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self.skip(struct.calcsize(fmt), what))
+
+    def name(self, what: str) -> str:
+        """A u16 length, then that many bytes of UTF-8."""
+        (n,) = self.unpack("<H", what)
+        start = self.skip(n, what)
+        raw = self.blob[start : self.pos]
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"name {raw!r} is not UTF-8", offset=self.base + start) from None
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +319,9 @@ def load_features(path, expected_crops=None, expected_dim=None):
     """Parse a feature file into scenes (labels unknown for external files)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 4 or blob[:4] != _FEATURE_MAGIC:
+    if blob[:4] != _FEATURE_MAGIC:
         raise FormatError("bad feature-file magic", offset=0)
-    if len(blob) < 16:
-        raise FormatError("truncated feature-file header", offset=len(blob))
-    count, crops, dim = struct.unpack_from("<III", blob, 4)
+    count, crops, dim = _Reader(blob, pos=4).unpack("<III", "truncated feature-file header")
     for offset, name, value in ((4, "image count", count), (8, "crops", crops),
                                 (12, "dim", dim)):
         if value == 0:
@@ -324,11 +358,22 @@ _V1_GATES = {"gen": ("lstm_{}_i", "lstm_{}_f", "lstm_{}_o", "sent_{}", "lstm_{}_
 
 
 @dataclass
+class AdamState:
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    step: int = 0
+
+    def copy(self) -> AdamState:
+        return AdamState({k: a.copy() for k, a in self.m.items()},
+                         {k: a.copy() for k, a in self.v.items()}, self.step)
+
+
+@dataclass
 class Checkpoint:
     captioner: CaptionerParams | None
     discriminator: DiscriminatorParams | None
-    gen_opt: object | None        # training.AdamState
-    disc_opt: object | None
+    gen_opt: AdamState | None
+    disc_opt: AdamState | None
     config: dict
     rng_state: dict | None
     epoch: int
@@ -350,76 +395,33 @@ def _pack_table(arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def _unpack_table(blob: bytes, base: int) -> dict[str, np.ndarray]:
-    def need(n, off):
-        if off + n > len(blob):
-            raise FormatError("truncated tensor table", offset=base + off)
-        return off + n
-
-    off = need(4, 0) - 4
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    reader, what = _Reader(blob, base), "truncated tensor table"
+    (count,) = reader.unpack("<I", what)
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        need(2, off)
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        need(nlen, off)
-        name = _decode_name(blob[off : off + nlen], base + off)
-        off += nlen
-        need(1, off)
-        ndim = blob[off]
-        off += 1
-        dims_n = max(ndim, 1)
-        need(4 * dims_n, off)
-        dims = struct.unpack_from(f"<{dims_n}I", blob, off)
-        off += 4 * dims_n
-        size = int(np.prod(dims)) if ndim else 1
-        need(8 * size, off)
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).copy()
-        off += 8 * size
+        name = reader.name(what)
+        (ndim,) = reader.unpack("<B", what)
+        dims = reader.unpack(f"<{max(ndim, 1)}I", what)
+        size = math.prod(dims) if ndim else 1
+        start = reader.skip(8 * size, what)
+        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=start).copy()
         arrays[name] = arr.reshape(dims if ndim else ())
-    if off != len(blob):
-        raise FormatError(f"{len(blob) - off} bytes left over in a tensor table",
-                          offset=base + off)
+    if reader.pos != len(blob):
+        raise FormatError(f"{len(blob) - reader.pos} bytes left over in a tensor table",
+                          offset=base + reader.pos)
     return arrays
 
 
-def _decode_name(raw: bytes, offset: int) -> str:
-    try:
-        return raw.decode()
-    except UnicodeDecodeError:
-        raise FormatError(f"name {raw!r} is not UTF-8", offset=offset) from None
-
-
 def _config_from_meta(cls, raw, what: str):
-    """``cls(**raw)`` for a config stored in meta, or ``FormatError``."""
+    """``cls(**raw)`` for a config stored in meta, or ``FormatError``; the
+    config classes check their own field types."""
     if not isinstance(raw, dict):
         raise FormatError(f"{what} is not a JSON object", offset=12)
     try:
-        config = cls(**raw)
+        return cls(**raw)
     except (TypeError, InputError) as err:
         raise FormatError(f"{what} is not a valid {cls.__name__}: {err}",
                           offset=12) from None
-    hints = typing.get_type_hints(cls)
-    wrong = [f.name for f in fields(config)
-             if not _has_type(getattr(config, f.name), hints[f.name])]
-    if wrong:
-        raise FormatError(f"{what} has values of the wrong type: {', '.join(wrong)}",
-                          offset=12)
-    return config
-
-
-def _has_type(value, hint) -> bool:
-    """``isinstance`` for a JSON value and a field's type hint: a bool is not an
-    int, an int is a float, and a union matches any of its members."""
-    origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_has_type(value, h) for h in typing.get_args(hint))
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, origin or hint)
 
 
 def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict, section: str, offset: int):
@@ -469,8 +471,6 @@ def _opt_to_table(state) -> dict[str, np.ndarray]:
 def _opt_from_table(table: dict[str, np.ndarray], model, section: str, offset: int):
     """Adam state from its table: a step count and one first and one second
     moment per array of ``model``, with that array's shape."""
-    from .training import AdamState
-
     if model is None:
         raise FormatError(f"section {section!r} has no model in the checkpoint",
                           offset=offset)
@@ -542,43 +542,31 @@ def save_checkpoint(path, ckpt: Checkpoint):
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 4 or blob[:4] != _CKPT_MAGIC:
+    if blob[:4] != _CKPT_MAGIC:
         raise VersionError("not a checkpoint file (bad magic)", offset=0)
-    if len(blob) < 12:
-        raise FormatError("truncated checkpoint header", offset=len(blob))
-    version, n_sections = struct.unpack_from("<II", blob, 4)
+    reader = _Reader(blob, pos=4)
+    version, n_sections = reader.unpack("<II", "truncated checkpoint header")
     if version not in (1, _CKPT_VERSION):
         raise VersionError(f"unsupported checkpoint version {version}", offset=4)
 
-    off = 12
     table: list[tuple[str, int]] = []
     for _ in range(n_sections):
-        if off + 2 > len(blob):
-            raise FormatError("truncated section table", offset=off)
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        if off + nlen + 8 > len(blob):
-            raise FormatError("truncated section table", offset=off)
-        name = _decode_name(blob[off : off + nlen], off)
-        off += nlen
-        (plen,) = struct.unpack_from("<Q", blob, off)
-        off += 8
+        name = reader.name("truncated section table")
+        (plen,) = reader.unpack("<Q", "truncated section table")
         table.append((name, plen))
 
     payloads: dict[str, bytes] = {}
     starts: dict[str, int] = {}
     for name, plen in table:
         if name not in _CKPT_SECTIONS:
-            raise FormatError(f"unknown section {name!r}", offset=off)
+            raise FormatError(f"unknown section {name!r}", offset=reader.pos)
         if name in payloads:
-            raise FormatError(f"duplicate section {name!r}", offset=off)
-        if off + plen > len(blob):
-            raise FormatError(f"truncated payload for section {name!r}", offset=off)
-        payloads[name], starts[name] = blob[off : off + plen], off
-        off += plen
-    if off != len(blob):
-        raise FormatError(f"{len(blob) - off} trailing bytes after the last payload",
-                          offset=off)
+            raise FormatError(f"duplicate section {name!r}", offset=reader.pos)
+        starts[name] = reader.skip(plen, f"truncated payload for section {name!r}")
+        payloads[name] = blob[starts[name] : reader.pos]
+    if reader.pos != len(blob):
+        raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the last payload",
+                          offset=reader.pos)
     if "meta" not in payloads:
         raise FormatError("checkpoint missing meta section", offset=12)
     try:
@@ -634,10 +622,11 @@ def load_checkpoint(path) -> Checkpoint:
     aux = {}
     if "aux" in payloads:
         aux = _unpack_table(payloads["aux"], starts["aux"])
-        for what, check in (
-                ("idf table", lambda: NGramIdf.from_aux(aux)),
-                ("semantic scorer", lambda: SemanticScorer.from_aux(
-                    aux, captioner.config.vocab_size if captioner else None))):
+        # a stored scorer has the captioner's vocabulary and image width
+        sizes = ((captioner.config.vocab_size, captioner.config.feature_dim)
+                 if captioner else ())
+        for what, check in (("idf table", lambda: NGramIdf.from_aux(aux)),
+                            ("semantic scorer", lambda: SemanticScorer.from_aux(aux, *sizes))):
             try:
                 check()
             except InputError as err:

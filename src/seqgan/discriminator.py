@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .captioner import (_MASK, CaptionBatch, InputError, _check_feats, _init_arrays,
-                        _lstm_cell)
+from .captioner import (_MASK, CaptionBatch, InputError, _check_feats, _check_field_types,
+                        _init_arrays, _lstm_cell)
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class DiscriminatorConfig:
     feature_dim: int = 16
 
     def __post_init__(self):
+        _check_field_types(self)
         for name in ("vocab_size", "hidden_dim", "num_crops", "feature_dim"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")

@@ -359,12 +359,14 @@ class SemanticScorer:
         return dict(zip(SEM_AUX, (self.embed, m.U, m.V, m.sigma, m.mean_x, m.mean_y)))
 
     @staticmethod
-    def from_aux(aux: dict, vocab_size: int | None = None) -> "SemanticScorer | None":
+    def from_aux(aux: dict, vocab_size: int | None = None,
+                 feature_dim: int | None = None) -> "SemanticScorer | None":
         """The scorer stored by ``to_aux``; None when ``aux`` holds none of
         its arrays.  A malformed table raises ``InputError``: every array
         must be present and finite, ``sem_embed`` K x m (K = ``vocab_size``
-        when given), ``sem_U`` m x r, ``sem_V`` d x r, ``sem_sigma`` r values
-        in [0, 1], ``sem_mean_x`` m values and ``sem_mean_y`` d values."""
+        when given), ``sem_U`` m x r, ``sem_V`` d x r (d = ``feature_dim``
+        when given), ``sem_sigma`` r values in [0, 1], ``sem_mean_x`` m values
+        and ``sem_mean_y`` d values."""
         present = [name for name in SEM_AUX if name in aux]
         if not present:
             return None
@@ -380,6 +382,9 @@ class SemanticScorer:
         (K, m), (r,), (d,) = embed.shape, sigma.shape, mean_y.shape
         if vocab_size is not None and K != vocab_size:
             raise InputError(f"sem_embed has {K} rows for a vocabulary of {vocab_size}")
+        if feature_dim is not None and d != feature_dim:
+            raise InputError(f"sem_mean_y has {d} values for image features of width "
+                             f"{feature_dim}")
         for name, shape in (("sem_U", (m, r)), ("sem_V", (d, r)), ("sem_mean_x", (m,))):
             if arrays[name].shape != shape:
                 raise InputError(f"{name} has shape {arrays[name].shape}, expected {shape}")

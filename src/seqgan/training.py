@@ -31,6 +31,7 @@ from . import metrics as met
 from .captioner import (BoundCaptioner, CaptionBatch, CaptionerParams,  # noqa: F401
                         InputError, TokenSequence, _check_feats, greedy_decode,
                         greedy_decode_batch, sample_sentence)
+from .data import AdamState
 from .discriminator import BoundDiscriminator
 from .metrics import NumericError
 
@@ -63,8 +64,9 @@ class GanConfig:
             raise InputError(f"estimator must be one of {ESTIMATORS}")
         if self.reward not in REWARDS:
             raise InputError(f"reward must be one of {REWARDS}")
-        if self.temperature <= 0:
-            raise InputError("temperature must be positive")
+        for name in ("temperature", "g_lr", "d_lr"):
+            if not getattr(self, name) > 0:
+                raise InputError(f"{name} must be positive")
         for name in ("cider_weight", "fm_image_weight", "fm_caption_weight"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be nonnegative")
@@ -90,17 +92,6 @@ class RewardRecord:
 # ---------------------------------------------------------------------------
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-@dataclass
-class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-
-    def copy(self) -> "AdamState":
-        return AdamState({k: a.copy() for k, a in self.m.items()},
-                         {k: a.copy() for k, a in self.v.items()}, self.step)
 
 
 def init_adam(arrays: dict[str, np.ndarray]) -> AdamState:

@@ -129,7 +129,10 @@ class TestConfigParsing:
         ("dataset", "n_images", 2), ("dataset", "feature_dim", 5),
         ("dataset", "n_objects", 1), ("dataset", "words_per_object", 0),
         ("dataset", "words_per_context", 0), ("dataset", "num_crops", 0),
-        ("dataset", "ooc_fraction", 2.0), ("dataset", "ooc_fraction", -3.0)))
+        ("dataset", "ooc_fraction", 2.0), ("dataset", "ooc_fraction", -3.0),
+        ("dataset", "seed", -2), ("gan", "g_lr", -1.0), ("gan", "d_lr", 0),
+        ("gan", "temperature", float("inf")), ("gan", "d_lr", float("nan")),
+        ("ce_pretrain", "lr", float("inf")), ("dataset", "noise", float("nan"))))
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                section, field, value):
         def no_work(*args, **kwargs):
@@ -154,6 +157,24 @@ class TestConfigParsing:
         assert f"config error: unknown config key: metrics.{switch}" in \
             capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ("train", "gen-data"))
+    @pytest.mark.parametrize("overrides, args, message", (
+        ({"seed": -1}, [], "seed must be >= 0, got -1"),
+        ({"dataset": {**TINY["dataset"], "seed": -2}}, [], "dataset.seed must be >= 0, got -2"),
+        ({}, ["--seed-override", "-3"], "--seed-override must be >= 0, got -3")),
+        ids=("seed", "dataset-seed", "seed-override"))
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   command, overrides, args, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although the seed is bad")
+
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config), "--out-dir", str(out), *args]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_log_level_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEQGAN_LOG", "verbose")
@@ -388,6 +409,48 @@ class TestEval:
             "with 4" in err
         assert not out.exists()
 
+    def test_members_with_another_captioner_exit_2(self, trained_run, capsys):
+        path = str(trained_run["ckpts"][-1])
+        other = rewrite_checkpoint(path, trained_run["tmp"] / "other-captioner.sgck",
+                                   captioner={"hidden_dim": 12})
+        out = trained_run["tmp"] / "mixed-captioner"
+        assert cli.main(["eval", "--checkpoint", path, "--checkpoint", other,
+                         "--split", "val", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {other}: captioner.hidden_dim is 12, but {path} was " \
+            "trained with 10; ensemble members must share one captioner config" in err
+        assert not out.exists()
+
+    def test_members_sharing_dataset_and_captioner_evaluate(self, trained_run):
+        """Sections other than ``dataset`` and ``captioner`` may differ."""
+        path = str(trained_run["ckpts"][-1])
+        other = rewrite_checkpoint(path, trained_run["tmp"] / "other-gan.sgck",
+                                   gan={"epochs": 3, "g_lr": 0.5},
+                                   discriminator={"hidden_dim": 12})
+        single, pair = trained_run["tmp"] / "gan-single", trained_run["tmp"] / "gan-pair"
+        assert cli.main(["eval", "--checkpoint", path, "--split", "val",
+                         "--out-dir", str(single)]) == 0
+        assert cli.main(["eval", "--checkpoint", path, "--checkpoint", other,
+                         "--split", "val", "--out-dir", str(pair)]) == 0
+        assert (single / "eval-val.csv").read_bytes() == (pair / "eval-val.csv").read_bytes()
+
+    def test_scorer_of_another_image_width_is_format_error_at_aux(self, trained_run, capsys):
+        ckpt = dat.load_checkpoint(trained_run["ckpts"][-1])
+        assert ckpt.aux["sem_V"].shape[0] == ckpt.captioner.config.feature_dim == 10
+        ckpt.aux.update(sem_V=ckpt.aux["sem_V"][:-1], sem_mean_y=ckpt.aux["sem_mean_y"][:-1])
+        bad = trained_run["tmp"] / "narrow-scorer.sgck"
+        dat.save_checkpoint(bad, ckpt)
+        message = "aux semantic scorer is malformed: sem_mean_y has 9 values for image " \
+            "features of width 10"
+        with pytest.raises(dat.FormatError, match=message) as err:
+            dat.load_checkpoint(bad)
+        assert err.value.offset == len(bad.read_bytes()) - len(dat._pack_table(ckpt.aux))
+        out = trained_run["tmp"] / "narrow-scorer"
+        assert cli.main(["eval", "--checkpoint", str(bad), "--split", "val",
+                         "--out-dir", str(out)]) == 1
+        assert f"FormatError: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda a: a["sem_sigma"].__setitem__(0, np.nan),
         lambda a: a.update(sem_embed=a["sem_embed"][:-3]),
@@ -484,6 +547,20 @@ class TestGradProbe:
                          "--out-dir", str(out)]) == 1
         assert "ProbeError: estimators saw different batches" in capsys.readouterr().err
         assert not (out / "grad_probe.csv").exists()
+
+    def test_negative_seed_override_exits_2_before_any_work(self, trained_run, capsys,
+                                                            monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although the seed is bad")
+
+        monkeypatch.setattr(cli.dat, "load_checkpoint", no_work)
+        out = trained_run["tmp"] / "probe-negative-seed"
+        assert cli.main(["grad-probe", "--checkpoint", str(trained_run["ckpts"][-1]),
+                         "--n-batches", "2", "--seed-override", "-100",
+                         "--out-dir", str(out)]) == 2
+        assert "config error: --seed-override must be >= 0, got -100" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_estimator_exits_2(self, trained_run):
         assert cli.main(["grad-probe", "--checkpoint", str(trained_run["ckpts"][-1]),

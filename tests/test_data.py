@@ -2,7 +2,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import make_dataclass
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -409,17 +409,6 @@ class TestCheckpoint:
         with pytest.raises(dat.FormatError, match="meta"):
             dat.load_checkpoint(self._rebuilt(tmp_path, self._edit_meta(edit)))
 
-    def test_config_type_check_follows_the_annotations(self):
-        # class annotations here are real types, not strings
-        cfg = make_dataclass("Cfg", [("n", int), ("rate", float), ("cap", int | None),
-                                     ("flag", bool)])
-        ok = {"n": 2, "rate": 1, "cap": None, "flag": False}
-        assert dat._config_from_meta(cfg, ok, "cfg") == cfg(2, 1, None, False)
-        assert dat._config_from_meta(cfg, dict(ok, cap=3, rate=0.5), "cfg").cap == 3
-        for bad in ({"n": True}, {"n": 2.0}, {"rate": "1"}, {"cap": True}, {"flag": 1}):
-            with pytest.raises(dat.FormatError, match="wrong type"):
-                dat._config_from_meta(cfg, dict(ok, **bad), "cfg")
-
     @staticmethod
     def _edit_table(section, edit):
         """Rebuild the container with ``edit(arrays)`` applied to one table."""
@@ -763,9 +752,77 @@ def test_truncation_at_any_offset_raises_only_format_errors(version, data):
             dat.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("kind, cut, message, offset", [
+    ("features", 10, "truncated feature-file header", 4),
+    ("checkpoint", 9, "truncated checkpoint header", 4),
+    ("checkpoint", 13, "truncated section table", 12),  # name length
+    ("checkpoint", 16, "truncated section table", 14),  # name
+    ("checkpoint", 20, "truncated section table", 18),  # payload length
+])
+def test_truncated_header_is_format_error_at_the_short_field(tmp_path, kind, cut, message,
+                                                              offset):
+    path = tmp_path / "cut"
+    if kind == "features":
+        dat.write_features(path, [np.zeros((2, 3))])
+        path.write_bytes(path.read_bytes()[:cut])
+        load = dat.load_features
+    else:
+        path.write_bytes(_REAL_CKPT[:cut])
+        load = dat.load_checkpoint
+    with pytest.raises(dat.FormatError, match=f"^{message} \\(at byte {offset}\\)$") as err:
+        load(path)
+    assert err.value.offset == offset
+
+
+def test_truncated_tensor_table_header_is_format_error_at_the_table(tmp_path):
+    sections = [(n, p[:2] if n == "gen" else p) for n, p in split_container(_REAL_CKPT)]
+    path = tmp_path / "cut.ckpt"
+    path.write_bytes(join_container(sections))
+    gen = [n for n, _ in sections].index("gen")
+    with pytest.raises(dat.FormatError, match="truncated tensor table") as err:
+        dat.load_checkpoint(path)
+    assert err.value.offset == len(path.read_bytes()) - sum(len(p) for _, p in sections[gen:])
+
+
+@pytest.mark.parametrize("dims", [(2**16,) * 4, (2**32 - 1,) * 2, (2**31, 2**31, 4)])
+def test_dims_whose_product_overflows_int64_are_format_error(tmp_path, dims):
+    """A table entry's size is counted exactly: (2**16)**4 is not 0."""
+    table = struct.pack(f"<IH1sB{len(dims)}I", 1, 1, b"x", len(dims), *dims) + bytes(16)
+    sections = split_container(_REAL_CKPT)
+    assert sections[-1][0] == "aux"
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(join_container(sections[:-1] + [("aux", table)]))
+    with pytest.raises(dat.FormatError, match="truncated tensor table") as err:
+        dat.load_checkpoint(path)
+    assert err.value.offset == len(path.read_bytes()) - 16  # the entry's data
+
+
+@pytest.mark.parametrize("cls", [CaptionerConfig, disc.DiscriminatorConfig])
+@pytest.mark.parametrize("value", [True, 4.0, "4", None], ids=["bool", "float", "str", "none"])
+def test_model_configs_check_their_int_field_types(cls, value):
+    names = [f.name for f in fields(cls) if f.name != "attention"]
+    assert "vocab_size" in names and "hidden_dim" in names
+    for name in names:
+        with pytest.raises(InputError, match=f"^{name} must be int, got "
+                                             f"{type(value).__name__}$"):
+            cls(**{"vocab_size": 7, name: value})
+
+
+@pytest.mark.parametrize("value", [3, None, b"att2all"])
+def test_captioner_attention_must_be_a_str(value):
+    with pytest.raises(InputError, match="^attention must be str"):
+        CaptionerConfig(vocab_size=7, attention=value)
+
+
+def test_adam_state_lives_beside_the_checkpoint():
+    assert tr.AdamState is dat.AdamState
+
+
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# aux names outside the idf and semantic-scorer tables, which load_checkpoint
+# checks as a whole (a lone random ``idf_docs`` is rightly rejected)
 _TABLES = st.dictionaries(
-    st.text(max_size=10),
+    st.text(max_size=10).filter(lambda name: name not in met.IDF_AUX + met.SEM_AUX),
     st.lists(st.integers(0, 3), max_size=3).flatmap(
         lambda shape: hnp.arrays(np.float64, tuple(shape), elements=_FLOATS)),
     max_size=4)

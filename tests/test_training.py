@@ -887,3 +887,10 @@ class TestNoGradEquivalence:
         assert value == float(np.clip(raw, tr.SCORE_EPS, 1.0 - tr.SCORE_EPS))
         assert [r.getMessage() for r in caplog.records] == \
             [f"discriminator score {raw:.3g} clamped before log"]
+
+
+@pytest.mark.parametrize("field, value", [("g_lr", 0.0), ("g_lr", -1.0), ("d_lr", 0.0),
+                                          ("d_lr", float("nan"))])
+def test_learning_rates_must_be_positive(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be positive$"):
+        tr.GanConfig(**{field: value})
