@@ -5,8 +5,9 @@ record once in reverse, accumulating vector-Jacobian products per node.  A
 ``Tape(grad=False)`` computes the same values without recording them.  Only
 the operations required by the attention captioner, the co-attention
 discriminator and their training losses are provided -- no convolutions, no
-GPU, no mixed precision.  Accumulation order is fixed by tape order, so runs
-are bit-reproducible.
+GPU, no mixed precision; ``Tape.record`` takes a node computed in plain
+numpy elsewhere (the captioner's decoder step) with its own VJP.
+Accumulation order is fixed by tape order, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -119,6 +120,22 @@ class Tape:
         self.nodes.append(Node(parents, vjp))
         self.gradients.append(None)
         return Tensor(self, len(self.nodes) - 1, value)
+
+    def record(self, value, parents, vjp) -> Tensor:
+        """One node for a computation done outside the op set, in plain
+        numpy: ``value`` computed from the ``parents`` (tensors of this
+        tape), and ``vjp(g)`` returning one gradient per parent, each summed
+        down here to its parent's shape.  On a no-grad tape only ``value`` is
+        kept."""
+        parents = [_wrap(self, t) for t in parents]
+        if not self.grad:
+            return Tensor(self, None, value)
+        shapes = [t.data.shape for t in parents]
+
+        def summed_vjp(g):
+            return tuple(_unbroadcast(pg, shape) for pg, shape in zip(vjp(g), shapes))
+
+        return self._record(value, tuple(t.index for t in parents), summed_vjp)
 
     def reset_grads(self):
         """Clear accumulators so backward may run again."""
@@ -296,7 +313,8 @@ def tanh(x: Tensor) -> Tensor:
 def _sigmoid(v):
     # split by sign to avoid overflow in exp
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -308,6 +326,40 @@ def sigmoid(x: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return x.tape._record(out, (x.index,), vjp)
+
+
+def _lstm_cell_values(pv, cv):
+    """The numpy body of ``lstm_cell`` on plain arrays (operands already
+    checked): returns ``c'`` (... x n x m), the k output rows
+    ``o_j*tanh(c')`` as ... x n x k x m, and what ``_lstm_cell_grads``
+    needs."""
+    m = cv.shape[-1]
+    k = pv.shape[-1] // m - 3
+    sig = _sigmoid(pv[..., : (k + 2) * m])
+    i, f, o = sig[..., :m], sig[..., m : 2 * m], sig[..., 2 * m :]
+    g = np.tanh(pv[..., (k + 2) * m :])
+    c_new = f * cv + i * g
+    tanh_c = np.tanh(c_new)
+    o_k = o.reshape(o.shape[:-1] + (k, m))
+    return c_new, o_k * tanh_c[..., None, :], (cv, i, f, o, g, tanh_c, o_k)
+
+
+def _lstm_cell_grads(saved, gc_new, gh):
+    """Reverse of ``_lstm_cell_values``: from the gradients of ``c'`` and of
+    the output rows, joined as ... x n x km, those of the pre-activations
+    and of the previous cell, on the broadcast leading axes (not yet summed
+    down to the operands' shapes)."""
+    cv, i, f, o, g, tanh_c, o_k = saved
+    m, k = cv.shape[-1], o_k.shape[-2]
+    gh = gh.reshape(gh.shape[:-1] + (k, m))
+    gc = gc_new + (gh * o_k).sum(axis=-2) * (1.0 - tanh_c * tanh_c)
+    gpre = np.empty(gc.shape[:-1] + ((k + 3) * m,))
+    gpre[..., :m] = gc * g * i * (1.0 - i)
+    gpre[..., m : 2 * m] = gc * cv * f * (1.0 - f)
+    gpre[..., 2 * m : (k + 2) * m] = (gh * tanh_c[..., None, :]).reshape(
+        gc.shape[:-1] + (k * m,)) * o * (1.0 - o)
+    gpre[..., (k + 2) * m :] = gc * i * (1.0 - g * g)
+    return gpre, gc * f
 
 
 def lstm_cell(pre: Tensor, c: Tensor) -> Tensor:
@@ -337,28 +389,16 @@ def lstm_cell(pre: Tensor, c: Tensor) -> Tensor:
             raise ShapeError(f"lstm_cell batch axes do not broadcast: {pv.shape}, "
                              f"{cv.shape}") from None
     k = pv.shape[-1] // m - 3
-    sig = _sigmoid(pv[..., : (k + 2) * m])
-    i, f, o = sig[..., :m], sig[..., m : 2 * m], sig[..., 2 * m :]
-    g = np.tanh(pv[..., (k + 2) * m :])
-    c_new = f * cv + i * g
-    tanh_c = np.tanh(c_new)
-    o_k = o.reshape(o.shape[:-1] + (k, m))
+    c_new, h, saved = _lstm_cell_values(pv, cv)
     out = np.empty(lead + (n, (k + 1) * m))
     out[..., :m] = c_new
-    out[..., m:] = (o_k * tanh_c[..., None, :]).reshape(lead + (n, k * m))
+    out[..., m:] = h.reshape(lead + (n, k * m))
     if not tape.grad:
         return Tensor(tape, None, out)
 
     def vjp(gout):
-        gh = gout[..., m:].reshape(lead + (n, k, m))
-        gc = gout[..., :m] + (gh * o_k).sum(axis=-2) * (1.0 - tanh_c * tanh_c)
-        gpre = np.empty(lead + pv.shape[-2:])
-        gpre[..., :m] = gc * g * i * (1.0 - i)
-        gpre[..., m : 2 * m] = gc * cv * f * (1.0 - f)
-        gpre[..., 2 * m : (k + 2) * m] = (gh * tanh_c[..., None, :]).reshape(
-            lead + (n, k * m)) * o * (1.0 - o)
-        gpre[..., (k + 2) * m :] = gc * i * (1.0 - g * g)
-        return _unbroadcast(gpre, pv.shape), _unbroadcast(gc * f, cv.shape)
+        gpre, gc = _lstm_cell_grads(saved, gout[..., :m], gout[..., m:])
+        return _unbroadcast(gpre, pv.shape), _unbroadcast(gc, cv.shape)
 
     return tape._record(out, (pre.index, c.index), vjp)
 
@@ -393,18 +433,28 @@ def softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     temperature = float(temperature)
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    v = x.data / temperature
-    z = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_values(x.data / temperature)
     if not x.tape.grad:
         return Tensor(x.tape, None, out)
 
     def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot) / temperature,)
+        return (_softmax_grads(out, g) / temperature,)
 
     return x.tape._record(out, (x.index,), vjp)
+
+
+def _softmax_values(v):
+    """The numpy body of ``softmax`` at temperature 1 on a plain array."""
+    z = v - v.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grads(out, g):
+    """Gradient of ``_softmax_values``'s input from its output ``out`` and
+    the output's gradient ``g``."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
@@ -535,11 +585,8 @@ def get_row(x: Tensor, i) -> Tensor:
         valid = 0 <= i < rows
     else:
         ids = np.asarray(i)
-        # checked on a list: for the few ids of a decoder step that is
-        # several times cheaper than numpy comparisons and a reduction
-        listed = ids.tolist() if ids.ndim == 1 and ids.dtype.kind in "iu" else None
-        valid = listed is not None and (not listed
-                                        or (min(listed) >= 0 and max(listed) < rows))
+        valid = ids.ndim == 1 and ids.dtype.kind in "iu" and bool(
+            ((ids >= 0) & (ids < rows)).all())
     if not valid:
         raise ShapeError(f"row {i} invalid for shape {v.shape}")
     # fancy indexing copies

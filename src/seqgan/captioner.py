@@ -9,10 +9,17 @@ used last.  The sentinel competes with the image crops inside one
 A plain attention path without the sentinel and without context feedback is
 available via ``CaptionerConfig.attention = "att2all"``.
 
+The decoder step (fused LSTM cell, sentinel attention, context feedback
+and the att2all masking) is written once in plain numpy: ``_step_forward``
+and its reverse, ``_step_reverse``.  The decoders ``greedy_decode``,
+``sample_sentence`` and ``ensemble_decode`` (one C x d image) and
+``greedy_decode_batch`` (B of them) call the forward directly, with no tape
+and no bind.  On a tape, ``BoundCaptioner`` records a whole teacher-forced
+unroll as one node, or one node per step where outputs are fed back.
+
 Teacher forcing takes a ``CaptionBatch`` of B captions against B x C x d
 features; ``CaptionBatch.one_hot`` gives the padded one-hot rows that both
-models read.  The decoders ``greedy_decode``, ``sample_sentence`` and
-``ensemble_decode`` take one C x d image, ``greedy_decode_batch`` B of them.
+models read.
 """
 
 from __future__ import annotations
@@ -169,53 +176,129 @@ def _init_arrays(shapes, m: int, seed: int) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _lstm_cell(inputs, c, W, b):
-    """One fused LSTM cell step, shared by the captioner and the discriminator.
+# the weights of the decoder step, as ``_step_forward`` reads them
+_STEP_WEIGHTS = ("lstm_W", "lstm_b", "attn_Wa", "attn_Wh", "attn_w", "attn_b")
 
-    ``W`` maps the concatenated ``inputs`` to column blocks ``i, f, o_1..o_k,
-    g`` of width m each (m = width of ``c``): one affine node, then one
-    ``ad.lstm_cell`` node for all the element-wise work.
 
-    Returns [c', o_1*tanh(c'), ..., o_k*tanh(c')]; the first output gate
-    gives h'.  Blocks are joined and split on the last axis, so stacked
-    members (a leading axis on every operand) run through the same nodes.
+def _masks(config: CaptionerConfig):
+    """The 1 x K mask that keeps BOS from being emitted and, in att2all mode,
+    the 1 x (C+1) mask that gives the sentinel slot zero attention (None in
+    context-aware mode)."""
+    bos = np.zeros((1, config.vocab_size))
+    bos[0, config.bos_id] = _MASK
+    if config.attention == "context_aware":
+        return bos, None
+    sentinel = np.zeros((1, config.num_crops + 1))
+    sentinel[0, -1] = _MASK
+    return bos, sentinel
+
+
+def _step_forward(w, h, c, ctx, x, feats_proj, sentinel_mask):
+    """One decoder step in plain numpy.
+
+    ``w`` maps the names of ``_STEP_WEIGHTS`` to arrays.  Every operand may
+    carry leading axes (members, batch rows), e.g. B x 1 x m states against
+    B x C x m crops.  The fused cell maps [x | ctx | h] to the column blocks
+    i, f, o, sentinel, g; the sentinel is the cell's second output gate
+    applied to tanh(c'), stacked as one more attendable row under the
+    projected crops, so the crop and sentinel scores come from one
+    (C+1)-way score pass.  With a ``sentinel_mask`` (att2all mode) the
+    context fed back is zero and the mask is added to the scores.
+
+    Returns (output row h' + ctx', h', c', ctx', attn, saved); the last slot
+    of ``attn`` is the sentinel gate and ``saved`` feeds ``_step_reverse``.
     """
-    m = c.shape[-1]
-    out = ad.lstm_cell(ad.affine(ad.concat(inputs, axis=-1), W, b), c)
-    return [ad.narrow(out, -1, j, m) for j in range(0, out.shape[-1], m)]
+    if sentinel_mask is not None:
+        ctx = np.zeros(h.shape)
+    u = np.concatenate([x, ctx, h], axis=-1)
+    c_new, out_rows, cell = ad._lstm_cell_values(u @ w["lstm_W"] + w["lstm_b"], c)
+    h_new, sentinel = out_rows[..., 0, :], out_rows[..., 1, :]
+    values = np.concatenate([feats_proj, sentinel], axis=-2)  # (C+1) x m
+    act = np.tanh(values @ w["attn_Wa"] + (h_new @ w["attn_Wh"] + w["attn_b"]))
+    scores = (act @ w["attn_w"]).swapaxes(-1, -2)  # 1 x (C+1)
+    if sentinel_mask is not None:
+        scores = scores + sentinel_mask
+    attn = ad._softmax_values(scores)
+    ctx_new = attn @ values
+    saved = (sentinel_mask is None, u, cell, h_new, values, act, attn)
+    return h_new + ctx_new, h_new, c_new, ctx_new, attn, saved
+
+
+def _step_reverse(wT, saved, g_row, g_h, g_c, g_ctx, g_attn=None):
+    """Reverse of one ``_step_forward``, given the step weights transposed
+    over their last two axes (``_transposed``): from the gradients of its
+    output row, h', c' and ctx' (and attn, when it was used), those of x, h,
+    c, ctx (zero in att2all mode) and the projected crops, plus ``terms``:
+    the operand pairs whose products give the weight gradients (see
+    ``_weight_grads``).  Leading axes are not summed down."""
+    context_aware, u, cell, h_new, values, act, attn = saved
+    m = h_new.shape[-1]
+    C = values.shape[-2] - 1
+    g_ctx_new = g_row + g_ctx
+    g_scores = g_ctx_new @ values.swapaxes(-1, -2)
+    if g_attn is not None:
+        g_scores = g_scores + g_attn
+    g_e = ad._softmax_grads(attn, g_scores).swapaxes(-1, -2)  # (C+1) x 1
+    g_z = (g_e @ wT["attn_w"]) * (1.0 - act * act)
+    g_values = attn.swapaxes(-1, -2) @ g_ctx_new + g_z @ wT["attn_Wa"]
+    g_hh = g_z.sum(axis=-2, keepdims=True)
+    g_h_new = g_row + g_h + g_hh @ wT["attn_Wh"]
+    g_pre, g_c_prev = ad._lstm_cell_grads(
+        cell, g_c, np.concatenate([g_h_new, g_values[..., C:, :]], axis=-1))
+    g_u = g_pre @ wT["lstm_W"]
+    g_ctx_prev = g_u[..., m : 2 * m] if context_aware else np.zeros(g_ctx.shape)
+    terms = (u, g_pre, values, g_z, h_new, g_hh, act, g_e)
+    return g_u[..., :m], g_u[..., 2 * m :], g_c_prev, g_ctx_prev, g_values[..., :C, :], terms
+
+
+def _transposed(w):
+    """The step weights that ``_step_reverse`` multiplies by, each with its
+    last two axes swapped."""
+    return {name: w[name].swapaxes(-1, -2) for name in ("attn_w", "attn_Wa", "attn_Wh", "lstm_W")}
+
+
+def _weight_grads(w, terms) -> list:
+    """The gradients of the ``_STEP_WEIGHTS``, in that order, from the
+    ``terms`` of one reverse step, or of several with each operand stacked
+    over the steps: each weight's is one product over all rows (biases are
+    left for ``Tape.record`` to sum)."""
+    u, g_pre, values, g_z, h_new, g_hh, act, g_e = terms
+    return [ad._weight_grad(u, g_pre, w["lstm_W"].shape), g_pre,
+            ad._weight_grad(values, g_z, w["attn_Wa"].shape),
+            ad._weight_grad(h_new, g_hh, w["attn_Wh"].shape),
+            ad._weight_grad(act, g_e, w["attn_w"].shape), g_hh]
 
 
 class BoundCaptioner:
-    """Captioner parameters bound to a tape, exposing differentiable steps.
+    """Captioner parameters bound to a tape, for the training losses.
 
-    Used directly by the training losses; the module-level functions below
-    wrap it for plain (non-gradient) decoding.
+    The decoder step itself runs in plain numpy (``_step_forward`` and
+    ``_step_reverse``); the tape sees it as whole nodes.
+    ``sequence_log_prob_and_logits`` records a teacher-forced unroll as one
+    node, and ``step`` one node per step, for unrolls that feed their
+    outputs back (the Gumbel estimators).  The projection of the crops, the
+    output head (affine, masked softmax, pick, log) and whatever consumes
+    the logits stay ops on the tape.  The module-level decoders bind no
+    captioner: they call the plain step directly.
 
     ``step`` returns the output row ``h' + ctx'``; ``logits`` projects one
     or several stacked output rows to word scores in one affine node.
 
     The arrays of ``params`` may carry a leading member axis (M x ...,
-    built by ``stack_members``): the bound model then runs M same-config
-    models as one, every tensor of a step carries the member axis (the zero
-    state is M x 1 x m, or M x B x 1 x m for B rows, whose weights need a
-    row axis: see ``_decode``), and each step is one set of nodes for all
-    members.
+    built by ``stack_members``): every tensor of a step then carries the
+    member axis (the zero state is M x 1 x m, or M x B x 1 x m for B rows,
+    whose weights need a row axis: see ``_decode``).
     """
 
     def __init__(self, tape: ad.Tape, params: CaptionerParams):
         self.tape = tape
         self.config = params.config
         self.p = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
-        mask = np.zeros(params.config.vocab_size)
-        mask[params.config.bos_id] = _MASK
-        self._bos_mask = tape.tensor(mask.reshape(1, -1))
+        self._w = {name: self.p[name].data for name in _STEP_WEIGHTS}
+        bos_mask, self._sentinel_mask = _masks(params.config)
+        self._bos_mask = tape.tensor(bos_mask)
         self._members = params.arrays["embed"].shape[:-2]  # (M,) when stacked, else ()
         self._zeros = {}  # zero leaves by shape, bound on first use
-        self._context_aware = params.config.attention == "context_aware"
-        if not self._context_aware:  # the sentinel slot gets exactly zero attention
-            scores = np.zeros((1, params.config.num_crops + 1))
-            scores[0, -1] = _MASK
-            self._sentinel_mask = tape.tensor(scores)
 
     def project_feats(self, image_feats, batch: int | None = None) -> ad.Tensor:
         """Crops projected to the attention width: C x m, or B x C x m for
@@ -223,16 +306,14 @@ class BoundCaptioner:
         feats = _check_feats(image_feats, self.config, batch)
         return ad.matmul(self.tape.tensor(feats), self.p["attn_Wv"])
 
-    def _zero(self, shape) -> ad.Tensor:
-        if shape not in self._zeros:
-            self._zeros[shape] = self.tape.tensor(np.zeros(shape))
-        return self._zeros[shape]
-
     def zero_state(self, batch: int | None = None):
         """Zero (h, c, ctx), 1 x m per member, or B x 1 x m for ``batch`` = B
         rows; the first-step context is defined as the zero vector."""
         rows = () if batch is None else (batch,)
-        zero = self._zero(self._members + rows + (1, self.config.hidden_dim))
+        shape = self._members + rows + (1, self.config.hidden_dim)
+        if shape not in self._zeros:
+            self._zeros[shape] = self.tape.tensor(np.zeros(shape))
+        zero = self._zeros[shape]
         return zero, zero, zero
 
     def embed_token(self, token: int) -> ad.Tensor:
@@ -245,32 +326,35 @@ class BoundCaptioner:
         return ad.matmul(soft_row, self.p["embed"])
 
     def step(self, h, c, ctx, x_embed, feats_proj):
-        """One decoder step.
+        """One decoder step (``_step_forward``) on tensors.
 
         Returns (output row h' + ctx' 1xm, h', c', ctx', attn 1x(C+1)); pass
         the output row to ``logits`` for word scores.  Every operand may carry
         leading axes (members, batch rows), e.g. B x 1 x m states against
-        B x C x m crops.  The last slot of
-        ``attn`` is the sentinel gate.  The sentinel is the cell's second
-        output gate applied to tanh(c'), stacked as one more attendable row
-        under the projected crops, so the crop and sentinel scores come from
-        one (C+1)-way score pass.  In att2all mode the context feedback is
-        zeroed and the sentinel slot of the attention vector is exactly zero.
+        B x C x m crops.  The last slot of ``attn`` is the sentinel gate; in
+        att2all mode the context fed back is zero and the sentinel slot of
+        ``attn`` is exactly zero.  On a grad tape the step is one node, whose
+        output [row | h' | c' | ctx' | attn] the five tensors narrow.
         """
-        p = self.p
-        if not self._context_aware:
-            ctx = self._zero(h.shape)
-        c_new, h_new, sentinel = _lstm_cell([x_embed, ctx, h], c, p["lstm_W"],
-                                              p["lstm_b"])
-        values = ad.concat([feats_proj, sentinel], axis=-2)  # (C+1) x m
-        act = ad.tanh(ad.matmul(values, p["attn_Wa"])
-                      + ad.affine(h_new, p["attn_Wh"], p["attn_b"]))
-        scores = ad.transpose(ad.matmul(act, p["attn_w"]))  # 1 x (C+1)
-        if not self._context_aware:
-            scores = scores + self._sentinel_mask
-        attn = ad.softmax(scores)
-        ctx_new = ad.matmul(attn, values)
-        return h_new + ctx_new, h_new, c_new, ctx_new, attn
+        w, inputs = self._w, [h, c, ctx, x_embed, feats_proj]
+        *outs, saved = _step_forward(w, *(t.data for t in inputs), self._sentinel_mask)
+        if not self.tape.grad:
+            return tuple(ad.Tensor(self.tape, None, out) for out in outs)
+        widths = [out.shape[-1] for out in outs]
+        ends = np.cumsum(widths).tolist()
+
+        # the VJP holds arrays only: a tensor or the bind would tie the tape
+        # into a reference cycle and keep it alive until a garbage collection
+        def vjp(g):
+            g_row, g_h, g_c, g_ctx, g_attn = np.split(g, ends[:-1], axis=-1)
+            *g_in, terms = _step_reverse(_transposed(w), saved, g_row, g_h, g_c, g_ctx, g_attn)
+            return _weight_grads(w, terms) + g_in
+
+        packed = self.tape.record(np.concatenate(outs, axis=-1),
+                                  [self.p[name] for name in _STEP_WEIGHTS]
+                                  + [x_embed, h, c, ctx, feats_proj], vjp)
+        return tuple(ad.narrow(packed, -1, end - width, width)
+                     for end, width in zip(ends, widths))
 
     def logits(self, rows: ad.Tensor) -> ad.Tensor:
         """Word scores (pre-mask) of n stacked output rows, n x K."""
@@ -295,7 +379,7 @@ class BoundCaptioner:
         can harvest its gradient after backward.
 
         The one teacher-forced loop.  The captions are padded to the longest,
-        and each step advances B x 1 x m rows from one bind.  The pass is
+        and the whole unroll of B rows is one node (``_unroll``).  The pass is
         causal, so a padded step, which comes after its caption's last word,
         never reaches a valid one, and the LSTM state needs no mask.  The T
         output rows are stacked, so the batch takes one output affine, one
@@ -314,19 +398,45 @@ class BoundCaptioner:
         prev = np.full((B, T), self.config.bos_id)
         for b, s in enumerate(batch.seqs):
             prev[b, 1 : lengths[b]] = s.tokens[:-1]
-        feats_proj = self.project_feats(image_feats, batch=B)
-        h, c, ctx = self.zero_state(B)
-        rows = []
-        for t in range(T):
-            x = ad.get_row(self.p["embed"], prev[:, t])  # B x 1 x m
-            row, h, c, ctx, _ = self.step(h, c, ctx, x, feats_proj)
-            rows.append(row)
-        logits = self.logits(ad.concat(rows, axis=-2))  # B x T x K
+        logits = self.logits(self._unroll(prev, self.project_feats(image_feats, batch=B)))
         picked = ad.reduce_sum(ad.mul(self.word_dist(logits), picks), axis=-1)
         pad = 1.0 - picks.sum(axis=-1)
         if pad.any():
             picked = ad.add(picked, pad)
         return ad.reduce_sum(ad.log(picked), axis=-1), logits
+
+    def _unroll(self, prev, feats_proj: ad.Tensor) -> ad.Tensor:
+        """The B x T x m output rows of B rows stepped from the zero state,
+        row b fed the previous words ``prev[b]``, as one node.  Its VJP walks
+        the steps backward and forms each weight's gradient with one product
+        over all B·T rows, and the embedding's with one ``np.add.at``."""
+        w, embed = self._w, self.p["embed"].data
+        B, T = prev.shape
+        xs, fp = embed[prev], feats_proj.data  # B x T x m, B x C x m
+        h = c = ctx = np.zeros((B, 1, self.config.hidden_dim))
+        rows, saved = np.empty(xs.shape), []
+        for t in range(T):
+            row, h, c, ctx, _, step_saved = _step_forward(w, h, c, ctx, xs[:, t : t + 1], fp,
+                                                          self._sentinel_mask)
+            rows[:, t : t + 1] = row
+            saved.append(step_saved)
+
+        def vjp(g_rows):  # holds arrays only (see ``step``)
+            wT = _transposed(w)
+            g_h = g_c = g_ctx = np.zeros(h.shape)
+            g_xs, g_fp, terms = np.empty(xs.shape), 0.0, []
+            for t in reversed(range(T)):
+                g_xs[:, t : t + 1], g_h, g_c, g_ctx, g_fp_t, step_terms = _step_reverse(
+                    wT, saved[t], g_rows[:, t : t + 1], g_h, g_c, g_ctx)
+                g_fp = g_fp + g_fp_t
+                terms.append(step_terms)
+            g_embed = np.zeros(embed.shape)
+            np.add.at(g_embed, prev, g_xs)
+            stacked = [np.stack(operands) for operands in zip(*terms)]
+            return _weight_grads(w, stacked) + [g_embed, g_fp]
+
+        return self.tape.record(rows, [self.p[name] for name in _STEP_WEIGHTS]
+                                + [self.p["embed"], feats_proj], vjp)
 
 
 def _check_feats(image_feats, config, batch: int | None = None):
@@ -376,38 +486,44 @@ def _decode(params: CaptionerParams, image_feats, pick,
             batch: int | None = None) -> list[TokenSequence]:
     """The one decode loop, over the B images of B x C x d ``image_feats``
     for ``batch`` = B: B x 1 x m states step against B x C x m crops, and
-    each step gathers the B previous words with one vector ``get_row``.
-    Rows never mix, so row b decodes as image b would alone.  With
-    ``batch`` None, ``image_feats`` is one C x d image, whose 1 x m states
-    keep no row axis (so one image costs what it cost before the loop took
-    batches).  ``pick(probs)`` gets the n x K word distributions of the n
-    rows still decoding, in row order, and returns their n next words; a
-    row stops at EOS or at max_len.
+    each step gathers the B previous words with one fancy index.  Rows never
+    mix, so row b decodes as image b would alone.  With ``batch`` None,
+    ``image_feats`` is one C x d image, whose 1 x m states keep no row axis.
+    ``pick(probs)`` gets the n x K word distributions of the n rows still
+    decoding, in row order, and returns their n next words; a row stops at
+    EOS or at max_len.
 
-    ``params`` may be stacked (``stack_members``): the members then advance
-    together on the previous words and their word distributions are averaged
-    over the member axis (a single model's are used as is).
+    Runs ``_step_forward`` and the output head in plain numpy, with no tape
+    and no bind.  ``params`` may be stacked (``stack_members``): the members
+    then advance together on the previous words and their word
+    distributions are averaged over the member axis (a single model's are
+    used as is).
     """
     config = params.config
     B = 1 if batch is None else batch
-    stacked = params.arrays["embed"].ndim == 3
+    arrays = params.arrays
+    stacked = arrays["embed"].ndim == 3
     if stacked and batch is not None:
         # every weight gets a length-1 row axis after the member axis, so it
-        # broadcasts over the B rows (M x B x ... tensors); get_row gathers
+        # broadcasts over the B rows (M x B x ... arrays); the gather puts
         # the embedding's rows into that axis itself
-        params = CaptionerParams(config, {name: arr if name == "embed" else arr[:, None]
-                                          for name, arr in params.arrays.items()})
-    bound = BoundCaptioner(ad.Tape(grad=False), params)
-    feats_proj = bound.project_feats(image_feats, batch)
-    h, c, ctx = bound.zero_state(batch)
+        arrays = {name: arr if name == "embed" else arr[:, None]
+                  for name, arr in arrays.items()}
+    w, embed = {name: arrays[name] for name in _STEP_WEIGHTS}, arrays["embed"]
+    bos_mask, sentinel_mask = _masks(config)
+    feats_proj = _check_feats(image_feats, config, batch) @ arrays["attn_Wv"]
+    rows = () if batch is None else (B,)
+    h = c = ctx = np.zeros(embed.shape[:-2] + rows + (1, config.hidden_dim))
     prev = np.full(B, config.bos_id)
     tokens: list[list[int]] = [[] for _ in range(B)]
     live = list(range(B))  # rows still decoding
     for _ in range(config.max_len):
-        ids = prev if batch is not None else int(prev[0])  # one image: no row axis
-        row, h, c, ctx, _ = bound.step(h, c, ctx, ad.get_row(bound.p["embed"], ids),
-                                       feats_proj)
-        probs = bound.word_dist(bound.logits(row)).data  # (M x) (B x) 1 x K
+        if batch is None:  # one image: no row axis
+            x = embed[..., prev[0] : prev[0] + 1, :]
+        else:
+            x = embed[..., prev, :][..., None, :]
+        row, h, c, ctx, _, _ = _step_forward(w, h, c, ctx, x, feats_proj, sentinel_mask)
+        probs = ad._softmax_values(row @ arrays["out_W"] + arrays["out_b"] + bos_mask)
         if stacked:
             probs = probs.mean(axis=0)
         probs = probs.reshape(B, config.vocab_size)

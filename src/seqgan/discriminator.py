@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .captioner import (_MASK, CaptionBatch, InputError, _check_feats, _check_field_types,
-                        _init_arrays, _lstm_cell)
+                        _init_arrays)
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,12 @@ class BoundDiscriminator:
         self.p = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
 
     def _lstm_step(self, h, c, x):
-        c_new, h_new = _lstm_cell([x, h], c, self.p["lstm_W"], self.p["lstm_b"])
-        return h_new, c_new
+        """One fused word-LSTM step: one affine node for the column blocks
+        i, f, o, g of the joined [x | h], then one ``ad.lstm_cell`` node."""
+        m = c.shape[-1]
+        out = ad.lstm_cell(ad.affine(ad.concat([x, h], axis=-1), self.p["lstm_W"],
+                                     self.p["lstm_b"]), c)
+        return ad.narrow(out, -1, m, m), ad.narrow(out, -1, 0, m)
 
     def embed_rows(self, rows) -> ad.Tensor:
         """Word vectors ``rows @ embed`` (B x T x m) of B x T x K token rows:

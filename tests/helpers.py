@@ -25,7 +25,10 @@ each model and one 1 x K noise draw per decoder step) as the oracle for the
 batched relaxed unroll; ``PerGateCaptioner`` steps B x 1 x m rows too, so
 the per-gate oracle covers that batch.  ``replay_steps`` steps one
 bound captioner through a token path, the step-by-step oracle for the
-decoders and the way to inspect one step's attention and sentinel gate.
+decoders and the way to inspect one step's attention and sentinel gate, and
+``bound_decode`` decodes through a bound captioner's steps (the decoders
+call the plain step with no bind), with ``multinomial_pick`` as its
+sampler.
 """
 
 from collections import Counter
@@ -196,6 +199,49 @@ def replay_steps(params, image_feats, prev_tokens, tape=None, bound_cls=BoundCap
         steps.append(tuple(t.data for t in (row, h, c, ctx, attn))
                      + (bound.logits(row).data.reshape(-1),))
     return steps
+
+
+def bound_decode(params, image_feats, pick, bound_cls=BoundCaptioner, tape=None):
+    """One image decoded step by step through a bound captioner (its
+    ``step``, then ``logits`` and ``word_dist`` as tape ops), on ``tape`` (a
+    grad tape by default): the oracle for the plain decode loop.  Stacked
+    parameters (``stack_members``) have their word distributions averaged
+    over the member axis.  ``pick(probs)`` gets a 1 x K distribution and
+    returns the next word, as the decoders' ``pick`` does.
+
+    Returns (the tokens, each step's 1 x K distribution).
+    """
+    config = params.config
+    bound = bound_cls(ad.Tape() if tape is None else tape, params)
+    feats_proj = bound.project_feats(image_feats)
+    h, c, ctx = bound.zero_state()
+    prev, tokens, dists = config.bos_id, [], []
+    while len(tokens) < config.max_len:
+        row, h, c, ctx, _ = bound.step(h, c, ctx, bound.embed_token(prev), feats_proj)
+        probs = bound.word_dist(bound.logits(row)).data
+        if probs.ndim == 3:  # stacked members
+            probs = probs.mean(axis=0)
+        dists.append(probs)
+        prev = int(np.asarray(pick(probs)).reshape(-1)[0])
+        tokens.append(prev)
+        if prev == config.eos_id:
+            break
+    return tokens, dists
+
+
+def multinomial_pick(rng):
+    """``sample_sentence``'s draw as a ``pick`` for ``bound_decode``: the
+    inverse-CDF word of one uniform per step.  Returns (pick, a one-element
+    list holding the running log-probability)."""
+    log_p = [0.0]
+
+    def pick(probs):
+        row = probs[0]
+        tok = int(min(row.cumsum().searchsorted(rng.random(), side="right"), row.size - 1))
+        log_p[0] += float(np.log(row[tok]))
+        return tok
+
+    return pick, log_p
 
 
 def per_member_decode(params_list, image_feats):

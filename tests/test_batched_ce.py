@@ -13,6 +13,7 @@ import pytest
 from seqgan import autodiff as ad
 from seqgan import captioner as cap
 from seqgan import training as tr
+from conftest import central_difference, rel_err
 from helpers import PerGateCaptioner, loop_ce_pretrain, per_caption_ce_grads
 
 TOL = 1e-12
@@ -84,6 +85,63 @@ def test_batched_gradients_match_per_caption_loop(attention, case):
         assert abs(logp[b] - one.item()) <= TOL
         assert max_diff(logit_grads[b, :n], logits.grad[0]) <= TOL
         assert not logit_grads[b, n:].any()  # padded steps get no gradient
+
+
+@pytest.mark.parametrize("attention", ATTENTION)
+@pytest.mark.parametrize("size", range(1, 9))
+def test_every_batch_size_matches_per_gate(attention, size):
+    """B = 1..8 captions of mixed lengths against the per-gate oracle, one
+    caption per tape: log-probabilities, parameter gradients and logit
+    gradients within 1e-12."""
+    g, dataset = setup(attention, n_images=4)
+    # lengths 1, 4, 5, 2, 2, 3, 6, 1
+    examples = examples_of(dataset, [(k % 4, (k // 4 + k) % 2) for k in range(size)])
+    logp, grads, logit_grads = batched_ce(g, examples)
+    ref_grads = {k: np.zeros_like(a) for k, a in g.arrays.items()}
+    for b, (feats, ref) in enumerate(examples):
+        tape = ad.Tape()
+        bound = PerGateCaptioner(tape, g)
+        one, step_logits = bound.sequence_log_prob_and_logits(feats[None],
+                                                              cap.CaptionBatch([ref]))
+        ad.backward(tape, ad.scale(one, -1.0 / (size * len(ref.tokens))))
+        assert abs(logp[b] - one.item()) <= TOL
+        n = len(ref.tokens)
+        assert max_diff(logit_grads[b, :n], np.vstack([t.grad for t in step_logits])) <= TOL
+        for name in g.arrays:
+            ref_grads[name] += bound.p[name].grad
+    for name in g.arrays:
+        assert max_diff(grads[name], ref_grads[name]) <= TOL, name
+
+
+@pytest.mark.parametrize("attention", ATTENTION)
+def test_padded_batch_gradients_vs_finite_differences(attention):
+    """The teacher-forced unroll is one node with a hand-written backward
+    through time; central differences of the minibatch loss check every
+    parameter gradient of a padded batch (lengths 1, 4 and max_len), with
+    no per-gate model involved."""
+    g, _ = setup(attention)
+    rng = np.random.default_rng(11)
+    feats = rng.uniform(-1, 1, (3, 3, 4))
+    refs = [cap.TokenSequence([int(t) for t in rng.integers(2, 8, size=n - 1)] + [1], True)
+            for n in (1, 4, MAX_LEN)]
+    scale = -1.0 / (len(refs) * np.array([len(ref.tokens) for ref in refs]))
+
+    def loss(params, tape):
+        bound = cap.BoundCaptioner(tape, params)
+        logp = bound.sequence_log_prob(feats, cap.CaptionBatch(refs))
+        return bound, ad.reduce_sum(ad.mul(logp, scale))
+
+    tape = ad.Tape()
+    bound, root = loss(g, tape)
+    ad.backward(tape, root)
+    for name in g.arrays:
+        def f(arr, name=name):
+            trial = g.copy()
+            trial.arrays[name] = arr
+            return loss(trial, ad.Tape(grad=False))[1].item()
+
+        fd = central_difference(f, g.arrays[name].copy())
+        assert rel_err(bound.p[name].grad, fd) < 1e-5, name
 
 
 def test_single_caption_is_the_batch_of_one():

@@ -4,7 +4,7 @@ import pytest
 from seqgan import autodiff as ad
 from seqgan import captioner as cap
 from conftest import central_difference, rel_err
-from helpers import per_member_decode, replay_steps
+from helpers import bound_decode, multinomial_pick, per_member_decode, replay_steps
 
 
 def tiny_config(**kw):
@@ -334,8 +334,9 @@ class TestEnsembleDecode:
 
 
 class TestNoGradEquivalence:
-    """Inference runs on no-grad tapes; the same pass recorded on grad tapes
-    is the oracle, and values must match bit for bit."""
+    """Inference runs in plain numpy (the decoders bind no captioner) or on
+    no-grad tapes; the same pass recorded on grad tapes is the oracle, and
+    values must match bit for bit."""
 
     CASES = [(seed, attention) for seed in range(4)
              for attention in ("context_aware", "att2all")]
@@ -346,28 +347,49 @@ class TestNoGradEquivalence:
         feats = rand_feats(config, np.random.default_rng(seed))
         return config, models, feats
 
-    @pytest.mark.parametrize("seed,attention", CASES)
-    def test_greedy_decode(self, on_grad_tapes, seed, attention):
-        _, (params,), feats = self._setup(seed, attention)
-        assert cap.greedy_decode(params, feats) == \
-            on_grad_tapes(cap.greedy_decode, params, feats)
+    @staticmethod
+    def plain_dists(params, feats):
+        """Greedy tokens and step distributions of the plain decode loop."""
+        dists = []
+
+        def pick(probs):
+            dists.append(probs.copy())
+            return cap._argmax(probs)
+
+        seq, = cap._decode(params, feats, pick)
+        return seq.tokens, dists
+
+    def check_greedy(self, params, feats):
+        tokens, dists = self.plain_dists(params, feats)
+        ref_tokens, ref_dists = bound_decode(params, feats, cap._argmax)
+        assert tokens == ref_tokens and len(dists) == len(ref_dists)
+        for got, want in zip(dists, ref_dists):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed,attention", CASES)
-    def test_sample_sentence(self, on_grad_tapes, seed, attention):
+    def test_greedy_decode(self, seed, attention):
+        _, (params,), feats = self._setup(seed, attention)
+        self.check_greedy(params, feats)
+        assert cap.greedy_decode(params, feats).tokens == self.plain_dists(params, feats)[0]
+
+    @pytest.mark.parametrize("seed,attention", CASES)
+    def test_sample_sentence(self, seed, attention):
         _, (params,), feats = self._setup(seed, attention)
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(5):
             seq_a, logp_a = cap.sample_sentence(params, feats, rng_a)
-            seq_b, logp_b = on_grad_tapes(cap.sample_sentence, params, feats, rng_b)
-            assert seq_a == seq_b and logp_a == logp_b
+            pick, logp_b = multinomial_pick(rng_b)
+            tokens_b, _ = bound_decode(params, feats, pick)
+            assert seq_a.tokens == tokens_b and logp_a == logp_b[0]
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("n_models", [1, 3])
     @pytest.mark.parametrize("seed,attention", CASES)
-    def test_ensemble_decode(self, on_grad_tapes, seed, attention, n_models):
+    def test_ensemble_decode(self, seed, attention, n_models):
         _, models, feats = self._setup(seed, attention, n_models)
-        assert cap.ensemble_decode(models, feats) == \
-            on_grad_tapes(cap.ensemble_decode, models, feats)
+        stacked = cap.stack_members(models)
+        self.check_greedy(stacked, feats)
+        assert cap.ensemble_decode(models, feats).tokens == self.plain_dists(stacked, feats)[0]
 
     @pytest.mark.parametrize("seed,attention", CASES)
     def test_log_prob(self, seed, attention):

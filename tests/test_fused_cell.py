@@ -17,7 +17,8 @@ from seqgan import captioner as cap
 from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import training as tr
-from helpers import PerGateCaptioner, PerGateDiscriminator, per_gate_init, replay_steps
+from helpers import (PerGateCaptioner, PerGateDiscriminator, bound_decode, multinomial_pick,
+                     per_gate_init, replay_steps)
 
 TOL = 1e-12
 ATTENTION = ("context_aware", "att2all")
@@ -95,14 +96,27 @@ def test_decode_step_matches_per_gate(attention):
 
 
 @pytest.mark.parametrize("attention", ATTENTION)
-def test_decoders_match_per_gate(monkeypatch, attention):
+def test_decoders_match_per_gate(attention):
+    """The decoders call the plain step with no bind, so the oracle decodes
+    through ``PerGateCaptioner`` explicitly: the same picks, and every
+    step's word distribution within 1e-12."""
     g, _, feats = make_models(1, attention)
-    greedy = cap.greedy_decode(g, feats)
+    dists = []
+
+    def greedy_pick(probs):
+        dists.append(probs.copy())
+        return cap._argmax(probs)
+
+    greedy, = cap._decode(g, feats, greedy_pick)
+    ref_tokens, ref_dists = bound_decode(g, feats, cap._argmax, bound_cls=PerGateCaptioner)
+    assert greedy.tokens == ref_tokens == cap.greedy_decode(g, feats).tokens
+    assert len(dists) == len(ref_dists)
+    for got, want in zip(dists, ref_dists):
+        assert max_diff(got, want) <= TOL
     sample, logp = cap.sample_sentence(g, feats, np.random.default_rng(3))
-    monkeypatch.setattr(cap, "BoundCaptioner", PerGateCaptioner)
-    assert cap.greedy_decode(g, feats) == greedy
-    ref_sample, ref_logp = cap.sample_sentence(g, feats, np.random.default_rng(3))
-    assert ref_sample == sample and abs(ref_logp - logp) <= TOL
+    pick, ref_logp = multinomial_pick(np.random.default_rng(3))
+    ref_sample, _ = bound_decode(g, feats, pick, bound_cls=PerGateCaptioner)
+    assert sample.tokens == ref_sample and abs(ref_logp[0] - logp) <= TOL
 
 
 @pytest.mark.parametrize("variant", disc.VARIANTS)
@@ -158,17 +172,20 @@ def test_discriminator_objective_matches_per_gate(variant):
 
 
 def test_teacher_forced_nodes_per_token():
-    """Tape size is deterministic: at most 26 nodes per teacher-forced token
-    (the per-gate formulation records about 66; the fused cell built from
-    separate sigmoid/tanh/mul/add nodes about 39)."""
+    """Tape size is deterministic: the teacher-forced unroll is one node, so
+    a caption records the same 22 nodes whatever its length (bind leaves
+    included; the tape-composed step recorded up to 25 per token, the
+    per-gate formulation about 66)."""
     ds = dat.generate_dataset(seed=0, n_objects=4, n_contexts=3, n_images=12,
                               num_crops=3, feature_dim=10)
     config = cap.CaptionerConfig(vocab_size=ds.vocab.size, hidden_dim=8, num_crops=3,
                                  feature_dim=10, max_len=12)
     params = cap.init_params(config, 0)
+    counts = {}
     for scene, refs in ds.train[:3]:
         for ref in refs:
             tape = ad.Tape()
             cap.BoundCaptioner(tape, params).sequence_log_prob(scene.features[None],
                                                                cap.CaptionBatch([ref]))
-            assert len(tape.nodes) <= 26 * len(ref.tokens)
+            counts[len(ref.tokens)] = len(tape.nodes)
+    assert len(counts) > 1 and set(counts.values()) == {22}
