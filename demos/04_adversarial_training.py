@@ -35,8 +35,8 @@ cfg = tr.GanConfig(estimator="scst", reward="logD", epochs=4,
 def epoch_hook(epoch, g_params, d_params):
     decoded = [greedy_decode(g_params, s.features) for s, _ in ds.val]
     return {
-        "val_cider": float(np.mean([met.cider_d(q, refs, idf)
-                                    for q, (_, refs) in zip(decoded, ds.val)])),
+        "val_cider": float(met.caption_scores(decoded, [refs for _, refs in ds.val],
+                                              idf).cider.mean()),
         "coverage": met.vocabulary_coverage(decoded, ds.vocab.size),
     }
 

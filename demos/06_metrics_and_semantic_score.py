@@ -27,9 +27,10 @@ candidates = {
     "unrelated": list(ds.train[7][1][0].tokens),
 }
 print(f"\nreferences: {[ds.vocab.decode(r.tokens) for r in refs[:2]]}")
-for label, cand in candidates.items():
-    print(f"  {label:17s} cider={met.cider_d(cand, refs, idf):6.2f} "
-          f"bleu4={met.bleu4(cand, refs):.3f} rouge={met.rouge_l(cand, refs):.3f}")
+# one array pass scores every candidate against its own reference set
+scores = met.caption_scores(list(candidates.values()), [refs] * len(candidates), idf)
+for label, cider, bleu, rouge in zip(candidates, *scores):
+    print(f"  {label:17s} cider={cider:6.2f} bleu4={bleu:.3f} rouge={rouge:.3f}")
 
 decoded = [refs[0] for _, refs in ds.test]
 print("\nvocabulary coverage of the reference corpus itself:",

@@ -247,14 +247,16 @@ def decode_split(models: list[CaptionerParams], examples) -> list[TokenSequence]
 def split_metrics(models, examples, idf, scorer,
                   vocab_size) -> tuple[list[TokenSequence], list[dict], dict]:
     """The one evaluator of a split: the greedy captions of ``decode_split``,
-    each image's row of CIDEr-D, BLEU4, ROUGE-L and semantic score (0.0
-    without a scorer), and the report of the rows' column means plus
-    vocabulary coverage.  Returns ``(captions, rows, report)``."""
+    each image's row of CIDEr-D, BLEU4, ROUGE-L (one ``caption_scores`` call
+    for the split) and semantic score (0.0 without a scorer), and the report
+    of the rows' column means plus vocabulary coverage.  Returns
+    ``(captions, rows, report)``."""
     decoded = decode_split(models, examples)
-    rows = [{"cider": met.cider_d(seq, refs, idf), "bleu4": met.bleu4(seq, refs),
-             "rouge_l": met.rouge_l(seq, refs),
+    scores = met.caption_scores(decoded, [refs for _, refs in examples], idf)
+    rows = [{"cider": cider, "bleu4": bleu, "rouge_l": rouge,
              "semantic_score": scorer.score(seq, scene.features) if scorer else 0.0}
-            for seq, (scene, refs) in zip(decoded, examples)]
+            for seq, (scene, _), cider, bleu, rouge
+            in zip(decoded, examples, *(column.tolist() for column in scores))]
     report = {key: float(np.mean([row[key] for row in rows]))
               for key in ("cider", "bleu4", "rouge_l", "semantic_score")}
     report["vocab_coverage"] = met.vocabulary_coverage(decoded, vocab_size)

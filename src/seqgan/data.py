@@ -250,6 +250,10 @@ def generate_dataset(seed: int, n_objects: int, n_contexts: int, n_images: int,
     weights = np.array([1.0 / (1.0 + int(np.where(prefs[o] == c)[0][0]))
                         for o, c in train_pairs])
     weights /= weights.sum()
+    # the draw of rng.choice(len(train_pairs), p=weights), without its
+    # per-call validation of p
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
 
     def make_image(pair, image_id):
         o, c = pair
@@ -277,7 +281,7 @@ def generate_dataset(seed: int, n_objects: int, n_contexts: int, n_images: int,
     counter = 0
     for name, count in (("train", n_train), ("val", n_val), ("test", n_test)):
         for _ in range(count):
-            pair = train_pairs[int(rng.choice(len(train_pairs), p=weights))]
+            pair = train_pairs[int(cdf.searchsorted(rng.random(), side="right"))]
             splits[name].append(make_image(pair, f"{name}-{counter}"))
             counter += 1
     ooc_list = sorted(ooc_pairs)

@@ -9,6 +9,12 @@ vocabulary is already canonical, so there is no text normalization step):
 - BLEU4 with the standard brevity penalty, no smoothing.
 - ROUGE-L as the LCS F-measure with beta = 1.2, max over references.
 
+``caption_scores`` computes all three for a batch of captions, each against
+its own reference set, in one array pass over one n-gram count table per
+order; ``cider_d``, ``bleu4`` and ``rouge_l`` are its one-caption calls.
+The per-caption ``Counter`` loops it replaced are kept in the tests as the
+oracle, and every score equals theirs bit for bit.
+
 The semantic score is a cosine in CCA space: captions and images are
 embedded separately, projected through the fitted canonical directions, and
 the caption side is weighted by the canonical correlations.
@@ -19,9 +25,11 @@ it and ``NGramIdf`` round-trip through checkpoint aux arrays, and their
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,37 +69,18 @@ IDF_AUX = ("idf_grams", "idf_df", "idf_docs")
 
 @dataclass
 class NGramIdf:
-    """Document frequencies per n-gram; one document = one image's reference set.
-
-    ``idf`` computes a gram's weight once and then looks it up;
-    ``reference_side`` does the same for a reference caption's n-gram counts
-    and norms.  Neither memo takes part in ``==``.
-    """
+    """Document frequencies per n-gram; one document = one image's reference set."""
 
     doc_freq: dict[tuple, int]
     corpus_size: int
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _references: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def weights(self, grams) -> np.ndarray:
+        """The idf weight log(corpus_size / max(1, df)) of each gram tuple."""
+        df = np.fromiter((self.doc_freq.get(g, 0) for g in grams), np.int64, len(grams))
+        return np.log(self.corpus_size / np.maximum(df, 1))
 
     def idf(self, gram: tuple) -> float:
-        w = self._weights.get(gram)
-        if w is None:
-            w = float(np.log(self.corpus_size / max(1, self.doc_freq.get(gram, 0))))
-            self._weights[gram] = w
-        return w
-
-    def reference_side(self, tokens: tuple) -> list:
-        """(n-gram counts, tf-idf norm) of a reference token tuple for
-        n = 1..``CIDER_N``."""
-        side = self._references.get(tokens)
-        if side is None:
-            side = []
-            for n in range(1, CIDER_N + 1):
-                counts = _ngram_counts(tokens, n)
-                side.append((counts, np.sqrt(sum((cnt * self.idf(g)) ** 2
-                                                 for g, cnt in counts.items()))))
-            self._references[tokens] = side
-        return side
+        return float(self.weights([gram])[0])
 
     def to_aux(self) -> dict:
         """Float64 arrays for checkpoint aux (names in ``IDF_AUX``).
@@ -142,6 +131,10 @@ class NGramIdf:
         return NGramIdf(doc_freq, int(docs[0]))
 
 
+# the idf of the front ends that score no CIDEr-D: every gram weighs log(1 / 1) = 0
+_NO_IDF = NGramIdf({}, 1)
+
+
 def _whole(arr: np.ndarray) -> bool:
     """Every value finite and integral."""
     return bool(np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr)))
@@ -163,93 +156,190 @@ def fit_idf(corpus) -> NGramIdf:
     return NGramIdf(doc_freq, len(corpus))
 
 
-def cider_d(candidate, refs, idf: NGramIdf) -> float:
-    """Consensus tf-idf similarity with length penalty, scaled by 10.
+class CaptionScores(NamedTuple):
+    """Per-caption scores of one ``caption_scores`` call, each a float64
+    array in candidate order."""
 
-    The candidate's n-gram counts, weights and norm are built once per n and
-    shared by every reference; each reference's counts and norms come from
-    the idf's memo.
+    cider: np.ndarray
+    bleu4: np.ndarray
+    rouge_l: np.ndarray
+
+
+def caption_scores(candidates, refs, idf: NGramIdf) -> CaptionScores:
+    """CIDEr-D, BLEU4 and ROUGE-L of B candidates in one array pass:
+    candidate b against the reference list ``refs[b]``.
+
+    Every candidate and every distinct reference of a candidate is one row;
+    pair p is candidate ``pair_cand[p]`` against reference row B + p.
+    Duplicate references are dropped: CIDEr-D is a function of the
+    reference set, and BLEU4 and ROUGE-L take maxima over references.  For
+    each order n, an n-gram's dense rank comes from its (n-1)-gram's rank
+    and its last token's, so no key exceeds the square of the token count
+    whatever the token ids.  One stable sort of the occurrences then groups
+    them by gram and, within a gram, by row: each group is one (gram, row)
+    count.  Sums run over each row's grams in first-occurrence order, the
+    order of the one-caption ``Counter`` sums, so every score keeps the bits
+    of the one-caption formula.
+
+    A reference list of another length than ``candidates``, an empty
+    reference set or a negative token id raises ``InputError``.
     """
-    if not refs:
-        raise InputError("reference set is empty")
-    cand = _tokens(candidate)
-    if not cand:
-        return 0.0
-    unique_refs = list(dict.fromkeys(_tokens(r) for r in refs))
-    penalties = [float(np.exp(-((len(cand) - len(rtok)) ** 2) / (2 * CIDER_SIGMA**2)))
-                 for rtok in unique_refs]
-    ref_sides = [idf.reference_side(rtok) for rtok in unique_refs]
+    cands = [_tokens(c) for c in candidates]
+    if len(refs) != len(cands):
+        raise InputError(f"{len(cands)} candidates but {len(refs)} reference lists")
+    ref_rows = []
+    for b, ref_set in enumerate(refs):
+        unique = list(dict.fromkeys(_tokens(r) for r in ref_set))
+        if not unique:
+            raise InputError(f"reference set of caption {b} is empty")
+        ref_rows.append(unique)
+    B = len(cands)
+    if not B:
+        return CaptionScores(np.zeros(0), np.zeros(0), np.zeros(0))
+    rows = cands + [r for unique in ref_rows for r in unique]
+    R = len(rows)
+    lens = np.fromiter(map(len, rows), np.int64, R)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), np.int64, int(lens.sum()))
+    if flat.size and flat.min() < 0:  # ROUGE-L pads rows with negative ids
+        raise InputError("token ids must be non-negative")
 
-    per_n = np.zeros(CIDER_N)
+    n_refs = np.fromiter(map(len, ref_rows), np.int64, B)
+    pair_cand = np.repeat(np.arange(B), n_refs)
+    pair_start = np.cumsum(n_refs) - n_refs
+    cand_len, ref_len = lens[:B], lens[B:]
+    row_of = np.repeat(np.arange(R), lens)
+    pos = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    room = np.repeat(lens, lens) - pos  # tokens from each position to its row's end
+    penalty = np.exp(-((cand_len[pair_cand] - ref_len) ** 2) / (2 * CIDER_SIGMA**2))
+
+    # BLEU4 takes the same orders 1..4 as CIDEr-D
+    cider_n = np.zeros((B, CIDER_N))
+    log_prec = np.zeros((B, CIDER_N))
+    unmatched = cand_len < CIDER_N
     for n in range(1, CIDER_N + 1):
-        c_grams = [(g, cnt, idf.idf(g)) for g, cnt in _ngram_counts(cand, n).items()]
-        norm_c = np.sqrt(sum((cnt * w) ** 2 for _, cnt, w in c_grams))
-        for side, penalty in zip(ref_sides, penalties):
-            r_cnt, norm_r = side[n - 1]
-            num = sum(min(cnt, r_cnt.get(g, 0)) * w * r_cnt.get(g, 0) * w
-                      for g, cnt, w in c_grams)
-            if norm_c > 0 and norm_r > 0:
-                per_n[n - 1] += penalty * num / (norm_c * norm_r)
-    return float(10.0 * per_n.mean() / len(unique_refs))
+        at = np.flatnonzero(room >= n)  # where an n-gram starts
+        key = flat if n == 1 else gram[at] * n_tokens + token_rank[at + n - 1]
+        by_key = np.argsort(key, kind="stable")
+        key, row = key[by_key], row_of[at][by_key]
+        new_gram = _changes(key)
+        rank_n = np.cumsum(new_gram) - 1
+        gram = np.zeros(flat.size, np.int64)
+        gram[at[by_key]] = rank_n
+        if n == 1:
+            token_rank, n_tokens = gram, int(new_gram.sum())
+        first = at[by_key[new_gram]]
+        weight = idf.weights(list(map(tuple, flat[first[:, None] + np.arange(n)].tolist())))
+
+        # one entry per (gram, row), sorted by gram then row, and the
+        # entries again in first-occurrence order
+        new_entry = new_gram | _changes(row)
+        start = np.flatnonzero(new_entry)
+        e_gram, e_row = rank_n[start], row[start]
+        e_count = np.diff(start, append=key.size)
+        # a scatter, not an argsort of the first positions: numpy's quicksort,
+        # paged in by that argsort, raised eval peak RSS by 0.3 MB
+        entry_of = np.empty(key.size, np.int64)
+        entry_of[by_key] = np.cumsum(new_entry) - 1
+        is_first = np.zeros(key.size, bool)
+        is_first[by_key[start]] = True
+        order = entry_of[is_first]
+        o_row, o_gram, o_count = e_row[order], e_gram[order], e_count[order]
+        o_weight = weight[o_gram]
+
+        # CIDEr-D: each candidate entry joined with every reference of its pair.
+        # The one-caption norms square with Python's ``**`` (C pow), as
+        # float_power does; np.square rounds some products differently.
+        norm = np.sqrt(np.bincount(o_row, np.float_power(o_count * o_weight, 2), minlength=R))
+        c_start = np.searchsorted(o_row, np.arange(B + 1))
+        per_pair = c_start[pair_cand + 1] - c_start[pair_cand]
+        pair_of = np.repeat(np.arange(len(pair_cand)), per_pair)
+        entry = np.repeat(c_start[pair_cand], per_pair) + (
+            np.arange(pair_of.size) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair))
+        ref_count = _lookup(e_gram * R + e_row, e_count, o_gram[entry] * R + B + pair_of)
+        hit = ref_count > 0
+        c, r, w = o_count[entry][hit], ref_count[hit], o_weight[entry][hit]
+        num = np.bincount(pair_of[hit], np.minimum(c, r) * w * r * w, minlength=len(pair_cand))
+        norm_c, norm_r = norm[pair_cand], norm[B:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contrib = np.where((norm_c > 0) & (norm_r > 0),
+                               penalty * num / (norm_c * norm_r), 0.0)
+        cider_n[:, n - 1] = np.bincount(pair_cand, contrib, minlength=B)
+
+        # BLEU4: clip each candidate gram by its max count over the candidate's
+        # references; (gram, owning candidate) keys of the reference entries
+        # are already sorted, since a candidate's reference rows follow each other
+        is_ref = e_row >= B
+        owner_key = e_gram[is_ref] * B + pair_cand[e_row[is_ref] - B]
+        new_owner = _changes(owner_key)
+        max_ref = np.maximum.reduceat(e_count[is_ref], np.flatnonzero(new_owner))
+        is_cand = ~is_ref
+        clip = np.minimum(e_count[is_cand], _lookup(owner_key[new_owner], max_ref,
+                                                    e_gram[is_cand] * B + e_row[is_cand]))
+        clipped = np.bincount(e_row[is_cand], clip, minlength=B)
+        unmatched |= clipped == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_prec[:, n - 1] = np.where(unmatched, 0.0, np.log(clipped / (cand_len - n + 1)))
+
+    cider = 10.0 * cider_n.mean(axis=1) / n_refs
+    # brevity against the closest reference length, the shorter one on ties
+    span = lens.max() + 1
+    closest = np.minimum.reduceat(np.abs(ref_len - cand_len[pair_cand]) * span + ref_len,
+                                  pair_start) % span
+    with np.errstate(divide="ignore", invalid="ignore"):
+        brevity = np.where(cand_len > closest, 1.0, np.exp(1.0 - closest / cand_len))
+    bleu = np.where(unmatched, 0.0, brevity * np.exp(log_prec.mean(axis=1)))
+
+    # ROUGE-L: the LCS tables of all pairs filled one candidate position at a
+    # time.  With a match the diagonal step dominates its neighbours, so a
+    # table row is the running maximum of prev[j-1] + 1 where the tokens match
+    # and prev[j] elsewhere.  Candidates pad with -1 and references with -2.
+    table = np.full((R, int(lens.max())), -2, np.int64)
+    table[:B] = -1
+    table[row_of, pos] = flat
+    cand, ref = table[:B][pair_cand], table[B:]
+    lcs = np.zeros((len(pair_cand), table.shape[1] + 1), np.int64)
+    for i in range(int(cand_len.max())):
+        step = np.where(cand[:, i : i + 1] == ref, lcs[:, :-1] + 1, lcs[:, 1:])
+        lcs[:, 1:] = np.maximum.accumulate(step, axis=1)
+    lcs = lcs[:, -1]
+    b2 = ROUGE_BETA**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prec, rec = lcs / cand_len[pair_cand], lcs / ref_len
+        f = np.where(lcs > 0, (1 + b2) * prec * rec / (rec + b2 * prec), 0.0)
+    return CaptionScores(cider, bleu, np.maximum.reduceat(f, pair_start))
+
+
+def _changes(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal keys starts."""
+    new = np.ones(sorted_keys.size, bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return new
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``values`` at each query's position in sorted ``keys``, 0 where absent."""
+    if not len(keys):
+        return np.zeros(len(queries), np.int64)
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[at] == queries, values[at], 0)
+
+
+def cider_d(candidate, refs, idf: NGramIdf) -> float:
+    """Consensus tf-idf similarity with length penalty, scaled by 10: the
+    one-caption call of ``caption_scores``."""
+    return float(caption_scores([candidate], [refs], idf).cider[0])
 
 
 def bleu4(candidate, refs) -> float:
-    """BLEU up to 4-grams with brevity penalty; zero if any order is unmatched."""
-    if not refs:
-        raise InputError("reference set is empty")
-    cand = _tokens(candidate)
-    if not cand:
-        return 0.0
-    ref_toks = [_tokens(r) for r in refs]
-
-    log_precisions = []
-    for n in range(1, 5):
-        c_cnt = _ngram_counts(cand, n)
-        total = sum(c_cnt.values())
-        if total == 0:
-            return 0.0
-        max_ref = Counter()
-        for rtok in ref_toks:
-            for g, cnt in _ngram_counts(rtok, n).items():
-                max_ref[g] = max(max_ref[g], cnt)
-        clipped = sum(min(cnt, max_ref.get(g, 0)) for g, cnt in c_cnt.items())
-        if clipped == 0:
-            return 0.0
-        log_precisions.append(np.log(clipped / total))
-
-    c = len(cand)
-    r = min((abs(len(rt) - c), len(rt)) for rt in ref_toks)[1]
-    bp = 1.0 if c > r else float(np.exp(1.0 - r / c))
-    return float(bp * np.exp(np.mean(log_precisions)))
-
-
-def _lcs_len(a: tuple, b: tuple) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    """BLEU up to 4-grams with brevity penalty, zero if any order is
+    unmatched: the one-caption call of ``caption_scores``."""
+    return float(caption_scores([candidate], [refs], _NO_IDF).bleu4[0])
 
 
 def rouge_l(candidate, refs) -> float:
-    """Longest-common-subsequence F-measure, best reference taken."""
-    if not refs:
-        raise InputError("reference set is empty")
-    cand = _tokens(candidate)
-    if not cand:
-        return 0.0
-    best = 0.0
-    b2 = ROUGE_BETA**2
-    for ref in refs:
-        rtok = _tokens(ref)
-        lcs = _lcs_len(cand, rtok)
-        if lcs == 0:
-            continue
-        prec, rec = lcs / len(cand), lcs / len(rtok)
-        best = max(best, (1 + b2) * prec * rec / (rec + b2 * prec))
-    return float(best)
+    """Longest-common-subsequence F-measure, best reference taken: the
+    one-caption call of ``caption_scores``."""
+    return float(caption_scores([candidate], [refs], _NO_IDF).rouge_l[0])
 
 
 def vocabulary_coverage(generated_corpus, vocab_size: int) -> float:

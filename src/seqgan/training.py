@@ -187,15 +187,16 @@ def _sequence_rewards(cfg: GanConfig, d_params, image_feats, seqs, refs=None,
     """Rewards of finished captions under the configured reward mode, in
     ``seqs`` order: caption j against image j of ``image_feats`` and
     reference list ``refs[j]``.  The D scores of all captions come from one
-    pass; the ``cider`` reward takes none."""
+    pass, and the CIDEr-D scores from one ``caption_scores`` call; the
+    ``cider`` reward takes no D score."""
     if cfg.reward in ("logD_plus_cider", "cider") and (refs is None or idf is None):
         raise InputError(f"reward {cfg.reward!r} needs reference captions and idf")
     if cfg.reward == "cider":
-        return [met.cider_d(seq, r, idf) for seq, r in zip(seqs, refs)]
+        return met.caption_scores(seqs, refs, idf).cider.tolist()
     rewards = [float(np.log(v)) for v in _clamped_scores(d_params, image_feats, seqs)]
     if cfg.reward == "logD_plus_cider":
-        rewards = [reward + cfg.cider_weight * met.cider_d(seq, r, idf)
-                   for reward, seq, r in zip(rewards, seqs, refs)]
+        ciders = met.caption_scores(seqs, refs, idf).cider.tolist()
+        rewards = [reward + cfg.cider_weight * cider for reward, cider in zip(rewards, ciders)]
     return rewards
 
 

@@ -28,7 +28,11 @@ bound captioner through a token path, the step-by-step oracle for the
 decoders and the way to inspect one step's attention and sentinel gate, and
 ``bound_decode`` decodes through a bound captioner's steps (the decoders
 call the plain step with no bind), with ``multinomial_pick`` as its
-sampler.
+sampler.  ``per_caption_cider_d``, ``per_caption_bleu4`` and
+``per_caption_rouge_l`` keep the one-caption ``Counter`` loops (and
+``lcs_len`` the textbook LCS table) as the oracle for the array scorer
+``metrics.caption_scores``, bit for bit, and ``per_image_rewards`` takes
+its CIDEr-D rewards from them.
 """
 
 from collections import Counter
@@ -270,28 +274,35 @@ def per_member_decode(params_list, image_feats):
     return TokenSequence(tokens, True), steps
 
 
+def _counts(tokens, n):
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+
+def _seq_tokens(seq):
+    return tuple(seq.tokens if isinstance(seq, TokenSequence) else seq)
+
+
+def _idf_weight(idf, gram):
+    """One gram's idf weight from the scalar formula."""
+    return float(np.log(idf.corpus_size / max(1, idf.doc_freq.get(gram, 0))))
+
+
 def per_reference_cider_d(candidate, refs, idf):
     """CIDEr-D with the candidate's n-gram counts, idf weights and norm
     rebuilt for every reference and every n, and each weight taken from
     ``np.log`` at every lookup."""
-    def counts(tokens, n):
-        return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
-
     def weight(gram):
-        return float(np.log(idf.corpus_size / max(1, idf.doc_freq.get(gram, 0))))
+        return _idf_weight(idf, gram)
 
-    def tokens(seq):
-        return tuple(seq.tokens if isinstance(seq, TokenSequence) else seq)
-
-    cand = tokens(candidate)
+    cand = _seq_tokens(candidate)
     if not cand:
         return 0.0
-    unique_refs = list(dict.fromkeys(tokens(r) for r in refs))
+    unique_refs = list(dict.fromkeys(_seq_tokens(r) for r in refs))
     per_n = np.zeros(4)
     for rtok in unique_refs:
         penalty = float(np.exp(-((len(cand) - len(rtok)) ** 2) / (2 * 6.0**2)))
         for n in range(1, 5):
-            c_cnt, r_cnt = counts(cand, n), counts(rtok, n)
+            c_cnt, r_cnt = _counts(cand, n), _counts(rtok, n)
             norm_c = np.sqrt(sum((cnt * weight(g)) ** 2 for g, cnt in c_cnt.items()))
             norm_r = np.sqrt(sum((cnt * weight(g)) ** 2 for g, cnt in r_cnt.items()))
             num = sum(min(cnt, r_cnt.get(g, 0)) * weight(g) * r_cnt.get(g, 0) * weight(g)
@@ -401,17 +412,109 @@ def loop_ce_pretrain(g_params, dataset, epochs, rng, lr=1e-3, batch_size=8,
     return g_params, curve
 
 
+def per_caption_cider_d(candidate, refs, idf):
+    """CIDEr-D of one caption as a pure-Python loop over ``Counter`` sides:
+    the candidate's counts, weights and norm built once per n, each
+    distinct reference's counts and norm once, every weight from the scalar
+    formula."""
+    if not refs:
+        raise InputError("reference set is empty")
+    cand = _seq_tokens(candidate)
+    if not cand:
+        return 0.0
+    unique_refs = list(dict.fromkeys(_seq_tokens(r) for r in refs))
+    penalties = [float(np.exp(-((len(cand) - len(rtok)) ** 2) / (2 * met.CIDER_SIGMA**2)))
+                 for rtok in unique_refs]
+    ref_sides = [[(counts, np.sqrt(sum((cnt * _idf_weight(idf, g)) ** 2
+                                       for g, cnt in counts.items())))
+                  for counts in (_counts(rtok, n) for n in range(1, met.CIDER_N + 1))]
+                 for rtok in unique_refs]
+
+    per_n = np.zeros(met.CIDER_N)
+    for n in range(1, met.CIDER_N + 1):
+        c_grams = [(g, cnt, _idf_weight(idf, g)) for g, cnt in _counts(cand, n).items()]
+        norm_c = np.sqrt(sum((cnt * w) ** 2 for _, cnt, w in c_grams))
+        for side, penalty in zip(ref_sides, penalties):
+            r_cnt, norm_r = side[n - 1]
+            num = sum(min(cnt, r_cnt.get(g, 0)) * w * r_cnt.get(g, 0) * w
+                      for g, cnt, w in c_grams)
+            if norm_c > 0 and norm_r > 0:
+                per_n[n - 1] += penalty * num / (norm_c * norm_r)
+    return float(10.0 * per_n.mean() / len(unique_refs))
+
+
+def per_caption_bleu4(candidate, refs):
+    """BLEU4 of one caption as a pure-Python loop, each reference's
+    ``Counter`` rebuilt per order."""
+    if not refs:
+        raise InputError("reference set is empty")
+    cand = _seq_tokens(candidate)
+    if not cand:
+        return 0.0
+    ref_toks = [_seq_tokens(r) for r in refs]
+
+    log_precisions = []
+    for n in range(1, 5):
+        c_cnt = _counts(cand, n)
+        total = sum(c_cnt.values())
+        if total == 0:
+            return 0.0
+        max_ref = Counter()
+        for rtok in ref_toks:
+            for g, cnt in _counts(rtok, n).items():
+                max_ref[g] = max(max_ref[g], cnt)
+        clipped = sum(min(cnt, max_ref.get(g, 0)) for g, cnt in c_cnt.items())
+        if clipped == 0:
+            return 0.0
+        log_precisions.append(np.log(clipped / total))
+
+    c = len(cand)
+    r = min((abs(len(rt) - c), len(rt)) for rt in ref_toks)[1]
+    bp = 1.0 if c > r else float(np.exp(1.0 - r / c))
+    return float(bp * np.exp(np.mean(log_precisions)))
+
+
+def lcs_len(a, b):
+    """Longest common subsequence length by the textbook dynamic program."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def per_caption_rouge_l(candidate, refs):
+    """ROUGE-L of one caption as a pure-Python loop over its references."""
+    if not refs:
+        raise InputError("reference set is empty")
+    cand = _seq_tokens(candidate)
+    if not cand:
+        return 0.0
+    best = 0.0
+    b2 = met.ROUGE_BETA**2
+    for ref in refs:
+        rtok = _seq_tokens(ref)
+        lcs = lcs_len(cand, rtok)
+        if lcs == 0:
+            continue
+        prec, rec = lcs / len(cand), lcs / len(rtok)
+        best = max(best, (1 + b2) * prec * rec / (rec + b2 * prec))
+    return float(best)
+
+
 def per_image_rewards(cfg, d_params, image_feats, seqs, refs=None, idf=None):
     """Rewards of finished captions of one image (C x d features, that
     image's references), their D scores taken in one pass."""
     if cfg.reward in ("logD_plus_cider", "cider") and (refs is None or idf is None):
         raise InputError(f"reward {cfg.reward!r} needs reference captions and idf")
     if cfg.reward == "cider":
-        return [met.cider_d(seq, refs, idf) for seq in seqs]
+        return [per_caption_cider_d(seq, refs, idf) for seq in seqs]
     feats = np.repeat(np.asarray(image_feats)[None], len(seqs), axis=0)
     rewards = [float(np.log(v)) for v in tr._clamped_scores(d_params, feats, seqs)]
     if cfg.reward == "logD_plus_cider":
-        rewards = [r + cfg.cider_weight * met.cider_d(seq, refs, idf)
+        rewards = [r + cfg.cider_weight * per_caption_cider_d(seq, refs, idf)
                    for r, seq in zip(rewards, seqs)]
     return rewards
 

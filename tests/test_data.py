@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seqgan import autodiff as ad
+from seqgan import cli
 from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import metrics as met
@@ -44,6 +46,33 @@ class TestGenerateDataset:
                 assert sa.labels == sb.labels and sa.image_id == sb.image_id
                 assert [r.tokens for r in ra] == [r.tokens for r in rb]
         assert a.vocab.words == b.vocab.words
+
+    @pytest.mark.parametrize("dataset,digest,feature_sum,feature_abs_sum", [
+        ({}, "f3e459b88aa4712049b5a31041c606e2276aa10abe24f141d47328ab503a4a42",
+         102.9842204337824, 912.8395780772083),
+        ({"n_images": 480}, "816ba0fc4d63dd5dc83194012c3fc9bb0847e6d97d0e0b0b3f24077e325bc783",
+         1363.2312356933962, 9002.307638561473),
+        ({"n_images": 100, "seed": 7},
+         "9d7005091e12fccf1d46c2ccb30be14f0dd5891c7b22a7c63eec910fc7373e28",
+         -497.18646415903686, 1831.5902974577025),
+    ], ids=["default", "n_images-480", "n_images-100-seed-7"])
+    def test_pinned_datasets(self, dataset, digest, feature_sum, feature_abs_sum):
+        # pinned from the generator that drew each image's pair with
+        # rng.choice(len(train_pairs), p=weights): the image ids, labels and
+        # references exactly, the features (which go through a QR
+        # factorization) by two sums
+        ds = cli.build_dataset(cli.parse_config({"dataset": dataset}))
+        h = hashlib.sha256()
+        feats = []
+        for name in ("train", "val", "test", "ooc"):
+            for scene, refs in ds.split(name):
+                h.update(repr((scene.image_id, [(int(o), int(c)) for o, c in scene.labels],
+                               [[int(t) for t in r.tokens] for r in refs])).encode())
+                feats.append(scene.features)
+        assert h.hexdigest() == digest
+        feats = np.stack(feats)
+        assert abs(feats.sum() - feature_sum) <= 1e-9 * feature_abs_sum
+        assert abs(np.abs(feats).sum() - feature_abs_sum) <= 1e-9 * feature_abs_sum
 
     def test_different_seed_differs(self):
         a, b = small_dataset(seed=1), small_dataset(seed=2)

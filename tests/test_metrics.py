@@ -166,19 +166,6 @@ class TestCiderDCandidateOnce:
             assert toy_idf.idf(gram) == want  # memoized
         assert fresh == toy_idf
 
-    def test_reference_side_memoized_and_equality_ignores_it(self, toy_idf):
-        fresh = met.NGramIdf(dict(toy_idf.doc_freq), toy_idf.corpus_size)
-        refs = [[2, 3, 4, 5, 1], [2, 3, 6, 1]]
-        first = met.cider_d([2, 3, 4, 1], refs, toy_idf)
-        side = toy_idf.reference_side((2, 3, 6, 1))
-        assert toy_idf.reference_side((2, 3, 6, 1)) is side
-        counts, norm = side[1]
-        assert counts == {(2, 3): 1, (3, 6): 1, (6, 1): 1}
-        assert norm == np.sqrt(sum(toy_idf.idf(g) ** 2 for g in counts))
-        assert met.cider_d([2, 3, 4, 1], refs, toy_idf) == first == \
-            per_reference_cider_d([2, 3, 4, 1], refs, fresh)
-        assert fresh == toy_idf
-
 
 class TestIdfAux:
     def test_round_trip(self, toy_idf):
