@@ -6,8 +6,8 @@ record once in reverse, accumulating vector-Jacobian products per node.  A
 the operations required by the attention captioner, the co-attention
 discriminator and their training losses are provided -- no convolutions, no
 GPU, no mixed precision; ``Tape.record`` takes a node computed in plain
-numpy elsewhere (the captioner's decoder step) with its own VJP.
-Accumulation order is fixed by tape order, so runs are bit-reproducible.
+numpy elsewhere (the models' LSTM unrolls, on the numpy cell
+``_lstm_cell_values``) with its own VJP.  Accumulation order is fixed by tape order, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ class Tensor:
 class Tape:
     """Ordered operation record plus per-node gradient accumulators.
 
-    ``Tape(grad=False)`` is the inference mode: it records no nodes, no
-    gradient slots and no VJP closures, and ``tensor`` binds arrays without
-    copying them, so it is valid only while nothing mutates the bound arrays.
+    ``Tape(grad=False)`` is the inference mode: it records no nodes and no
+    gradient slots (each op builds its VJP closure and ``_output`` drops
+    it), and ``tensor`` binds arrays without copying them, so it is valid
+    only while nothing mutates the bound arrays.
 
     Single-threaded per tape; independent tapes may be used concurrently.
     """
@@ -121,6 +122,11 @@ class Tape:
         self.gradients.append(None)
         return Tensor(self, len(self.nodes) - 1, value)
 
+    def _output(self, value, parents, vjp) -> Tensor:
+        """Every op's and ``record``'s result, the one no-grad rule: a node
+        on a grad tape, the bare value (``vjp`` dropped) on a no-grad one."""
+        return self._record(value, parents, vjp) if self.grad else Tensor(self, None, value)
+
     def record(self, value, parents, vjp) -> Tensor:
         """One node for a computation done outside the op set, in plain
         numpy: ``value`` computed from the ``parents`` (tensors of this
@@ -128,14 +134,12 @@ class Tape:
         down here to its parent's shape.  On a no-grad tape only ``value`` is
         kept."""
         parents = [_wrap(self, t) for t in parents]
-        if not self.grad:
-            return Tensor(self, None, value)
         shapes = [t.data.shape for t in parents]
 
         def summed_vjp(g):
             return tuple(_unbroadcast(pg, shape) for pg, shape in zip(vjp(g), shapes))
 
-        return self._record(value, tuple(t.index for t in parents), summed_vjp)
+        return self._output(value, tuple(t.index for t in parents), summed_vjp)
 
     def reset_grads(self):
         """Clear accumulators so backward may run again."""
@@ -211,13 +215,11 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul batch axes do not broadcast: {av.shape} @ {bv.shape}") \
             from None
-    if not tape.grad:
-        return Tensor(tape, None, out)
 
     def vjp(g):
         return _unbroadcast(g @ _mT(bv), av.shape), _weight_grad(av, g, bv.shape)
 
-    return tape._record(out, (a.index, b.index), vjp)
+    return tape._output(out, (a.index, b.index), vjp)
 
 
 def affine(x, W, b) -> Tensor:
@@ -234,14 +236,12 @@ def affine(x, W, b) -> Tensor:
     if out is None or out.shape[-2:] != (xv.shape[-2], Wv.shape[-1]):
         raise ShapeError(f"affine operands {xv.shape} @ {Wv.shape} + {bv.shape} "
                          "do not broadcast")
-    if not tape.grad:
-        return Tensor(tape, None, out)
 
     def vjp(g):
         return (_unbroadcast(g @ _mT(Wv), xv.shape), _weight_grad(xv, g, Wv.shape),
                 _unbroadcast(g, bv.shape))
 
-    return tape._record(out, (x.index, W.index, b.index), vjp)
+    return tape._output(out, (x.index, W.index, b.index), vjp)
 
 
 def add(a, b) -> Tensor:
@@ -249,13 +249,11 @@ def add(a, b) -> Tensor:
     a, b = _wrap(tape, a), _wrap(tape, b)
     av, bv = a.data, b.data
     out = av + bv
-    if not tape.grad:
-        return Tensor(tape, None, out)
 
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
 
-    return tape._record(out, (a.index, b.index), vjp)
+    return tape._output(out, (a.index, b.index), vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -263,13 +261,11 @@ def sub(a, b) -> Tensor:
     a, b = _wrap(tape, a), _wrap(tape, b)
     av, bv = a.data, b.data
     out = av - bv
-    if not tape.grad:
-        return Tensor(tape, None, out)
 
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
 
-    return tape._record(out, (a.index, b.index), vjp)
+    return tape._output(out, (a.index, b.index), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -277,37 +273,31 @@ def mul(a, b) -> Tensor:
     a, b = _wrap(tape, a), _wrap(tape, b)
     av, bv = a.data, b.data
     out = av * bv
-    if not tape.grad:
-        return Tensor(tape, None, out)
 
     def vjp(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return tape._record(out, (a.index, b.index), vjp)
+    return tape._output(out, (a.index, b.index), vjp)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     """Multiply by a plain python scalar (not differentiated in ``s``)."""
     s = float(s)
     out = x.data * s
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g * s,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g * (1.0 - out * out),)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def _sigmoid(v):
@@ -319,20 +309,18 @@ def _sigmoid(v):
 
 def sigmoid(x: Tensor) -> Tensor:
     out = _sigmoid(x.data)
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def _lstm_cell_values(pv, cv):
-    """The numpy body of ``lstm_cell`` on plain arrays (operands already
-    checked): returns ``c'`` (... x n x m), the k output rows
-    ``o_j*tanh(c')`` as ... x n x k x m, and what ``_lstm_cell_grads``
-    needs."""
+    """An LSTM cell in plain numpy: pre-activations ``pv`` in column blocks
+    i, f, o_1..o_k, g of width m, the previous cell ``cv``.  Returns ``c'``
+    (... x n x m), the k output rows ``o_j*tanh(c')`` as ... x n x k x m,
+    and what ``_lstm_cell_grads`` needs."""
     m = cv.shape[-1]
     k = pv.shape[-1] // m - 3
     sig = _sigmoid(pv[..., : (k + 2) * m])
@@ -362,70 +350,25 @@ def _lstm_cell_grads(saved, gc_new, gh):
     return gpre, gc * f
 
 
-def lstm_cell(pre: Tensor, c: Tensor) -> Tensor:
-    """The element-wise part of an LSTM step as one node.
-
-    ``pre`` (... x n x (k+3)m) holds the pre-activations in column blocks
-    ``i, f, o_1..o_k, g`` of width m, ``c`` (... x n x m) the previous cell;
-    leading axes broadcast.  Returns ``[c' | o_1*tanh(c') | ... |
-    o_k*tanh(c')]`` (... x n x (k+1)m) with ``c' = f*c + i*g``; every gate
-    but ``g`` is a sigmoid, ``g`` a tanh.  The values equal those of the same
-    cell composed from ``sigmoid``, ``tanh``, ``mul`` and ``add`` bit for bit.
-    """
-    tape = _tape_of(pre, c)
-    pre, c = _wrap(tape, pre), _wrap(tape, c)
-    pv, cv = pre.data, c.data
-    if pv.ndim < 2 or cv.ndim < 2:
-        raise ShapeError(f"lstm_cell needs operands of rank >= 2, got {pv.shape}, "
-                         f"{cv.shape}")
-    n, m = cv.shape[-2:]
-    if pv.shape[-2] != n or pv.shape[-1] % m or pv.shape[-1] // m < 4:
-        raise ShapeError(f"lstm_cell pre-activations {pv.shape} do not fit cell {cv.shape}")
-    lead = pv.shape[:-2]
-    if cv.shape[:-2] != lead:
-        try:
-            lead = np.broadcast_shapes(lead, cv.shape[:-2])
-        except ValueError:
-            raise ShapeError(f"lstm_cell batch axes do not broadcast: {pv.shape}, "
-                             f"{cv.shape}") from None
-    k = pv.shape[-1] // m - 3
-    c_new, h, saved = _lstm_cell_values(pv, cv)
-    out = np.empty(lead + (n, (k + 1) * m))
-    out[..., :m] = c_new
-    out[..., m:] = h.reshape(lead + (n, k * m))
-    if not tape.grad:
-        return Tensor(tape, None, out)
-
-    def vjp(gout):
-        gpre, gc = _lstm_cell_grads(saved, gout[..., :m], gout[..., m:])
-        return _unbroadcast(gpre, pv.shape), _unbroadcast(gc, cv.shape)
-
-    return tape._record(out, (pre.index, c.index), vjp)
-
-
 def log(x: Tensor) -> Tensor:
     v = x.data
     if not np.all(v > 0):
         raise DomainError("log requires strictly positive input")
     out = np.log(v)
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g / v,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g * out,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -434,13 +377,11 @@ def softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     out = _softmax_values(x.data / temperature)
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (_softmax_grads(out, g) / temperature,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def _softmax_values(v):
@@ -461,15 +402,13 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     v = x.data
     _check_axis(v, axis)
     out = np.asarray(v.sum(axis=axis))
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         gx = np.empty_like(v)
         gx[...] = g if axis is None else np.expand_dims(g, axis)
         return (gx,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def reduce_mean(x: Tensor, axis=None) -> Tensor:
@@ -477,15 +416,13 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
     _check_axis(v, axis)
     n = v.size if axis is None else v.shape[axis]
     out = np.asarray(v.mean(axis=axis))
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         gx = np.empty_like(v)
         gx[...] = (g if axis is None else np.expand_dims(g, axis)) / n
         return (gx,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def reduce_max(x: Tensor, axis=None) -> Tensor:
@@ -494,25 +431,17 @@ def reduce_max(x: Tensor, axis=None) -> Tensor:
     v = x.data
     _check_axis(v, axis)
     out = np.asarray(v.max(axis=axis))
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
-    if axis is None:
-        flat_idx = int(np.argmax(v))
 
-        def vjp(g):
-            gx = np.zeros_like(v)
-            gx.reshape(-1)[flat_idx] = np.asarray(g).reshape(-1)[0]
-            return (gx,)
-    else:
-        arg = np.argmax(v, axis=axis)
-
-        def vjp(g):
-            gx = np.zeros_like(v)
-            np.put_along_axis(gx, np.expand_dims(arg, axis),
+    def vjp(g):
+        gx = np.zeros_like(v)
+        if axis is None:
+            gx.reshape(-1)[np.argmax(v)] = np.asarray(g).reshape(-1)[0]
+        else:
+            np.put_along_axis(gx, np.expand_dims(np.argmax(v, axis=axis), axis),
                               np.expand_dims(np.asarray(g), axis), axis=axis)
-            return (gx,)
+        return (gx,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def _check_axis(v, axis):
@@ -528,25 +457,21 @@ def _check_axis(v, axis):
 def reshape(x: Tensor, shape) -> Tensor:
     v = x.data
     out = v.reshape(shape)
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g.reshape(v.shape),)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     out = _mT(x.data).copy()
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (_mT(g).copy(),)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -556,8 +481,6 @@ def concat(tensors, axis=0) -> Tensor:
     tensors = [_wrap(tape, t) for t in tensors]
     vals = [t.data for t in tensors]
     out = np.concatenate(vals, axis=axis)
-    if not tape.grad:
-        return Tensor(tape, None, out)
     index = [slice(None)] * out.ndim
     parts, start = [], 0
     for v in vals:
@@ -568,7 +491,7 @@ def concat(tensors, axis=0) -> Tensor:
     def vjp(g):
         return tuple(g[part] for part in parts)
 
-    return tape._record(out, tuple(t.index for t in tensors), vjp)
+    return tape._output(out, tuple(t.index for t in tensors), vjp)
 
 
 def get_row(x: Tensor, i) -> Tensor:
@@ -591,8 +514,6 @@ def get_row(x: Tensor, i) -> Tensor:
         raise ShapeError(f"row {i} invalid for shape {v.shape}")
     # fancy indexing copies
     out = v[..., i : i + 1, :].copy() if single else v[..., ids, :][..., None, :]
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         gx = np.zeros_like(v)
@@ -602,7 +523,7 @@ def get_row(x: Tensor, i) -> Tensor:
             np.add.at(gx, (Ellipsis, ids, slice(None)), g[..., 0, :])
         return (gx,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -612,29 +533,24 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * v.ndim
     idx[axis] = slice(start, start + length)
     out = v[tuple(idx)].copy()
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         gx = np.zeros_like(v)
         gx[tuple(idx)] = g
         return (gx,)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes where unclipped, zero where clipped."""
     v = x.data
     out = np.clip(v, lo, hi)
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
-    mask = ((v > lo) & (v < hi)).astype(np.float64)
 
     def vjp(g):
-        return (g * mask,)
+        return (g * ((v > lo) & (v < hi)).astype(np.float64),)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 def st_onehot(x: Tensor) -> Tensor:
@@ -644,13 +560,11 @@ def st_onehot(x: Tensor) -> Tensor:
     arg = np.argmax(v, axis=-1)
     out = np.zeros_like(v)
     np.put_along_axis(out, np.expand_dims(arg, -1), 1.0, axis=-1)
-    if not x.tape.grad:
-        return Tensor(x.tape, None, out)
 
     def vjp(g):
         return (g.copy(),)
 
-    return x.tape._record(out, (x.index,), vjp)
+    return x.tape._output(out, (x.index,), vjp)
 
 
 # ---------------------------------------------------------------------------

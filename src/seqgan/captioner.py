@@ -333,13 +333,11 @@ class BoundCaptioner:
         leading axes (members, batch rows), e.g. B x 1 x m states against
         B x C x m crops.  The last slot of ``attn`` is the sentinel gate; in
         att2all mode the context fed back is zero and the sentinel slot of
-        ``attn`` is exactly zero.  On a grad tape the step is one node, whose
-        output [row | h' | c' | ctx' | attn] the five tensors narrow.
+        ``attn`` is exactly zero.  The step is one node, whose output
+        [row | h' | c' | ctx' | attn] the five tensors narrow.
         """
         w, inputs = self._w, [h, c, ctx, x_embed, feats_proj]
         *outs, saved = _step_forward(w, *(t.data for t in inputs), self._sentinel_mask)
-        if not self.tape.grad:
-            return tuple(ad.Tensor(self.tape, None, out) for out in outs)
         widths = [out.shape[-1] for out in outs]
         ends = np.cumsum(widths).tolist()
 

@@ -13,6 +13,8 @@ the one-hot rows of a ``CaptionBatch`` (``CaptionBatch.one_hot``: the raw
 token lists, EOS included, no BOS), or relaxed rows, so generator gradients
 can flow through the caption input.  Captions of different lengths are
 padded to the longest and masked (see ``BoundDiscriminator.forward``).
+The word LSTM runs in plain numpy as one tape node; attention and heads
+are tape ops.
 """
 
 from __future__ import annotations
@@ -112,17 +114,11 @@ class BoundDiscriminator:
         self.variant = params.variant
         self.p = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
 
-    def _lstm_step(self, h, c, x):
-        """One fused word-LSTM step: one affine node for the column blocks
-        i, f, o, g of the joined [x | h], then one ``ad.lstm_cell`` node."""
-        m = c.shape[-1]
-        out = ad.lstm_cell(ad.affine(ad.concat([x, h], axis=-1), self.p["lstm_W"],
-                                     self.p["lstm_b"]), c)
-        return ad.narrow(out, -1, m, m), ad.narrow(out, -1, 0, m)
-
     def embed_rows(self, rows) -> ad.Tensor:
         """Word vectors ``rows @ embed`` (B x T x m) of B x T x K token rows:
-        one-hot rows for hard tokens, simplex rows for relaxed ones."""
+        one-hot rows for hard tokens, simplex rows for relaxed ones.  Plain
+        rows are a constant, so their product is one node whose only parent
+        is ``embed``."""
         data = rows.data if isinstance(rows, ad.Tensor) else np.asarray(rows)
         K = self.config.vocab_size
         if data.ndim != 3 or data.shape[-1] != K:
@@ -131,18 +127,42 @@ class BoundDiscriminator:
             raise InputError("caption is empty")
         if np.any(data < 0):
             raise InputError("token rows must be nonnegative")
-        return ad.matmul(rows, self.p["embed"])
+        embed = self.p["embed"]
+        if isinstance(rows, ad.Tensor):
+            return ad.matmul(rows, embed)
+        data, shape = data.astype(np.float64, copy=False), embed.shape
+        return self.tape.record(data @ embed.data, [embed],
+                                lambda g: (ad._weight_grad(data, g, shape),))
 
     def hidden_states(self, word_vectors: ad.Tensor) -> ad.Tensor:
         """LSTM state after each word vector, B x T x m (rows past a
-        caption's end are states over padding; ``forward`` masks them)."""
-        B, T, m = word_vectors.shape
-        h = c = self.tape.tensor(np.zeros((B, 1, m)))
-        states = []
+        caption's end are states over padding; ``forward`` masks them), as
+        one node that steps ``ad._lstm_cell_values`` over [x | h].  Its VJP
+        walks the steps backward and adds up the weight gradients one step
+        at a time, latest first, as the per-step tape ops did."""
+        W, b, X = self.p["lstm_W"].data, self.p["lstm_b"].data, word_vectors.data
+        B, T, m = X.shape
+        h = c = np.zeros((B, 1, m))
+        H, saved = np.empty(X.shape), []
         for t in range(T):
-            h, c = self._lstm_step(h, c, ad.narrow(word_vectors, 1, t, 1))
-            states.append(h)
-        return ad.concat(states, axis=1)
+            u = np.concatenate([X[:, t : t + 1], h], axis=-1)
+            c, out_rows, cell = ad._lstm_cell_values(u @ W + b, c)
+            h = H[:, t : t + 1] = out_rows[..., 0, :]
+            if self.tape.grad:  # a no-grad tape keeps no per-step arrays
+                saved.append((u, cell))
+
+        def vjp(g_H):  # holds arrays only (see ``BoundCaptioner.step``)
+            g_X, g_W, g_b, g_c, g_h_next = np.empty((B, T, m)), 0.0, 0.0, 0.0, 0.0
+            for t in reversed(range(T)):
+                u, cell = saved[t]
+                g_pre, g_c = ad._lstm_cell_grads(cell, g_c, g_H[:, t : t + 1] + g_h_next)
+                g_u = g_pre @ W.T
+                g_X[:, t : t + 1], g_h_next = g_u[..., :m], g_u[..., m:]
+                g_W = g_W + ad._weight_grad(u, g_pre, W.shape)
+                g_b = g_b + ad._unbroadcast(g_pre, b.shape)
+            return g_W, g_b, g_X
+
+        return self.tape.record(H, [self.p["lstm_W"], self.p["lstm_b"], word_vectors], vjp)
 
     def forward(self, image_feats, rows, lengths) -> dict:
         """Scores of B captions given as padded B x T x K token rows.

@@ -5,9 +5,11 @@ captioner, so expectations and variances over the sequence distribution are
 exact.  ``PerGateCaptioner`` and ``PerGateDiscriminator`` keep the per-gate
 LSTM cells (each gate's weights sliced from the stored fused arrays), the
 separate sentinel branch and the per-token log-likelihood that the fused
-models replaced, as the oracle for the fused path, and ``per_gate_init``
-the per-gate draws as the oracle for the fused initial values;
-``composed_lstm_cell`` is the oracle for ``ad.lstm_cell``, and
+models replaced, as the oracle for the fused path (``PerGateDiscriminator``
+steps its word LSTM as tape ops, the oracle for the one-node word LSTM), and
+``per_gate_init`` the per-gate draws as the oracle for the fused initial
+values; ``composed_lstm_cell`` is the oracle for the numpy cell
+``ad._lstm_cell_values`` and ``_lstm_cell_grads``, and
 ``per_member_decode`` keeps the per-member ensemble loop as the oracle for
 the stacked ensemble bind, and ``per_reference_cider_d`` the CIDEr-D loop
 that rebuilt the candidate side for every reference.  ``loop_d_batch_step``
@@ -109,8 +111,10 @@ def per_gate_init(config, seed, variant=None):
 
 
 def composed_lstm_cell(pre, c, k):
-    """``ad.lstm_cell`` from separate sigmoid/tanh/mul/add nodes: the fused
-    cell as the models composed it before the op existed."""
+    """The numpy cell ``ad._lstm_cell_values`` from separate
+    sigmoid/tanh/mul/add nodes, as ``[c' | o_1*tanh(c') | ... |
+    o_k*tanh(c')]``: the fused cell as the models composed it on the tape
+    before it was fused."""
     m = c.shape[1]
     sig = ad.sigmoid(ad.narrow(pre, 1, 0, (k + 2) * m))
     i, f, *outs = [ad.narrow(sig, 1, j * m, m) for j in range(k + 2)]
@@ -313,14 +317,27 @@ def per_reference_cider_d(candidate, refs, idf):
 
 
 class PerGateDiscriminator(BoundDiscriminator):
-    """The discriminator with its word LSTM as per-gate branches."""
+    """The discriminator with its word LSTM as a tape loop of per-gate
+    cells, and every token row embedded by ``ad.matmul``."""
 
     def __init__(self, tape, params):
         super().__init__(tape, params)
         self.gates = gate_weights(self.p, DISCRIMINATOR_BLOCKS, params.config.hidden_dim)
 
-    def _lstm_step(self, h, c, x):
-        return per_gate_lstm(self.gates, x, h, c)
+    def embed_rows(self, rows):
+        """Hard rows too, which ``ad.matmul`` copies into a leaf."""
+        return ad.matmul(rows, self.p["embed"])
+
+    def hidden_states(self, word_vectors):
+        """Per word, one ``narrow`` of the word vectors and one per-gate
+        cell on the tape; the B x 1 x m states joined by one ``concat``."""
+        B, T, m = word_vectors.shape
+        h = c = self.tape.tensor(np.zeros((B, 1, m)))
+        states = []
+        for t in range(T):
+            h, c = per_gate_lstm(self.gates, ad.narrow(word_vectors, 1, t, 1), h, c)
+            states.append(h)
+        return ad.concat(states, axis=1)
 
 
 def score_one(params, feats, seq) -> float:

@@ -279,58 +279,56 @@ class TestFusedOps:
         with pytest.raises(ad.ShapeError):
             ad.affine(x, W, tape.tensor(np.zeros((3, 4))))
 
-    @pytest.mark.parametrize("k,rows", [(1, 1), (2, 1), (1, 3), (2, 3)])
+    # the numpy LSTM cell (``_lstm_cell_values`` and ``_lstm_cell_grads``),
+    # k output gates over n rows; ``composed_lstm_cell`` is its tape oracle
+    @staticmethod
+    def cell_loss(pre, c, wc, wh):
+        """sum(c' * wc) + sum(h * wh) of the numpy cell, h joined as n x km."""
+        c_new, h, _ = ad._lstm_cell_values(pre, c)
+        return float((c_new * wc).sum() + (h.reshape(wh.shape) * wh).sum())
+
+    @pytest.mark.parametrize("k,rows", [(1, 1), (2, 1), (1, 3), (2, 3), (3, 2)])
     def test_lstm_cell_gradient_vs_fd(self, k, rows):
         rng = np.random.default_rng(33 + k + rows)
         m = 3
         pre0, c0 = rng.uniform(-2, 2, (rows, (k + 3) * m)), rng.uniform(-2, 2, (rows, m))
-        w = rng.uniform(-1, 1, (rows, (k + 1) * m))
+        wc, wh = rng.uniform(-1, 1, (rows, m)), rng.uniform(-1, 1, (rows, k * m))
+        saved = ad._lstm_cell_values(pre0, c0)[2]
+        gpre, gc = ad._lstm_cell_grads(saved, wc, wh)
+        assert rel_err(gpre, central_difference(
+            lambda a: self.cell_loss(a, c0, wc, wh), pre0.copy())) < 1e-6
+        assert rel_err(gc, central_difference(
+            lambda a: self.cell_loss(pre0, a, wc, wh), c0.copy())) < 1e-6
 
-        def run(pre, c):
-            tape = ad.Tape()
-            tp, tc = tape.tensor(pre), tape.tensor(c)
-            return tape, tp, tc, ad.reduce_sum(ad.mul(ad.lstm_cell(tp, tc), w))
-
-        tape, tp, tc, out = run(pre0, c0)
-        ad.backward(tape, out)
-        assert rel_err(tp.grad, central_difference(
-            lambda a: run(a, c0)[3].item(), pre0.copy())) < 1e-6
-        assert rel_err(tc.grad, central_difference(
-            lambda a: run(pre0, a)[3].item(), c0.copy())) < 1e-6
-
-    @pytest.mark.parametrize("k,rows", [(1, 1), (2, 1), (1, 4), (2, 4)])
+    @pytest.mark.parametrize("k,rows", [(1, 1), (2, 1), (1, 4), (2, 4), (3, 2)])
     def test_lstm_cell_values_equalcomposed_lstm_cell(self, k, rows):
         rng = np.random.default_rng(40 + k + rows)
         m = 5
         pre = rng.normal(scale=4.0, size=(rows, (k + 3) * m))
         pre[0, :4] = [-800.0, 800.0, 0.0, -0.0]  # both sigmoid branches, saturation
         c = rng.normal(size=(rows, m))
+        c_new, h, _ = ad._lstm_cell_values(pre, c)
+        assert c_new.shape == (rows, m) and h.shape == (rows, k, m)
+        fused = np.concatenate([c_new, h.reshape(rows, k * m)], axis=1)
         for grad in (True, False):
             tape = ad.Tape(grad=grad)
-            tp, tc = tape.tensor(pre), tape.tensor(c)
-            fused = ad.lstm_cell(tp, tc).data
-            assert fused.shape == (rows, (k + 1) * m)
-            assert np.array_equal(fused, composed_lstm_cell(tp, tc, k).data)
+            assert np.array_equal(fused, composed_lstm_cell(tape.tensor(pre), tape.tensor(c),
+                                                            k).data)
 
     def test_lstm_cell_gradient_matchescomposed_lstm_cell(self):
         rng = np.random.default_rng(41)
-        pre0, c0 = rng.normal(size=(2, 15)), rng.normal(size=(2, 3))
-        w = rng.normal(size=(2, 9))
-        grads = []
-        for cell in (lambda p, c: ad.lstm_cell(p, c), lambda p, c: composed_lstm_cell(p, c, 2)):
+        m = 3
+        for k in (1, 2, 3):
+            pre0, c0 = rng.normal(size=(2, (k + 3) * m)), rng.normal(size=(2, m))
+            w = rng.normal(size=(2, (k + 1) * m))
             tape = ad.Tape()
             tp, tc = tape.tensor(pre0), tape.tensor(c0)
-            ad.backward(tape, ad.reduce_sum(ad.mul(cell(tp, tc), w)))
-            grads.append((tp.grad, tc.grad))
-        for a, b in zip(*grads):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
-
-    def test_lstm_cell_rejects_bad_shapes(self):
-        tape = ad.Tape()
-        c = tape.tensor(np.zeros((2, 3)))
-        for shape in ((2, 9), (2, 13), (1, 12), (12,)):
-            with pytest.raises(ad.ShapeError):
-                ad.lstm_cell(tape.tensor(np.zeros(shape)), c)
+            ad.backward(tape, ad.reduce_sum(ad.mul(composed_lstm_cell(tp, tc, k), w)))
+            saved = ad._lstm_cell_values(pre0, c0)[2]
+            gpre, gc = ad._lstm_cell_grads(saved, w[:, :m], w[:, m:])
+            # the composed cell sums its gradients in another order
+            np.testing.assert_allclose(gpre, tp.grad, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(gc, tc.grad, rtol=0, atol=1e-14)
 
     def test_concat_gradients_are_views_of_one_array(self):
         tape = ad.Tape()
@@ -475,7 +473,6 @@ def _old_sigmoid(v):
 _OPS = {
     "matmul": lambda t, a, b: ad.matmul(a, b),
     "affine": lambda t, a, b: ad.affine(a, b, t.tensor(np.ones((1, 3)))),
-    "lstm_cell": lambda t, a, b: ad.lstm_cell(a, ad.narrow(ad.transpose(b), 1, 0, 1)),
     "add": lambda t, a, b: ad.add(a, t.tensor(np.ones((1, 4)))),
     "sub": lambda t, a, b: ad.sub(a, ad.transpose(b)),
     "mul": lambda t, a, b: ad.mul(a, ad.transpose(b)),
@@ -495,6 +492,8 @@ _OPS = {
     "narrow": lambda t, a, b: ad.narrow(a, 1, 1, 2),
     "clip": lambda t, a, b: ad.clip(a, -0.5, 0.5),
     "st_onehot": lambda t, a, b: ad.st_onehot(a),
+    "record": lambda t, a, b: t.record(a.data @ b.data, [a, b],
+                                       lambda g: (g @ b.data.T, a.data.T @ g)),
 }
 
 
@@ -503,7 +502,7 @@ def test_every_public_op_is_in_the_no_grad_sweep():
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__
            and not name.startswith("_") and name != "backward"}
-    assert {"matmul", "affine", "lstm_cell", "concat"} <= ops
+    assert {"matmul", "affine", "concat"} <= ops and "lstm_cell" not in ops
     assert sorted(ops - set(_OPS)) == []
 
 
@@ -534,6 +533,25 @@ class TestNoGradTape:
         np.testing.assert_array_equal(a_arr, a_keep)
         np.testing.assert_array_equal(b_arr, b_keep)
 
+    @pytest.mark.parametrize("name", sorted(_OPS))
+    def test_one_rule_records_nothing_and_keeps_no_gradient(self, name, monkeypatch):
+        """Every op, ``record`` included, stops at ``Tape._output``: nothing
+        reaches ``_record``, no node or gradient slot is kept, and the result
+        has no gradient and cannot be a backward root."""
+        def refuse(*args):
+            raise AssertionError("a no-grad tape reached Tape._record")
+
+        rng = np.random.default_rng(24)
+        tape = ad.Tape(grad=False)
+        a, b = tape.tensor(rng.normal(size=(3, 4))), tape.tensor(rng.normal(size=(4, 3)))
+        monkeypatch.setattr(ad.Tape, "_record", refuse)
+        out = _OPS[name](tape, a, b)
+        assert tape.nodes == [] and tape.gradients == [] and out.index is None
+        with pytest.raises(ad.TapeError):
+            out.grad
+        with pytest.raises(ad.TapeError):
+            ad.backward(tape, ad.reduce_sum(out))
+
     def test_grad_tape_still_copies(self):
         arr = np.ones((2, 2))
         t = ad.Tape().tensor(arr)
@@ -560,12 +578,24 @@ class TestNoGradTape:
             assert np.array_equal(out, _old_sigmoid(v))
 
 
+def cell_node(tape, pre, c):
+    """The numpy LSTM cell as one ``Tape.record`` node, ``[c' | o_1*tanh(c')
+    | ... | o_k*tanh(c')]``, whose operands' leading axes broadcast."""
+    m = c.shape[-1]
+    c_new, h, saved = ad._lstm_cell_values(pre.data, c.data)
+    out = np.concatenate([c_new, h.reshape(h.shape[:-2] + (-1,))], axis=-1)
+
+    def vjp(g):
+        return ad._lstm_cell_grads(saved, g[..., :m], g[..., m:])
+
+    return tape.record(out, [pre, c], vjp)
+
+
 # every op on stacked inputs, as build(tape, a 2x3x4, b 2x4x3) -> tensor; the
 # ops that contract or index the last two axes use the leading axis as a batch
 _BATCHED_OPS = {
     "matmul": lambda t, a, b: ad.matmul(a, b),
     "affine": lambda t, a, b: ad.affine(a, b, t.tensor(np.ones((1, 3)))),
-    "lstm_cell": lambda t, a, b: ad.lstm_cell(a, ad.narrow(ad.transpose(b), -1, 0, 1)),
     "add": lambda t, a, b: ad.add(a, ad.transpose(b)),
     "sub": lambda t, a, b: ad.sub(a, ad.transpose(b)),
     "mul": lambda t, a, b: ad.mul(a, ad.transpose(b)),
@@ -589,7 +619,7 @@ _BATCHED_OPS = {
 
 # the ops that treat the last two axes as a matrix: stacked, each member's
 # slice equals the rank-2 op on that member's operands
-_MATRIX_OPS = ("matmul", "affine", "lstm_cell", "get_row", "transpose")
+_MATRIX_OPS = ("matmul", "affine", "get_row", "transpose")
 
 
 def _stacked_inputs(seed):
@@ -666,8 +696,9 @@ class TestLeadingAxes:
                                           [(1, 4), (2, 4, 3), (1, 3)]),
         "affine, batched bias only": (lambda t, x, W, b: ad.affine(x, W, b),
                                       [(3, 4), (4, 3), (2, 1, 3)]),
-        "lstm_cell, shared cell": (lambda t, p, c: ad.lstm_cell(p, c), [(2, 3, 8), (3, 2)]),
-        "lstm_cell, shared pre": (lambda t, p, c: ad.lstm_cell(p, c), [(3, 10), (2, 3, 2)]),
+        "lstm_cell, shared cell": (cell_node, [(2, 3, 8), (3, 2)]),
+        "lstm_cell, shared pre": (cell_node, [(3, 10), (2, 3, 2)]),
+        "lstm_cell, k = 3": (cell_node, [(2, 1, 3, 12), (2, 3, 2)]),
         "transpose, two leading axes": (lambda t, x: ad.transpose(x), [(2, 2, 3, 4)]),
         "get_row, two leading axes": (lambda t, x: ad.get_row(x, 2), [(2, 2, 3, 4)]),
     }
@@ -690,8 +721,6 @@ class TestLeadingAxes:
             ad.matmul(x, W)
         with pytest.raises(ad.ShapeError):
             ad.affine(x, W, tape.tensor(np.zeros((1, 5))))
-        with pytest.raises(ad.ShapeError):
-            ad.lstm_cell(tape.tensor(np.zeros((2, 3, 8))), tape.tensor(np.zeros((3, 3, 2))))
         with pytest.raises(ad.ShapeError):
             ad.get_row(tape.tensor(np.zeros((2, 3, 4))), 3)
 

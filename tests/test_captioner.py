@@ -404,8 +404,10 @@ class TestNoGradEquivalence:
     def test_decode_step(self, seed, attention):
         config, (params,), feats = self._setup(seed, attention)
         prevs = [config.bos_id, 2, 3]
-        plain = replay_steps(params, feats, prevs, ad.Tape(grad=False))
-        taped = replay_steps(params, feats, prevs, ad.Tape())
+        plain_tape, taped_tape = ad.Tape(grad=False), ad.Tape()
+        plain = replay_steps(params, feats, prevs, plain_tape)
+        taped = replay_steps(params, feats, prevs, taped_tape)
+        assert plain_tape.nodes == [] and plain_tape.gradients == [] and taped_tape.nodes
         assert len(plain) == len(taped) == len(prevs)
         for a, b in zip(plain, taped):  # row, h, c, ctx, attn, logits
             for x, y in zip(a, b):

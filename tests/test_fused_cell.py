@@ -1,10 +1,11 @@
 """The fused LSTM cells against the per-gate oracles in ``helpers``.
 
-The captioner fuses its four gates and the sentinel gate into one affine and
-one ``lstm_cell`` node (the sentinel is the cell's second output gate), and
-attends over the sentinel as one more value row; the discriminator fuses its
-word LSTM the same way.  Values, every parameter gradient and the logit
-gradients must match the per-gate formulation to 1e-12.  Both models store
+The captioner fuses its four gates and the sentinel gate into one fused
+numpy cell (the sentinel is the cell's second output gate), and attends over
+the sentinel as one more value row; the discriminator fuses its word LSTM
+the same way and runs it as one node (``tests/test_word_lstm.py`` checks
+that node on padded batches).  Values, every parameter gradient and the
+logit gradients must match the per-gate formulation to 1e-12.  Both models store
 the fused weight and bias, and their initial values must equal the per-gate
 draws concatenated.
 """

@@ -155,7 +155,7 @@ class TestCiderDCandidateOnce:
     def test_random_sets_equal_per_reference_loop(self, corpus, cand, refs):
         idf = met.fit_idf(corpus)
         assert met.cider_d(cand, refs, idf) == per_reference_cider_d(cand, refs, idf)
-        # a second call reads the weights and reference sides memoized by the first
+        # a second call gives the same bits: no call keeps state for the next
         assert met.cider_d(cand, refs, idf) == per_reference_cider_d(cand, refs, idf)
 
     def test_weight_is_the_log_ratio_and_equality_ignores_the_memo(self, toy_idf):
@@ -163,7 +163,7 @@ class TestCiderDCandidateOnce:
         for gram in [(2,), (2, 3), (7, 9, 8), (40,)]:
             want = float(np.log(toy_idf.corpus_size / max(1, toy_idf.doc_freq.get(gram, 0))))
             assert toy_idf.idf(gram) == want
-            assert toy_idf.idf(gram) == want  # memoized
+            assert toy_idf.idf(gram) == want  # recomputed, the same bits
         assert fresh == toy_idf
 
 
