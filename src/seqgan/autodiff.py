@@ -494,33 +494,17 @@ def concat(tensors, axis=0) -> Tensor:
     return tape._output(out, tuple(t.index for t in tensors), vjp)
 
 
-def get_row(x: Tensor, i) -> Tensor:
-    """Row i of the last two axes as a ... x 1 x n tensor (embedding lookup).
-
-    ``i`` may also be a vector of B row ids: the rows are then gathered into
-    a new axis before the last two, ... x B x 1 x n with row ``i[b]`` at b, in
-    one gather; the VJP scatters with ``np.add.at``, so repeated ids add up.
-    """
+def get_row(x: Tensor, i: int) -> Tensor:
+    """Row i of the last two axes as a ... x 1 x n tensor (embedding lookup)."""
     v = x.data
     rows = v.shape[-2] if v.ndim >= 2 else 0
-    single = isinstance(i, (int, np.integer))
-    if single:
-        valid = 0 <= i < rows
-    else:
-        ids = np.asarray(i)
-        valid = ids.ndim == 1 and ids.dtype.kind in "iu" and bool(
-            ((ids >= 0) & (ids < rows)).all())
-    if not valid:
+    if not (isinstance(i, (int, np.integer)) and 0 <= i < rows):
         raise ShapeError(f"row {i} invalid for shape {v.shape}")
-    # fancy indexing copies
-    out = v[..., i : i + 1, :].copy() if single else v[..., ids, :][..., None, :]
+    out = v[..., i : i + 1, :].copy()
 
     def vjp(g):
         gx = np.zeros_like(v)
-        if single:
-            gx[..., i, :] = g[..., 0, :]
-        else:
-            np.add.at(gx, (Ellipsis, ids, slice(None)), g[..., 0, :])
+        gx[..., i, :] = g[..., 0, :]
         return (gx,)
 
     return x.tape._output(out, (x.index,), vjp)
@@ -549,20 +533,6 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
     def vjp(g):
         return (g * ((v > lo) & (v < hi)).astype(np.float64),)
-
-    return x.tape._output(out, (x.index,), vjp)
-
-
-def st_onehot(x: Tensor) -> Tensor:
-    """One-hot of argmax over the last axis; backward is the identity
-    (straight-through), ties broken toward the lowest index."""
-    v = x.data
-    arg = np.argmax(v, axis=-1)
-    out = np.zeros_like(v)
-    np.put_along_axis(out, np.expand_dims(arg, -1), 1.0, axis=-1)
-
-    def vjp(g):
-        return (g.copy(),)
 
     return x.tape._output(out, (x.index,), vjp)
 

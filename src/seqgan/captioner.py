@@ -15,7 +15,8 @@ and its reverse, ``_step_reverse``.  The decoders ``greedy_decode``,
 ``sample_sentence`` and ``ensemble_decode`` (one C x d image) and
 ``greedy_decode_batch`` (B of them) call the forward directly, with no tape
 and no bind.  On a tape, ``BoundCaptioner`` records a whole teacher-forced
-unroll as one node, or one node per step where outputs are fed back.
+unroll as one node, and so the Gumbel estimators' relaxed unroll, which feeds
+its outputs back.
 
 Teacher forcing takes a ``CaptionBatch`` of B captions against B x C x d
 features; ``CaptionBatch.one_hot`` gives the padded one-hot rows that both
@@ -275,19 +276,21 @@ class BoundCaptioner:
     The decoder step itself runs in plain numpy (``_step_forward`` and
     ``_step_reverse``); the tape sees it as whole nodes.
     ``sequence_log_prob_and_logits`` records a teacher-forced unroll as one
-    node, and ``step`` one node per step, for unrolls that feed their
-    outputs back (the Gumbel estimators).  The projection of the crops, the
-    output head (affine, masked softmax, pick, log) and whatever consumes
-    the logits stay ops on the tape.  The module-level decoders bind no
-    captioner: they call the plain step directly.
+    node, and ``relaxed_unroll`` the relaxed unroll of the Gumbel
+    estimators, output head, relaxation and feed included, as one node.
+    ``step`` records one node per step, for stepping a model by hand.  The
+    projection of the crops, the teacher-forced output head (affine, masked
+    softmax, pick, log) and whatever consumes the unrolls stay ops on the
+    tape.  The module-level decoders bind no captioner: they call the plain
+    step directly.
 
     ``step`` returns the output row ``h' + ctx'``; ``logits`` projects one
     or several stacked output rows to word scores in one affine node.
 
     The arrays of ``params`` may carry a leading member axis (M x ...,
     built by ``stack_members``): every tensor of a step then carries the
-    member axis (the zero state is M x 1 x m, or M x B x 1 x m for B rows,
-    whose weights need a row axis: see ``_decode``).
+    member axis (the zero state is M x 1 x m; B rows under the member axis
+    need a row axis on the weights: see ``_decode``).
     """
 
     def __init__(self, tape: ad.Tape, params: CaptionerParams):
@@ -298,7 +301,6 @@ class BoundCaptioner:
         bos_mask, self._sentinel_mask = _masks(params.config)
         self._bos_mask = tape.tensor(bos_mask)
         self._members = params.arrays["embed"].shape[:-2]  # (M,) when stacked, else ()
-        self._zeros = {}  # zero leaves by shape, bound on first use
 
     def project_feats(self, image_feats, batch: int | None = None) -> ad.Tensor:
         """Crops projected to the attention width: C x m, or B x C x m for
@@ -306,14 +308,10 @@ class BoundCaptioner:
         feats = _check_feats(image_feats, self.config, batch)
         return ad.matmul(self.tape.tensor(feats), self.p["attn_Wv"])
 
-    def zero_state(self, batch: int | None = None):
-        """Zero (h, c, ctx), 1 x m per member, or B x 1 x m for ``batch`` = B
-        rows; the first-step context is defined as the zero vector."""
-        rows = () if batch is None else (batch,)
-        shape = self._members + rows + (1, self.config.hidden_dim)
-        if shape not in self._zeros:
-            self._zeros[shape] = self.tape.tensor(np.zeros(shape))
-        zero = self._zeros[shape]
+    def zero_state(self):
+        """Zero (h, c, ctx), 1 x m per member; the first-step context is
+        defined as the zero vector."""
+        zero = self.tape.tensor(np.zeros(self._members + (1, self.config.hidden_dim)))
         return zero, zero, zero
 
     def embed_token(self, token: int) -> ad.Tensor:
@@ -321,12 +319,9 @@ class BoundCaptioner:
             raise InputError(f"token id {token} out of range")
         return ad.get_row(self.p["embed"], token)
 
-    def embed_soft(self, soft_row: ad.Tensor) -> ad.Tensor:
-        """Embedding of a relaxed token: simplex row times the embedding table."""
-        return ad.matmul(soft_row, self.p["embed"])
-
     def step(self, h, c, ctx, x_embed, feats_proj):
-        """One decoder step (``_step_forward``) on tensors.
+        """One decoder step (``_step_forward``) on tensors, for stepping a
+        model by hand; no library code calls it.
 
         Returns (output row h' + ctx' 1xm, h', c', ctx', attn 1x(C+1)); pass
         the output row to ``logits`` for word scores.  Every operand may carry
@@ -435,6 +430,68 @@ class BoundCaptioner:
 
         return self.tape.record(rows, [self.p[name] for name in _STEP_WEIGHTS]
                                 + [self.p["embed"], feats_proj], vjp)
+
+    def relaxed_unroll(self, image_feats, draw, temperature: float, straight_through: bool):
+        """Decode the B images of B x C x d ``image_feats`` as one node, each
+        step's row fed back times the embedding: the softmax at
+        ``temperature`` of the masked logits plus ``draw()`` (B x 1 x K
+        noise), or with ``straight_through`` its argmax one-hot, whose VJP is
+        the identity.  ``draw`` is called once per step while any row is
+        live; a row ends at its first hard EOS or at max_len.
+
+        Returns (the B x T x K rows, T the longest row, each row's hard
+        tokens, a B x T x K array that the VJP fills with the gradient of
+        each step's logits).
+        """
+        config, w, embed = self.config, self._w, self.p["embed"].data
+        out_W, out_b = self.p["out_W"].data, self.p["out_b"].data
+        B = len(image_feats)
+        feats_proj = self.project_feats(image_feats, batch=B)
+        h = c = ctx = np.zeros((B, 1, config.hidden_dim))
+        x = embed[np.full(B, config.bos_id)][:, None]
+        steps, ys = [], []  # per step: (output row, softmax, saved arrays); the row fed back
+        tokens, live = [[] for _ in range(B)], list(range(B))
+        for _ in range(config.max_len):
+            out, h, c, ctx, _, step_saved = _step_forward(w, h, c, ctx, x, feats_proj.data,
+                                                          self._sentinel_mask)
+            soft = ad._softmax_values(
+                (out @ out_W + out_b + self._bos_mask.data + draw()) / temperature)
+            words = soft.argmax(axis=-1).reshape(B).tolist()
+            ys.append(np.eye(config.vocab_size)[words][:, None] if straight_through else soft)
+            steps.append((out, soft, step_saved))
+            for b in live:
+                tokens[b].append(words[b])
+            live = [b for b in live if words[b] != config.eos_id]
+            if not live:
+                break
+            x = ys[-1] @ embed
+        outs, softs, saved = zip(*steps)
+        T, outs, ys = len(steps), np.concatenate(outs, axis=1), np.concatenate(ys, axis=1)
+        g_logits = np.zeros(ys.shape)
+
+        def vjp(g_rows):  # holds arrays only (see ``step``)
+            wT, embed_T, out_W_T = _transposed(w), embed.T, out_W.T
+            g_h = g_c = g_ctx = np.zeros(h.shape)
+            g_xs, g_fp, terms = np.empty(outs.shape), 0.0, []
+            for t in reversed(range(T)):
+                g_y = g_rows[:, t : t + 1]
+                if t + 1 < T:  # row t was step t + 1's input
+                    g_y = g_y + g_xs[:, t + 1 : t + 2] @ embed_T
+                g_logits[:, t : t + 1] = ad._softmax_grads(softs[t], g_y) / temperature
+                g_xs[:, t : t + 1], g_h, g_c, g_ctx, g_fp_t, step_terms = _step_reverse(
+                    wT, saved[t], g_logits[:, t : t + 1] @ out_W_T, g_h, g_c, g_ctx)
+                g_fp = g_fp + g_fp_t
+                terms.append(step_terms)
+            g_embed = ad._weight_grad(ys[:, :-1], g_xs[:, 1:], embed.shape)
+            g_embed[config.bos_id] += g_xs[:, 0].sum(axis=0)
+            stacked = [np.stack(operands) for operands in zip(*terms)]
+            return _weight_grads(w, stacked) + [
+                g_embed, ad._weight_grad(outs, g_logits, out_W.shape), g_logits, g_fp]
+
+        rows = self.tape.record(ys, [self.p[name] for name in _STEP_WEIGHTS]
+                                + [self.p["embed"], self.p["out_W"], self.p["out_b"],
+                                   feats_proj], vjp)
+        return rows, tokens, g_logits
 
 
 def _check_feats(image_feats, config, batch: int | None = None):

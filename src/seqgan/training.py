@@ -255,37 +255,6 @@ def gumbel_noise(rng: np.random.Generator, size) -> np.ndarray:
     return -np.log(-np.log(u + 1e-20) + 1e-20)
 
 
-def gumbel_unroll(tape: ad.Tape, bound_g: BoundCaptioner, image_feats,
-                  rng: np.random.Generator, cfg: GanConfig):
-    """Decode B x C x d ``image_feats`` with relaxed samples fed back as
-    inputs.  Each step draws one (B, 1, K) uniform block while any row is
-    live; a row ends at its first hard EOS or at max_len, and then its noise
-    is unused.  Returns (the B x T x K relaxed rows, T the longest row, each
-    step's B x 1 x K logits, each row's hard token ids)."""
-    config = bound_g.config
-    B = len(image_feats)
-    feats_proj = bound_g.project_feats(image_feats, batch=B)
-    h, c, ctx = bound_g.zero_state(B)
-    x = ad.get_row(bound_g.p["embed"], np.full(B, config.bos_id))
-    rows, step_logits, tokens, live = [], [], [[] for _ in range(B)], list(range(B))
-    for _ in range(config.max_len):
-        out, h, c, ctx, _ = bound_g.step(h, c, ctx, x, feats_proj)
-        logits = bound_g.logits(out)
-        step_logits.append(logits)
-        noise = tape.tensor(gumbel_noise(rng, (B, 1, config.vocab_size)))
-        y = ad.softmax(ad.add(bound_g.masked_logits(logits), noise),
-                       temperature=cfg.temperature)
-        rows.append(y if cfg.estimator == "gumbel_soft" else ad.st_onehot(y))
-        hard = rows[-1].data.argmax(axis=-1).reshape(B).tolist()
-        for b in live:
-            tokens[b].append(hard[b])
-        live = [b for b in live if hard[b] != config.eos_id]
-        if not live:
-            break
-        x = bound_g.embed_soft(rows[-1])
-    return ad.concat(rows, axis=1), step_logits, tokens
-
-
 def _sum_sq(t: ad.Tensor) -> ad.Tensor:
     return ad.reduce_sum(ad.mul(t, t))
 
@@ -307,20 +276,24 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
         raise InputError("feature matching requires the ground-truth captions")
     gt = CaptionBatch(gt_seqs) if fm_on else None
     feats = _check_feats(image_feats, d_params.config, len(image_feats))
+    if not len(feats):
+        raise InputError("gumbel_grad needs at least one image")
+    B, K = len(feats), g_params.config.vocab_size
 
     tape = ad.Tape()
     bound_g = BoundCaptioner(tape, g_params)
     bound_d = BoundDiscriminator(tape, d_params)
-    rows, step_logits, tokens = gumbel_unroll(tape, bound_g, feats, rng, cfg)
+    rows, tokens, logit_grads = bound_g.relaxed_unroll(
+        feats, lambda: gumbel_noise(rng, (B, 1, K)), cfg.temperature,
+        cfg.estimator == "gumbel_st")
     out = bound_d.forward(feats, rows, [len(seq) for seq in tokens])
     total = ad.reduce_sum(ad.log(_clamp_score(out["score"])))
     if fm_on:
         ref = bound_d.score_sequence(feats, gt)
         total -= ad.scale(_sum_sq(ref["e_img"] - out["e_img"]), cfg.fm_image_weight)
         total -= ad.scale(_sum_sq(ref["e_cap"] - out["e_cap"]), cfg.fm_caption_weight)
-    loss = ad.scale(total, 1.0 / len(feats))
+    loss = ad.scale(total, 1.0 / B)
     ad.backward(tape, loss)
-    logit_grads = np.concatenate([t.grad for t in step_logits], axis=1)  # B x T x K
     return {"grads": {name: bound_g.p[name].grad for name in g_params.arrays},
             "loss": loss.item(), "tokens": tokens, "score": out["score"].data,
             "logit_grads": [logit_grads[b, : len(seq)] for b, seq in enumerate(tokens)]}

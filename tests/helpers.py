@@ -23,9 +23,12 @@ per-image SCST step (one sample, one greedy decode, one reward pass and one
 replay tape), and ``loop_g_batch_step`` the generator step as a loop over
 it, as the oracle for the batched SCST step.  ``gumbel_unroll`` and
 ``gumbel_grad`` keep the per-image Gumbel estimators (one tape, one bind of
-each model and one 1 x K noise draw per decoder step) as the oracle for the
-batched relaxed unroll; ``PerGateCaptioner`` steps B x 1 x m rows too, so
-the per-gate oracle covers that batch.  ``replay_steps`` steps one
+each model, one ``step`` and one 1 x K noise draw per decoder step, and
+``st_onehot``, the straight-through one-hot as a tape op) as the
+oracle for the relaxed unroll node; ``gumbel_grad`` takes ``bound_cls`` and
+``disc_cls``, so the oracle runs on the per-gate models too, and
+``RecordingRng``/``ReplayRng`` hand image b row b of a batch's noise
+blocks.  ``replay_steps`` steps one
 bound captioner through a token path, the step-by-step oracle for the
 decoders and the way to inspect one step's attention and sentinel gate, and
 ``bound_decode`` decodes through a bound captioner's steps (the decoders
@@ -591,8 +594,46 @@ def loop_g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf=N
     return grads, records, logit_grads
 
 
+def st_onehot(x):
+    """One-hot of argmax over the last axis as a tape op; backward is the
+    identity (straight-through), ties broken toward the lowest index."""
+    v = x.data
+    out = np.zeros_like(v)
+    np.put_along_axis(out, np.expand_dims(np.argmax(v, axis=-1), -1), 1.0, axis=-1)
+
+    def vjp(g):
+        return (g.copy(),)
+
+    return x.tape._output(out, (x.index,), vjp)
+
+
+class RecordingRng:
+    """A seeded generator that keeps every uniform block it hands out."""
+
+    def __init__(self, seed):
+        self.rng, self.blocks = np.random.default_rng(seed), []
+
+    def random(self, size):
+        self.blocks.append(self.rng.random(size))
+        return self.blocks[-1]
+
+
+class ReplayRng:
+    """Hands out the given uniform rows in turn, one per ``random`` call."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, size):
+        row = next(self.rows)
+        assert row.shape == tuple(size)
+        return row
+
+
 def gumbel_unroll(tape, bound_g, image_feats, rng, cfg):
-    """Decode with relaxed samples fed back as inputs.
+    """Decode with relaxed samples fed back as inputs, one ``step`` and
+    one 1 x K noise draw per decoder step, each relaxed row embedded by
+    ``ad.matmul``.
 
     Returns (soft rows on the tape, per-step logits tensors, hard token ids).
     Unrolling stops when the hard argmax is EOS or max_len is reached.
@@ -610,19 +651,22 @@ def gumbel_unroll(tape, bound_g, image_feats, rng, cfg):
         noise = tape.tensor(tr.gumbel_noise(rng, (1, config.vocab_size)))
         y = ad.softmax(ad.add(bound_g.masked_logits(logits), noise),
                        temperature=cfg.temperature)
-        row = ad.st_onehot(y) if mode == "st" else y
+        row = st_onehot(y) if mode == "st" else y
         hard = int(np.argmax(row.data))
         rows.append(row)
         tokens.append(hard)
-        x = bound_g.embed_soft(row)
+        x = ad.matmul(row, bound_g.p["embed"])
         if hard == config.eos_id:
             break
     return rows, step_logits, tokens
 
 
 def gumbel_grad(g_params, d_params, image_feats, rng, cfg, gt_seq=None,
-                want_logit_grads=False):
-    """Gradient of log D on a relaxed sample, backpropagated into the captioner.
+                want_logit_grads=False, bound_cls=BoundCaptioner,
+                disc_cls=BoundDiscriminator):
+    """Gradient of log D on a relaxed sample of one C x d image,
+    backpropagated into the captioner, with the models bound as
+    ``bound_cls`` and ``disc_cls``.
 
     With feature matching enabled the loss subtracts the squared distances
     between the discriminator embeddings of the ground-truth caption and of
@@ -635,8 +679,8 @@ def gumbel_grad(g_params, d_params, image_feats, rng, cfg, gt_seq=None,
         raise InputError("feature matching requires the ground-truth caption")
 
     tape = ad.Tape()
-    bound_g = BoundCaptioner(tape, g_params)
-    bound_d = BoundDiscriminator(tape, d_params)
+    bound_g = bound_cls(tape, g_params)
+    bound_d = disc_cls(tape, d_params)
     rows, step_logits, tokens = gumbel_unroll(tape, bound_g, image_feats, rng, cfg)
 
     out = bound_d.score_soft_rows(image_feats, rows)

@@ -18,8 +18,9 @@ from seqgan import captioner as cap
 from seqgan import data as dat
 from seqgan import discriminator as disc
 from seqgan import training as tr
-from helpers import (PerGateCaptioner, PerGateDiscriminator, bound_decode, multinomial_pick,
-                     per_gate_init, replay_steps)
+from helpers import (PerGateCaptioner, PerGateDiscriminator, RecordingRng, ReplayRng,
+                     bound_decode, gumbel_grad, multinomial_pick, per_gate_init,
+                     replay_steps)
 
 TOL = 1e-12
 ATTENTION = ("context_aware", "att2all")
@@ -123,29 +124,30 @@ def test_decoders_match_per_gate(attention):
 @pytest.mark.parametrize("variant", disc.VARIANTS)
 @pytest.mark.parametrize("estimator", ("gumbel_soft", "gumbel_st"))
 @pytest.mark.parametrize("attention", ATTENTION)
-def test_gumbel_unroll_through_discriminator_matches_per_gate(monkeypatch, attention,
-                                                              estimator, variant):
-    """A batch of three images, so the per-gate step runs on B x 1 x m rows."""
+def test_gumbel_unroll_through_discriminator_matches_per_gate(attention, estimator, variant):
+    """The relaxed unroll node on a batch of three images against the
+    per-image tape loop of ``PerGateCaptioner`` steps scored by
+    ``PerGateDiscriminator``, row b replaying row b of every noise block."""
     g, d, feats = make_models(2, attention, variant)
     feats = np.stack([feats, -feats, feats[::-1]])
     cfg = tr.GanConfig(estimator=estimator, temperature=0.7, fm_image_weight=0.3,
                        fm_caption_weight=0.2)
     gts = [cap.TokenSequence(t, True) for t in ([2, 3, 4, 1], [5, 1], [6, 7, 8, 2, 1])]
-
-    def run():
-        return tr.gumbel_grad(g, d, feats, np.random.default_rng(5), cfg, gt_seqs=gts)
-
-    out = run()
-    monkeypatch.setattr(tr, "BoundCaptioner", PerGateCaptioner)
-    monkeypatch.setattr(tr, "BoundDiscriminator", PerGateDiscriminator)
-    ref = run()
-    assert out["tokens"] == ref["tokens"]
-    assert abs(out["loss"] - ref["loss"]) <= TOL
-    assert max_diff(out["score"], ref["score"]) <= TOL
+    rng = RecordingRng(5)
+    out = tr.gumbel_grad(g, d, feats, rng, cfg, gt_seqs=gts)
+    refs = [gumbel_grad(g, d, feats[b], ReplayRng([blk[b] for blk in rng.blocks]), cfg,
+                        gt_seq=gts[b], want_logit_grads=True, bound_cls=PerGateCaptioner,
+                        disc_cls=PerGateDiscriminator) for b in range(3)]
+    assert out["tokens"] == [ref["tokens"] for ref in refs]
+    assert len(rng.blocks) == max(len(t) for t in out["tokens"]) > 1
+    assert abs(out["loss"] - np.mean([ref["loss"] for ref in refs])) <= TOL
+    assert max_diff(out["score"], [ref["score"] for ref in refs]) <= TOL
     for name in g.arrays:
-        assert max_diff(out["grads"][name], ref["grads"][name]) <= TOL, name
-    for a, b in zip(out["logit_grads"], ref["logit_grads"], strict=True):
-        assert a.shape == b.shape and max_diff(a, b) <= TOL
+        want = np.mean([ref["grads"][name] for ref in refs], axis=0)
+        assert max_diff(out["grads"][name], want) <= TOL, name
+    for got, ref in zip(out["logit_grads"], refs, strict=True):
+        want = np.array(ref["logit_grads"]) / 3
+        assert got.shape == want.shape and max_diff(got, want) <= TOL
 
 
 @pytest.mark.parametrize("variant", disc.VARIANTS)

@@ -9,10 +9,10 @@ from seqgan.captioner import (ATTENTION_MODES, BoundCaptioner, CaptionBatch, Cap
                               InputError, TokenSequence, greedy_decode, init_params,
                               sample_sentence)
 from conftest import central_difference, rel_err
-from helpers import (autodiff_expected_reward_grad, enumerate_sequences,
-                     expected_policy_gradient, flat_grads, gumbel_grad, gumbel_sample,
-                     loop_d_batch_step, loop_g_batch_step, per_sequence_score_grads,
-                     policy_gradient_variance, scst_grad, score_one,
+from helpers import (RecordingRng, ReplayRng, autodiff_expected_reward_grad,
+                     enumerate_sequences, expected_policy_gradient, flat_grads, gumbel_grad,
+                     gumbel_sample, loop_d_batch_step, loop_g_batch_step,
+                     per_sequence_score_grads, policy_gradient_variance, scst_grad, score_one,
                      sequence_probabilities)
 
 
@@ -584,6 +584,14 @@ class TestGumbelGrad:
         with pytest.raises(InputError):
             tr.gumbel_grad(g, d, feats[None], np.random.default_rng(0), cfg)
 
+    def test_zero_images_raise_before_any_draw(self):
+        g, d, feats = tiny_setup()
+        rng = np.random.default_rng(0)
+        for estimator in ("gumbel_soft", "gumbel_st"):
+            with pytest.raises(InputError, match="at least one image"):
+                tr.gumbel_grad(g, d, feats[None][:0], rng, tr.GanConfig(estimator=estimator))
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     def test_soft_unroll_gradient_vs_fd(self):
         g, d, feats = tiny_setup(seed=13)
         gt = TokenSequence([2, 1], True)
@@ -601,29 +609,6 @@ class TestGumbelGrad:
 
             fd = central_difference(f, g.arrays[name].copy())
             assert rel_err(out["grads"][name], fd) < 1e-4, name
-
-
-class RecordingRng:
-    """A seeded generator that keeps every uniform block it hands out."""
-
-    def __init__(self, seed):
-        self.rng, self.blocks = np.random.default_rng(seed), []
-
-    def random(self, size):
-        self.blocks.append(self.rng.random(size))
-        return self.blocks[-1]
-
-
-class ReplayRng:
-    """Hands out the given uniform rows in turn, one per ``random`` call."""
-
-    def __init__(self, rows):
-        self.rows = iter(rows)
-
-    def random(self, size):
-        row = next(self.rows)
-        assert row.shape == tuple(size)
-        return row
 
 
 def gumbel_batch_setup(variant, attention, seed):
@@ -676,6 +661,23 @@ class TestBatchedGumbel:
             want = np.array(ref["logit_grads"]) / n_images
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("estimator", ("gumbel_soft", "gumbel_st"))
+    def test_tape_size_free_of_unroll_length(self, monkeypatch, estimator):
+        """The relaxed unroll is one node: a Gumbel tape records as many
+        nodes when every row ends at T = 1 as when every row runs to max_len."""
+        sizes, lengths = [], []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda tape, root:
+                            sizes.append(len(tape.nodes)) or backward(tape, root))
+        for eos_bias in (200.0, -200.0):
+            g, d, feats, gts = gumbel_batch_setup("coatt", "context_aware", seed=3)
+            g.arrays["out_b"][0, 1] = eos_bias
+            cfg = tr.GanConfig(estimator=estimator, fm_image_weight=0.4)
+            out = tr.gumbel_grad(g, d, feats, np.random.default_rng(6), cfg, gt_seqs=gts)
+            lengths.append({len(tokens) for tokens in out["tokens"]})
+        assert lengths == [{1}, {4}]
+        assert sizes[0] == sizes[1]
 
     def test_one_image_draws_as_the_per_image_unroll(self):
         """B = 1 takes the per-image sequence: the same tokens from the same
