@@ -300,11 +300,11 @@ def tanh(x: Tensor) -> Tensor:
     return x.tape._output(out, (x.index,), vjp)
 
 
-def _sigmoid(v):
-    # split by sign to avoid overflow in exp
+def _sigmoid(v, out=None):
+    # split by sign to avoid overflow in exp: 1 / (1 + e) for v >= 0 and
+    # e / (1 + e) below, e = exp(-|v|), as one division
     e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    return np.divide(np.where(v >= 0.0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -316,38 +316,67 @@ def sigmoid(x: Tensor) -> Tensor:
     return x.tape._output(out, (x.index,), vjp)
 
 
-def _lstm_cell_values(pv, cv):
+def _lstm_cell_values(pv, cv, out=None):
     """An LSTM cell in plain numpy: pre-activations ``pv`` in column blocks
     i, f, o_1..o_k, g of width m, the previous cell ``cv``.  Returns ``c'``
     (... x n x m), the k output rows ``o_j*tanh(c')`` as ... x n x k x m,
-    and what ``_lstm_cell_grads`` needs."""
+    and what ``_lstm_cell_slopes`` needs: the arrays (c, sigmoids, g,
+    tanh(c')).  ``out``, when given, holds the arrays to write c', the
+    output rows, the sigmoids, g and tanh(c') into."""
+    c_out, rows_out, sig_out, g_out, tanh_out = (None,) * 5 if out is None else out
     m = cv.shape[-1]
     k = pv.shape[-1] // m - 3
-    sig = _sigmoid(pv[..., : (k + 2) * m])
+    sig = _sigmoid(pv[..., : (k + 2) * m], out=sig_out)
     i, f, o = sig[..., :m], sig[..., m : 2 * m], sig[..., 2 * m :]
-    g = np.tanh(pv[..., (k + 2) * m :])
-    c_new = f * cv + i * g
-    tanh_c = np.tanh(c_new)
+    g = np.tanh(pv[..., (k + 2) * m :], out=g_out)
+    c_new = np.add(f * cv, i * g, out=c_out)
+    tanh_c = np.tanh(c_new, out=tanh_out)
     o_k = o.reshape(o.shape[:-1] + (k, m))
-    return c_new, o_k * tanh_c[..., None, :], (cv, i, f, o, g, tanh_c, o_k)
+    return c_new, np.multiply(o_k, tanh_c[..., None, :], out=rows_out), (cv, sig, g, tanh_c)
+
+
+def _lstm_cell_slopes(saved):
+    """The factors of the cell's reverse that do not depend on the incoming
+    gradients, from the ``saved`` arrays of ``_lstm_cell_values``: each
+    activation derivative (sigma(1 - sigma), 1 - g^2, 1 - tanh^2(c')) times
+    the operand it meets.  Returns (the factor of each pre-activation
+    column, in the cell's column order; that of each output row's gradient
+    on its way to c', joined as ... x km; f).  Elementwise, so an unroll may
+    stack the ``saved`` arrays of all its steps and take the slopes of
+    every step in one pass."""
+    cv, sig, g, tanh_c = saved
+    m = cv.shape[-1]
+    k = sig.shape[-1] // m - 2
+    d_sig = sig * (1.0 - sig)
+    tanh_k = np.concatenate([tanh_c] * k, axis=-1)
+    parts = [g * d_sig[..., :m], cv * d_sig[..., m : 2 * m], tanh_k * d_sig[..., 2 * m :],
+             sig[..., :m] * (1.0 - g * g)]
+    lead = tanh_c.shape[:-1]  # pv's and cv's leading axes, broadcast
+    s_pre = np.concatenate([p if p.shape[:-1] == lead else np.broadcast_to(p, lead + p.shape[-1:])
+                            for p in parts], axis=-1)
+    s_c = sig[..., 2 * m :] * np.concatenate([1.0 - tanh_c * tanh_c] * k, axis=-1)
+    return s_pre, s_c, sig[..., m : 2 * m]
+
+
+def _lstm_cell_reverse(slopes, gc_new, gh, out=None):
+    """The cell's reverse from its ``_lstm_cell_slopes``: from the gradients
+    of ``c'`` and of the output rows, joined as ... x n x km, those of the
+    pre-activations (written to ``out`` when given) and of the previous
+    cell, on the broadcast leading axes (not yet summed down to the
+    operands' shapes)."""
+    s_pre, s_c, f = slopes
+    m = f.shape[-1]
+    to_c = gh * s_c
+    gc = gc_new
+    for j in range(s_c.shape[-1] // m):
+        gc = gc + to_c[..., j * m : (j + 1) * m]
+    return np.multiply(np.concatenate([gc, gc, gh, gc], axis=-1), s_pre, out=out), gc * f
 
 
 def _lstm_cell_grads(saved, gc_new, gh):
-    """Reverse of ``_lstm_cell_values``: from the gradients of ``c'`` and of
-    the output rows, joined as ... x n x km, those of the pre-activations
-    and of the previous cell, on the broadcast leading axes (not yet summed
-    down to the operands' shapes)."""
-    cv, i, f, o, g, tanh_c, o_k = saved
-    m, k = cv.shape[-1], o_k.shape[-2]
-    gh = gh.reshape(gh.shape[:-1] + (k, m))
-    gc = gc_new + (gh * o_k).sum(axis=-2) * (1.0 - tanh_c * tanh_c)
-    gpre = np.empty(gc.shape[:-1] + ((k + 3) * m,))
-    gpre[..., :m] = gc * g * i * (1.0 - i)
-    gpre[..., m : 2 * m] = gc * cv * f * (1.0 - f)
-    gpre[..., 2 * m : (k + 2) * m] = (gh * tanh_c[..., None, :]).reshape(
-        gc.shape[:-1] + (k * m,)) * o * (1.0 - o)
-    gpre[..., (k + 2) * m :] = gc * i * (1.0 - g * g)
-    return gpre, gc * f
+    """Reverse of one ``_lstm_cell_values``: ``_lstm_cell_reverse`` of its
+    slopes."""
+    return _lstm_cell_reverse(_lstm_cell_slopes(saved), gc_new, gh)
 
 
 def log(x: Tensor) -> Tensor:
@@ -384,11 +413,12 @@ def softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     return x.tape._output(out, (x.index,), vjp)
 
 
-def _softmax_values(v):
-    """The numpy body of ``softmax`` at temperature 1 on a plain array."""
+def _softmax_values(v, out=None):
+    """The numpy body of ``softmax`` at temperature 1 on a plain array
+    (written to ``out`` when given)."""
     z = v - v.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
 
 
 def _softmax_grads(out, g):

@@ -10,13 +10,19 @@ A plain attention path without the sentinel and without context feedback is
 available via ``CaptionerConfig.attention = "att2all"``.
 
 The decoder step (fused LSTM cell, sentinel attention, context feedback
-and the att2all masking) is written once in plain numpy: ``_step_forward``
-and its reverse, ``_step_reverse``.  The decoders ``greedy_decode``,
-``sample_sentence`` and ``ensemble_decode`` (one C x d image) and
-``greedy_decode_batch`` (B of them) call the forward directly, with no tape
-and no bind.  On a tape, ``BoundCaptioner`` records a whole teacher-forced
-unroll as one node, and so the Gumbel estimators' relaxed unroll, which feeds
-its outputs back.
+and the att2all masking) is written once in plain numpy, ``_step_forward``,
+and reversed over any number of steps by ``_reverse``.  It runs on rows:
+states are [M x] B x m (M stacked ensemble members, B images) against
+[M x] B x C x m projected crops, and every product with a shared weight is
+one 2-D GEMM over all rows.  One image is B = 1.  The decoders
+``greedy_decode``, ``sample_sentence`` and ``ensemble_decode`` (one C x d
+image, whose C x m crops keep no row axis, so its attended rows stay one
+(C+1) x m matrix) and ``greedy_decode_batch`` (B of them) call the forward
+directly, with no tape and no bind.  On a tape, ``BoundCaptioner`` records
+the teacher-forced log-likelihood of B captions as one node, from the
+features to the B values, and so the Gumbel estimators' relaxed unroll,
+which feeds its outputs back; each returns the B x T x K array that its VJP
+fills with the gradient of the step logits.
 
 Teacher forcing takes a ``CaptionBatch`` of B captions against B x C x d
 features; ``CaptionBatch.one_hot`` gives the padded one-hot rows that both
@@ -26,6 +32,7 @@ models read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -108,19 +115,24 @@ class CaptionBatch:
     def one_hot(self, vocab_size: int):
         """The captions as padded one-hot token rows: (B x T x K rows, the B
         lengths), T the longest caption; the rows past a caption's end are
-        zero."""
+        zero.  The first caption at fault, in batch order, raises
+        ``InputError``: an empty one, or one holding an id outside [0, K),
+        named by its first such id."""
         if not self.seqs:
             raise InputError("caption batch is empty")
-        for seq in self.seqs:
-            if not seq.tokens:
-                raise InputError("caption is empty")
-            for tok in seq.tokens:
-                if not (0 <= tok < vocab_size):
-                    raise InputError(f"invalid token id {tok}")
-        lengths = [len(seq.tokens) for seq in self.seqs]
-        rows = np.zeros((len(self.seqs), max(lengths), vocab_size))
-        for b, seq in enumerate(self.seqs):
-            rows[b, np.arange(lengths[b]), seq.tokens] = 1.0
+        tokens = self.tokens
+        lengths = [len(caption) for caption in tokens]
+        ids = np.array(list(chain.from_iterable(tokens)))
+        if 0 in lengths or ((ids < 0) | (ids >= vocab_size)).any():
+            for caption in tokens:  # name the first caption at fault
+                if not caption:
+                    raise InputError("caption is empty")
+                bad = [tok for tok in caption if not 0 <= tok < vocab_size]
+                if bad:
+                    raise InputError(f"invalid token id {bad[0]}")
+        rows = np.zeros((len(lengths), max(lengths), vocab_size))
+        # the valid (b, t) slots in row-major order hold the ids in caption order
+        rows[np.arange(rows.shape[1]) < np.array(lengths)[:, None], ids] = 1.0
         return rows, lengths
 
 
@@ -179,6 +191,8 @@ def _init_arrays(shapes, m: int, seed: int) -> dict[str, np.ndarray]:
 
 # the weights of the decoder step, as ``_step_forward`` reads them
 _STEP_WEIGHTS = ("lstm_W", "lstm_b", "attn_Wa", "attn_Wh", "attn_w", "attn_b")
+# the other parameters of the unroll nodes, after the step weights
+_HEAD_WEIGHTS = ("embed", "attn_Wv", "out_W", "out_b")
 
 
 def _masks(config: CaptionerConfig):
@@ -194,103 +208,186 @@ def _masks(config: CaptionerConfig):
     return bos, sentinel
 
 
-def _step_forward(w, h, c, ctx, x, feats_proj, sentinel_mask):
-    """One decoder step in plain numpy.
+# the ``out`` of ``_step_forward`` that writes nothing in place
+_NO_OUT = (None,) * 10
 
-    ``w`` maps the names of ``_STEP_WEIGHTS`` to arrays.  Every operand may
-    carry leading axes (members, batch rows), e.g. B x 1 x m states against
-    B x C x m crops.  The fused cell maps [x | ctx | h] to the column blocks
+
+def _mm(x, W):
+    """``x @ W`` as one GEMM per member: ``W`` is a shared n x k weight or a
+    member-stacked M x n x k one, and every axis of ``x`` between W's member
+    axis and the last folds into rows (B x (C+1) x m crops against a shared
+    weight are one (B(C+1)) x m product, not B stacked ones)."""
+    lead = x.shape[: W.ndim - 2]
+    return (x.reshape(lead + (-1, x.shape[-1])) @ W).reshape(x.shape[:-1] + W.shape[-1:])
+
+
+def _project(feats, W):
+    """The crops of B x C x d ``feats`` projected by ``attn_Wv`` (d x m, or
+    member-stacked M x d x m) as one GEMM: [M x] B x C x m."""
+    flat = feats.reshape(-1, feats.shape[-1]) @ W
+    return flat.reshape(W.shape[:-2] + feats.shape[:-1] + W.shape[-1:])
+
+
+def _step_forward(w, h, c, ctx, x, feats_proj, sentinel_mask, out=_NO_OUT):
+    """One decoder step of B rows in plain numpy.
+
+    ``w`` maps the names of ``_STEP_WEIGHTS`` to arrays, each shared
+    (rank 2) or member-stacked (M x ...).  States and the input words are
+    rows, [M x] B x m, against [M x] B x C x m projected crops; every
+    product with a weight is one GEMM per member (``_mm``).  One image may
+    also come as [M x] C x m crops against 1 x m rows (the decoders' one
+    image): its attended rows then stay (C+1) x m, with no row axis to
+    broadcast over.  The fused cell maps [x | ctx | h] to the column blocks
     i, f, o, sentinel, g; the sentinel is the cell's second output gate
-    applied to tanh(c'), stacked as one more attendable row under the
-    projected crops, so the crop and sentinel scores come from one
-    (C+1)-way score pass.  With a ``sentinel_mask`` (att2all mode) the
-    context fed back is zero and the mask is added to the scores.
+    applied to tanh(c'), stacked as one more attendable row under each
+    row's crops, so the crop and sentinel scores come from one (C+1)-way
+    score pass.  With a ``sentinel_mask`` (att2all mode) the context fed
+    back is zero and the mask is added to the scores.
 
-    Returns (output row h' + ctx', h', c', ctx', attn, saved); the last slot
-    of ``attn`` is the sentinel gate and ``saved`` feeds ``_step_reverse``.
+    Returns (output row h' + ctx', h', c', ctx', attn, saved); attn is
+    [M x] B x (C+1), its last slot the sentinel gate, and ``saved`` feeds
+    ``_reverse``, which takes crops with the row axis only.  ``out`` holds
+    the arrays to write into, each None to allocate (``_run_steps`` passes
+    step-major buffers): the output row, [x | ctx | h], the cell's ``out``
+    (c', the output rows [h' | sentinel] as B x 2 x m, the sigmoids, g and
+    tanh(c')), the attended rows, the score activations and attn.
     """
+    row_out, u_out, *cell_out, values_out, act_out, attn_out = out
     if sentinel_mask is not None:
         ctx = np.zeros(h.shape)
-    u = np.concatenate([x, ctx, h], axis=-1)
-    c_new, out_rows, cell = ad._lstm_cell_values(u @ w["lstm_W"] + w["lstm_b"], c)
+    u = np.concatenate([x, ctx, h], axis=-1, out=u_out)
+    c_new, out_rows, cell = ad._lstm_cell_values(u @ w["lstm_W"] + w["lstm_b"], c, cell_out)
     h_new, sentinel = out_rows[..., 0, :], out_rows[..., 1, :]
-    values = np.concatenate([feats_proj, sentinel], axis=-2)  # (C+1) x m
-    act = np.tanh(values @ w["attn_Wa"] + (h_new @ w["attn_Wh"] + w["attn_b"]))
-    scores = (act @ w["attn_w"]).swapaxes(-1, -2)  # 1 x (C+1)
+    query = h_new @ w["attn_Wh"] + w["attn_b"]
+    one = feats_proj.ndim == h.ndim  # one image's crops, no row axis
+    if one:  # (C+1) x m attended rows, met by the 1 x m row as it is
+        values = np.concatenate([feats_proj, sentinel], axis=-2, out=values_out)
+        act = np.tanh(values @ w["attn_Wa"] + query, out=act_out)
+        scores = (act @ w["attn_w"]).swapaxes(-1, -2)  # 1 x (C+1)
+    else:  # B x (C+1) x m, each row's vectors on a new axis
+        values = np.concatenate([feats_proj, sentinel[..., None, :]], axis=-2, out=values_out)
+        act = np.tanh(_mm(values, w["attn_Wa"]) + query[..., None, :], out=act_out)
+        scores = _mm(act, w["attn_w"])[..., 0]  # B x (C+1)
     if sentinel_mask is not None:
         scores = scores + sentinel_mask
-    attn = ad._softmax_values(scores)
-    ctx_new = attn @ values
-    saved = (sentinel_mask is None, u, cell, h_new, values, act, attn)
-    return h_new + ctx_new, h_new, c_new, ctx_new, attn, saved
+    attn = ad._softmax_values(scores, out=attn_out)
+    ctx_new = attn @ values if one else (attn[..., None, :] @ values)[..., 0, :]
+    saved = (u, h_new, values, act, attn) + cell
+    return np.add(h_new, ctx_new, out=row_out), h_new, c_new, ctx_new, attn, saved
 
 
-def _step_reverse(wT, saved, g_row, g_h, g_c, g_ctx, g_attn=None):
-    """Reverse of one ``_step_forward``, given the step weights transposed
-    over their last two axes (``_transposed``): from the gradients of its
-    output row, h', c' and ctx' (and attn, when it was used), those of x, h,
-    c, ctx (zero in att2all mode) and the projected crops, plus ``terms``:
-    the operand pairs whose products give the weight gradients (see
-    ``_weight_grads``).  Leading axes are not summed down."""
-    context_aware, u, cell, h_new, values, act, attn = saved
-    m = h_new.shape[-1]
-    C = values.shape[-2] - 1
-    g_ctx_new = g_row + g_ctx
-    g_scores = g_ctx_new @ values.swapaxes(-1, -2)
-    if g_attn is not None:
-        g_scores = g_scores + g_attn
-    g_e = ad._softmax_grads(attn, g_scores).swapaxes(-1, -2)  # (C+1) x 1
-    g_z = (g_e @ wT["attn_w"]) * (1.0 - act * act)
-    g_values = attn.swapaxes(-1, -2) @ g_ctx_new + g_z @ wT["attn_Wa"]
-    g_hh = g_z.sum(axis=-2, keepdims=True)
-    g_h_new = g_row + g_h + g_hh @ wT["attn_Wh"]
-    g_pre, g_c_prev = ad._lstm_cell_grads(
-        cell, g_c, np.concatenate([g_h_new, g_values[..., C:, :]], axis=-1))
-    g_u = g_pre @ wT["lstm_W"]
-    g_ctx_prev = g_u[..., m : 2 * m] if context_aware else np.zeros(g_ctx.shape)
-    terms = (u, g_pre, values, g_z, h_new, g_hh, act, g_e)
-    return g_u[..., :m], g_u[..., 2 * m :], g_c_prev, g_ctx_prev, g_values[..., :C, :], terms
+def _run_steps(w, x, feats_proj, sentinel_mask, max_steps, feed):
+    """Step B rows from the zero state, ``x`` (B x m) the first input words,
+    at most ``max_steps`` times; after step t, ``feed(t, row)`` returns the
+    next input words, or None to stop.  Each step writes its output row and
+    saved arrays straight into step-major buffers (c' into the slot that is
+    the next step's c), so the T steps taken come back stacked: (output
+    rows T x B x m, the saved arrays for ``_reverse``)."""
+    (B, m), C = x.shape, feats_proj.shape[-2]
+    # the ``out`` of ``_step_forward``, in its order, for every step; the c'
+    # slot holds each step's c, then the last c'
+    bufs = [np.empty((max_steps,) + shape) for shape in (
+        (B, m), (B, 3 * m), (B, m), (B, 2, m), (B, 4 * m), (B, m), (B, m), (B, C + 1, m),
+        (B, C + 1, m), (B, C + 1))]
+    bufs[2] = np.zeros((max_steps + 1, B, m))
+    rows, us, cells, outs, sigs, gs, tanhs, values, acts, attns = bufs
+    h = ctx = np.zeros((B, m))
+    for t in range(max_steps):
+        out = [buf[t] for buf in bufs]
+        out[2] = cells[t + 1]
+        row, h, _, ctx, _, _ = _step_forward(w, h, cells[t], ctx, x, feats_proj,
+                                             sentinel_mask, out)
+        x = feed(t, row)
+        if x is None:
+            break
+    T = t + 1
+    return rows[:T], [us[:T], outs[:T, :, 0], values[:T], acts[:T], attns[:T], cells[:T],
+                      sigs[:T], gs[:T], tanhs[:T]]
 
 
-def _transposed(w):
-    """The step weights that ``_step_reverse`` multiplies by, each with its
-    last two axes swapped."""
-    return {name: w[name].swapaxes(-1, -2) for name in ("attn_w", "attn_Wa", "attn_Wh", "lstm_W")}
+def _reverse(w, saved, row_grad, sentinel_mask, g_state=None, g_attn=None):
+    """Reverse of T ``_step_forward`` calls, walked from the last step to
+    the first; ``saved`` holds each of their saved arrays stacked over the
+    steps (``_run_steps``).
 
+    ``row_grad(t, g_x)`` gives the gradient of step t's output row, given
+    that of step t + 1's input words (None at the last step), so an unroll
+    that feeds its output back can join the two.  ``g_state`` holds the
+    gradients of the last step's h', c' and ctx' (zero when None), and
+    ``g_attn`` (T-stacked) those of the attention rows, if they were used.
+    ``sentinel_mask`` is the forward's (not None in att2all mode, where no
+    context was fed back).  The weights must be shared (rank 2):
+    member-stacked ones serve the forward only.
 
-def _weight_grads(w, terms) -> list:
-    """The gradients of the ``_STEP_WEIGHTS``, in that order, from the
-    ``terms`` of one reverse step, or of several with each operand stacked
-    over the steps: each weight's is one product over all rows (biases are
-    left for ``Tape.record`` to sum)."""
-    u, g_pre, values, g_z, h_new, g_hh, act, g_e = terms
-    return [ad._weight_grad(u, g_pre, w["lstm_W"].shape), g_pre,
-            ad._weight_grad(values, g_z, w["attn_Wa"].shape),
-            ad._weight_grad(h_new, g_hh, w["attn_Wh"].shape),
-            ad._weight_grad(act, g_e, w["attn_w"].shape), g_hh]
+    Every activation derivative is taken once for all steps
+    (``ad._lstm_cell_slopes``, and w * (1 - act^2) for the scores), so a
+    reverse step does only the products that carry the gradient back in
+    time.  Each weight's gradient, and the crops' share of the attention
+    products, is one product over the stacked steps afterwards.
+
+    Returns (the T-stacked gradients of the input words, those of the first
+    step's h, c and ctx (zero in att2all mode), that of the projected crops,
+    and the gradients of the ``_STEP_WEIGHTS`` in that order, biases left
+    for ``Tape.record`` to sum).
+    """
+    U, H, V, ACT, ATTN, *cell = saved
+    T, m, C = len(U), H.shape[-1], V.shape[-2] - 1
+    g_h, g_c, g_ctx = (np.zeros(H.shape[1:]),) * 3 if g_state is None else g_state
+    slopes = ad._lstm_cell_slopes(cell)
+    s_act = w["attn_w"].swapaxes(-1, -2)[..., None, :, :] * (1.0 - ACT * ACT)
+    W_T = w["lstm_W"].swapaxes(-1, -2)
+    Wa_T, Wh_T = w["attn_Wa"].swapaxes(-1, -2), w["attn_Wh"].swapaxes(-1, -2)
+    G_PRE = np.empty(U.shape[:-1] + (5 * m,))
+    G_S, G_Z = np.empty(ATTN.shape), np.empty(ACT.shape)
+    G_CTX, G_HH, G_X = np.empty(H.shape), np.empty(H.shape), np.empty(H.shape)
+    no_ctx = None if sentinel_mask is None else np.zeros(H.shape[1:])
+    g_x = None
+    for t in reversed(range(T)):
+        g_row = row_grad(t, g_x)
+        g_ctx_new = np.add(g_row, g_ctx, out=G_CTX[t])
+        g_scores = (V[t] @ g_ctx_new[..., None])[..., 0]
+        if g_attn is not None:
+            g_scores = g_scores + g_attn[t]
+        G_S[t] = ad._softmax_grads(ATTN[t], g_scores)
+        g_z = np.multiply(G_S[t][..., None], s_act[t], out=G_Z[t])
+        g_hh = np.sum(g_z, axis=-2, out=G_HH[t])
+        g_h_new = g_row + g_h + g_hh @ Wh_T
+        g_sentinel = ATTN[t][..., C:] * g_ctx_new + g_z[..., C, :] @ Wa_T
+        g_pre, g_c = ad._lstm_cell_reverse([s[t] for s in slopes], g_c,
+                                           np.concatenate([g_h_new, g_sentinel], axis=-1),
+                                           out=G_PRE[t])
+        g_u = g_pre @ W_T
+        g_x = G_X[t] = g_u[..., :m]
+        g_ctx, g_h = g_u[..., m : 2 * m] if no_ctx is None else no_ctx, g_u[..., 2 * m :]
+    g_fp = ((ATTN[..., :C, None] * G_CTX[..., None, :]).sum(axis=0)
+            + _mm(G_Z[..., :C, :].sum(axis=0), Wa_T))
+    grads = [ad._weight_grad(U, G_PRE, w["lstm_W"].shape), G_PRE,
+             ad._weight_grad(V, G_Z, w["attn_Wa"].shape),
+             ad._weight_grad(H, G_HH, w["attn_Wh"].shape),
+             ad._weight_grad(ACT, G_S[..., None], w["attn_w"].shape), G_HH]
+    return G_X, g_h, g_c, g_ctx, g_fp, grads
 
 
 class BoundCaptioner:
     """Captioner parameters bound to a tape, for the training losses.
 
-    The decoder step itself runs in plain numpy (``_step_forward`` and
-    ``_step_reverse``); the tape sees it as whole nodes.
-    ``sequence_log_prob_and_logits`` records a teacher-forced unroll as one
-    node, and ``relaxed_unroll`` the relaxed unroll of the Gumbel
-    estimators, output head, relaxation and feed included, as one node.
-    ``step`` records one node per step, for stepping a model by hand.  The
-    projection of the crops, the teacher-forced output head (affine, masked
-    softmax, pick, log) and whatever consumes the unrolls stay ops on the
-    tape.  The module-level decoders bind no captioner: they call the plain
-    step directly.
-
-    ``step`` returns the output row ``h' + ctx'``; ``logits`` projects one
-    or several stacked output rows to word scores in one affine node.
+    The decoder step runs in plain numpy on rows (``_step_forward``,
+    reversed by ``_reverse``): states are [M x] B x m against [M x] B x C x m
+    projected crops, and one image is B = 1.  The tape sees whole nodes.
+    ``sequence_log_prob_and_logits`` records the teacher-forced
+    log-likelihood of B captions as one node, from the features to the B
+    values, and ``relaxed_unroll`` the relaxed unroll of the Gumbel
+    estimators, output head, relaxation and feed included, as one node;
+    each returns the B x T x K array that its VJP fills with the gradient
+    of the step logits.  ``step`` records one node per step, for stepping a
+    model by hand with ``project_feats``, ``zero_state``, ``embed_token``,
+    ``logits`` and ``word_dist``.  The module-level decoders bind no
+    captioner: they call the plain step directly.
 
     The arrays of ``params`` may carry a leading member axis (M x ...,
-    built by ``stack_members``): every tensor of a step then carries the
-    member axis (the zero state is M x 1 x m; B rows under the member axis
-    need a row axis on the weights: see ``_decode``).
+    built by ``stack_members``) for forward passes: every tensor of a step
+    then carries the member axis (the zero state is M x 1 x m).  Gradients
+    need unstacked parameters.
     """
 
     def __init__(self, tape: ad.Tape, params: CaptionerParams):
@@ -298,19 +395,23 @@ class BoundCaptioner:
         self.config = params.config
         self.p = {name: tape.tensor(arr) for name, arr in params.arrays.items()}
         self._w = {name: self.p[name].data for name in _STEP_WEIGHTS}
-        bos_mask, self._sentinel_mask = _masks(params.config)
-        self._bos_mask = tape.tensor(bos_mask)
+        self._bos_mask, self._sentinel_mask = _masks(params.config)
         self._members = params.arrays["embed"].shape[:-2]  # (M,) when stacked, else ()
 
     def project_feats(self, image_feats, batch: int | None = None) -> ad.Tensor:
-        """Crops projected to the attention width: C x m, or B x C x m for
-        ``batch`` = B images given as B x C x d."""
+        """Crops projected to the attention width, as rows: B x C x m for
+        ``batch`` = B images given as B x C x d, 1 x C x m for one C x d
+        image (with a leading member axis when stacked)."""
         feats = _check_feats(image_feats, self.config, batch)
-        return ad.matmul(self.tape.tensor(feats), self.p["attn_Wv"])
+        feats = feats.reshape((-1,) + feats.shape[-2:])
+        W = self.p["attn_Wv"]
+        shape = W.data.shape
+        return self.tape.record(_project(feats, W.data), [W],
+                                lambda g: [ad._weight_grad(feats, g, shape)])
 
     def zero_state(self):
-        """Zero (h, c, ctx), 1 x m per member; the first-step context is
-        defined as the zero vector."""
+        """Zero (h, c, ctx), one 1 x m row per member; the first-step context
+        is defined as the zero vector."""
         zero = self.tape.tensor(np.zeros(self._members + (1, self.config.hidden_dim)))
         return zero, zero, zero
 
@@ -323,25 +424,27 @@ class BoundCaptioner:
         """One decoder step (``_step_forward``) on tensors, for stepping a
         model by hand; no library code calls it.
 
-        Returns (output row h' + ctx' 1xm, h', c', ctx', attn 1x(C+1)); pass
-        the output row to ``logits`` for word scores.  Every operand may carry
-        leading axes (members, batch rows), e.g. B x 1 x m states against
-        B x C x m crops.  The last slot of ``attn`` is the sentinel gate; in
-        att2all mode the context fed back is zero and the sentinel slot of
-        ``attn`` is exactly zero.  The step is one node, whose output
-        [row | h' | c' | ctx' | attn] the five tensors narrow.
+        Takes B x m rows (``zero_state`` and ``embed_token`` give one) and
+        the B x C x m crops of ``project_feats``; returns (output row
+        h' + ctx', h', c', ctx', attn B x (C+1)), and the output row goes
+        to ``logits`` for word scores.  The last slot of ``attn`` is the
+        sentinel gate; in att2all mode the context fed back is zero and the
+        sentinel slot of ``attn`` is exactly zero.  The step is one node,
+        whose output [row | h' | c' | ctx' | attn] the five tensors narrow.
         """
         w, inputs = self._w, [h, c, ctx, x_embed, feats_proj]
         *outs, saved = _step_forward(w, *(t.data for t in inputs), self._sentinel_mask)
         widths = [out.shape[-1] for out in outs]
         ends = np.cumsum(widths).tolist()
+        sentinel_mask = self._sentinel_mask
 
         # the VJP holds arrays only: a tensor or the bind would tie the tape
         # into a reference cycle and keep it alive until a garbage collection
         def vjp(g):
             g_row, g_h, g_c, g_ctx, g_attn = np.split(g, ends[:-1], axis=-1)
-            *g_in, terms = _step_reverse(_transposed(w), saved, g_row, g_h, g_c, g_ctx, g_attn)
-            return _weight_grads(w, terms) + g_in
+            g_x, *g_in, grads = _reverse(w, [a[None] for a in saved], lambda t, g_x: g_row,
+                                         sentinel_mask, (g_h, g_c, g_ctx), g_attn[None])
+            return grads + [g_x[0]] + g_in
 
         packed = self.tape.record(np.concatenate(outs, axis=-1),
                                   [self.p[name] for name in _STEP_WEIGHTS]
@@ -367,130 +470,122 @@ class BoundCaptioner:
         return self.sequence_log_prob_and_logits(image_feats, batch)[0]
 
     def sequence_log_prob_and_logits(self, image_feats, batch: CaptionBatch):
-        """As ``sequence_log_prob`` but also returns the B x T x K logit
-        tensor (pre-mask, row t for step t, T the longest caption); callers
-        can harvest its gradient after backward.
+        """As ``sequence_log_prob`` but also returns a B x T x K array (T the
+        longest caption) that backward fills with the gradient of the
+        pre-mask logits, row t for step t; it stays zero on a no-grad tape
+        or until backward runs.
 
-        The one teacher-forced loop.  The captions are padded to the longest,
-        and the whole unroll of B rows is one node (``_unroll``).  The pass is
-        causal, so a padded step, which comes after its caption's last word,
-        never reaches a valid one, and the LSTM state needs no mask.  The T
-        output rows are stacked, so the batch takes one output affine, one
-        B x T x K masked softmax, one pick, one log and one sum: each valid
-        step picks its word's probability with weight 1, and a padded step
-        picks nothing and adds log 1 = 0.
+        The one teacher-forced pass, recorded as one node whose parents are
+        the parameters.  The captions are padded to the longest, and the B
+        rows step together: each step's previous words come from one
+        one-hot GEMM with the embedding, and the pass is causal, so a padded
+        step, which comes after its caption's last word, never reaches a
+        valid one and the state needs no mask.  The T output rows are
+        stacked for the head: one output affine, one B x T x K masked
+        softmax, one pick, one log and one sum, in which each valid step
+        picks its word's probability with weight 1 and a padded step picks
+        nothing and adds log 1 = 0.  The VJP runs the head backward, then
+        ``_reverse``, and forms the embedding's, the crop projection's and
+        the output affine's gradients as one product each over all B·T rows.
         """
         if not isinstance(batch, CaptionBatch):
             raise InputError(f"expected a CaptionBatch, got {type(batch).__name__}")
-        picks, lengths = batch.one_hot(self.config.vocab_size)
-        B, T = picks.shape[:2]
-        if T > self.config.max_len:
-            raise InputError(f"caption longer than max_len={self.config.max_len}")
-        if picks[:, :, self.config.bos_id].any():
-            raise InputError(f"invalid token id {self.config.bos_id} (BOS)")
-        prev = np.full((B, T), self.config.bos_id)
-        for b, s in enumerate(batch.seqs):
-            prev[b, 1 : lengths[b]] = s.tokens[:-1]
-        logits = self.logits(self._unroll(prev, self.project_feats(image_feats, batch=B)))
-        picked = ad.reduce_sum(ad.mul(self.word_dist(logits), picks), axis=-1)
+        config, w = self.config, self._w
+        picks, _ = batch.one_hot(config.vocab_size)
+        B, T, K = picks.shape
+        if T > config.max_len:
+            raise InputError(f"caption longer than max_len={config.max_len}")
+        if picks[:, :, config.bos_id].any():
+            raise InputError(f"invalid token id {config.bos_id} (BOS)")
+        feats = _check_feats(image_feats, config, B)
+        embed, W_v = self.p["embed"].data, self.p["attn_Wv"].data
+        out_W, out_b = self.p["out_W"].data, self.p["out_b"].data
+        # step t's previous words, one-hot and step-major: BOS, then the picks
+        prev = np.zeros((T, B, K))
+        prev[0, :, config.bos_id] = 1.0
+        prev[1:] = picks[:, :-1].swapaxes(0, 1)
+        xs, feats_proj = _mm(prev, embed), _project(feats, W_v)
+        rows, saved = _run_steps(w, xs[0], feats_proj, self._sentinel_mask, T,
+                                  lambda t, row: xs[t + 1] if t + 1 < T else None)
+        rows = rows.swapaxes(0, 1)  # B x T x m, as the picks
+        probs = ad._softmax_values(_mm(rows, out_W) + out_b + self._bos_mask)
+        picked = (probs * picks).sum(axis=-1)
         pad = 1.0 - picks.sum(axis=-1)
         if pad.any():
-            picked = ad.add(picked, pad)
-        return ad.reduce_sum(ad.log(picked), axis=-1), logits
+            picked = picked + pad
+        if not np.all(picked > 0):
+            raise ad.DomainError("log requires strictly positive input")
+        g_logits = np.zeros(picks.shape)
+        sentinel_mask = self._sentinel_mask
 
-    def _unroll(self, prev, feats_proj: ad.Tensor) -> ad.Tensor:
-        """The B x T x m output rows of B rows stepped from the zero state,
-        row b fed the previous words ``prev[b]``, as one node.  Its VJP walks
-        the steps backward and forms each weight's gradient with one product
-        over all B·T rows, and the embedding's with one ``np.add.at``."""
-        w, embed = self._w, self.p["embed"].data
-        B, T = prev.shape
-        xs, fp = embed[prev], feats_proj.data  # B x T x m, B x C x m
-        h = c = ctx = np.zeros((B, 1, self.config.hidden_dim))
-        rows, saved = np.empty(xs.shape), []
-        for t in range(T):
-            row, h, c, ctx, _, step_saved = _step_forward(w, h, c, ctx, xs[:, t : t + 1], fp,
-                                                          self._sentinel_mask)
-            rows[:, t : t + 1] = row
-            saved.append(step_saved)
+        def vjp(g):  # holds arrays only (see ``step``)
+            g_probs = (g[:, None] / picked)[..., None] * picks
+            g_logits[...] = ad._softmax_grads(probs, g_probs)
+            g_rows = _mm(g_logits, out_W.T)
+            g_xs, *_, g_fp, grads = _reverse(w, saved, lambda t, g_x: g_rows[:, t],
+                                             sentinel_mask)
+            return grads + [ad._weight_grad(prev, g_xs, embed.shape),
+                            ad._weight_grad(feats, g_fp, W_v.shape),
+                            ad._weight_grad(rows, g_logits, out_W.shape), g_logits]
 
-        def vjp(g_rows):  # holds arrays only (see ``step``)
-            wT = _transposed(w)
-            g_h = g_c = g_ctx = np.zeros(h.shape)
-            g_xs, g_fp, terms = np.empty(xs.shape), 0.0, []
-            for t in reversed(range(T)):
-                g_xs[:, t : t + 1], g_h, g_c, g_ctx, g_fp_t, step_terms = _step_reverse(
-                    wT, saved[t], g_rows[:, t : t + 1], g_h, g_c, g_ctx)
-                g_fp = g_fp + g_fp_t
-                terms.append(step_terms)
-            g_embed = np.zeros(embed.shape)
-            np.add.at(g_embed, prev, g_xs)
-            stacked = [np.stack(operands) for operands in zip(*terms)]
-            return _weight_grads(w, stacked) + [g_embed, g_fp]
-
-        return self.tape.record(rows, [self.p[name] for name in _STEP_WEIGHTS]
-                                + [self.p["embed"], feats_proj], vjp)
+        log_p = self.tape.record(np.log(picked).sum(axis=-1),
+                                 [self.p[name] for name in _STEP_WEIGHTS + _HEAD_WEIGHTS], vjp)
+        return log_p, g_logits
 
     def relaxed_unroll(self, image_feats, draw, temperature: float, straight_through: bool):
         """Decode the B images of B x C x d ``image_feats`` as one node, each
         step's row fed back times the embedding: the softmax at
-        ``temperature`` of the masked logits plus ``draw()`` (B x 1 x K
-        noise), or with ``straight_through`` its argmax one-hot, whose VJP is
-        the identity.  ``draw`` is called once per step while any row is
-        live; a row ends at its first hard EOS or at max_len.
+        ``temperature`` of the masked logits plus ``draw()`` (B x K noise),
+        or with ``straight_through`` its argmax one-hot, whose VJP is the
+        identity.  ``draw`` is called once per step while any row is live;
+        a row ends at its first hard EOS or at max_len.
 
         Returns (the B x T x K rows, T the longest row, each row's hard
         tokens, a B x T x K array that the VJP fills with the gradient of
         each step's logits).
         """
         config, w, embed = self.config, self._w, self.p["embed"].data
-        out_W, out_b = self.p["out_W"].data, self.p["out_b"].data
+        W_v, out_W, out_b = (self.p[name].data for name in ("attn_Wv", "out_W", "out_b"))
         B = len(image_feats)
-        feats_proj = self.project_feats(image_feats, batch=B)
-        h = c = ctx = np.zeros((B, 1, config.hidden_dim))
-        x = embed[np.full(B, config.bos_id)][:, None]
-        steps, ys = [], []  # per step: (output row, softmax, saved arrays); the row fed back
+        feats = _check_feats(image_feats, config, B)
+        feats_proj = _project(feats, W_v)
+        softs, ys = [], []  # per step: the softmax, the row fed back
         tokens, live = [[] for _ in range(B)], list(range(B))
-        for _ in range(config.max_len):
-            out, h, c, ctx, _, step_saved = _step_forward(w, h, c, ctx, x, feats_proj.data,
-                                                          self._sentinel_mask)
-            soft = ad._softmax_values(
-                (out @ out_W + out_b + self._bos_mask.data + draw()) / temperature)
-            words = soft.argmax(axis=-1).reshape(B).tolist()
-            ys.append(np.eye(config.vocab_size)[words][:, None] if straight_through else soft)
-            steps.append((out, soft, step_saved))
+
+        def feed(t, out):
+            soft = ad._softmax_values((out @ out_W + out_b + self._bos_mask + draw())
+                                      / temperature)
+            words = soft.argmax(axis=-1).tolist()
+            softs.append(soft)
+            ys.append(np.eye(config.vocab_size)[words] if straight_through else soft)
             for b in live:
                 tokens[b].append(words[b])
-            live = [b for b in live if words[b] != config.eos_id]
-            if not live:
-                break
-            x = ys[-1] @ embed
-        outs, softs, saved = zip(*steps)
-        T, outs, ys = len(steps), np.concatenate(outs, axis=1), np.concatenate(ys, axis=1)
+            live[:] = [b for b in live if words[b] != config.eos_id]
+            return ys[-1] @ embed if live else None
+
+        outs, saved = _run_steps(w, embed[np.full(B, config.bos_id)], feats_proj,
+                                  self._sentinel_mask, config.max_len, feed)
+        ys = np.stack(ys, axis=1)
         g_logits = np.zeros(ys.shape)
+        sentinel_mask = self._sentinel_mask
 
         def vjp(g_rows):  # holds arrays only (see ``step``)
-            wT, embed_T, out_W_T = _transposed(w), embed.T, out_W.T
-            g_h = g_c = g_ctx = np.zeros(h.shape)
-            g_xs, g_fp, terms = np.empty(outs.shape), 0.0, []
-            for t in reversed(range(T)):
-                g_y = g_rows[:, t : t + 1]
-                if t + 1 < T:  # row t was step t + 1's input
-                    g_y = g_y + g_xs[:, t + 1 : t + 2] @ embed_T
-                g_logits[:, t : t + 1] = ad._softmax_grads(softs[t], g_y) / temperature
-                g_xs[:, t : t + 1], g_h, g_c, g_ctx, g_fp_t, step_terms = _step_reverse(
-                    wT, saved[t], g_logits[:, t : t + 1] @ out_W_T, g_h, g_c, g_ctx)
-                g_fp = g_fp + g_fp_t
-                terms.append(step_terms)
-            g_embed = ad._weight_grad(ys[:, :-1], g_xs[:, 1:], embed.shape)
-            g_embed[config.bos_id] += g_xs[:, 0].sum(axis=0)
-            stacked = [np.stack(operands) for operands in zip(*terms)]
-            return _weight_grads(w, stacked) + [
-                g_embed, ad._weight_grad(outs, g_logits, out_W.shape), g_logits, g_fp]
+            embed_T, out_W_T = embed.T, out_W.T
 
-        rows = self.tape.record(ys, [self.p[name] for name in _STEP_WEIGHTS]
-                                + [self.p["embed"], self.p["out_W"], self.p["out_b"],
-                                   feats_proj], vjp)
+            def row_grad(t, g_x):  # row t was step t + 1's input
+                g_y = g_rows[:, t] if g_x is None else g_rows[:, t] + g_x @ embed_T
+                g_logits[:, t] = ad._softmax_grads(softs[t], g_y) / temperature
+                return g_logits[:, t] @ out_W_T
+
+            g_xs, *_, g_fp, grads = _reverse(w, saved, row_grad, sentinel_mask)
+            g_embed = ad._weight_grad(ys[:, :-1], g_xs[1:].swapaxes(0, 1), embed.shape)
+            g_embed[config.bos_id] += g_xs[0].sum(axis=0)
+            return grads + [g_embed, ad._weight_grad(feats, g_fp, W_v.shape),
+                            ad._weight_grad(outs.swapaxes(0, 1), g_logits, out_W.shape),
+                            g_logits]
+
+        rows = self.tape.record(ys, [self.p[name] for name in _STEP_WEIGHTS + _HEAD_WEIGHTS],
+                                vjp)
         return rows, tokens, g_logits
 
 
@@ -540,48 +635,40 @@ def stack_members(params_list: list[CaptionerParams]) -> CaptionerParams:
 def _decode(params: CaptionerParams, image_feats, pick,
             batch: int | None = None) -> list[TokenSequence]:
     """The one decode loop, over the B images of B x C x d ``image_feats``
-    for ``batch`` = B: B x 1 x m states step against B x C x m crops, and
-    each step gathers the B previous words with one fancy index.  Rows never
-    mix, so row b decodes as image b would alone.  With ``batch`` None,
-    ``image_feats`` is one C x d image, whose 1 x m states keep no row axis.
+    for ``batch`` = B, or over one C x d image as B = 1: B x m states step
+    against B x C x m crops (one image's C x m crops keep no row axis), and
+    each step gathers the B previous words with one ``take``.  Rows never
+    mix: row b's values depend only on image b (a product over B rows may
+    round them in the last digit otherwise than a one-image one).
     ``pick(probs)`` gets the n x K word distributions of the n rows still
     decoding, in row order, and returns their n next words; a row stops at
     EOS or at max_len.
 
     Runs ``_step_forward`` and the output head in plain numpy, with no tape
     and no bind.  ``params`` may be stacked (``stack_members``): the members
-    then advance together on the previous words and their word
-    distributions are averaged over the member axis (a single model's are
-    used as is).
+    then advance together on the previous words (M x B x m states) and
+    their word distributions are averaged over the member axis (a single
+    model's are used as is).
     """
-    config = params.config
-    B = 1 if batch is None else batch
-    arrays = params.arrays
-    stacked = arrays["embed"].ndim == 3
-    if stacked and batch is not None:
-        # every weight gets a length-1 row axis after the member axis, so it
-        # broadcasts over the B rows (M x B x ... arrays); the gather puts
-        # the embedding's rows into that axis itself
-        arrays = {name: arr if name == "embed" else arr[:, None]
-                  for name, arr in arrays.items()}
+    config, arrays = params.config, params.arrays
+    feats = _check_feats(image_feats, config, batch)
+    B, m = 1 if batch is None else batch, config.hidden_dim
     w, embed = {name: arrays[name] for name in _STEP_WEIGHTS}, arrays["embed"]
+    members = embed.shape[:-2]  # (M,) when stacked, else ()
     bos_mask, sentinel_mask = _masks(config)
-    feats_proj = _check_feats(image_feats, config, batch) @ arrays["attn_Wv"]
-    rows = () if batch is None else (B,)
-    h = c = ctx = np.zeros(embed.shape[:-2] + rows + (1, config.hidden_dim))
+    # out_b + BOS mask once: the mask absorbs any logit, so the sum is the same
+    out_W, head_b = arrays["out_W"], arrays["out_b"] + bos_mask
+    feats_proj = _project(feats, arrays["attn_Wv"])
+    h = c = ctx = np.zeros(members + (B, m))
     prev = np.full(B, config.bos_id)
     tokens: list[list[int]] = [[] for _ in range(B)]
     live = list(range(B))  # rows still decoding
     for _ in range(config.max_len):
-        if batch is None:  # one image: no row axis
-            x = embed[..., prev[0] : prev[0] + 1, :]
-        else:
-            x = embed[..., prev, :][..., None, :]
-        row, h, c, ctx, _, _ = _step_forward(w, h, c, ctx, x, feats_proj, sentinel_mask)
-        probs = ad._softmax_values(row @ arrays["out_W"] + arrays["out_b"] + bos_mask)
-        if stacked:
-            probs = probs.mean(axis=0)
-        probs = probs.reshape(B, config.vocab_size)
+        row, h, c, ctx, _, _ = _step_forward(w, h, c, ctx, embed.take(prev, axis=-2),
+                                             feats_proj, sentinel_mask)
+        probs = ad._softmax_values(row @ out_W + head_b)
+        if members:  # the mean over members, as np.mean takes it
+            probs = probs.sum(axis=0) / members[0]
         if len(live) == B:  # every row still decodes: no gather
             prev[:] = pick(probs)
         else:

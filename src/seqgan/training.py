@@ -237,11 +237,11 @@ def scst_batch_grad(g_params: CaptionerParams, d_params, image_feats, samples,
 
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g_params)
-    logp, logits = bound.sequence_log_prob_and_logits(
+    logp, replay_grads = bound.sequence_log_prob_and_logits(
         feats[rows], CaptionBatch([samples[b] for b in rows]))
     ad.backward(tape, ad.reduce_sum(ad.mul(logp, adv[rows] / B)))
     for j, b in enumerate(rows):
-        logit_grads[b] = logits.grad[j, : len(samples[b].tokens)]
+        logit_grads[b] = replay_grads[j, : len(samples[b].tokens)]
     return {name: bound.p[name].grad for name in g_params.arrays}, records, logit_grads
 
 
@@ -279,12 +279,15 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
     if not len(feats):
         raise InputError("gumbel_grad needs at least one image")
     B, K = len(feats), g_params.config.vocab_size
+    if fm_on and len(gt.seqs) != B:
+        raise InputError(f"gt_seqs must hold one caption per image: {len(gt.seqs)} captions "
+                         f"for {B} images")
 
     tape = ad.Tape()
     bound_g = BoundCaptioner(tape, g_params)
     bound_d = BoundDiscriminator(tape, d_params)
     rows, tokens, logit_grads = bound_g.relaxed_unroll(
-        feats, lambda: gumbel_noise(rng, (B, 1, K)), cfg.temperature,
+        feats, lambda: gumbel_noise(rng, (B, K)), cfg.temperature,
         cfg.estimator == "gumbel_st")
     out = bound_d.forward(feats, rows, [len(seq) for seq in tokens])
     total = ad.reduce_sum(ad.log(_clamp_score(out["score"])))

@@ -33,8 +33,10 @@ bound captioner through a token path, the step-by-step oracle for the
 decoders and the way to inspect one step's attention and sentinel gate, and
 ``bound_decode`` decodes through a bound captioner's steps (the decoders
 call the plain step with no bind), with ``multinomial_pick`` as its
-sampler.  ``per_caption_cider_d``, ``per_caption_bleu4`` and
-``per_caption_rouge_l`` keep the one-caption ``Counter`` loops (and
+sampler.  ``stepwise_log_prob`` teacher-forces one caption through a bound
+captioner's steps, the oracle for the one-node teacher-forced pass.
+``per_caption_cider_d``, ``per_caption_bleu4`` and ``per_caption_rouge_l``
+keep the one-caption ``Counter`` loops (and
 ``lcs_len`` the textbook LCS table) as the oracle for the array scorer
 ``metrics.caption_scores``, bit for bit, and ``per_image_rewards`` takes
 its CIDEr-D rewards from them.
@@ -134,9 +136,16 @@ class PerGateCaptioner(BoundCaptioner):
         super().__init__(tape, params)
         self.gates = gate_weights(self.p, CAPTIONER_BLOCKS, params.config.hidden_dim)
 
+    def project_feats(self, image_feats, batch=None):
+        """One C x d image's crops, C x m, as one tape ``matmul``: the
+        oracle takes the crop projection's gradient from that op's VJP."""
+        feats = np.asarray(image_feats, dtype=np.float64).reshape(
+            self.config.num_crops, self.config.feature_dim)
+        return ad.matmul(self.tape.tensor(feats), self.p["attn_Wv"])
+
     def step(self, h, c, ctx, x_embed, feats_proj):
-        """Blocks are joined and split on the last axis, so B x 1 x m rows
-        step as 1 x m ones do."""
+        """One image's step: 1 x m rows against the C x m crops of
+        ``project_feats``."""
         p = self.p
         context_aware = self.config.attention == "context_aware"
         if not context_aware:
@@ -169,26 +178,33 @@ class PerGateCaptioner(BoundCaptioner):
         return h_new + ctx_new, h_new, c_new, ctx_new, attn
 
     def sequence_log_prob_and_logits(self, image_feats, batch):
-        """Per-token log-likelihood of a one-caption batch against 1 x C x d
-        features: one output affine, softmax, pick and log per step.  Returns
-        the log-likelihood as one value and the per-step 1 x K logit tensors
-        as a list."""
-        (seq,) = batch.seqs
-        batch.one_hot(self.config.vocab_size)  # rejects an empty caption or a bad id
-        feats_proj = self.project_feats(np.asarray(image_feats)[0])
-        m = self.config.hidden_dim
-        h, c, ctx = (self.tape.tensor(np.zeros((1, m))) for _ in range(3))
-        prev = self.config.bos_id
-        total = self.tape.tensor(0.0)
-        step_logits = []
-        for tok in seq.tokens:
-            row, h, c, ctx, _ = self.step(h, c, ctx, self.embed_token(prev), feats_proj)
-            logits = self.logits(row)
-            step_logits.append(logits)
-            probs = self.word_dist(logits)
-            total = total + ad.log(ad.reshape(ad.narrow(probs, 1, tok, 1), ()))
-            prev = tok
-        return ad.reshape(total, (1,)), step_logits
+        """``stepwise_log_prob`` through the per-gate steps."""
+        return stepwise_log_prob(self, image_feats, batch)
+
+
+def stepwise_log_prob(bound, image_feats, batch):
+    """Per-token log-likelihood of a one-caption batch against 1 x C x d
+    features, teacher-forced through ``bound.step`` (one tape node per step
+    for ``BoundCaptioner``, per-gate tape ops for ``PerGateCaptioner``) with
+    one output affine, softmax, pick and log per step: the step-by-step
+    oracle for the one-node teacher-forced pass.  Returns the
+    log-likelihood as one value and the per-step 1 x K logit tensors as a
+    list."""
+    (seq,) = batch.seqs
+    batch.one_hot(bound.config.vocab_size)  # rejects an empty caption or a bad id
+    feats_proj = bound.project_feats(np.asarray(image_feats)[0])
+    h, c, ctx = bound.zero_state()
+    prev = bound.config.bos_id
+    total = bound.tape.tensor(0.0)
+    step_logits = []
+    for tok in seq.tokens:
+        row, h, c, ctx, _ = bound.step(h, c, ctx, bound.embed_token(prev), feats_proj)
+        logits = bound.logits(row)
+        step_logits.append(logits)
+        probs = bound.word_dist(logits)
+        total = total + ad.log(ad.reshape(ad.narrow(probs, 1, tok, 1), ()))
+        prev = tok
+    return ad.reshape(total, (1,)), step_logits
 
 
 def replay_steps(params, image_feats, prev_tokens, tape=None, bound_cls=BoundCaptioner):
@@ -559,13 +575,13 @@ def scst_grad(g_params, d_params, image_feats, rng, cfg, refs=None, idf=None,
 
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g_params)
-    logp, logits = bound.sequence_log_prob_and_logits(image_feats[None],
-                                                      CaptionBatch([sample]))
+    logp, step_grads = bound.sequence_log_prob_and_logits(image_feats[None],
+                                                          CaptionBatch([sample]))
     ad.backward(tape, logp)
     grads = {name: adv * bound.p[name].grad for name in g_params.arrays}
     if not want_logit_grads:
         return grads, record
-    logit_grads = [adv * row for row in logits.grad[0]]
+    logit_grads = [adv * row for row in step_grads[0]]
     return grads, record, logit_grads
 
 

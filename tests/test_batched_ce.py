@@ -45,10 +45,10 @@ def batched_ce(g, examples):
     bound = cap.BoundCaptioner(tape, g)
     feats = np.array([f for f, _ in examples])
     refs = [ref for _, ref in examples]
-    logp, logits = bound.sequence_log_prob_and_logits(feats, cap.CaptionBatch(refs))
+    logp, logit_grads = bound.sequence_log_prob_and_logits(feats, cap.CaptionBatch(refs))
     lengths = np.array([len(ref.tokens) for ref in refs])
     ad.backward(tape, ad.reduce_sum(ad.mul(logp, -1.0 / (len(refs) * lengths))))
-    return logp.data, {n: bound.p[n].grad for n in g.arrays}, logits.grad
+    return logp.data, {n: bound.p[n].grad for n in g.arrays}, logit_grads
 
 
 def examples_of(dataset, picks):
@@ -79,11 +79,12 @@ def test_batched_gradients_match_per_caption_loop(attention, case):
     for b, (feats, ref) in enumerate(examples):
         tape = ad.Tape()
         bound = cap.BoundCaptioner(tape, g)
-        one, logits = bound.sequence_log_prob_and_logits(feats[None], cap.CaptionBatch([ref]))
+        one, one_grads = bound.sequence_log_prob_and_logits(feats[None],
+                                                            cap.CaptionBatch([ref]))
         ad.backward(tape, ad.scale(one, -1.0 / (len(examples) * len(ref.tokens))))
         n = len(ref.tokens)
         assert abs(logp[b] - one.item()) <= TOL
-        assert max_diff(logit_grads[b, :n], logits.grad[0]) <= TOL
+        assert max_diff(logit_grads[b, :n], one_grads[0]) <= TOL
         assert not logit_grads[b, n:].any()  # padded steps get no gradient
 
 

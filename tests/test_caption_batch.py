@@ -15,7 +15,7 @@ from seqgan import autodiff as ad
 from seqgan import captioner as cap
 from seqgan import discriminator as disc
 from seqgan import training as tr
-from helpers import score_one
+from helpers import replay_steps, score_one
 
 K, C, D = 7, 3, 4
 SEQ = cap.TokenSequence([2, 3, 1], True)
@@ -81,6 +81,19 @@ class TestRetiredFormsRejected:
             tr.gumbel_grad(g, d, feats[0], rng, cfg, gt_seqs=[SEQ])
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
+    @pytest.mark.parametrize("n_gts", (2, 4))
+    def test_gumbel_grad_ground_truth_count_before_any_draw(self, n_gts):
+        """With feature matching, one ground truth per image, checked before
+        the relaxed unroll draws any noise."""
+        g, d, _ = models()
+        feats = np.random.default_rng(8).uniform(-1, 1, (3, C, D))
+        cfg = tr.GanConfig(estimator="gumbel_soft", fm_image_weight=0.5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(cap.InputError, match=f"gt_seqs must hold one caption per image: "
+                                                 f"{n_gts} captions for 3 images"):
+            tr.gumbel_grad(g, d, feats, rng, cfg, gt_seqs=[SEQ] * n_gts)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
 
 class TestOneHot:
     def test_mixed_lengths_are_padded_identity_rows(self):
@@ -107,7 +120,9 @@ class TestOneHot:
 
     def test_both_models_read_the_same_rows(self):
         """The discriminator scores exactly ``forward`` on the rows, and the
-        captioner picks each valid step's word from them."""
+        captioner picks each valid step's word from them: its log-likelihood
+        is that of the rows under the word distributions of a step-by-step
+        replay of each caption."""
         g, d, _ = models()
         batch = cap.CaptionBatch([SEQ, cap.TokenSequence([4, 1], True)])
         feats = np.random.default_rng(7).uniform(-1, 1, (2, C, D))
@@ -115,9 +130,13 @@ class TestOneHot:
         assert np.array_equal(bound_d.score_sequence(feats, batch)["score"].data,
                               bound_d.forward(feats, *batch.one_hot(K))["score"].data)
         bound_g = cap.BoundCaptioner(ad.Tape(grad=False), g)
-        logp, logits = bound_g.sequence_log_prob_and_logits(feats, batch)
-        probs = bound_g.word_dist(logits).data
+        logp = bound_g.sequence_log_prob(feats, batch)
         rows, _ = batch.one_hot(K)
+        probs = np.zeros(rows.shape)
+        for b, seq in enumerate(batch.seqs):
+            prevs = [g.config.bos_id] + seq.tokens[:-1]
+            for t, (*_, logits) in enumerate(replay_steps(g, feats[b], prevs)):
+                probs[b, t] = bound_g.word_dist(bound_g.tape.tensor(logits[None])).data[0]
         assert np.max(np.abs(logp.data - np.log((probs * rows).sum(-1)
                                                 + 1 - rows.sum(-1)).sum(-1))) <= 1e-12
 

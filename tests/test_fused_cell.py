@@ -45,8 +45,9 @@ def teacher_forced(cls, params, feats, seq):
     bound = cls(tape, params)
     logp, logits = bound.sequence_log_prob_and_logits(feats[None], cap.CaptionBatch([seq]))
     ad.backward(tape, logp)
-    # the fused path returns one 1 x T x K tensor, the oracle one 1 x K per step
-    logit_grads = logits.grad[0] if isinstance(logits, ad.Tensor) \
+    # the fused path returns the 1 x T x K logit gradients as an array, the
+    # oracle one 1 x K logit tensor per step
+    logit_grads = logits[0] if isinstance(logits, np.ndarray) \
         else np.vstack([t.grad for t in logits])
     return logp.item(), {n: bound.p[n].grad for n in params.arrays}, logit_grads
 
@@ -135,7 +136,7 @@ def test_gumbel_unroll_through_discriminator_matches_per_gate(attention, estimat
     gts = [cap.TokenSequence(t, True) for t in ([2, 3, 4, 1], [5, 1], [6, 7, 8, 2, 1])]
     rng = RecordingRng(5)
     out = tr.gumbel_grad(g, d, feats, rng, cfg, gt_seqs=gts)
-    refs = [gumbel_grad(g, d, feats[b], ReplayRng([blk[b] for blk in rng.blocks]), cfg,
+    refs = [gumbel_grad(g, d, feats[b], ReplayRng([blk[b : b + 1] for blk in rng.blocks]), cfg,
                         gt_seq=gts[b], want_logit_grads=True, bound_cls=PerGateCaptioner,
                         disc_cls=PerGateDiscriminator) for b in range(3)]
     assert out["tokens"] == [ref["tokens"] for ref in refs]
@@ -175,10 +176,10 @@ def test_discriminator_objective_matches_per_gate(variant):
 
 
 def test_teacher_forced_nodes_per_token():
-    """Tape size is deterministic: the teacher-forced unroll is one node, so
-    a caption records the same 22 nodes whatever its length (bind leaves
-    included; the tape-composed step recorded up to 25 per token, the
-    per-gate formulation about 66)."""
+    """Tape size is deterministic: the teacher-forced log-likelihood is one
+    node, so a caption records the same 11 nodes whatever its length: the
+    ten parameter leaves of the bind and that node (the tape-composed step
+    recorded up to 25 per token, the per-gate formulation about 66)."""
     ds = dat.generate_dataset(seed=0, n_objects=4, n_contexts=3, n_images=12,
                               num_crops=3, feature_dim=10)
     config = cap.CaptionerConfig(vocab_size=ds.vocab.size, hidden_dim=8, num_crops=3,
@@ -191,4 +192,4 @@ def test_teacher_forced_nodes_per_token():
             cap.BoundCaptioner(tape, params).sequence_log_prob(scene.features[None],
                                                                cap.CaptionBatch([ref]))
             counts[len(ref.tokens)] = len(tape.nodes)
-    assert len(counts) > 1 and set(counts.values()) == {22}
+    assert len(counts) > 1 and set(counts.values()) == {11}

@@ -644,11 +644,11 @@ class TestBatchedGumbel:
         out = tr.gumbel_grad(g, d, feats, rng, cfg, gt_seqs=gts)
         lengths = [len(t) for t in out["tokens"]]
         assert len(rng.blocks) == max(lengths)
-        assert all(block.shape == (n_images, 1, 9) for block in rng.blocks)
+        assert all(block.shape == (n_images, 9) for block in rng.blocks)
         if n_images > 1:  # mixed lengths, one row ending at max_len
             assert len(set(lengths)) > 2 and max(lengths) == 4
 
-        refs = [gumbel_grad(g, d, feats[b], ReplayRng([blk[b] for blk in rng.blocks]),
+        refs = [gumbel_grad(g, d, feats[b], ReplayRng([blk[b : b + 1] for blk in rng.blocks]),
                             cfg, gt_seq=gts[b], want_logit_grads=True)
                 for b in range(n_images)]
         assert out["tokens"] == [ref["tokens"] for ref in refs]
@@ -694,7 +694,7 @@ class TestBatchedGumbel:
 
     def test_g_step_draws_picks_then_noise(self):
         """One generator step: every image's ground-truth pick, then one
-        (B, 1, K) block per step; one Adam step on the batch-mean gradient."""
+        (B, K) block per step; one Adam step on the batch-mean gradient."""
         g, d, dataset, _ = scst_setup(seed=2)
         cfg = tr.GanConfig(estimator="gumbel_soft", fm_caption_weight=0.5, batch_size=4)
         batch = np.array([3, 0, 7, 5])
