@@ -17,7 +17,7 @@ x = tape.tensor(rng.uniform(-1, 1, (3, 4)))
 w = tape.tensor(rng.uniform(-1, 1, (4, 2)))
 
 hidden = ad.tanh(ad.matmul(x, w))              # 3 x 2
-attn = ad.softmax(hidden, temperature=0.5)     # rows on the simplex
+attn = ad.softmax(ad.scale(hidden, 2.0))       # rows on the simplex, at temperature 0.5
 pooled = ad.reduce_max(attn, axis=0)           # winner per column
 loss = ad.reduce_sum(ad.log(ad.add(ad.sigmoid(pooled), tape.tensor(1.0))))
 
@@ -33,7 +33,7 @@ def loss_at(x_arr):
     t = ad.Tape()
     xx, ww = t.tensor(x_arr), t.tensor(w.data)
     h = ad.tanh(ad.matmul(xx, ww))
-    p = ad.reduce_max(ad.softmax(h, temperature=0.5), axis=0)
+    p = ad.reduce_max(ad.softmax(ad.scale(h, 2.0)), axis=0)
     return ad.reduce_sum(ad.log(ad.add(ad.sigmoid(p), t.tensor(1.0)))).item()
 
 h = 1e-6

@@ -3,11 +3,11 @@
 A ``Tape`` records every operation in execution order; ``backward`` walks the
 record once in reverse, accumulating vector-Jacobian products per node.  A
 ``Tape(grad=False)`` computes the same values without recording them.  Only
-the operations required by the attention captioner, the co-attention
-discriminator and their training losses are provided -- no convolutions, no
-GPU, no mixed precision; ``Tape.record`` takes a node computed in plain
-numpy elsewhere (the models' LSTM unrolls, on the numpy cell
-``_lstm_cell_values``) with its own VJP.  Accumulation order is fixed by tape order, so runs are bit-reproducible.
+the operations the models and their losses need are provided, one per job
+(``x @ W + b`` is ``matmul`` then ``add``); ``Tape.record`` takes a node
+computed in plain numpy elsewhere (the models' LSTM unrolls, on the numpy
+cell ``_lstm_cell_values``) with its own VJP.  Accumulation order is fixed
+by tape order, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class DomainError(ValueError):
 
 
 class ParameterError(ValueError):
-    """Invalid parameter: of an operation (e.g. a non-positive temperature) or
-    of a dataset request (e.g. an infeasible holdout, see ``seqgan.data``)."""
+    """Invalid parameter of a dataset request (e.g. an infeasible holdout,
+    see ``seqgan.data``)."""
 
 
 class TapeError(RuntimeError):
@@ -186,13 +186,6 @@ def _mT(v):
     return v.swapaxes(-1, -2)
 
 
-def _check_matmul(name, av, bv):
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ShapeError(f"{name} needs operands of rank >= 2, got {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ShapeError(f"{name} inner dims disagree: {av.shape} @ {bv.shape}")
-
-
 def _weight_grad(av, g, shape):
     """Gradient of the right operand of ``av @ W``: ``_mT(av) @ g`` summed
     down to W's ``shape``.  A rank-2 W under leading axes gets it as one 2-D
@@ -209,7 +202,10 @@ def matmul(a, b) -> Tensor:
     tape = _tape_of(a, b)
     a, b = _wrap(tape, a), _wrap(tape, b)
     av, bv = a.data, b.data
-    _check_matmul("matmul", av, bv)
+    if av.ndim < 2 or bv.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank >= 2, got {av.shape} @ {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
     try:
         out = av @ bv
     except ValueError:
@@ -220,28 +216,6 @@ def matmul(a, b) -> Tensor:
         return _unbroadcast(g @ _mT(bv), av.shape), _weight_grad(av, g, bv.shape)
 
     return tape._output(out, (a.index, b.index), vjp)
-
-
-def affine(x, W, b) -> Tensor:
-    """``x @ W + b`` as one node: a matrix product over the last two axes
-    plus a broadcast bias; leading axes broadcast."""
-    tape = _tape_of(x, W, b)
-    x, W, b = _wrap(tape, x), _wrap(tape, W), _wrap(tape, b)
-    xv, Wv, bv = x.data, W.data, b.data
-    _check_matmul("affine", xv, Wv)
-    try:
-        out = xv @ Wv + bv
-    except ValueError:
-        out = None
-    if out is None or out.shape[-2:] != (xv.shape[-2], Wv.shape[-1]):
-        raise ShapeError(f"affine operands {xv.shape} @ {Wv.shape} + {bv.shape} "
-                         "do not broadcast")
-
-    def vjp(g):
-        return (_unbroadcast(g @ _mT(Wv), xv.shape), _weight_grad(xv, g, Wv.shape),
-                _unbroadcast(g, bv.shape))
-
-    return tape._output(out, (x.index, W.index, b.index), vjp)
 
 
 def add(a, b) -> Tensor:
@@ -373,12 +347,6 @@ def _lstm_cell_reverse(slopes, gc_new, gh, out=None):
     return np.multiply(np.concatenate([gc, gc, gh, gc], axis=-1), s_pre, out=out), gc * f
 
 
-def _lstm_cell_grads(saved, gc_new, gh):
-    """Reverse of one ``_lstm_cell_values``: ``_lstm_cell_reverse`` of its
-    slopes."""
-    return _lstm_cell_reverse(_lstm_cell_slopes(saved), gc_new, gh)
-
-
 def log(x: Tensor) -> Tensor:
     v = x.data
     if not np.all(v > 0):
@@ -400,22 +368,19 @@ def exp(x: Tensor) -> Tensor:
     return x.tape._output(out, (x.index,), vjp)
 
 
-def softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """Temperature softmax over the last axis, max-subtracted for stability."""
-    temperature = float(temperature)
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    out = _softmax_values(x.data / temperature)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis, max-subtracted for stability."""
+    out = _softmax_values(x.data)
 
     def vjp(g):
-        return (_softmax_grads(out, g) / temperature,)
+        return (_softmax_grads(out, g),)
 
     return x.tape._output(out, (x.index,), vjp)
 
 
 def _softmax_values(v, out=None):
-    """The numpy body of ``softmax`` at temperature 1 on a plain array
-    (written to ``out`` when given)."""
+    """The numpy body of ``softmax`` on a plain array (written to ``out``
+    when given)."""
     z = v - v.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
@@ -522,22 +487,6 @@ def concat(tensors, axis=0) -> Tensor:
         return tuple(g[part] for part in parts)
 
     return tape._output(out, tuple(t.index for t in tensors), vjp)
-
-
-def get_row(x: Tensor, i: int) -> Tensor:
-    """Row i of the last two axes as a ... x 1 x n tensor (embedding lookup)."""
-    v = x.data
-    rows = v.shape[-2] if v.ndim >= 2 else 0
-    if not (isinstance(i, (int, np.integer)) and 0 <= i < rows):
-        raise ShapeError(f"row {i} invalid for shape {v.shape}")
-    out = v[..., i : i + 1, :].copy()
-
-    def vjp(g):
-        gx = np.zeros_like(v)
-        gx[..., i, :] = g[..., 0, :]
-        return (gx,)
-
-    return x.tape._output(out, (x.index,), vjp)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:

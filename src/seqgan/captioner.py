@@ -416,9 +416,9 @@ class BoundCaptioner:
         return zero, zero, zero
 
     def embed_token(self, token: int) -> ad.Tensor:
-        if not (0 <= token < self.config.vocab_size):
+        if not (isinstance(token, (int, np.integer)) and 0 <= token < self.config.vocab_size):
             raise InputError(f"token id {token} out of range")
-        return ad.get_row(self.p["embed"], token)
+        return ad.narrow(self.p["embed"], -2, token, 1)
 
     def step(self, h, c, ctx, x_embed, feats_proj):
         """One decoder step (``_step_forward``) on tensors, for stepping a
@@ -454,7 +454,7 @@ class BoundCaptioner:
 
     def logits(self, rows: ad.Tensor) -> ad.Tensor:
         """Word scores (pre-mask) of n stacked output rows, n x K."""
-        return ad.affine(rows, self.p["out_W"], self.p["out_b"])
+        return ad.matmul(rows, self.p["out_W"]) + self.p["out_b"]
 
     def masked_logits(self, logits: ad.Tensor) -> ad.Tensor:
         """Word scores with BOS pushed to -inf so it is never emitted."""

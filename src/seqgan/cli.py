@@ -314,15 +314,26 @@ def cmd_train(config_path, seed_override=None, out_dir=None) -> int:
     return EXIT_OK
 
 
+def _require_models(path, ckpt: dat.Checkpoint, *sections):
+    """``ConfigError`` naming ``path`` and the first of ``sections`` that
+    ``ckpt`` holds no model for."""
+    for section in sections:
+        if getattr(ckpt, section) is None:
+            raise ConfigError(f"{path}: checkpoint has no {section} section")
+
+
 def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
     if split not in ("val", "test", "ooc"):
         raise ConfigError(f"unknown split {split!r} (expected val, test or ooc)")
     ckpts = [dat.load_checkpoint(p) for p in checkpoint_paths]
     first = ckpts[0]
+    # every member decodes; the first's discriminator scores the split
+    _require_models(checkpoint_paths[0], first, "captioner", "discriminator")
     cfg = stored_config(first)
     # members trained on other datasets give the same token ids other words,
     # and members of other captioner shapes cannot be stacked
     for path, ckpt in zip(checkpoint_paths[1:], ckpts[1:]):
+        _require_models(path, ckpt, "captioner")
         other = stored_config(ckpt)
         for section in ("dataset", "captioner"):
             for key, value in cfg[section].items():
@@ -365,6 +376,10 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
     _check_seed_override(seed_override)
     ckpt = dat.load_checkpoint(checkpoint_path)
     cfg = stored_config(ckpt)
+    _require_models(checkpoint_path, ckpt, "captioner")
+    # Gumbel, and SCST unless its reward is CIDEr alone, score with D
+    if any(est != "scst" or cfg["gan"]["reward"] != "cider" for est in estimators):
+        _require_models(checkpoint_path, ckpt, "discriminator")
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     dataset = build_dataset(cfg)

@@ -582,6 +582,15 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [key for key in ("epoch", "config", "rng_state") if key not in meta]
     if missing:
         raise FormatError(f"meta section lacks {', '.join(missing)}", offset=12)
+    if type(meta["epoch"]) is not int or meta["epoch"] < 0:  # a bool is no epoch
+        raise FormatError(f"meta epoch must be an integer >= 0, got {meta['epoch']!r}",
+                          offset=12)
+    if meta["rng_state"] is not None:
+        try:
+            rng_from_state(meta["rng_state"])
+        except (TypeError, ValueError, KeyError, OverflowError) as err:
+            raise FormatError(f"meta rng_state is not a generator state: {err}",
+                              offset=12) from None
 
     def model_arrays(name, shapes):
         if name not in payloads:

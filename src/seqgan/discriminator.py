@@ -155,7 +155,8 @@ class BoundDiscriminator:
             g_X, g_W, g_b, g_c, g_h_next = np.empty((B, T, m)), 0.0, 0.0, 0.0, 0.0
             for t in reversed(range(T)):
                 u, cell = saved[t]
-                g_pre, g_c = ad._lstm_cell_grads(cell, g_c, g_H[:, t : t + 1] + g_h_next)
+                g_pre, g_c = ad._lstm_cell_reverse(ad._lstm_cell_slopes(cell), g_c,
+                                                   g_H[:, t : t + 1] + g_h_next)
                 g_u = g_pre @ W.T
                 g_X[:, t : t + 1], g_h_next = g_u[..., :m], g_u[..., m:]
                 g_W = g_W + ad._weight_grad(u, g_pre, W.shape)
@@ -203,13 +204,13 @@ class BoundDiscriminator:
 
         act_i = ad.tanh(ad.matmul(I, p["attn_WI"])
                         + ad.matmul(ad.matmul(Y, H), p["attn_WIh"]) + p["attn_bI"])
-        alpha = ad.softmax(ad.transpose(ad.affine(act_i, p["alpha_w"], p["alpha_b"])))
+        alpha = ad.softmax(ad.transpose(ad.matmul(act_i, p["alpha_w"]) + p["alpha_b"]))
 
         act_s = ad.tanh(ad.matmul(H, p["attn_Wh"])
                         + ad.matmul(ad.matmul(ad.transpose(Y), I), p["attn_WhI"])
                         + p["attn_bS"])
         word_mask = np.where(valid, 0.0, _MASK)[:, None, :]        # B x 1 x T
-        beta = ad.softmax(ad.transpose(ad.affine(act_s, p["beta_w"], p["beta_b"]))
+        beta = ad.softmax(ad.transpose(ad.matmul(act_s, p["beta_w"]) + p["beta_b"])
                           + word_mask)
 
         e_img = ad.matmul(ad.matmul(alpha, I), p["out_UI"])         # B x 1 x m

@@ -11,9 +11,8 @@ vocabulary is already canonical, so there is no text normalization step):
 
 ``caption_scores`` computes all three for a batch of captions, each against
 its own reference set, in one array pass over one n-gram count table per
-order; ``cider_d``, ``bleu4`` and ``rouge_l`` are its one-caption calls.
-The per-caption ``Counter`` loops it replaced are kept in the tests as the
-oracle, and every score equals theirs bit for bit.
+order.  The per-caption ``Counter`` loops it replaced are kept in the tests
+as the oracle, and every score equals theirs bit for bit.
 
 The semantic score is a cosine in CCA space: captions and images are
 embedded separately, projected through the fitted canonical directions, and
@@ -79,9 +78,6 @@ class NGramIdf:
         df = np.fromiter((self.doc_freq.get(g, 0) for g in grams), np.int64, len(grams))
         return np.log(self.corpus_size / np.maximum(df, 1))
 
-    def idf(self, gram: tuple) -> float:
-        return float(self.weights([gram])[0])
-
     def to_aux(self) -> dict:
         """Float64 arrays for checkpoint aux (names in ``IDF_AUX``).
 
@@ -129,10 +125,6 @@ class NGramIdf:
         if len(doc_freq) != len(rows):
             raise InputError("idf_grams holds a gram twice")
         return NGramIdf(doc_freq, int(docs[0]))
-
-
-# the idf of the front ends that score no CIDEr-D: every gram weighs log(1 / 1) = 0
-_NO_IDF = NGramIdf({}, 1)
 
 
 def _whole(arr: np.ndarray) -> bool:
@@ -322,24 +314,6 @@ def _lookup(keys: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.nda
         return np.zeros(len(queries), np.int64)
     at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
     return np.where(keys[at] == queries, values[at], 0)
-
-
-def cider_d(candidate, refs, idf: NGramIdf) -> float:
-    """Consensus tf-idf similarity with length penalty, scaled by 10: the
-    one-caption call of ``caption_scores``."""
-    return float(caption_scores([candidate], [refs], idf).cider[0])
-
-
-def bleu4(candidate, refs) -> float:
-    """BLEU up to 4-grams with brevity penalty, zero if any order is
-    unmatched: the one-caption call of ``caption_scores``."""
-    return float(caption_scores([candidate], [refs], _NO_IDF).bleu4[0])
-
-
-def rouge_l(candidate, refs) -> float:
-    """Longest-common-subsequence F-measure, best reference taken: the
-    one-caption call of ``caption_scores``."""
-    return float(caption_scores([candidate], [refs], _NO_IDF).rouge_l[0])
 
 
 def vocabulary_coverage(generated_corpus, vocab_size: int) -> float:

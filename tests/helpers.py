@@ -9,7 +9,7 @@ models replaced, as the oracle for the fused path (``PerGateDiscriminator``
 steps its word LSTM as tape ops, the oracle for the one-node word LSTM), and
 ``per_gate_init`` the per-gate draws as the oracle for the fused initial
 values; ``composed_lstm_cell`` is the oracle for the numpy cell
-``ad._lstm_cell_values`` and ``_lstm_cell_grads``, and
+``ad._lstm_cell_values`` and its reverse, and
 ``per_member_decode`` keeps the per-member ensemble loop as the oracle for
 the stacked ensemble bind, and ``per_reference_cider_d`` the CIDEr-D loop
 that rebuilt the candidate side for every reference.  ``loop_d_batch_step``
@@ -665,8 +665,8 @@ def gumbel_unroll(tape, bound_g, image_feats, rng, cfg):
         logits = bound_g.logits(row)
         step_logits.append(logits)
         noise = tape.tensor(tr.gumbel_noise(rng, (1, config.vocab_size)))
-        y = ad.softmax(ad.add(bound_g.masked_logits(logits), noise),
-                       temperature=cfg.temperature)
+        y = ad.softmax(ad.scale(ad.add(bound_g.masked_logits(logits), noise),
+                                1 / cfg.temperature))
         row = st_onehot(y) if mode == "st" else y
         hard = int(np.argmax(row.data))
         rows.append(row)

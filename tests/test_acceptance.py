@@ -103,9 +103,10 @@ def _coverage(bench, params):
 
 
 def _mean_cider(bench, params, split):
-    return float(np.mean([met.cider_d(greedy_decode(params, s.features), refs,
-                                      bench["idf"])
-                          for s, refs in bench["ds"].split(split)]))
+    examples = bench["ds"].split(split)
+    decoded = [greedy_decode(params, s.features) for s, _ in examples]
+    return float(np.mean(met.caption_scores(decoded, [refs for _, refs in examples],
+                                            bench["idf"]).cider))
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +161,14 @@ def test_criterion_01_gradient_correctness():
                 tape = ad.Tape()
                 x, w = tape.tensor(x_arr), tape.tensor(w0)
                 h = ad.tanh(ad.matmul(x, w))
-                s = ad.softmax(ad.scale(h, 1.3), temperature=0.7)
+                s = ad.softmax(ad.scale(h, 1.3 / 0.7))
                 e = ad.exp(ad.reduce_mean(ad.mul(s, h), axis=1))
                 q = ad.log(ad.add(ad.sigmoid(ad.reduce_max(h, axis=0)),
                                   tape.tensor(1.0)))
                 r = ad.concat([ad.reshape(e, (1, -1)),
                                ad.reshape(q, (1, -1))], axis=1)
                 z = ad.narrow(ad.transpose(r), 0, 0, 2)
-                out = ad.reduce_sum(ad.sub(z, ad.get_row(x, 0))) \
+                out = ad.reduce_sum(ad.sub(z, ad.narrow(x, -2, 0, 1))) \
                     + ad.reduce_sum(ad.clip(h, -0.5, 0.5))
                 return tape, x, out
 
@@ -344,18 +345,18 @@ def test_criterion_08_metric_oracles():
         ]
         idf = met.fit_idf(corpus)
         ref = [2, 3, 4, 5, 1]
-        assert abs(met.cider_d(ref, [ref], idf) - 10.0) < 1e-9
+        assert abs(met.caption_scores([ref], [[ref]], idf).cider[0] - 10.0) < 1e-9
 
         seq = [2, 3, 4, 5, 6]
-        assert abs(met.bleu4(seq, [seq]) - 1.0) < 1e-9
-        assert abs(met.rouge_l(seq, [seq]) - 1.0) < 1e-9
+        assert abs(met.caption_scores([seq], [[seq]], idf).bleu4[0] - 1.0) < 1e-9
+        assert abs(met.caption_scores([seq], [[seq]], idf).rouge_l[0] - 1.0) < 1e-9
         expected_bleu = (0.8 * 0.75 * (2.0 / 3.0) * 0.5) ** 0.25
-        assert abs(met.bleu4([10, 11, 12, 13, 14], [[10, 11, 12, 13, 15]])
-                   - expected_bleu) < 1e-9
+        bleu = met.caption_scores([[10, 11, 12, 13, 14]], [[[10, 11, 12, 13, 15]]], idf).bleu4
+        assert abs(bleu[0] - expected_bleu) < 1e-9
         p, r, b2 = 0.75, 0.6, 1.44
         expected_rouge = (1 + b2) * p * r / (r + b2 * p)
-        assert abs(met.rouge_l([1, 2, 3, 4], [[1, 3, 4, 5, 6]])
-                   - expected_rouge) < 1e-9
+        rouge = met.caption_scores([[1, 2, 3, 4]], [[[1, 3, 4, 5, 6]]], idf).rouge_l
+        assert abs(rouge[0] - expected_rouge) < 1e-9
 
         rng = np.random.default_rng(1)
         X = rng.normal(scale=30.0, size=(300, 3))

@@ -134,28 +134,22 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-300)
 
     def test_low_temperature_limit(self):
-        # brute-force evaluation of exp((x - max)/tau) / sum at tau = 0.01
+        # brute-force evaluation of exp((x - max)/tau) / sum at tau = 0.01;
+        # the tempered softmax is softmax(scale(x, 1 / tau))
         x = np.array([1.0, 2.0, 3.0])
         z = (x - x.max()) / 0.01
         expected = np.exp(z) / np.exp(z).sum()
         tape = ad.Tape()
-        out = ad.softmax(tape.tensor(x), temperature=0.01)
+        out = ad.softmax(ad.scale(tape.tensor(x), 1 / 0.01))
         np.testing.assert_allclose(out.data, expected, atol=0)
         np.testing.assert_allclose(out.data, [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_bad_temperature(self):
-        tape = ad.Tape()
-        with pytest.raises(ad.ParameterError):
-            ad.softmax(tape.tensor([1.0]), temperature=0.0)
-        with pytest.raises(ad.ParameterError):
-            ad.softmax(tape.tensor([1.0]), temperature=-1.0)
 
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.uniform(-50, 50, (4, 6))
             tape = ad.Tape()
-            out = ad.softmax(tape.tensor(x), temperature=rng.uniform(0.1, 3.0)).data
+            out = ad.softmax(ad.scale(tape.tensor(x), 1 / rng.uniform(0.1, 3.0))).data
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(out >= 0) and np.all(out <= 1)
 
@@ -163,7 +157,7 @@ class TestSoftmax:
         rng = np.random.default_rng(4)
         x0 = rng.uniform(-2, 2, (2, 5))
         w = rng.uniform(-1, 1, (2, 5))
-        build = lambda x: ad.reduce_sum(ad.mul(ad.softmax(x, temperature=0.7), w))
+        build = lambda x: ad.reduce_sum(ad.mul(ad.softmax(ad.scale(x, 1 / 0.7)), w))
         assert rel_err(grad_of(build, x0), fd_of(build, x0)) < 1e-4
 
 
@@ -196,8 +190,9 @@ class TestReduce:
 
 class TestPlumbingOps:
     def test_get_row_gradient(self):
+        # a row lookup (``embed_token``'s) is ``narrow`` on the row axis
         x0 = np.arange(6.0).reshape(3, 2)
-        g = grad_of(lambda x: ad.reduce_sum(ad.get_row(x, 1)), x0)
+        g = grad_of(lambda x: ad.reduce_sum(ad.narrow(x, -2, 1, 1)), x0)
         np.testing.assert_array_equal(g, [[0, 0], [1, 1], [0, 0]])
 
     def test_concat_narrow_roundtrip(self):
@@ -253,7 +248,7 @@ class TestFusedOps:
         def run(x, W, b):
             tape = ad.Tape()
             tx, tW, tb = tape.tensor(x), tape.tensor(W), tape.tensor(b)
-            out = ad.reduce_sum(ad.mul(ad.tanh(ad.affine(tx, tW, tb)), w))
+            out = ad.reduce_sum(ad.mul(ad.tanh(ad.matmul(tx, tW) + tb), w))
             return tape, (tx, tW, tb), out
 
         tape, leaves, out = run(x0, W0, b0)
@@ -265,22 +260,9 @@ class TestFusedOps:
 
             assert rel_err(leaf.grad, central_difference(f, args[k].copy())) < 1e-6
 
-    def test_affine_values_equal_matmul_plus_add(self):
-        rng = np.random.default_rng(32)
-        tape = ad.Tape()
-        x, W, b = (tape.tensor(rng.normal(size=s)) for s in ((5, 4), (4, 6), (1, 6)))
-        assert np.array_equal(ad.affine(x, W, b).data, (ad.matmul(x, W) + b).data)
-
-    def test_affine_rejects_bad_shapes(self):
-        tape = ad.Tape()
-        x, W = tape.tensor(np.zeros((2, 3))), tape.tensor(np.zeros((3, 4)))
-        with pytest.raises(ad.ShapeError):
-            ad.affine(x, tape.tensor(np.zeros((4, 3))), tape.tensor(np.zeros((1, 3))))
-        with pytest.raises(ad.ShapeError):
-            ad.affine(x, W, tape.tensor(np.zeros((3, 4))))
-
-    # the numpy LSTM cell (``_lstm_cell_values`` and ``_lstm_cell_grads``),
-    # k output gates over n rows; ``composed_lstm_cell`` is its tape oracle
+    # the numpy LSTM cell (``_lstm_cell_values``, and ``_lstm_cell_reverse``
+    # of its ``_lstm_cell_slopes``), k output gates over n rows;
+    # ``composed_lstm_cell`` is its tape oracle
     @staticmethod
     def cell_loss(pre, c, wc, wh):
         """sum(c' * wc) + sum(h * wh) of the numpy cell, h joined as n x km."""
@@ -294,7 +276,7 @@ class TestFusedOps:
         pre0, c0 = rng.uniform(-2, 2, (rows, (k + 3) * m)), rng.uniform(-2, 2, (rows, m))
         wc, wh = rng.uniform(-1, 1, (rows, m)), rng.uniform(-1, 1, (rows, k * m))
         saved = ad._lstm_cell_values(pre0, c0)[2]
-        gpre, gc = ad._lstm_cell_grads(saved, wc, wh)
+        gpre, gc = ad._lstm_cell_reverse(ad._lstm_cell_slopes(saved), wc, wh)
         assert rel_err(gpre, central_difference(
             lambda a: self.cell_loss(a, c0, wc, wh), pre0.copy())) < 1e-6
         assert rel_err(gc, central_difference(
@@ -325,7 +307,7 @@ class TestFusedOps:
             tp, tc = tape.tensor(pre0), tape.tensor(c0)
             ad.backward(tape, ad.reduce_sum(ad.mul(composed_lstm_cell(tp, tc, k), w)))
             saved = ad._lstm_cell_values(pre0, c0)[2]
-            gpre, gc = ad._lstm_cell_grads(saved, w[:, :m], w[:, m:])
+            gpre, gc = ad._lstm_cell_reverse(ad._lstm_cell_slopes(saved), w[:, :m], w[:, m:])
             # the composed cell sums its gradients in another order
             np.testing.assert_allclose(gpre, tp.grad, rtol=0, atol=1e-14)
             np.testing.assert_allclose(gc, tc.grad, rtol=0, atol=1e-14)
@@ -441,7 +423,7 @@ class TestCompositeGradientSweep:
             def build(x, w):
                 tape = x.tape
                 h = ad.tanh(ad.matmul(x, w))          # m x m
-                s = ad.softmax(h, temperature=tau)    # rows on simplex
+                s = ad.softmax(ad.scale(h, 1 / tau))  # rows on simplex
                 p = ad.sigmoid(ad.reduce_mean(s, axis=0))
                 q = ad.exp(ad.scale(ad.reduce_max(h, axis=1), 0.1))
                 return ad.reduce_sum(p) + ad.reduce_sum(q)
@@ -469,10 +451,12 @@ def _old_sigmoid(v):
                     np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
 
 
-# every op, as build(tape, a 3x4 input, a 4x3 input) -> tensor
+# every op, as build(tape, a 3x4 input, a 4x3 input) -> tensor, plus the two
+# compositions the models use in place of fused ops: the heads' affine map
+# ``matmul(x, W) + b`` and ``embed_token``'s row lookup ``narrow(x, -2, i, 1)``
 _OPS = {
     "matmul": lambda t, a, b: ad.matmul(a, b),
-    "affine": lambda t, a, b: ad.affine(a, b, t.tensor(np.ones((1, 3)))),
+    "affine": lambda t, a, b: ad.matmul(a, b) + t.tensor(np.ones((1, 3))),
     "add": lambda t, a, b: ad.add(a, t.tensor(np.ones((1, 4)))),
     "sub": lambda t, a, b: ad.sub(a, ad.transpose(b)),
     "mul": lambda t, a, b: ad.mul(a, ad.transpose(b)),
@@ -481,14 +465,14 @@ _OPS = {
     "sigmoid": lambda t, a, b: ad.sigmoid(a),
     "exp": lambda t, a, b: ad.exp(a),
     "log": lambda t, a, b: ad.log(ad.exp(a)),
-    "softmax": lambda t, a, b: ad.softmax(a, temperature=0.7),
+    "softmax": lambda t, a, b: ad.softmax(a),
     "reduce_sum": lambda t, a, b: ad.reduce_sum(a, axis=1),
     "reduce_mean": lambda t, a, b: ad.reduce_mean(a),
     "reduce_max": lambda t, a, b: ad.reduce_max(a, axis=0),
     "reshape": lambda t, a, b: ad.reshape(a, (2, 6)),
     "transpose": lambda t, a, b: ad.transpose(a),
     "concat": lambda t, a, b: ad.concat([a, ad.transpose(b)], axis=0),
-    "get_row": lambda t, a, b: ad.get_row(a, 1),
+    "get_row": lambda t, a, b: ad.narrow(a, -2, 1, 1),
     "narrow": lambda t, a, b: ad.narrow(a, 1, 1, 2),
     "clip": lambda t, a, b: ad.clip(a, -0.5, 0.5),
     "record": lambda t, a, b: t.record(a.data @ b.data, [a, b],
@@ -501,7 +485,8 @@ def test_every_public_op_is_in_the_no_grad_sweep():
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__
            and not name.startswith("_") and name != "backward"}
-    assert {"matmul", "affine", "concat"} <= ops and "lstm_cell" not in ops
+    assert {"matmul", "concat"} <= ops
+    assert not {"affine", "get_row", "lstm_cell"} & ops  # one op per job
     assert sorted(ops - set(_OPS)) == []
 
 
@@ -585,16 +570,17 @@ def cell_node(tape, pre, c):
     out = np.concatenate([c_new, h.reshape(h.shape[:-2] + (-1,))], axis=-1)
 
     def vjp(g):
-        return ad._lstm_cell_grads(saved, g[..., :m], g[..., m:])
+        return ad._lstm_cell_reverse(ad._lstm_cell_slopes(saved), g[..., :m], g[..., m:])
 
     return tape.record(out, [pre, c], vjp)
 
 
-# every op on stacked inputs, as build(tape, a 2x3x4, b 2x4x3) -> tensor; the
-# ops that contract or index the last two axes use the leading axis as a batch
+# every op of ``_OPS`` on stacked inputs, as build(tape, a 2x3x4, b 2x4x3) ->
+# tensor; the ops that contract or index the last two axes use the leading
+# axis as a batch
 _BATCHED_OPS = {
     "matmul": lambda t, a, b: ad.matmul(a, b),
-    "affine": lambda t, a, b: ad.affine(a, b, t.tensor(np.ones((1, 3)))),
+    "affine": lambda t, a, b: ad.matmul(a, b) + t.tensor(np.ones((1, 3))),
     "add": lambda t, a, b: ad.add(a, ad.transpose(b)),
     "sub": lambda t, a, b: ad.sub(a, ad.transpose(b)),
     "mul": lambda t, a, b: ad.mul(a, ad.transpose(b)),
@@ -603,20 +589,20 @@ _BATCHED_OPS = {
     "sigmoid": lambda t, a, b: ad.sigmoid(a),
     "exp": lambda t, a, b: ad.exp(a),
     "log": lambda t, a, b: ad.log(ad.exp(a)),
-    "softmax": lambda t, a, b: ad.softmax(a, temperature=0.7),
+    "softmax": lambda t, a, b: ad.softmax(a),
     "reduce_sum": lambda t, a, b: ad.reduce_sum(a, axis=0),
     "reduce_mean": lambda t, a, b: ad.reduce_mean(a, axis=-1),
     "reduce_max": lambda t, a, b: ad.reduce_max(a, axis=1),
     "reshape": lambda t, a, b: ad.reshape(a, (2, 2, 6)),
     "transpose": lambda t, a, b: ad.transpose(a),
     "concat": lambda t, a, b: ad.concat([a, ad.transpose(b)], axis=-2),
-    "get_row": lambda t, a, b: ad.get_row(a, 1),
+    "get_row": lambda t, a, b: ad.narrow(a, -2, 1, 1),
     "narrow": lambda t, a, b: ad.narrow(a, -1, 1, 2),
     "clip": lambda t, a, b: ad.clip(a, -0.5, 0.5),
 }
 
-# the ops that treat the last two axes as a matrix: stacked, each member's
-# slice equals the rank-2 op on that member's operands
+# the ops (and compositions) that treat the last two axes as a matrix:
+# stacked, each member's slice equals the rank-2 form on that member's operands
 _MATRIX_OPS = ("matmul", "affine", "get_row", "transpose")
 
 
@@ -648,7 +634,7 @@ def test_every_public_op_is_in_the_leading_axis_sweep():
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__
            and not name.startswith("_") and name != "backward"}
-    assert set(_MATRIX_OPS) <= ops
+    assert set(_MATRIX_OPS) <= set(_BATCHED_OPS) & set(_OPS)
     assert sorted(ops - set(_BATCHED_OPS)) == []
 
 
@@ -687,17 +673,17 @@ class TestLeadingAxes:
         "matmul, shared weight": (lambda t, x, W: ad.matmul(x, W), [(2, 3, 4), (4, 3)]),
         "matmul, shared input": (lambda t, x, W: ad.matmul(x, W), [(3, 4), (2, 4, 3)]),
         "matmul, size-1 batch": (lambda t, x, W: ad.matmul(x, W), [(2, 3, 4), (1, 4, 3)]),
-        "affine, shared weight": (lambda t, x, W, b: ad.affine(x, W, b),
+        "affine, shared weight": (lambda t, x, W, b: ad.matmul(x, W) + b,
                                   [(2, 3, 4), (4, 3), (2, 1, 3)]),
-        "affine, shared input and bias": (lambda t, x, W, b: ad.affine(x, W, b),
+        "affine, shared input and bias": (lambda t, x, W, b: ad.matmul(x, W) + b,
                                           [(1, 4), (2, 4, 3), (1, 3)]),
-        "affine, batched bias only": (lambda t, x, W, b: ad.affine(x, W, b),
+        "affine, batched bias only": (lambda t, x, W, b: ad.matmul(x, W) + b,
                                       [(3, 4), (4, 3), (2, 1, 3)]),
         "lstm_cell, shared cell": (cell_node, [(2, 3, 8), (3, 2)]),
         "lstm_cell, shared pre": (cell_node, [(3, 10), (2, 3, 2)]),
         "lstm_cell, k = 3": (cell_node, [(2, 1, 3, 12), (2, 3, 2)]),
         "transpose, two leading axes": (lambda t, x: ad.transpose(x), [(2, 2, 3, 4)]),
-        "get_row, two leading axes": (lambda t, x: ad.get_row(x, 2), [(2, 2, 3, 4)]),
+        "get_row, two leading axes": (lambda t, x: ad.narrow(x, -2, 2, 1), [(2, 2, 3, 4)]),
     }
 
     @pytest.mark.parametrize("case", sorted(SHARED))
@@ -716,10 +702,6 @@ class TestLeadingAxes:
         x, W = tape.tensor(np.zeros((2, 3, 4))), tape.tensor(np.zeros((3, 4, 5)))
         with pytest.raises(ad.ShapeError):
             ad.matmul(x, W)
-        with pytest.raises(ad.ShapeError):
-            ad.affine(x, W, tape.tensor(np.zeros((1, 5))))
-        with pytest.raises(ad.ShapeError):
-            ad.get_row(tape.tensor(np.zeros((2, 3, 4))), 3)
 
 
 class TestFoldedWeightGradient:
@@ -731,8 +713,9 @@ class TestFoldedWeightGradient:
     def weight_grad(op, x_arr, W_arr, g):
         tape = ad.Tape()
         x, W = tape.tensor(x_arr), tape.tensor(W_arr)
-        out = ad.matmul(x, W) if op == "matmul" else \
-            ad.affine(x, W, tape.tensor(np.ones((1, W_arr.shape[-1]))))
+        out = ad.matmul(x, W)
+        if op == "affine":
+            out = out + tape.tensor(np.ones((1, W_arr.shape[-1])))
         ad.backward(tape, ad.reduce_sum(ad.mul(out, g)))
         return W.grad
 
@@ -760,15 +743,5 @@ class TestFoldedWeightGradient:
 
     def test_rank_3_affine_vs_fd(self):
         rng = np.random.default_rng(62)
-        _check_fd(lambda t, x, W, b: ad.affine(x, W, b),
+        _check_fd(lambda t, x, W, b: ad.matmul(x, W) + b,
                   [rng.normal(size=s) for s in ((2, 2, 3, 4), (4, 3), (1, 3))])
-
-
-class TestGetRowIds:
-    """``get_row`` takes one int row id; a vector of ids, or any other
-    value, raises ``ShapeError``."""
-
-    @pytest.mark.parametrize("ids", ([0, 5], [-1], [[1]], [1.0], [1, 2]))
-    def test_invalid_ids(self, ids):
-        with pytest.raises(ad.ShapeError):
-            ad.get_row(ad.Tape().tensor(np.zeros((5, 3))), np.array(ids))

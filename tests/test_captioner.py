@@ -88,6 +88,14 @@ class TestDecodeStep:
         with pytest.raises(cap.InputError):
             bound.embed_token(config.vocab_size)
 
+    @pytest.mark.parametrize("token", (np.array([0, 5]), np.array([-1]), np.array([[1]]),
+                                       1.0, np.array([1, 2])))
+    def test_token_must_be_one_int(self, token):
+        """A vector of ids, or any value but one int, raises ``InputError``."""
+        bound = cap.BoundCaptioner(ad.Tape(grad=False), cap.init_params(tiny_config(), 0))
+        with pytest.raises(cap.InputError):
+            bound.embed_token(token)
+
     def test_att2all_mode_sentinel_slot_zero(self):
         config = tiny_config(attention="att2all")
         params = cap.init_params(config, 5)

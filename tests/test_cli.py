@@ -567,6 +567,65 @@ class TestGradProbe:
                          "--estimators", "sctt", "--n-batches", "2"]) == 2
 
 
+class TestCheckpointWithoutAModel:
+    """``eval`` needs every member's captioner and the first member's
+    discriminator; ``grad-probe`` needs the captioner, and the discriminator
+    for Gumbel or for SCST with a reward other than ``cider``.  A checkpoint
+    without one exits 2 naming the path and the section, before any work."""
+
+    @staticmethod
+    def without(trained_run, section):
+        ckpt = dat.load_checkpoint(trained_run["ckpts"][-1])
+        setattr(ckpt, section, None)
+        setattr(ckpt, {"captioner": "gen_opt", "discriminator": "disc_opt"}[section], None)
+        path = trained_run["tmp"] / f"no-{section}.sgck"
+        dat.save_checkpoint(path, ckpt)
+        return str(path)
+
+    @pytest.mark.parametrize("section", ["captioner", "discriminator"])
+    @pytest.mark.parametrize("command", [
+        ["eval", "--split", "val"],
+        ["grad-probe", "--estimators", "scst,gumbel_st", "--n-batches", "2"]],
+        ids=["eval", "grad-probe"])
+    def test_exits_2_before_any_work(self, trained_run, capsys, monkeypatch, command,
+                                     section):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although a model is missing")
+
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        path = self.without(trained_run, section)
+        out = trained_run["tmp"] / f"no-{section}-out"
+        assert cli.main(command + ["--checkpoint", path, "--out-dir", str(out)]) == 2
+        assert f"config error: {path}: checkpoint has no {section} section" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_needs_every_members_captioner(self, trained_run, capsys):
+        path = self.without(trained_run, "captioner")
+        assert cli.main(["eval", "--checkpoint", str(trained_run["ckpts"][-1]),
+                         "--checkpoint", path, "--split", "val"]) == 2
+        assert f"{path}: checkpoint has no captioner section" in capsys.readouterr().err
+
+    def test_ensemble_members_after_the_first_need_no_discriminator(self, trained_run):
+        path = self.without(trained_run, "discriminator")
+        out = trained_run["tmp"] / "no-discriminator-member"
+        assert cli.main(["eval", "--checkpoint", str(trained_run["ckpts"][-1]),
+                         "--checkpoint", path, "--split", "val",
+                         "--out-dir", str(out)]) == 0
+
+    def test_cider_scst_probe_needs_no_discriminator(self, trained_run):
+        ckpt = dat.load_checkpoint(self.without(trained_run, "discriminator"))
+        ckpt.config["gan"] = {**ckpt.config["gan"], "reward": "cider"}
+        path = trained_run["tmp"] / "no-discriminator-cider.sgck"
+        dat.save_checkpoint(path, ckpt)
+        out = trained_run["tmp"] / "no-discriminator-cider"
+        assert cli.main(["grad-probe", "--checkpoint", str(path), "--estimators", "scst",
+                         "--n-batches", "2", "--out-dir", str(out)]) == 0
+        for est in ("gumbel_soft", "gumbel_st"):
+            assert cli.main(["grad-probe", "--checkpoint", str(path), "--estimators",
+                             f"scst,{est}", "--n-batches", "2", "--out-dir", str(out)]) == 2
+
+
 class TestPlots:
     def test_single_run_reshaped(self, trained_run):
         out = trained_run["tmp"] / "plots1"

@@ -438,6 +438,26 @@ class TestCheckpoint:
         with pytest.raises(dat.FormatError, match="meta"):
             dat.load_checkpoint(self._rebuilt(tmp_path, self._edit_meta(edit)))
 
+    @pytest.mark.parametrize("epoch", ["x", -1, 2.0, True, None, [3]],
+                             ids=["string", "negative", "float", "bool", "null", "list"])
+    def test_malformed_epoch_is_format_error(self, tmp_path, epoch):
+        bad = self._rebuilt(tmp_path, self._edit_meta(lambda m: m.update(epoch=epoch)))
+        with pytest.raises(dat.FormatError, match="meta epoch") as err:
+            dat.load_checkpoint(bad)
+        assert err.value.offset == 12
+
+    @pytest.mark.parametrize("state", [
+        {"foo": 1}, "x", [1], {"bit_generator": "MT19937", "state": {}},
+        {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1}, "has_uint32": 0,
+         "uinteger": 0},
+        {"bit_generator": "PCG64", "state": {"state": 1, "inc": 1}, "has_uint32": 0}],
+        ids=["foo", "string", "list", "other-generator", "negative-state", "no-uinteger"])
+    def test_malformed_rng_state_is_format_error(self, tmp_path, state):
+        bad = self._rebuilt(tmp_path, self._edit_meta(lambda m: m.update(rng_state=state)))
+        with pytest.raises(dat.FormatError, match="meta rng_state") as err:
+            dat.load_checkpoint(bad)
+        assert err.value.offset == 12
+
     @staticmethod
     def _edit_table(section, edit):
         """Rebuild the container with ``edit(arrays)`` applied to one table."""

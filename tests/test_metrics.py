@@ -34,8 +34,9 @@ def cider_oracle(cand, refs, idf):
         for ref in unique_refs:
             r_cnt = grams(ref, n)
             union = sorted(set(c_cnt) | set(r_cnt))
-            cv = np.array([c_cnt.get(g, 0) * idf.idf(g) for g in union])
-            rv = np.array([r_cnt.get(g, 0) * idf.idf(g) for g in union])
+            weight = idf.weights(union)
+            cv = np.array([c_cnt.get(g, 0) for g in union]) * weight
+            rv = np.array([r_cnt.get(g, 0) for g in union]) * weight
             den = np.linalg.norm(cv) * np.linalg.norm(rv)
             if den > 0:
                 cos = float(np.minimum(cv, rv) @ rv) / den
@@ -48,11 +49,11 @@ class TestFitIdf:
     def test_single_image_all_zero(self):
         idf = met.fit_idf([[[2, 3, 4]]])
         for g in [(2,), (2, 3), (2, 3, 4)]:
-            assert idf.idf(g) == 0.0
+            assert idf.weights([g])[0] == 0.0
 
     def test_gram_in_every_image_zero(self):
         idf = met.fit_idf([[[2, 3]], [[2, 4]], [[5, 2]]])
-        assert idf.idf((2,)) == 0.0
+        assert idf.weights([(2,)])[0] == 0.0
 
     def test_four_image_hand_count(self):
         corpus = [[[2, 3]], [[2, 4]], [[3, 4]], [[2, 3]]]
@@ -63,10 +64,10 @@ class TestFitIdf:
         assert idf.doc_freq[(4,)] == 2
         assert idf.doc_freq[(2, 3)] == 2
         assert idf.doc_freq[(2, 4)] == 1
-        assert abs(idf.idf((2,)) - np.log(4 / 3)) < 1e-15
-        assert abs(idf.idf((2, 4)) - np.log(4)) < 1e-15
+        assert abs(idf.weights([(2,)])[0] - np.log(4 / 3)) < 1e-15
+        assert abs(idf.weights([(2, 4)])[0] - np.log(4)) < 1e-15
         # unseen n-grams fall back to df = 1
-        assert abs(idf.idf((9, 9)) - np.log(4)) < 1e-15
+        assert abs(idf.weights([(9, 9)])[0] - np.log(4)) < 1e-15
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):
@@ -87,22 +88,22 @@ def toy_idf():
 class TestCiderD:
     def test_identity_scores_ten(self, toy_idf):
         ref = [2, 3, 4, 5, 1]
-        assert abs(met.cider_d(ref, [ref], toy_idf) - 10.0) < 1e-9
+        assert abs(met.caption_scores([ref], [[ref]], toy_idf).cider[0] - 10.0) < 1e-9
 
     def test_disjoint_scores_zero(self, toy_idf):
-        assert met.cider_d([30, 31, 32], [[2, 3, 4, 5, 1]], toy_idf) == 0.0
+        assert met.caption_scores([[30, 31, 32]], [[[2, 3, 4, 5, 1]]], toy_idf).cider[0] == 0.0
 
     def test_empty_candidate_zero(self, toy_idf):
-        assert met.cider_d([], [[2, 3, 4]], toy_idf) == 0.0
+        assert met.caption_scores([[]], [[[2, 3, 4]]], toy_idf).cider[0] == 0.0
 
     def test_empty_refs_rejected(self, toy_idf):
         with pytest.raises(InputError):
-            met.cider_d([2, 3], [], toy_idf)
+            met.caption_scores([[2, 3]], [[]], toy_idf)
 
     def test_two_reference_toy_vs_direct_formula(self, toy_idf):
         cand = [2, 3, 6, 1]
         refs = [[2, 3, 4, 5, 1], [2, 3, 6, 1]]
-        got = met.cider_d(cand, refs, toy_idf)
+        got = met.caption_scores([cand], [refs], toy_idf).cider[0]
         want = cider_oracle(cand, refs, toy_idf)
         assert abs(got - want) < 1e-12
         # frozen from the direct-formula oracle
@@ -114,22 +115,22 @@ class TestCiderD:
             cand = [int(t) for t in rng.integers(1, 10, size=rng.integers(1, 7))]
             refs = [[int(t) for t in rng.integers(1, 10, size=rng.integers(2, 7))]
                     for _ in range(rng.integers(1, 4))]
-            assert abs(met.cider_d(cand, refs, toy_idf)
+            assert abs(met.caption_scores([cand], [refs], toy_idf).cider[0]
                        - cider_oracle(cand, refs, toy_idf)) < 1e-12
 
     def test_reference_reorder_and_duplicate_invariance(self, toy_idf):
         cand = [2, 3, 4, 1]
         refs = [[2, 3, 4, 5, 1], [2, 3, 6, 1]]
-        base = met.cider_d(cand, refs, toy_idf)
-        assert met.cider_d(cand, refs[::-1], toy_idf) == base
-        assert met.cider_d(cand, refs + [refs[0]], toy_idf) == base
+        base = met.caption_scores([cand], [refs], toy_idf).cider[0]
+        assert met.caption_scores([cand], [refs[::-1]], toy_idf).cider[0] == base
+        assert met.caption_scores([cand], [refs + [refs[0]]], toy_idf).cider[0] == base
 
     def test_identity_maximal_among_same_length(self, toy_idf):
         # enumerate every length-3 candidate over a 3-token alphabet
         ref = (2, 3, 4)
-        best = met.cider_d(ref, [ref], toy_idf)
+        best = met.caption_scores([ref], [[ref]], toy_idf).cider[0]
         for cand in itertools.product((2, 3, 4), repeat=3):
-            s = met.cider_d(cand, [ref], toy_idf)
+            s = met.caption_scores([cand], [[ref]], toy_idf).cider[0]
             assert 0.0 <= s <= best + 1e-12
 
 
@@ -145,7 +146,8 @@ class TestCiderDCandidateOnce:
     ], ids=["empty-candidate", "duplicate-references", "grams-missing-from-idf",
             "candidate-longer-than-every-reference"])
     def test_equals_per_reference_loop(self, toy_idf, cand, refs):
-        assert met.cider_d(cand, refs, toy_idf) == per_reference_cider_d(cand, refs, toy_idf)
+        got = met.caption_scores([cand], [refs], toy_idf).cider[0]
+        assert got == per_reference_cider_d(cand, refs, toy_idf)
 
     @settings(max_examples=200, deadline=None)
     @given(corpus=st.lists(st.lists(st.lists(st.integers(1, 8), max_size=8),
@@ -154,16 +156,17 @@ class TestCiderDCandidateOnce:
            refs=st.lists(st.lists(st.integers(1, 9), max_size=10), min_size=1, max_size=5))
     def test_random_sets_equal_per_reference_loop(self, corpus, cand, refs):
         idf = met.fit_idf(corpus)
-        assert met.cider_d(cand, refs, idf) == per_reference_cider_d(cand, refs, idf)
+        want = per_reference_cider_d(cand, refs, idf)
+        assert met.caption_scores([cand], [refs], idf).cider[0] == want
         # a second call gives the same bits: no call keeps state for the next
-        assert met.cider_d(cand, refs, idf) == per_reference_cider_d(cand, refs, idf)
+        assert met.caption_scores([cand], [refs], idf).cider[0] == want
 
     def test_weight_is_the_log_ratio_and_equality_ignores_the_memo(self, toy_idf):
         fresh = met.NGramIdf(dict(toy_idf.doc_freq), toy_idf.corpus_size)
         for gram in [(2,), (2, 3), (7, 9, 8), (40,)]:
             want = float(np.log(toy_idf.corpus_size / max(1, toy_idf.doc_freq.get(gram, 0))))
-            assert toy_idf.idf(gram) == want
-            assert toy_idf.idf(gram) == want  # recomputed, the same bits
+            assert toy_idf.weights([gram])[0] == want
+            assert toy_idf.weights([gram])[0] == want  # recomputed, the same bits
         assert fresh == toy_idf
 
 
@@ -192,26 +195,30 @@ class TestIdfAux:
         assert met.NGramIdf.from_aux(empty.to_aux()) == empty
 
 
+# BLEU4 and ROUGE-L take no idf; every gram weighs log(1 / 1) = 0
+EMPTY_IDF = met.NGramIdf({}, 1)
+
+
 class TestBleuRouge:
     def test_identity(self):
         seq = [2, 3, 4, 5, 6]
-        assert abs(met.bleu4(seq, [seq]) - 1.0) < 1e-12
-        assert abs(met.rouge_l(seq, [seq]) - 1.0) < 1e-12
+        assert abs(met.caption_scores([seq], [[seq]], EMPTY_IDF).bleu4[0] - 1.0) < 1e-12
+        assert abs(met.caption_scores([seq], [[seq]], EMPTY_IDF).rouge_l[0] - 1.0) < 1e-12
 
     def test_disjoint(self):
-        assert met.bleu4([2, 3, 4, 5], [[6, 7, 8, 9]]) == 0.0
-        assert met.rouge_l([2, 3], [[6, 7]]) == 0.0
+        assert met.caption_scores([[2, 3, 4, 5]], [[[6, 7, 8, 9]]], EMPTY_IDF).bleu4[0] == 0.0
+        assert met.caption_scores([[2, 3]], [[[6, 7]]], EMPTY_IDF).rouge_l[0] == 0.0
 
     def test_empty_candidate(self):
-        assert met.bleu4([], [[2, 3]]) == 0.0
-        assert met.rouge_l([], [[2, 3]]) == 0.0
+        assert met.caption_scores([[]], [[[2, 3]]], EMPTY_IDF).bleu4[0] == 0.0
+        assert met.caption_scores([[]], [[[2, 3]]], EMPTY_IDF).rouge_l[0] == 0.0
 
     def test_bleu_hand_computed(self):
         # precisions 4/5, 3/4, 2/3, 1/2 and no brevity penalty
         cand = [10, 11, 12, 13, 14]
         ref = [10, 11, 12, 13, 15]
         expected = (0.8 * 0.75 * (2.0 / 3.0) * 0.5) ** 0.25
-        assert abs(met.bleu4(cand, [ref]) - expected) < 1e-9
+        assert abs(met.caption_scores([cand], [[ref]], EMPTY_IDF).bleu4[0] - expected) < 1e-9
 
     def test_bleu_brevity_penalty(self):
         # candidate shorter than reference: bp = exp(1 - 6/5)
@@ -219,7 +226,7 @@ class TestBleuRouge:
         ref = [10, 11, 12, 13, 14, 15]
         p1, p2, p3, p4 = 1.0, 1.0, 1.0, 1.0
         expected = np.exp(1 - 6 / 5) * (p1 * p2 * p3 * p4) ** 0.25
-        assert abs(met.bleu4(cand, [ref]) - expected) < 1e-9
+        assert abs(met.caption_scores([cand], [[ref]], EMPTY_IDF).bleu4[0] - expected) < 1e-9
 
     def test_rouge_hand_computed(self):
         # LCS = 3, P = 3/4, R = 3/5, beta = 1.2
@@ -227,13 +234,14 @@ class TestBleuRouge:
         ref = [1, 3, 4, 5, 6]
         p, r, b2 = 0.75, 0.6, 1.44
         expected = (1 + b2) * p * r / (r + b2 * p)
-        got = met.rouge_l(cand, [ref])
+        got = met.caption_scores([cand], [[ref]], EMPTY_IDF).rouge_l[0]
         assert abs(got - expected) < 1e-9
         assert abs(got - 0.6535714285714286) < 1e-9
 
     def test_rouge_takes_best_reference(self):
         cand = [1, 2, 3]
-        assert abs(met.rouge_l(cand, [[9, 9, 9], [1, 2, 3]]) - 1.0) < 1e-12
+        got = met.caption_scores([cand], [[[9, 9, 9], [1, 2, 3]]], EMPTY_IDF).rouge_l[0]
+        assert abs(got - 1.0) < 1e-12
 
 
 class TestVocabularyCoverage:
