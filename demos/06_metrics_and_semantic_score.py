@@ -37,28 +37,23 @@ print("\nvocabulary coverage of the reference corpus itself:",
       f"{met.vocabulary_coverage(decoded, ds.vocab.size):.1f}%")
 
 # ---- semantic score ---------------------------------------------------------
-# caption side: mean embedding of the caption's tokens under a fixed table;
+# caption side: mean embedding of the caption's tokens under a frozen table;
 # image side: mean crop feature.  CCA aligns the two views.
 table = init_params(CaptionerConfig(vocab_size=ds.vocab.size, hidden_dim=16,
                                     num_crops=4, feature_dim=12, max_len=12),
                     0).arrays["embed"]
+scorer = met.SemanticScorer.fit(
+    table, [r for _, refs in ds.train for r in refs],
+    np.array([scene.features for scene, refs in ds.train for _ in refs]), 4)
+print("canonical correlations:", np.round(scorer.model.sigma, 3))
 
-def caption_vec(seq):
-    return table[list(seq.tokens)].mean(axis=0)
-
-X = np.array([caption_vec(r) for _, refs in ds.train for r in refs])
-Y = np.array([scene.features.mean(axis=0) for scene, refs in ds.train
-              for _ in refs])
-model = met.fit_cca(X, Y, r=4)
-print("canonical correlations:", np.round(model.sigma, 3))
-
+# each test image against its own first reference, then against another
+# image's, every row scored in one pass
 rng = np.random.default_rng(3)
-paired, shuffled = [], []
-for i, (scene, refs) in enumerate(ds.test):
-    paired.append(met.semantic_score(model, caption_vec(refs[0]),
-                                     scene.features.mean(axis=0)))
-    j = (i + 1 + int(rng.integers(len(ds.test) - 1))) % len(ds.test)
-    shuffled.append(met.semantic_score(model, caption_vec(ds.test[j][1][0]),
-                                       scene.features.mean(axis=0)))
+n = len(ds.test)
+others = [(i + 1 + int(rng.integers(n - 1))) % n for i in range(n)]
+feats = np.array([scene.features for scene, _ in ds.test])
+paired = scorer.score([refs[0] for _, refs in ds.test], feats)
+shuffled = scorer.score([ds.test[j][1][0] for j in others], feats)
 print(f"mean semantic score: paired={np.mean(paired):.3f} "
       f"shuffled={np.mean(shuffled):.3f}")

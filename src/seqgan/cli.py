@@ -2,11 +2,11 @@
 
 One JSON config file fully reproduces a run.  Unknown keys are rejected with
 their field path.  One evaluator, ``split_metrics``, scores a decoded split
-for both the per-epoch record and ``eval``, which ensembles only members
-trained on one dataset.  Exit codes: 0 ok, 1 runtime failure, 2
-usage/config error.  The SEQGAN_LOG environment variable
-(error/info/debug) controls logging; all data files carry a schema string in
-their header line.
+as one column per metric, each from one array pass in ``metrics``, for the
+per-epoch record and ``eval``, which ensembles only members trained on one
+dataset.  Exit codes: 0 ok, 1 runtime failure, 2 usage/config error.  The
+SEQGAN_LOG environment variable (error/info/debug) controls logging; all
+data files carry a schema string in their header line.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def parse_config(data: dict) -> dict:
                 ds["num_crops"], ds["ooc_fraction"],
                 dat.VocabSpec(ds["words_per_object"], ds["words_per_context"]))),
             ("captioner", lambda: CaptionerConfig(vocab_size=2, **cfg["captioner"])),
-            ("discriminator", lambda: disc.init_discriminator(
-                disc.DiscriminatorConfig(1, d["hidden_dim"], 1, 1), 0, d["variant"])),
+            ("discriminator", lambda: disc.param_shapes(
+                disc.DiscriminatorConfig(1, d["hidden_dim"], 1, 1), d["variant"])),
             ("gan", lambda: gan_config(cfg))):
         try:
             check()
@@ -210,28 +210,11 @@ def gan_config(cfg: dict) -> tr.GanConfig:
     return tr.GanConfig(seed=cfg["seed"], **cfg["gan"])
 
 
-# --- idf and semantic scorer ----------------------------------------------
-
-
 def checkpoint_idf(ckpt: dat.Checkpoint, dataset) -> met.NGramIdf:
     """The CIDEr idf stored in the checkpoint's aux; checkpoints written
     before it was stored get it refitted over the train split."""
     idf = met.NGramIdf.from_aux(ckpt.aux)
     return idf if idf is not None else met.fit_idf([refs for _, refs in dataset.train])
-
-
-def fit_semantic_scorer(g_params: CaptionerParams, dataset,
-                        rank: int) -> met.SemanticScorer:
-    embed = g_params.arrays["embed"].copy()
-    scorer = met.SemanticScorer(embed=embed, model=None)
-    X, Y = [], []
-    for scene, refs in dataset.train:
-        for ref in refs:
-            X.append(scorer.caption_vec(ref))
-            Y.append(scorer.image_vec(scene.features))
-    rank = min(rank, embed.shape[1], dataset.feature_dim)
-    scorer.model = met.fit_cca(np.array(X), np.array(Y), rank)
-    return scorer
 
 
 # --- split evaluation ------------------------------------------------------
@@ -245,22 +228,19 @@ def decode_split(models: list[CaptionerParams], examples) -> list[TokenSequence]
 
 
 def split_metrics(models, examples, idf, scorer,
-                  vocab_size) -> tuple[list[TokenSequence], list[dict], dict]:
+                  vocab_size) -> tuple[list[TokenSequence], dict[str, np.ndarray], dict]:
     """The one evaluator of a split: the greedy captions of ``decode_split``,
-    each image's row of CIDEr-D, BLEU4, ROUGE-L (one ``caption_scores`` call
-    for the split) and semantic score (0.0 without a scorer), and the report
-    of the rows' column means plus vocabulary coverage.  Returns
-    ``(captions, rows, report)``."""
+    their per-image columns of CIDEr-D, BLEU4, ROUGE-L (one ``caption_scores``
+    call) and semantic score (one ``SemanticScorer.score`` call; 0.0 without
+    a scorer), and the report of the column means plus vocabulary coverage.
+    Returns ``(captions, columns, report)``."""
     decoded = decode_split(models, examples)
-    scores = met.caption_scores(decoded, [refs for _, refs in examples], idf)
-    rows = [{"cider": cider, "bleu4": bleu, "rouge_l": rouge,
-             "semantic_score": scorer.score(seq, scene.features) if scorer else 0.0}
-            for seq, (scene, _), cider, bleu, rouge
-            in zip(decoded, examples, *(column.tolist() for column in scores))]
-    report = {key: float(np.mean([row[key] for row in rows]))
-              for key in ("cider", "bleu4", "rouge_l", "semantic_score")}
+    columns = met.caption_scores(decoded, [refs for _, refs in examples], idf)._asdict()
+    feats = [scene.features for scene, _ in examples]
+    columns["semantic_score"] = scorer.score(decoded, feats) if scorer else np.zeros(len(feats))
+    report = {key: float(column.mean()) for key, column in columns.items()}
     report["vocab_coverage"] = met.vocabulary_coverage(decoded, vocab_size)
-    return decoded, rows, report
+    return decoded, columns, report
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +265,25 @@ def cmd_train(config_path, seed_override=None, out_dir=None) -> int:
                     ce_curve[0], ce_curve[-1])
 
     idf = met.fit_idf([refs for _, refs in dataset.train])
-    scorer = fit_semantic_scorer(g_params, dataset, cfg["metrics"]["cca_rank"])
+    scorer = met.SemanticScorer.fit(
+        g_params.arrays["embed"], [ref for _, refs in dataset.train for ref in refs],
+        [s.features for s, refs in dataset.train for _ in refs], cfg["metrics"]["cca_rank"])
     d_params = discriminator_setup(cfg, dataset)
     gcfg = gan_config(cfg)
+    aux = scorer.to_aux() | idf.to_aux()
 
     def epoch_hook(epoch, g, d):
         return split_metrics([g], dataset.val, idf, scorer, dataset.vocab.size)[2]
 
     checkpoints, records = tr.train_gan(g_params, d_params, dataset.train, gcfg,
-                                        idf=idf, epoch_hook=epoch_hook,
-                                        aux=scorer.to_aux() | idf.to_aux())
+                                        idf=idf, epoch_hook=epoch_hook)
     # the output path is environment, not experiment identity; keeping it out
     # of the checkpoint makes checkpoint bytes location-independent
     persisted = {k: v for k, v in cfg.items() if k != "out_dir"}
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     for ckpt in checkpoints:
-        ckpt.config = persisted
+        ckpt.config, ckpt.aux = persisted, aux
         dat.save_checkpoint(out / f"ckpt-{ckpt.epoch:05d}.sgck", ckpt)
 
     metrics_path = out / "metrics.jsonl"
@@ -344,7 +326,7 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
                                       f"{section} config")
     dataset = build_dataset(cfg)
     examples = dataset.split(split)
-    decoded, rows, report = split_metrics(
+    decoded, columns, report = split_metrics(
         [c.captioner for c in ckpts], examples, checkpoint_idf(first, dataset),
         met.SemanticScorer.from_aux(first.aux), dataset.vocab.size)
     # the whole split scored as one batch; tolist keeps the CSV's float repr
@@ -358,9 +340,10 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
     with open(csv_path, "w") as fh:
         fh.write(f"# schema={EVAL_SCHEMA}\n")
         fh.write("image_id,caption,cider,semantic_score,d_score\n")
-        for seq, (scene, _), row, d_score in zip(decoded, examples, rows, d_scores):
+        values = zip(columns["cider"].tolist(), columns["semantic_score"].tolist(), d_scores)
+        for seq, (scene, _), (cider, semantic, d_score) in zip(decoded, examples, values):
             fh.write(f"{scene.image_id},\"{dataset.vocab.decode(seq.tokens)}\","
-                     f"{row['cider']!r},{row['semantic_score']!r},{d_score!r}\n")
+                     f"{cider!r},{semantic!r},{d_score!r}\n")
     print(json.dumps({"split": split, **report}, sort_keys=True))
     print(f"eval: per-image table -> {csv_path}")
     return EXIT_OK
@@ -368,9 +351,9 @@ def cmd_eval(checkpoint_paths, split: str, out_dir=None) -> int:
 
 def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
                    out_dir=None, seed_override=None) -> int:
-    for est in estimators:
-        if est not in tr.ESTIMATORS:
-            raise ConfigError(f"unknown estimator {est!r}")
+    if not estimators or any(est not in tr.ESTIMATORS for est in estimators):
+        raise ConfigError(f"--estimators must name one or more of {', '.join(tr.ESTIMATORS)}, "
+                          f"got {','.join(estimators)!r}")
     if n_batches < 1:
         raise ConfigError("n_batches must be >= 1")
     _check_seed_override(seed_override)

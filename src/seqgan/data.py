@@ -45,7 +45,7 @@ import numpy as np
 from .autodiff import ParameterError  # also raised for infeasible dataset requests
 from .captioner import (CaptionerConfig, CaptionerParams, InputError, TokenSequence,
                         _param_shapes)
-from .discriminator import _SHAPES, VARIANTS, DiscriminatorConfig, DiscriminatorParams
+from .discriminator import VARIANTS, DiscriminatorConfig, DiscriminatorParams, param_shapes
 from .metrics import NGramIdf, SemanticScorer
 
 
@@ -621,7 +621,7 @@ def load_checkpoint(path) -> Checkpoint:
         dcfg = _config_from_meta(DiscriminatorConfig, dmeta["config"],
                                  "meta discriminator config")
         discriminator = DiscriminatorParams(
-            dcfg, model_arrays("disc", _SHAPES[variant](dcfg)), variant)
+            dcfg, model_arrays("disc", param_shapes(dcfg, variant)), variant)
     opts = {}
     for name, model, kind in (("gen_opt", captioner, "gen"),
                               ("disc_opt", discriminator, "disc")):

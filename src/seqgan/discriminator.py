@@ -92,13 +92,17 @@ class DiscriminatorParams:
                                    self.variant)
 
 
-def init_discriminator(config: DiscriminatorConfig, seed: int,
-                       variant: str) -> DiscriminatorParams:
+def param_shapes(config: DiscriminatorConfig, variant: str) -> dict[str, tuple[int, int]]:
+    """The array shapes of ``variant``, which must be one of ``VARIANTS``."""
     if variant not in _SHAPES:
         raise InputError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    shapes = _SHAPES[variant](config)
-    return DiscriminatorParams(config, _init_arrays(shapes, config.hidden_dim, seed),
-                               variant)
+    return _SHAPES[variant](config)
+
+
+def init_discriminator(config: DiscriminatorConfig, seed: int,
+                       variant: str) -> DiscriminatorParams:
+    return DiscriminatorParams(
+        config, _init_arrays(param_shapes(config, variant), config.hidden_dim, seed), variant)
 
 
 class BoundDiscriminator:

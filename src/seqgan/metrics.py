@@ -14,12 +14,12 @@ its own reference set, in one array pass over one n-gram count table per
 order.  The per-caption ``Counter`` loops it replaced are kept in the tests
 as the oracle, and every score equals theirs bit for bit.
 
-The semantic score is a cosine in CCA space: captions and images are
-embedded separately, projected through the fitted canonical directions, and
-the caption side is weighted by the canonical correlations.
-``SemanticScorer`` holds the fitted model with its frozen embedding table;
-it and ``NGramIdf`` round-trip through checkpoint aux arrays, and their
-``from_aux`` reject malformed tables.
+The semantic score is a cosine in CCA space between mean caption-token
+embeddings and mean crop features projected through the fitted canonical
+directions, the caption side weighted by the canonical correlations; it
+scores n pairs of rows in one projection per side.  ``SemanticScorer.fit``
+and ``score`` are its one recipe.  It and ``NGramIdf`` round-trip through
+checkpoint aux arrays, and their ``from_aux`` reject malformed tables.
 """
 
 from __future__ import annotations
@@ -375,19 +375,33 @@ def fit_cca(X, Y, r: int) -> CcaModel:
                     mean_x=mean_x, mean_y=mean_y)
 
 
-def semantic_score(model: CcaModel, x, y) -> float:
-    """Correlation-weighted cosine between projected caption and image vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != model.mean_x.shape or y.shape != model.mean_y.shape:
+def semantic_score(model: CcaModel, X, Y) -> np.ndarray:
+    """Correlation-weighted cosines of n caption-vector rows ``X`` against n
+    image-vector rows ``Y``, with one projection per side; one pair is n = 1.
+    A row with a zero-norm projection scores 0.0 and logs one warning."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.shape[1:] != model.mean_x.shape or Y.shape != (len(X), *model.mean_y.shape):
         raise InputError("embedding dimensions do not match the fitted model")
-    a = model.sigma * (model.U.T @ (x - model.mean_x))
-    b = model.V.T @ (y - model.mean_y)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        logger.warning("semantic_score: zero-norm projection, returning 0")
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+    A = model.sigma * ((X - model.mean_x) @ model.U)
+    B = (Y - model.mean_y) @ model.V
+    norms = np.linalg.norm(A, axis=1) * np.linalg.norm(B, axis=1)
+    for row in np.flatnonzero(norms == 0.0).tolist():
+        logger.warning("semantic_score: zero-norm projection in row %d, returning 0", row)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip((A * B).sum(axis=1) / norms, -1.0, 1.0)
+    return np.where(norms == 0.0, 0.0, cos)
+
+
+def _mean_vectors(embed, captions, image_feats) -> tuple[np.ndarray, np.ndarray]:
+    """Mean token embedding of each caption (zeros when empty), by length to
+    keep a one-caption mean's bits, and mean crop feature of each image."""
+    toks = [_tokens(c) for c in captions]
+    X = np.zeros((len(toks), embed.shape[1]))
+    for n in set(map(len, toks)) - {0}:
+        rows = [i for i, t in enumerate(toks) if len(t) == n]
+        X[rows] = embed[[toks[i] for i in rows]].mean(axis=1)
+    return X, np.asarray(image_feats, dtype=np.float64).mean(axis=1)
 
 
 # checkpoint aux arrays of a fitted semantic scorer: its frozen embedding
@@ -407,16 +421,17 @@ class SemanticScorer:
     embed: np.ndarray
     model: CcaModel
 
-    def caption_vec(self, seq) -> np.ndarray:
-        toks = list(_tokens(seq))
-        return self.embed[toks].mean(axis=0) if toks else np.zeros(self.embed.shape[1])
-
     @staticmethod
-    def image_vec(feats) -> np.ndarray:
-        return np.asarray(feats).mean(axis=0)
+    def fit(embed, captions, image_feats, rank: int) -> "SemanticScorer":
+        """Fit on N captions against their N x C x d crops, over a frozen copy
+        of the K x m ``embed``; the rank is clamped to min(m, d)."""
+        embed = np.array(embed, dtype=np.float64)
+        X, Y = _mean_vectors(embed, captions, image_feats)
+        return SemanticScorer(embed, fit_cca(X, Y, min(rank, X.shape[1], Y.shape[1])))
 
-    def score(self, seq, feats) -> float:
-        return semantic_score(self.model, self.caption_vec(seq), self.image_vec(feats))
+    def score(self, captions, image_feats) -> np.ndarray:
+        """Scores of B captions against their B x C x d crops, in one pass."""
+        return semantic_score(self.model, *_mean_vectors(self.embed, captions, image_feats))
 
     def to_aux(self) -> dict:
         m = self.model

@@ -359,12 +359,12 @@ def ce_pretrain(g_params: CaptionerParams, dataset, epochs: int,
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(g_params, d_params, g_opt, d_opt, cfg_dict, rng, epoch,
-              aux=None) -> datamod.Checkpoint:
+def _snapshot(g_params, d_params, g_opt, d_opt, cfg_dict, rng,
+              epoch) -> datamod.Checkpoint:
     return datamod.Checkpoint(
         captioner=g_params.copy(), discriminator=d_params.copy(),
         gen_opt=g_opt.copy(), disc_opt=d_opt.copy(), config=cfg_dict,
-        rng_state=rng.bit_generator.state, epoch=epoch, aux=dict(aux or {}))
+        rng_state=rng.bit_generator.state, epoch=epoch)
 
 
 def _pick_other_ref(dataset, i, rng) -> TokenSequence:
@@ -431,8 +431,7 @@ def mean_d_scores(g_params, d_params, dataset, rng, limit=16) -> dict:
 
 
 def train_gan(g_params: CaptionerParams, d_params, dataset, cfg: GanConfig,
-              idf=None, epoch_hook=None, resume: datamod.Checkpoint | None = None,
-              aux=None):
+              idf=None, epoch_hook=None, resume: datamod.Checkpoint | None = None):
     """Alternating one discriminator ascent and one generator step per batch.
 
     Mutates the passed parameter containers.  Returns (checkpoints, records):
@@ -456,7 +455,6 @@ def train_gan(g_params: CaptionerParams, d_params, dataset, cfg: GanConfig,
         g_opt, d_opt = resume.gen_opt.copy(), resume.disc_opt.copy()
         rng = datamod.rng_from_state(resume.rng_state)
         start_epoch = resume.epoch
-        aux = dict(resume.aux)
     else:
         g_opt, d_opt = init_adam(g_params.arrays), init_adam(d_params.arrays)
         rng = np.random.default_rng(cfg.seed)
@@ -468,8 +466,7 @@ def train_gan(g_params: CaptionerParams, d_params, dataset, cfg: GanConfig,
                     _d_batch_step(g_params, d_params, d_opt, dataset,
                                   order[s : s + cfg.batch_size], rng, cfg)
 
-    checkpoints = [_snapshot(g_params, d_params, g_opt, d_opt, cfg_dict, rng,
-                             start_epoch, aux)]
+    checkpoints = [_snapshot(g_params, d_params, g_opt, d_opt, cfg_dict, rng, start_epoch)]
     records = []
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         order = rng.permutation(len(dataset))
@@ -483,8 +480,7 @@ def train_gan(g_params: CaptionerParams, d_params, dataset, cfg: GanConfig,
         if epoch_hook is not None:
             record.update(epoch_hook(epoch, g_params, d_params))
         records.append(record)
-        checkpoints.append(_snapshot(g_params, d_params, g_opt, d_opt, cfg_dict,
-                                     rng, epoch, aux))
+        checkpoints.append(_snapshot(g_params, d_params, g_opt, d_opt, cfg_dict, rng, epoch))
     return checkpoints, records
 
 

@@ -39,7 +39,11 @@ captioner's steps, the oracle for the one-node teacher-forced pass.
 keep the one-caption ``Counter`` loops (and
 ``lcs_len`` the textbook LCS table) as the oracle for the array scorer
 ``metrics.caption_scores``, bit for bit, and ``per_image_rewards`` takes
-its CIDEr-D rewards from them.
+its CIDEr-D rewards from them.  ``per_pair_semantic_score`` keeps the
+one-pair semantic score as the oracle for the row form
+``metrics.semantic_score``, and ``loop_semantic_fit`` the per-caption fit
+loop (one caption vector and one image vector per reference) as the oracle
+for ``SemanticScorer.fit``, bit for bit.
 """
 
 from collections import Counter
@@ -538,6 +542,37 @@ def per_caption_rouge_l(candidate, refs):
         prec, rec = lcs / len(cand), lcs / len(rtok)
         best = max(best, (1 + b2) * prec * rec / (rec + b2 * prec))
     return float(best)
+
+
+def per_pair_semantic_score(model, x, y) -> float:
+    """Correlation-weighted cosine of one projected caption vector ``x`` and
+    one image vector ``y``; 0.0 when either projection has zero norm."""
+    a = model.sigma * (model.U.T @ (np.asarray(x) - model.mean_x))
+    b = model.V.T @ (np.asarray(y) - model.mean_y)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+
+
+def caption_vec(embed, seq) -> np.ndarray:
+    """Mean token embedding of one caption, zeros for an empty one."""
+    toks = list(_seq_tokens(seq))
+    return embed[toks].mean(axis=0) if toks else np.zeros(embed.shape[1])
+
+
+def loop_semantic_fit(embed, examples, rank):
+    """The semantic scorer's fit as a loop over ``(scene, refs)`` examples:
+    one caption vector per reference, paired with its image's mean crop
+    feature, then one ``fit_cca`` at the rank clamped to the narrower view.
+    Returns (X, Y, model)."""
+    X, Y = [], []
+    for scene, refs in examples:
+        for ref in refs:
+            X.append(caption_vec(embed, ref))
+            Y.append(np.asarray(scene.features).mean(axis=0))
+    rank = min(rank, embed.shape[1], np.asarray(examples[0][0].features).shape[1])
+    return np.array(X), np.array(Y), met.fit_cca(np.array(X), np.array(Y), rank)
 
 
 def per_image_rewards(cfg, d_params, image_feats, seqs, refs=None, idf=None):

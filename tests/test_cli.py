@@ -3,7 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import per_member_decode
+from helpers import (caption_vec, per_caption_bleu4, per_caption_cider_d,
+                     per_caption_rouge_l, per_member_decode, per_pair_semantic_score)
 
 from seqgan import cli
 from seqgan import data as dat
@@ -144,6 +145,18 @@ class TestConfigParsing:
         assert f"config error: {section}.{field}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_parsing_draws_no_array(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("parse_config drew model arrays")
+
+        monkeypatch.setattr(disc, "_init_arrays", no_draw)
+        monkeypatch.setattr(disc, "init_discriminator", no_draw)
+        for variant in disc.VARIANTS:
+            cfg = cli.parse_config({"discriminator": {"variant": variant}})
+            assert cfg["discriminator"]["variant"] == variant
+        with pytest.raises(cli.ConfigError, match="discriminator.variant must be one of"):
+            cli.parse_config({"discriminator": {"variant": "nope"}})
+
     @pytest.mark.parametrize("switch", ("cider", "bleu4", "rouge_l", "semantic_score",
                                         "vocab_coverage"))
     def test_retired_metric_switch_exits_2_before_any_work(self, tmp_path, capsys,
@@ -270,6 +283,36 @@ class TestDecodeSplit:
         examples = [(SimpleNamespace(features=np.ones((3, 4)) * k), None) for k in range(5)]
         cli.decode_split(self._models(3), examples)
         assert calls == [3]
+
+
+class TestSplitMetrics:
+    def test_columns_equal_per_image_oracle(self):
+        ds = dat.generate_dataset(seed=4, n_objects=4, n_contexts=3, n_images=24,
+                                  num_crops=3, feature_dim=8)
+        g = init_params(CaptionerConfig(vocab_size=ds.vocab.size, hidden_dim=6,
+                                        num_crops=3, feature_dim=8, max_len=10), 2)
+        idf = met.fit_idf([refs for _, refs in ds.train])
+        scorer = met.SemanticScorer.fit(
+            g.arrays["embed"], [ref for _, refs in ds.train for ref in refs],
+            np.array([scene.features for scene, refs in ds.train for _ in refs]), 4)
+        for examples in (ds.val, ds.test, ds.ooc):
+            decoded, columns, report = cli.split_metrics([g], examples, idf, scorer,
+                                                         ds.vocab.size)
+            assert decoded == cli.decode_split([g], examples)
+            refs = [refs for _, refs in examples]
+            for name, oracle in (("cider", lambda c, r: per_caption_cider_d(c, r, idf)),
+                                 ("bleu4", per_caption_bleu4),
+                                 ("rouge_l", per_caption_rouge_l)):
+                assert columns[name].tolist() == list(map(oracle, decoded, refs)), name
+            want = [per_pair_semantic_score(scorer.model, caption_vec(scorer.embed, seq),
+                                            scene.features.mean(axis=0))
+                    for seq, (scene, _) in zip(decoded, examples)]
+            np.testing.assert_allclose(columns["semantic_score"], want, rtol=0, atol=1e-12)
+            assert report == {**{k: float(np.mean(v)) for k, v in columns.items()},
+                              "vocab_coverage": met.vocabulary_coverage(decoded,
+                                                                        ds.vocab.size)}
+            no_scorer = cli.split_metrics([g], examples, idf, None, ds.vocab.size)[1]
+            assert no_scorer["semantic_score"].tolist() == [0.0] * len(examples)
 
 
 class TestEval:
@@ -565,6 +608,20 @@ class TestGradProbe:
     def test_unknown_estimator_exits_2(self, trained_run):
         assert cli.main(["grad-probe", "--checkpoint", str(trained_run["ckpts"][-1]),
                          "--estimators", "sctt", "--n-batches", "2"]) == 2
+
+    @pytest.mark.parametrize("estimators", (",", "", " , "))
+    def test_empty_estimator_list_exits_2_before_any_work(self, trained_run, capsys,
+                                                          monkeypatch, estimators):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started although no estimator was named")
+
+        monkeypatch.setattr(cli.dat, "load_checkpoint", no_work)
+        out = trained_run["tmp"] / "probe-no-estimator"
+        assert cli.main(["grad-probe", "--checkpoint", str(trained_run["ckpts"][-1]),
+                         "--estimators", estimators, "--out-dir", str(out)]) == 2
+        assert "config error: --estimators must name one or more of" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheckpointWithoutAModel:

@@ -599,7 +599,8 @@ class TestCheckpoint:
         for name, arr in scorer.to_aux().items():
             np.testing.assert_array_equal(loaded.to_aux()[name], arr)
         feats = np.random.default_rng(9).uniform(-1, 1, (2, 3))
-        assert loaded.score([2, 3, 1], feats) == scorer.score([2, 3, 1], feats)
+        assert loaded.score([[2, 3, 1]], feats[None]).tolist() == \
+            scorer.score([[2, 3, 1]], feats[None]).tolist()
         assert met.SemanticScorer.from_aux({"cca_sigma": np.ones(2)}) is None
 
     @pytest.mark.parametrize("edit", [

@@ -1,8 +1,10 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import per_reference_cider_d
+from helpers import (caption_vec, loop_semantic_fit, per_pair_semantic_score,
+                     per_reference_cider_d)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -308,33 +310,67 @@ class TestSemanticScore:
         return met.CcaModel(U=np.eye(d), V=np.eye(d), sigma=np.ones(d),
                             mean_x=np.zeros(d), mean_y=np.zeros(d))
 
+    @staticmethod
+    def _random_model(rng, m, d, r):
+        X = rng.normal(size=(40, m))
+        Y = X[:, :1] * rng.normal(size=(1, d)) + rng.normal(size=(40, d))
+        return met.fit_cca(X, Y, r)
+
     def test_equal_projections(self):
         model = self._identity_model(3)
-        v = np.array([1.0, -2.0, 0.5])
-        assert abs(met.semantic_score(model, v, v) - 1.0) < 1e-12
+        v = np.array([[1.0, -2.0, 0.5]])
+        assert abs(met.semantic_score(model, v, v)[0] - 1.0) < 1e-12
 
     def test_opposite_projections(self):
         model = self._identity_model(3)
-        v = np.array([1.0, -2.0, 0.5])
-        assert abs(met.semantic_score(model, v, -v) + 1.0) < 1e-12
+        v = np.array([[1.0, -2.0, 0.5]])
+        assert abs(met.semantic_score(model, v, -v)[0] + 1.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_match_per_pair_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 21):
+            m, d = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            model = self._random_model(rng, m, d, int(rng.integers(1, min(m, d) + 1)))
+            X = rng.normal(scale=3.0, size=(n, m)) + model.mean_x
+            Y = rng.normal(scale=0.2, size=(n, d))
+            scores = met.semantic_score(model, X, Y)
+            assert scores.shape == (n,) and scores.dtype == np.float64
+            want = [per_pair_semantic_score(model, x, y) for x, y in zip(X, Y)]
+            np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
 
     def test_zero_norm_flagged(self, caplog):
         model = self._identity_model(2)
+        X = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, -1.0]])
+        Y = np.array([[1.0, 1.0], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
         with caplog.at_level("WARNING"):
-            assert met.semantic_score(model, np.zeros(2), np.ones(2)) == 0.0
-        assert any("zero-norm" in r.message for r in caplog.records)
+            scores = met.semantic_score(model, X, Y)
+        assert scores[0] == scores[2] == scores[3] == 0.0
+        assert abs(scores[1] - 1.0) < 1e-12
+        warned = [r.getMessage() for r in caplog.records if "zero-norm" in r.getMessage()]
+        assert warned == [f"semantic_score: zero-norm projection in row {i}, returning 0"
+                          for i in (0, 2, 3)]
+
+    @pytest.mark.parametrize("x_shape, y_shape", (
+        ((3, 4), (3, 2)), ((3, 2), (3, 4)), ((3, 2), (4, 3)), ((2,), (3,)),
+        ((1, 2, 1), (1, 3)), ((3, 2), (3,))))
+    def test_mismatched_widths_raise(self, x_shape, y_shape):
+        model = met.CcaModel(U=np.eye(2)[:, :1], V=np.eye(3)[:, :1], sigma=np.ones(1),
+                             mean_x=np.zeros(2), mean_y=np.zeros(3))
+        with pytest.raises(InputError, match="embedding dimensions"):
+            met.semantic_score(model, np.ones(x_shape), np.ones(y_shape))
 
     def test_positive_rescaling_invariance(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(200, 3))
         Y = X @ rng.normal(size=(3, 4)) + 0.1 * rng.normal(size=(200, 4))
         model = met.fit_cca(X, Y, r=2)
-        x, y = rng.normal(size=3), rng.normal(size=4)
+        x, y = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
         base = met.semantic_score(model, x, y)
         # cosine is invariant to positive rescaling around the centering point
-        assert abs(met.semantic_score(
+        np.testing.assert_allclose(met.semantic_score(
             model, model.mean_x + 7.0 * (x - model.mean_x),
-            model.mean_y + 0.2 * (y - model.mean_y)) - base) < 1e-9
+            model.mean_y + 0.2 * (y - model.mean_y)), base, rtol=0, atol=1e-9)
 
     def test_paired_beats_shuffled_auc(self):
         rng = np.random.default_rng(7)
@@ -346,12 +382,57 @@ class TestSemanticScore:
         Y = z @ B + 0.2 * rng.normal(size=(n, 4))
         model = met.fit_cca(X[:1000], Y[:1000], r=k)
 
-        paired = np.array([met.semantic_score(model, X[i], Y[i])
-                           for i in range(1000, n)])
+        paired = met.semantic_score(model, X[1000:], Y[1000:])
         perm = rng.permutation(np.arange(1000, n))
-        shuffled = np.array([met.semantic_score(model, X[i], Y[j])
-                             for i, j in zip(range(1000, n), perm)])
+        shuffled = met.semantic_score(model, X[1000:], Y[perm])
         auc = float(np.mean(paired[:, None] > shuffled[None, :])
                     + 0.5 * np.mean(paired[:, None] == shuffled[None, :]))
         assert auc > 0.9
         assert paired.mean() > shuffled.mean()
+
+
+class TestSemanticScorer:
+    @staticmethod
+    def _examples(rng, n_images, C=3, d=5, K=9):
+        return [(SimpleNamespace(features=rng.normal(size=(C, d))),
+                 [TokenSequence(rng.integers(0, K, size=int(rng.integers(1, 13))).tolist(),
+                                True) for _ in range(int(rng.integers(1, 4)))])
+                for _ in range(n_images)]
+
+    # m = 1 sums a caption's tokens pairwise in numpy, so zero padding would
+    # move their bits
+    @pytest.mark.parametrize("seed, m, rank", ((0, 4, 2), (1, 6, 9), (2, 3, 3), (3, 8, 5),
+                                               (4, 1, 1)))
+    def test_fit_equals_per_caption_loop_bit_for_bit(self, seed, m, rank):
+        rng = np.random.default_rng(seed)
+        examples = self._examples(rng, 30)
+        embed = rng.normal(size=(9, m))
+        captions = [ref for _, refs in examples for ref in refs]
+        feats = np.array([scene.features for scene, refs in examples for _ in refs])
+        X0, Y0, model0 = loop_semantic_fit(embed, examples, rank)
+        X, Y = met._mean_vectors(embed, captions, feats)
+        assert X.tobytes() == X0.tobytes() and Y.tobytes() == Y0.tobytes()
+        scorer = met.SemanticScorer.fit(embed, captions, feats, rank)
+        for name in ("U", "V", "sigma", "mean_x", "mean_y"):
+            assert getattr(scorer.model, name).tobytes() == \
+                getattr(model0, name).tobytes(), name
+        # the table is a frozen copy
+        assert scorer.embed is not embed and scorer.embed.tobytes() == embed.tobytes()
+        embed[:] = 0.0
+        assert np.any(scorer.embed != 0.0)
+
+    def test_score_matches_per_caption_oracle(self):
+        rng = np.random.default_rng(5)
+        examples = self._examples(rng, 30)
+        embed = rng.normal(size=(9, 4))
+        scorer = met.SemanticScorer.fit(
+            embed, [ref for _, refs in examples for ref in refs],
+            np.array([scene.features for scene, refs in examples for _ in refs]), 3)
+        captions = [refs[0] for _, refs in examples[:12]] + [TokenSequence([], False), [2, 2]]
+        feats = rng.normal(size=(len(captions), 3, 5))
+        want = [per_pair_semantic_score(scorer.model, caption_vec(embed, c), f.mean(axis=0))
+                for c, f in zip(captions, feats)]
+        np.testing.assert_allclose(scorer.score(captions, feats), want, rtol=0, atol=1e-12)
+        assert scorer.score([], np.zeros((0, 3, 5))).shape == (0,)
+        with pytest.raises(InputError):
+            scorer.score(captions, feats[:-1])
