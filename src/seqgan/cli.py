@@ -371,14 +371,11 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
 
     results, hash_streams = {}, {}
     for est in estimators:
-        norms, hashes = tr.grad_norm_probe(
+        results[est], hash_streams[est] = tr.grad_norm_probe(
             ckpt.captioner, ckpt.discriminator, dataset.train, est, n_batches,
             np.random.default_rng(cfg["seed"] + 99), gcfg, idf=idf)
-        results[est] = norms
-        hash_streams[est] = hashes
-        logger.info("probe %s: batch hashes %s...", est, hashes[:2])
-    streams = list(hash_streams.values())
-    if any(s != streams[0] for s in streams):
+        logger.info("probe %s: batch hashes %s...", est, hash_streams[est][:2])
+    if any(s != hash_streams[estimators[0]] for s in hash_streams.values()):
         raise ProbeError("estimators saw different batches")
 
     out = Path(out_dir or cfg["out_dir"])
@@ -391,12 +388,11 @@ def cmd_grad_probe(checkpoint_path, estimators, n_batches: int,
             for i, norm in enumerate(results[est]):
                 fh.write(f"{i},{est},{norm!r}\n")
         for est in estimators:
-            arr = np.array(results[est])
-            fh.write(f"# summary estimator={est} mean={float(arr.mean())!r} "
-                     f"variance={float(arr.var())!r}\n")
+            fh.write(f"# summary estimator={est} mean={float(np.mean(results[est]))!r} "
+                     f"variance={float(np.var(results[est]))!r}\n")
     for est in estimators:
-        arr = np.array(results[est])
-        print(f"grad-probe {est}: mean={arr.mean():.6g} variance={arr.var():.6g}")
+        print(f"grad-probe {est}: mean={np.mean(results[est]):.6g} "
+              f"variance={np.var(results[est]):.6g}")
     print(f"grad-probe: norms -> {csv_path}")
     return EXIT_OK
 

@@ -361,15 +361,25 @@ _V1_GATES = {"gen": ("lstm_{}_i", "lstm_{}_f", "lstm_{}_o", "sent_{}", "lstm_{}_
              "disc": ("lstm_{}_i", "lstm_{}_f", "lstm_{}_o", "lstm_{}_g")}
 
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
+    """Adam's step count and its moments, each one flat float64 array
+    (``flat_m``, ``flat_v``) read per name through the views ``m`` and ``v``;
+    ``slices`` holds each name's (start, stop).  Packs its inputs once."""
+
+    def __init__(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step: int = 0):
+        if m.keys() != v.keys():
+            raise InputError("Adam moments m and v must name the same arrays")
+        stops = np.cumsum([0] + [np.size(a) for a in m.values()]).tolist()
+        self.slices = dict(zip(m, zip(stops, stops[1:])))
+        self.flat_m, self.flat_v = (np.concatenate([np.ravel(d[k]) for k in m],
+                                                   dtype=np.float64) for d in (m, v))
+        self.m, self.v = ({k: flat[a:b].reshape(np.shape(m[k]))
+                           for k, (a, b) in self.slices.items()}
+                          for flat in (self.flat_m, self.flat_v))
+        self.step = step
 
     def copy(self) -> AdamState:
-        return AdamState({k: a.copy() for k, a in self.m.items()},
-                         {k: a.copy() for k, a in self.v.items()}, self.step)
+        return AdamState(self.m, self.v, self.step)
 
 
 @dataclass
@@ -464,12 +474,9 @@ def _fuse_v1(table, model: str, shape, prefix: str, section: str, offset: int):
 
 
 def _opt_to_table(state) -> dict[str, np.ndarray]:
-    table = {"__step": np.array(float(state.step))}
-    for k, v in state.m.items():
-        table[f"m__{k}"] = v
-    for k, v in state.v.items():
-        table[f"v__{k}"] = v
-    return table
+    return {"__step": np.array(float(state.step)),
+            **{f"m__{k}": a for k, a in state.m.items()},
+            **{f"v__{k}": a for k, a in state.v.items()}}
 
 
 def _opt_from_table(table: dict[str, np.ndarray], model, section: str, offset: int):
@@ -486,8 +493,7 @@ def _opt_from_table(table: dict[str, np.ndarray], model, section: str, offset: i
     moments = {k: v for k, v in table.items() if k != "__step"}
     _check_shapes(moments, {prefix + name: arr.shape for prefix in ("m__", "v__")
                             for name, arr in model.arrays.items()}, section, offset)
-    m = {k[3:]: v for k, v in moments.items() if k.startswith("m__")}
-    v = {k[3:]: v for k, v in moments.items() if k.startswith("v__")}
+    m, v = ({k[3:]: a for k, a in moments.items() if k.startswith(p)} for p in ("m__", "v__"))
     return AdamState(m=m, v=v, step=int(step))
 
 

@@ -395,8 +395,13 @@ def semantic_score(model: CcaModel, X, Y) -> np.ndarray:
 
 def _mean_vectors(embed, captions, image_feats) -> tuple[np.ndarray, np.ndarray]:
     """Mean token embedding of each caption (zeros when empty), by length to
-    keep a one-caption mean's bits, and mean crop feature of each image."""
+    keep a one-caption mean's bits, and mean crop feature of each image; the
+    first token id outside the K rows of ``embed`` raises ``InputError``."""
     toks = [_tokens(c) for c in captions]
+    flat = np.fromiter(itertools.chain.from_iterable(toks), np.int64)
+    outside = (flat < 0) | (flat >= len(embed))
+    if outside.any():
+        raise InputError(f"token id {flat[outside.argmax()]} is outside [0, {len(embed)})")
     X = np.zeros((len(toks), embed.shape[1]))
     for n in set(map(len, toks)) - {0}:
         rows = [i for i, t in enumerate(toks) if len(t) == n]

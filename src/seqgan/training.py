@@ -77,16 +77,6 @@ class GanConfig:
                 raise InputError(f"{name} must be >= 0")
 
 
-@dataclass
-class RewardRecord:
-    sample_reward: float
-    baseline_reward: float
-
-    @property
-    def advantage(self) -> float:
-        return self.sample_reward - self.baseline_reward
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -103,27 +93,32 @@ def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float):
     """One Adam minimization step, in place; pass negated gradients to ascend.
 
-    Every gradient is checked before anything changes: a wrong shape raises
-    ``InputError`` and a NaN or Inf raises ``NumericError`` naming the
-    parameter and the step, leaving ``arrays`` and ``state`` untouched.
+    Every gradient is checked before anything changes: names other than the
+    state's or a wrong shape raise ``InputError``, and a NaN or Inf raises
+    ``NumericError`` naming the first bad parameter and the step, leaving
+    ``arrays`` and ``state`` untouched.  The moments update as the state's
+    flat arrays; then each parameter subtracts its slice of the step.
     """
-    step = state.step + 1
-    for name, g in grads.items():
-        if g.shape != arrays[name].shape:
+    if grads.keys() != state.m.keys():
+        raise InputError(f"gradients name {sorted(grads)}, the Adam state {sorted(state.m)}")
+    for name, m in state.m.items():
+        if not grads[name].shape == arrays[name].shape == m.shape:
             raise InputError(f"gradient shape mismatch for {name!r}")
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for {name!r} at Adam step {step}")
+    g = np.concatenate([grads[name].reshape(-1) for name in state.m])
+    step = state.step + 1
+    if not np.isfinite(g).all():
+        bad = next(name for name in state.m if not np.isfinite(grads[name]).all())
+        raise NumericError(f"non-finite gradient for {bad!r} at Adam step {step}")
     state.step = step
-    b1t = 1.0 - ADAM_BETA1**step
-    b2t = 1.0 - ADAM_BETA2**step
-    for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        arrays[name] -= lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+    m, v = state.flat_m, state.flat_v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    update = lr * (m / (1.0 - ADAM_BETA1**step)) / (np.sqrt(v / (1.0 - ADAM_BETA2**step))
+                                                    + ADAM_EPS)
+    for name, (start, stop) in state.slices.items():
+        arrays[name] -= update[start:stop].reshape(arrays[name].shape)
     return arrays, state
 
 
@@ -183,7 +178,7 @@ def _clamped_scores(d_params, image_feats, seqs) -> np.ndarray:
 
 
 def _sequence_rewards(cfg: GanConfig, d_params, image_feats, seqs, refs=None,
-                      idf=None) -> list[float]:
+                      idf=None) -> np.ndarray:
     """Rewards of finished captions under the configured reward mode, in
     ``seqs`` order: caption j against image j of ``image_feats`` and
     reference list ``refs[j]``.  The D scores of all captions come from one
@@ -192,11 +187,10 @@ def _sequence_rewards(cfg: GanConfig, d_params, image_feats, seqs, refs=None,
     if cfg.reward in ("logD_plus_cider", "cider") and (refs is None or idf is None):
         raise InputError(f"reward {cfg.reward!r} needs reference captions and idf")
     if cfg.reward == "cider":
-        return met.caption_scores(seqs, refs, idf).cider.tolist()
-    rewards = [float(np.log(v)) for v in _clamped_scores(d_params, image_feats, seqs)]
+        return met.caption_scores(seqs, refs, idf).cider
+    rewards = np.log(_clamped_scores(d_params, image_feats, seqs))
     if cfg.reward == "logD_plus_cider":
-        ciders = met.caption_scores(seqs, refs, idf).cider.tolist()
-        rewards = [reward + cfg.cider_weight * cider for reward, cider in zip(rewards, ciders)]
+        rewards += cfg.cider_weight * met.caption_scores(seqs, refs, idf).cider
     return rewards
 
 
@@ -213,9 +207,10 @@ def scst_batch_grad(g_params: CaptionerParams, d_params, image_feats, samples,
     batch on one tape, whose backward gives the gradient of
     sum_b (adv_b / B) log p(sample_b); with no such row no tape is recorded.
 
-    Returns (gradients, one ``RewardRecord`` per image, per image the
-    len(sample) x K gradient of the same objective with respect to the
-    sample's step logits: zero for a zero advantage).
+    Returns (gradients, the B x 2 rewards, sample then baseline, so adv_b is
+    ``rewards[b, 0] - rewards[b, 1]``, and the replay's B x T x K gradient of
+    the objective with respect to the step logits, T the longest sample:
+    zero past each sample's end and in every row of zero advantage).
     """
     feats = np.asarray(image_feats, dtype=np.float64)
     B = len(samples)
@@ -225,24 +220,22 @@ def scst_batch_grad(g_params: CaptionerParams, d_params, image_feats, samples,
     captions = [seq for pair in zip(samples, baselines) for seq in pair]
     caption_refs = None if refs is None else [r for r in refs for _ in range(2)]
     rewards = _sequence_rewards(cfg, d_params, np.repeat(feats, 2, axis=0), captions,
-                                caption_refs, idf)
-    records = [RewardRecord(*rewards[2 * b : 2 * b + 2]) for b in range(B)]
-    adv = np.array([record.advantage for record in records])
-    K = g_params.config.vocab_size
-    logit_grads = [np.zeros((len(seq.tokens), K)) for seq in samples]
+                                caption_refs, idf).reshape(B, 2)
+    adv = rewards[:, 0] - rewards[:, 1]
+    logit_grads = np.zeros((B, max(len(seq.tokens) for seq in samples),
+                            g_params.config.vocab_size))
     rows = np.flatnonzero(adv)
     if not rows.size:
         zeros = {k: np.zeros_like(a) for k, a in g_params.arrays.items()}
-        return zeros, records, logit_grads
+        return zeros, rewards, logit_grads
 
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g_params)
     logp, replay_grads = bound.sequence_log_prob_and_logits(
         feats[rows], CaptionBatch([samples[b] for b in rows]))
     ad.backward(tape, ad.reduce_sum(ad.mul(logp, adv[rows] / B)))
-    for j, b in enumerate(rows):
-        logit_grads[b] = replay_grads[j, : len(samples[b].tokens)]
-    return {name: bound.p[name].grad for name in g_params.arrays}, records, logit_grads
+    logit_grads[rows, : replay_grads.shape[1]] = replay_grads
+    return {name: bound.p[name].grad for name in g_params.arrays}, rewards, logit_grads
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +260,9 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
     between the discriminator embeddings of ``gt_seqs[b]`` (a list of B
     captions, then required) and of its relaxed sample.
 
-    Returns "grads" and "loss" of the batch mean and per row its "tokens",
-    "score" and "logit_grads" (len(tokens) x K, the row's 1/B share)."""
+    Returns "grads" and "loss" of the batch mean, per row its "tokens" and
+    "score", and "logit_grads", the unroll node's B x T x K gradient of the
+    batch mean with respect to the step logits (zero past each row's end)."""
     if cfg.estimator not in ("gumbel_soft", "gumbel_st"):
         raise InputError("gumbel_grad needs a gumbel estimator config")
     fm_on = cfg.fm_image_weight > 0 or cfg.fm_caption_weight > 0
@@ -299,7 +293,7 @@ def gumbel_grad(g_params: CaptionerParams, d_params, image_feats,
     ad.backward(tape, loss)
     return {"grads": {name: bound_g.p[name].grad for name in g_params.arrays},
             "loss": loss.item(), "tokens": tokens, "score": out["score"].data,
-            "logit_grads": [logit_grads[b, : len(seq)] for b, seq in enumerate(tokens)]}
+            "logit_grads": logit_grads}
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +340,7 @@ def ce_pretrain(g_params: CaptionerParams, dataset, epochs: int,
             logp = bound.sequence_log_prob(feats, CaptionBatch(refs))
             loss = ad.reduce_sum(ad.mul(logp, -1.0 / (len(batch) * lengths)))
             ad.backward(tape, loss)
-            adam_step(g_params.arrays, {n: bound.p[n].grad for n in g_params.arrays}, opt,
-                      lr)
+            adam_step(g_params.arrays, {n: t.grad for n, t in bound.p.items()}, opt, lr)
             epoch_loss -= float(logp.data.sum())
             epoch_tokens += int(lengths.sum())
         curve.append(epoch_loss / max(epoch_tokens, 1))
@@ -392,8 +385,7 @@ def _d_batch_step(g_params, d_params, d_opt, dataset, batch, rng, cfg):
     objective = discriminator_objective(bound, np.array(feats), real, fake, mismatched)
     ad.backward(tape, objective)
     # ascend the objective
-    adam_step(d_params.arrays, {n: -bound.p[n].grad for n in d_params.arrays}, d_opt,
-              cfg.d_lr)
+    adam_step(d_params.arrays, {n: -t.grad for n, t in bound.p.items()}, d_opt, cfg.d_lr)
     return objective.item()
 
 
@@ -492,9 +484,10 @@ def train_gan(g_params: CaptionerParams, d_params, dataset, cfg: GanConfig,
 def grad_norm_probe(g_params, d_params, dataset, estimator: str, n_batches: int,
                     rng: np.random.Generator, cfg: GanConfig, idf=None):
     """L2 norm of the minibatch-mean logit gradient, one value per minibatch:
-    each row's step gradients, its share of the minibatch mean, are summed on
-    a zero-padded (max_len, vocab) grid, so opposite-signed example gradients
-    cancel the way they do in an actual update.
+    the estimator's B x T x K logit gradients, each row its share of the
+    minibatch mean, are summed over rows in one operation into a zero-padded
+    (max_len, vocab) grid, so opposite-signed example gradients cancel the
+    way they do in an actual update.
 
     Batch selection and estimator sampling use two separate streams derived
     from ``rng``, so different estimators probed with equal-seeded generators
@@ -524,8 +517,7 @@ def grad_norm_probe(g_params, d_params, dataset, estimator: str, n_batches: int,
         else:
             grads = gumbel_grad(g_params, d_params, feats, est_rng, probe_cfg,
                                 [r[0] for r in refs])["logit_grads"]
-        mean_grad = np.zeros((T, K))
-        for g in grads:  # already the minibatch mean's share
-            mean_grad[: len(g)] += g
-        norms.append(float(np.linalg.norm(mean_grad)))
+        grid = np.zeros((T, K))  # max_len rows always: the norm's rounding depends on size
+        grid[: grads.shape[1]] = grads.sum(axis=0)
+        norms.append(float(np.linalg.norm(grid)))
     return norms, hashes

@@ -595,18 +595,19 @@ def scst_grad(g_params, d_params, image_feats, rng, cfg, refs=None, idf=None,
     """Single-sample SCST gradient of one image's generator objective (to
     ascend): one sample, the greedy decode's reward as baseline, and the
     sample's log-probability gradient from its own replay tape, scaled by
-    the advantage.  Returns (gradients, ``RewardRecord``) and, with
-    ``want_logit_grads``, the scaled gradient of each step's logits."""
+    the advantage.  Returns (gradients, the rewards of the sample and of
+    the baseline as one array of 2) and, with ``want_logit_grads``, the
+    len(sample) x K scaled gradient of the step logits."""
     sample, _ = sample_sentence(g_params, image_feats, rng)
     baseline = greedy_decode(g_params, image_feats)
-    record = tr.RewardRecord(*per_image_rewards(cfg, d_params, image_feats,
-                                                [sample, baseline], refs, idf))
-    adv = record.advantage
+    rewards = np.array(per_image_rewards(cfg, d_params, image_feats, [sample, baseline],
+                                         refs, idf))
+    adv = rewards[0] - rewards[1]
 
     if adv == 0.0:
         grads = {k: np.zeros_like(a) for k, a in g_params.arrays.items()}
-        logit_grads = [np.zeros(g_params.config.vocab_size) for _ in sample.tokens]
-        return (grads, record, logit_grads) if want_logit_grads else (grads, record)
+        logit_grads = np.zeros((len(sample.tokens), g_params.config.vocab_size))
+        return (grads, rewards, logit_grads) if want_logit_grads else (grads, rewards)
 
     tape = ad.Tape()
     bound = BoundCaptioner(tape, g_params)
@@ -615,9 +616,8 @@ def scst_grad(g_params, d_params, image_feats, rng, cfg, refs=None, idf=None,
     ad.backward(tape, logp)
     grads = {name: adv * bound.p[name].grad for name in g_params.arrays}
     if not want_logit_grads:
-        return grads, record
-    logit_grads = [adv * row for row in step_grads[0]]
-    return grads, record, logit_grads
+        return grads, rewards
+    return grads, rewards, adv * step_grads[0]
 
 
 def loop_g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf=None):
@@ -626,23 +626,41 @@ def loop_g_batch_step(g_params, d_params, g_opt, dataset, batch, rng, cfg, idf=N
     ground-truth pick, then ``scst_grad``; gradients averaged over the
     batch, then the Adam ascent step.
 
-    Returns (averaged gradients, one ``RewardRecord`` per image, per image
-    the len(sample) x K logit gradients of the averaged objective).
+    Returns (averaged gradients, the B x 2 rewards of each image's sample
+    and baseline, the B x T x K logit gradients of the averaged objective,
+    T the longest sample, each row zero past its sample).
     """
     grads = {k: np.zeros_like(a) for k, a in g_params.arrays.items()}
-    records, logit_grads = [], []
+    rewards, rows = [], []
     for i in batch:
         feats = tr._example_feats(dataset[i])
         refs = dataset[i][1]
         refs[int(rng.integers(len(refs)))]  # the ground-truth pick, unused by SCST
-        part, record, rows = scst_grad(g_params, d_params, feats, rng, cfg, refs, idf,
-                                       want_logit_grads=True)
+        part, pair, row = scst_grad(g_params, d_params, feats, rng, cfg, refs, idf,
+                                    want_logit_grads=True)
         for name in grads:
             grads[name] += 1.0 / len(batch) * part[name]
-        records.append(record)
-        logit_grads.append(np.array(rows) / len(batch))
+        rewards.append(pair)
+        rows.append(row / len(batch))
+    logit_grads = np.zeros((len(batch), max(map(len, rows)), g_params.config.vocab_size))
+    for b, row in enumerate(rows):
+        logit_grads[b, : len(row)] = row
     tr.adam_step(g_params.arrays, {n: -g for n, g in grads.items()}, g_opt, cfg.g_lr)
-    return grads, records, logit_grads
+    return grads, np.array(rewards), logit_grads
+
+
+def loop_adam_step(arrays, grads, state, lr):
+    """Adam as a per-parameter loop over separate moment arrays
+    (``state.m``, ``state.v``), each updated and applied in turn."""
+    state.step += 1
+    b1t, b2t = 1.0 - tr.ADAM_BETA1**state.step, 1.0 - tr.ADAM_BETA2**state.step
+    for name, g in grads.items():
+        m, v = state.m[name], state.v[name]
+        m *= tr.ADAM_BETA1
+        m += (1.0 - tr.ADAM_BETA1) * g
+        v *= tr.ADAM_BETA2
+        v += (1.0 - tr.ADAM_BETA2) * g * g
+        arrays[name] -= lr * (m / b1t) / (np.sqrt(v / b2t) + tr.ADAM_EPS)
 
 
 def st_onehot(x):
@@ -721,7 +739,9 @@ def gumbel_grad(g_params, d_params, image_feats, rng, cfg, gt_seq=None,
 
     With feature matching enabled the loss subtracts the squared distances
     between the discriminator embeddings of the ground-truth caption and of
-    the relaxed sample; ``gt_seq`` is then required.
+    the relaxed sample; ``gt_seq`` is then required.  With
+    ``want_logit_grads`` the result also holds "logit_grads", the
+    len(tokens) x K gradient of the step logits.
     """
     if cfg.estimator not in ("gumbel_soft", "gumbel_st"):
         raise InputError("gumbel_grad needs a gumbel estimator config")
@@ -751,7 +771,7 @@ def gumbel_grad(g_params, d_params, image_feats, rng, cfg, gt_seq=None,
         "score": out["score"].item(),
     }
     if want_logit_grads:
-        result["logit_grads"] = [t.grad.reshape(-1).copy() for t in step_logits]
+        result["logit_grads"] = np.vstack([t.grad for t in step_logits])
     return result
 
 

@@ -160,7 +160,7 @@ class TestSequenceRewards:
         for feats, refs, seqs in images:
             got = tr._sequence_rewards(cfg, d, np.repeat(feats[None], len(seqs), axis=0),
                                        seqs, [refs] * len(seqs), idf)
-            assert got == per_image_rewards(cfg, d, feats, seqs, refs, idf)
+            assert got.tolist() == per_image_rewards(cfg, d, feats, seqs, refs, idf)
 
     @pytest.mark.parametrize("reward", ["cider", "logD_plus_cider"])
     def test_minibatch_matches_per_image_rewards(self, reward):
@@ -172,7 +172,7 @@ class TestSequenceRewards:
         got = tr._sequence_rewards(cfg, d, feats, seqs, refs, idf)
         want = [v for f, r, s in images for v in per_image_rewards(cfg, d, f, s, r, idf)]
         if reward == "cider":
-            assert got == want
+            assert got.tolist() == want
         else:
             # the D scores of a larger batch may differ in the last bits
             assert np.max(np.abs(np.array(got) - want)) <= 1e-12

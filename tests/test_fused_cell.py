@@ -147,8 +147,9 @@ def test_gumbel_unroll_through_discriminator_matches_per_gate(attention, estimat
         want = np.mean([ref["grads"][name] for ref in refs], axis=0)
         assert max_diff(out["grads"][name], want) <= TOL, name
     for got, ref in zip(out["logit_grads"], refs, strict=True):
-        want = np.array(ref["logit_grads"]) / 3
-        assert got.shape == want.shape and max_diff(got, want) <= TOL
+        want, n = ref["logit_grads"] / 3, len(ref["tokens"])
+        assert want.shape == (n, 9) and max_diff(got[:n], want) <= TOL
+        assert not got[n:].any()
 
 
 @pytest.mark.parametrize("variant", disc.VARIANTS)

@@ -436,3 +436,23 @@ class TestSemanticScorer:
         assert scorer.score([], np.zeros((0, 3, 5))).shape == (0,)
         with pytest.raises(InputError):
             scorer.score(captions, feats[:-1])
+
+    @pytest.mark.parametrize("bad", [-1, 9, 10**6])
+    def test_token_ids_outside_the_table_raise(self, bad):
+        """An id outside [0, K) raises ``InputError`` naming the first one,
+        in ``fit`` and in ``score``: -1 no longer scores as the last row."""
+        rng = np.random.default_rng(6)
+        examples = self._examples(rng, 10)
+        embed = rng.normal(size=(9, 4))
+        refs = [ref for _, refs in examples for ref in refs]
+        ref_feats = np.array([scene.features for scene, refs in examples for _ in refs])
+        scorer = met.SemanticScorer.fit(embed, refs, ref_feats, 3)
+        captions = [TokenSequence([2, 3, 1], True), [4, bad, 1], [12, -5]]
+        feats = rng.normal(size=(3, 3, 5))
+        message = rf"^token id {bad} is outside \[0, 9\)$"
+        with pytest.raises(InputError, match=message):
+            scorer.score(captions, feats)
+        with pytest.raises(InputError, match=message):
+            met.SemanticScorer.fit(embed, refs[:3] + captions, np.concatenate(
+                [ref_feats[:3], feats]), 3)
+        assert scorer.score(captions[:1], feats[:1]).shape == (1,)

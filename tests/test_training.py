@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from seqgan.captioner import (ATTENTION_MODES, BoundCaptioner, CaptionBatch, Cap
 from conftest import central_difference, rel_err
 from helpers import (RecordingRng, ReplayRng, autodiff_expected_reward_grad,
                      enumerate_sequences, expected_policy_gradient, flat_grads, gumbel_grad,
-                     gumbel_sample, loop_d_batch_step, loop_g_batch_step,
+                     gumbel_sample, loop_adam_step, loop_d_batch_step, loop_g_batch_step,
                      per_sequence_score_grads, policy_gradient_variance, scst_grad, score_one,
                      sequence_probabilities)
 
@@ -98,6 +100,60 @@ class TestAdam:
             np.testing.assert_array_equal(state.m[k], keep_state.m[k])
             np.testing.assert_array_equal(state.v[k], keep_state.v[k])
         assert state.step == keep_state.step == 1
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "w", "x"), ("a", "x")])
+    def test_gradient_names_must_match_state(self, names):
+        arrays = {"a": np.array([1.0, -2.0]), "w": np.array([0.5])}
+        state = tr.init_adam(arrays)
+        with pytest.raises(InputError, match="Adam state"):
+            tr.adam_step(arrays, {n: np.ones(2 if n == "a" else 1) for n in names}, state, 0.1)
+        assert arrays["a"].tolist() == [1.0, -2.0] and arrays["w"].tolist() == [0.5]
+        assert state.step == 0 and not state.flat_m.any() and not state.flat_v.any()
+
+    def test_state_packs_separate_arrays_once(self):
+        m = {"w": np.array([[1.0, 2.0], [3.0, 4.0]]), "b": np.array([5.0])}
+        v = {"b": np.array([7.0]), "w": np.array([[6.0, 6.5], [6.25, 6.75]])}
+        state = tr.AdamState(m, v, step=3)
+        assert state.flat_m.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert state.flat_v.tolist() == [6.0, 6.5, 6.25, 6.75, 7.0]  # in m's order
+        assert state.slices == {"w": (0, 4), "b": (4, 5)} and state.step == 3
+        for name in m:
+            assert np.array_equal(state.m[name], m[name]) and state.m[name] is not m[name]
+            assert np.array_equal(state.v[name], v[name])
+        state.m["w"] += 1.0  # the views write through to the flat array
+        assert state.flat_m.tolist() == [2.0, 3.0, 4.0, 5.0, 5.0] and m["w"][0, 0] == 1.0
+        copy = state.copy()
+        copy.flat_v[:] = 0.0
+        assert state.flat_v.tolist() == [6.0, 6.5, 6.25, 6.75, 7.0]
+        with pytest.raises(InputError):
+            tr.AdamState(m, {"w": v["w"]})
+
+    def test_flat_state_matches_per_name_loop(self):
+        """50 steps on the default config's captioner and co-attention
+        discriminator leave the parameters and both moments equal, bit for
+        bit, to those of a per-parameter loop over separate arrays."""
+        from seqgan import cli
+        cfg = cli.parse_config({})
+        dataset = cli.build_dataset(cfg)
+        d = cli.discriminator_setup(cfg, dataset)
+        assert d.variant == "coatt"
+        rng = np.random.default_rng(0)
+        for params in (init_params(cli.captioner_config(cfg, dataset), 0), d):
+            arrays, ref_arrays = params.copy().arrays, params.copy().arrays
+            state = tr.init_adam(arrays)
+            ref = SimpleNamespace(m={k: np.zeros_like(a) for k, a in arrays.items()},
+                                  v={k: np.zeros_like(a) for k, a in arrays.items()}, step=0)
+            for _ in range(50):
+                grads = {k: rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), a.shape)
+                         for k, a in arrays.items()}
+                tr.adam_step(arrays, grads, state, 5e-3)
+                loop_adam_step(ref_arrays, grads, ref, 5e-3)
+            assert state.step == ref.step == 50
+            for name in arrays:
+                assert np.array_equal(arrays[name], ref_arrays[name]), name
+                assert np.array_equal(state.m[name], ref.m[name]), name
+                assert np.array_equal(state.v[name], ref.v[name]), name
+                assert np.shares_memory(state.m[name], state.flat_m)
 
 
 class TestDiscriminatorLoss:
@@ -263,35 +319,46 @@ class TestBatchedDiscriminatorStep:
         g, d, feats = tiny_setup(seed=4)
         binds = count_binds(monkeypatch)
         cfg = tr.GanConfig(estimator="scst")
-        _, record = scst_grad(g, d, feats, np.random.default_rng(2), cfg)
+        _, rewards = scst_grad(g, d, feats, np.random.default_rng(2), cfg)
         assert binds.count(False) == 1
         monkeypatch.undo()
         sample, _ = sample_sentence(g, feats, np.random.default_rng(2))
         baseline = greedy_decode(g, feats)
-        for reward, seq in ((record.sample_reward, sample),
-                            (record.baseline_reward, baseline)):
+        for reward, seq in zip(rewards, (sample, baseline), strict=True):
             want = np.log(np.clip(score_one(d, feats, seq), tr.SCORE_EPS,
                                   1.0 - tr.SCORE_EPS))
             assert abs(reward - want) <= 1e-12
 
 
 class TestScstGrad:
-    def test_advantage_arithmetic(self):
-        rec = tr.RewardRecord(np.log(0.8), np.log(0.4))
-        assert abs(rec.advantage - np.log(2.0)) < 1e-12
+    def test_advantage_arithmetic(self, monkeypatch):
+        """Column 0 is the sample's reward, column 1 the baseline's, and
+        their difference weights the replay."""
+        g, d, feats = tiny_setup(seed=5)
+        sample = TokenSequence([2, 3, 1], True)
+        monkeypatch.setattr(tr, "_sequence_rewards",
+                            lambda *args: np.log([0.8, 0.4]))
+        grads, rewards, _ = tr.scst_batch_grad(g, d, feats[None], [sample], tr.GanConfig())
+        assert np.array_equal(rewards, [np.log([0.8, 0.4])])
+        assert abs(rewards[0, 0] - rewards[0, 1] - np.log(2.0)) < 1e-12
+        tape = ad.Tape()
+        bound = BoundCaptioner(tape, g)
+        ad.backward(tape, bound.sequence_log_prob(feats[None], CaptionBatch([sample])))
+        for name in grads:
+            assert np.max(np.abs(grads[name] - np.log(2.0) * bound.p[name].grad)) < 1e-12
 
     def test_sample_equals_greedy_gives_zero_gradient(self):
         g, d, feats = tiny_setup(seed=1)
         g.arrays["out_b"][0, 1] = 60.0  # EOS dominates: sample == greedy == [eos]
         cfg = tr.GanConfig(estimator="scst", reward="logD")
-        grads, record = scst_grad(g, d, feats, np.random.default_rng(0), cfg)
-        assert record.advantage == 0.0
+        grads, rewards = scst_grad(g, d, feats, np.random.default_rng(0), cfg)
+        assert rewards[0] - rewards[1] == 0.0
         assert all(np.all(v == 0) for v in grads.values())
 
     def test_matches_manual_replay(self):
         g, d, feats = tiny_setup(seed=5)
         cfg = tr.GanConfig(estimator="scst", reward="logD")
-        grads, record = scst_grad(g, d, feats, np.random.default_rng(11), cfg)
+        grads, rewards = scst_grad(g, d, feats, np.random.default_rng(11), cfg)
 
         # replay the same computation from its pieces
         sample, _ = sample_sentence(g, feats, np.random.default_rng(11))
@@ -300,8 +367,8 @@ class TestScstGrad:
                              1 - tr.SCORE_EPS))
         r_b = np.log(np.clip(score_one(d, feats, baseline), tr.SCORE_EPS,
                              1 - tr.SCORE_EPS))
-        assert record.sample_reward == pytest.approx(r_s, abs=0)
-        assert record.baseline_reward == pytest.approx(r_b, abs=0)
+        assert rewards[0] == pytest.approx(r_s, abs=0)
+        assert rewards[1] == pytest.approx(r_b, abs=0)
 
         from seqgan.captioner import BoundCaptioner
         tape = ad.Tape()
@@ -382,12 +449,12 @@ class TestBatchedScstStep:
 
     def check_against_loop(self, monkeypatch, g, d, dataset, batch, cfg, idf):
         """Runs both steps from equal parameters and compares them; returns
-        the samples and the batched step's records."""
+        the samples and the batched step's rewards."""
         g_ref = g.copy()
-        grads, (samples, (step_grads, records, logit_grads)), state = self.run_batched(
+        grads, (samples, (step_grads, rewards, logit_grads)), state = self.run_batched(
             monkeypatch, g, d, dataset, batch, cfg, idf)
         rng = np.random.default_rng(7)
-        ref_grads, ref_records, ref_logit_grads = loop_g_batch_step(
+        ref_grads, ref_rewards, ref_logit_grads = loop_g_batch_step(
             g_ref, d, tr.init_adam(g_ref.arrays), dataset, batch, rng, cfg, idf)
         assert state == rng.bit_generator.state
         assert grads.keys() == step_grads.keys() == ref_grads.keys()
@@ -395,12 +462,15 @@ class TestBatchedScstStep:
             assert np.array_equal(grads[name], step_grads[name])
             assert np.max(np.abs(grads[name] - ref_grads[name])) <= 1e-12, name
             assert np.max(np.abs(g.arrays[name] - g_ref.arrays[name])) <= 1e-12, name
-        assert records == ref_records
-        assert len(logit_grads) == len(ref_logit_grads) == len(batch)
-        for seq, got, want in zip(samples, logit_grads, ref_logit_grads):
-            assert got.shape == want.shape == (len(seq.tokens), g.config.vocab_size)
-            assert np.max(np.abs(got - want)) <= 1e-12
-        return samples, records
+        assert rewards.shape == (len(batch), 2) and np.array_equal(rewards, ref_rewards)
+        lengths = [len(seq.tokens) for seq in samples]
+        assert logit_grads.shape == ref_logit_grads.shape == \
+            (len(batch), max(lengths), g.config.vocab_size)
+        assert np.max(np.abs(logit_grads - ref_logit_grads)) <= 1e-12
+        for row, n, pair in zip(logit_grads, lengths, rewards):
+            assert not row[n:].any()  # past the sample's end
+            assert row.any() == (pair[0] != pair[1])  # zero exactly when the advantage is
+        return samples, rewards
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("attention", ATTENTION_MODES)
@@ -408,10 +478,10 @@ class TestBatchedScstStep:
     def test_matches_per_image_loop(self, monkeypatch, reward, attention, seed):
         g, d, dataset, idf = scst_setup(attention, seed)
         cfg = tr.GanConfig(reward=reward)
-        samples, records = self.check_against_loop(monkeypatch, g, d, dataset,
+        samples, rewards = self.check_against_loop(monkeypatch, g, d, dataset,
                                                    np.arange(8), cfg, idf)
         assert len({len(seq.tokens) for seq in samples}) > 1
-        assert any(record.advantage != 0.0 for record in records)
+        assert np.any(rewards[:, 0] != rewards[:, 1])
 
     @pytest.mark.parametrize("batch", [[4], [8], [6, 1, 3], [2, 7, 0, 5, 8]])
     def test_small_and_partial_minibatches(self, monkeypatch, batch):
@@ -424,15 +494,14 @@ class TestBatchedScstStep:
         g, d, dataset, idf = scst_setup(seed=1)
         g.arrays["out_b"][0, 1] = 3.0  # EOS is likely: some samples equal their baseline
         baselines = [greedy_decode(g, feats) for feats, _ in dataset[:8]]
-        samples, records = self.check_against_loop(monkeypatch, g, d, dataset,
+        samples, rewards = self.check_against_loop(monkeypatch, g, d, dataset,
                                                    np.arange(8), tr.GanConfig(reward=reward),
                                                    idf)
         same = [s.tokens == b.tokens for s, b in zip(samples, baselines)]
         assert any(same) and not all(same)
-        for equal, record in zip(same, records):
-            if equal:
-                assert record.advantage == 0.0
-        assert any(record.advantage != 0.0 for record in records)
+        adv = rewards[:, 0] - rewards[:, 1]
+        assert np.all(adv[same] == 0.0)
+        assert np.any(adv != 0.0)
 
     def test_all_advantages_zero_records_no_tape(self, monkeypatch):
         g, d, dataset, idf = scst_setup(seed=2)
@@ -441,13 +510,13 @@ class TestBatchedScstStep:
         monkeypatch.setattr(ad, "backward", lambda tape, root: tapes.append(tape))
         feats = np.array([f for f, _ in dataset[:4]])
         samples = [TokenSequence([1], True)] * 4
-        grads, records, logit_grads = tr.scst_batch_grad(g, d, feats, samples,
+        grads, rewards, logit_grads = tr.scst_batch_grad(g, d, feats, samples,
                                                          tr.GanConfig(), idf=idf)
         monkeypatch.undo()
         assert not tapes
-        assert [record.advantage for record in records] == [0.0] * 4
+        assert rewards.shape == (4, 2) and np.all(rewards[:, 0] - rewards[:, 1] == 0.0)
         assert all(np.all(v == 0) for v in grads.values())
-        assert all(np.all(lg == 0) and lg.shape == (1, 7) for lg in logit_grads)
+        assert logit_grads.shape == (4, 1, 7) and np.all(logit_grads == 0)
         self.check_against_loop(monkeypatch, g, d, dataset, np.arange(4), tr.GanConfig(),
                                 idf)
 
@@ -468,9 +537,9 @@ class TestBatchedScstStep:
         init = BoundCaptioner.__init__
         monkeypatch.setattr(BoundCaptioner, "__init__", lambda self, tape, params:
                             g_binds.append(tape.grad) or init(self, tape, params))
-        _, records, _ = tr.scst_batch_grad(g, d, feats, samples, tr.GanConfig(reward=reward),
+        _, rewards, _ = tr.scst_batch_grad(g, d, feats, samples, tr.GanConfig(reward=reward),
                                            [refs for _, refs in dataset[:8]], idf)
-        assert any(record.advantage != 0.0 for record in records)
+        assert np.any(rewards[:, 0] != rewards[:, 1])
         assert g_binds == [True]  # the replay; the greedy baselines bind no captioner
         assert d_binds == ([] if reward == "cider" else [False])
 
@@ -657,10 +726,12 @@ class TestBatchedGumbel:
         for name in g.arrays:
             want = np.mean([ref["grads"][name] for ref in refs], axis=0)
             assert np.max(np.abs(out["grads"][name] - want)) <= 1e-12, name
-        for got, ref in zip(out["logit_grads"], refs, strict=True):
-            want = np.array(ref["logit_grads"]) / n_images
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12
+        assert out["logit_grads"].shape == (n_images, max(lengths), 9)
+        for got, n, ref in zip(out["logit_grads"], lengths, refs, strict=True):
+            want = ref["logit_grads"] / n_images
+            assert want.shape == (n, 9)
+            assert np.max(np.abs(got[:n] - want)) <= 1e-12
+            assert np.all(got[n:] == 0.0)  # exactly zero past the row's tokens
 
     @pytest.mark.parametrize("estimator", ("gumbel_soft", "gumbel_st"))
     def test_tape_size_free_of_unroll_length(self, monkeypatch, estimator):
@@ -725,8 +796,8 @@ class TestBatchedGumbel:
             out = tr.gumbel_grad(g, d, np.array([dataset[i][0] for i in batch]), est_rng,
                                  probe_cfg, gt_seqs=[dataset[i][1][0] for i in batch])
             grid = np.zeros((5, 7))
-            for rows in out["logit_grads"]:
-                grid[: len(rows)] += rows
+            for rows, tokens in zip(out["logit_grads"], out["tokens"]):
+                grid[: len(tokens)] += rows[: len(tokens)]
             assert norm == float(np.linalg.norm(grid))
 
 
@@ -856,6 +927,43 @@ class TestGradNormProbe:
             assert all(n >= 0 for n in norms)
             res[est] = hashes
         assert res["scst"] == res["gumbel_st"]
+
+    @pytest.mark.parametrize("estimator", tr.ESTIMATORS)
+    def test_grid_equals_per_row_sum(self, monkeypatch, estimator):
+        """The probe sums each minibatch's B x T x K logit gradients over rows
+        in one operation; its grid equals, value for value, the per-row loop
+        that adds each row's steps up to its length onto a (max_len, K)
+        grid, and so does the norm."""
+        g, d, dataset, idf = scst_setup(seed=5)
+        cfg = tr.GanConfig(batch_size=4, reward="logD_plus_cider", fm_image_weight=0.2)
+        grids, outputs = [], []
+        norm, scst, gumbel = np.linalg.norm, tr.scst_batch_grad, tr.gumbel_grad
+        monkeypatch.setattr(np.linalg, "norm", lambda x: grids.append(x.copy()) or norm(x))
+
+        def spy_scst(g_params, d_params, feats, samples, *args):
+            out = scst(g_params, d_params, feats, samples, *args)
+            outputs.append(([len(seq.tokens) for seq in samples], out[2]))
+            return out
+
+        def spy_gumbel(*args):
+            out = gumbel(*args)
+            outputs.append(([len(tokens) for tokens in out["tokens"]], out["logit_grads"]))
+            return out
+
+        monkeypatch.setattr(tr, "scst_batch_grad", spy_scst)
+        monkeypatch.setattr(tr, "gumbel_grad", spy_gumbel)
+        norms, _ = tr.grad_norm_probe(g, d, dataset, estimator, 4, np.random.default_rng(3),
+                                      cfg, idf)
+        monkeypatch.undo()
+        assert len({n for lengths, _ in outputs for n in lengths}) > 1
+        assert any(grid.any() for grid in grids)
+        for grid, (lengths, logit_grads), value in zip(grids, outputs, norms, strict=True):
+            want = np.zeros((5, 7))
+            for row, n in zip(logit_grads, lengths, strict=True):
+                assert not row[n:].any()
+                want[:n] += row[:n]
+            assert np.array_equal(grid, want)
+            assert value == float(np.linalg.norm(want))
 
 
 class TestNoGradEquivalence:
